@@ -15,10 +15,10 @@ never changes yet the treatment edge leaves no statistical trace there:
   ident(r)       the part of physical(r) recoverable from data alone
 """
 
-from csi_graphlab import get_example, ground_truth
+from csi_graphlab import SolvedModel, get_example, ground_truth
 
 s = get_example("intro")
-objs = ground_truth(s)
+objs = ground_truth(SolvedModel.of(s))
 
 print("variables:", " ".join(sorted(v.name for v in s.variables)))
 print("context variable:", objs.context, " values:", objs.regimes)

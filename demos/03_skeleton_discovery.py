@@ -41,7 +41,7 @@ for r in solved.regimes:
 # away from the context variable (here they also recover its edges)
 detect_by_r = {r: detect_graph(oracle, r) for r in solved.regimes}
 rebuilt = union_from_contexts(detect_by_r, pooled, ctx)
-truth = union_graph(s, solved).skeleton()
+truth = union_graph(solved).skeleton()
 print("\nrebuilt union skeleton:", rebuilt.sorted_pairs())
 print("true union skeleton:   ", truth.sorted_pairs())
 

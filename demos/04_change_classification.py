@@ -33,7 +33,7 @@ oracle = ExactTester(solved)
 detect = {r: detect_graph(oracle, r) for r in solved.regimes}
 
 # --- oriented mode: the pooled graph's directions are known -------------------
-union = union_graph(s, solved)
+union = union_graph(solved)
 report = classify_changes(union, detect, mode="oriented", context=ctx)
 print("oriented verdicts (edge missing in a context's detection skeleton):")
 for regime, edge_a, edge_b, classification, rule, note in report.rows():

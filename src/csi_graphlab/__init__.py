@@ -34,7 +34,6 @@ from .exact import (
     UnsolvableModelError,
     draw_samples,
     joint_pmf,
-    regimes,
     solve_all,
 )
 from .graph_objects import (
@@ -111,7 +110,6 @@ __all__ = [
     "UnsolvableModelError",
     "draw_samples",
     "joint_pmf",
-    "regimes",
     "solve_all",
     "FaithfulnessReport",
     "GraphObjectSet",

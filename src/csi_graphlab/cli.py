@@ -102,14 +102,8 @@ def _resolve_seed(explicit: int | None) -> int:
         ) from None
 
 
-def _check_threads(args) -> None:
-    if args.threads < 1:
-        raise CliError("--threads must be at least 1")
-
-
-def _load_model(path: str, flag: str):
-    s = load_scm(_read_source(path, flag))
-    return s, SolvedModel.of(s)
+def _load_model(path: str, flag: str) -> SolvedModel:
+    return SolvedModel.of(load_scm(_read_source(path, flag)))
 
 
 def _pairs(skel: UndirectedSkeleton) -> list[list[str]]:
@@ -131,9 +125,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 # --- ground-truth --------------------------------------------------------------------
 
 def _cmd_ground_truth(args) -> int:
-    _check_threads(args)
-    s, solved = _load_model(args.scm, "model")
-    gt = ground_truth(s, solved)
+    gt = ground_truth(_load_model(args.scm, "model"))
 
     dots = {
         "mechanism.dot": gt.mechanism.to_dot("mechanism"),
@@ -186,9 +178,8 @@ def _cmd_ground_truth(args) -> int:
 # --- discover ------------------------------------------------------------------------
 
 def _cmd_discover(args) -> int:
-    _check_threads(args)
     if args.exact is not None:
-        s, solved = _load_model(args.exact, "--exact")
+        solved = _load_model(args.exact, "--exact")
         tester = ExactTester(solved)
         mode = "exact"
     else:
@@ -253,7 +244,7 @@ def _cmd_discover(args) -> int:
     }
     if mode == "exact":
         # oracle orientations, so classify --mode oriented has a pooled graph to work from
-        doc["union_directed"] = [list(e) for e in union_graph(s, solved).sorted_edges()]
+        doc["union_directed"] = [list(e) for e in union_graph(solved).sorted_edges()]
 
     files = {"report.json": _json_doc(doc)}
     files.update(dots)
@@ -270,7 +261,6 @@ def _require_key(doc: dict, key: str, where: str):
 
 
 def _cmd_classify(args) -> int:
-    _check_threads(args)
     where = "discovery report %r" % args.report
     try:
         doc = json.loads(_read_source(args.report, "report"))
@@ -341,7 +331,6 @@ def _cmd_classify(args) -> int:
 # --- transfer-test -------------------------------------------------------------------
 
 def _cmd_transfer_test(args) -> int:
-    _check_threads(args)
     data = Dataset.from_csv(_read_source(args.csv, "data"))
     z = tuple(t for t in (args.z or "").split(",") if t)
     cfg = TransferConfig(
@@ -398,7 +387,6 @@ def _cmd_transfer_test(args) -> int:
 # --- sample --------------------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
-    _check_threads(args)
     s = load_scm(_read_source(args.scm, "model"))
     table = solve_all(s)
     data = draw_samples(s, args.n, _resolve_seed(args.seed), table)
@@ -443,7 +431,6 @@ def _spec_from_file(path: str) -> RandomModelSpec:
 
 
 def _cmd_verify(args) -> int:
-    _check_threads(args)
     spec = _spec_from_file(args.spec) if args.spec else RandomModelSpec()
     seed = args.seed
     if seed is None and os.environ.get("CSI_GRAPHLAB_SEED") is not None:
@@ -484,7 +471,6 @@ def _cmd_verify(args) -> int:
 # --- corpus --------------------------------------------------------------------------
 
 def _cmd_corpus(args) -> int:
-    _check_threads(args)
     if args.action == "list":
         _deliver(args, {"corpus-list.txt": "\n".join(list_examples()) + "\n"},
                  "corpus-list.txt")
@@ -507,8 +493,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write output files into DIR instead of stdout")
     common.add_argument("--force", action="store_true",
                         help="overwrite existing files under --out")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="cap internal parallelism (pipelines are single-process)")
 
     parser = argparse.ArgumentParser(
         prog="csi-graphlab",

@@ -24,7 +24,6 @@ from .graph_objects import (
     union_graph,
 )
 from .independence import CiQuery, CiVerdict, ci_exact, g_test
-from .scm import Scm
 
 __all__ = [
     "DiscoveryError",
@@ -279,7 +278,7 @@ class MarkovReport:
         return [o for o in self.obligations if not o.passed]
 
 
-def markov_check(s: Scm, solved: SolvedModel | None = None) -> MarkovReport:
+def markov_check(solved: SolvedModel) -> MarkovReport:
     """Verify, on the exact joint, that every pair without an edge is separated
     by its designated conditioning set.
 
@@ -291,14 +290,13 @@ def markov_check(s: Scm, solved: SolvedModel | None = None) -> MarkovReport:
     pooled parent sets.  Requires strong regime-acyclicity; otherwise the
     report is marked not applicable.
     """
-    solved = solved if solved is not None else SolvedModel.of(s)
-    ctx = s.context_variable
-    if not is_strongly_regime_acyclic(s, solved):
+    ctx = solved.scm.context_variable
+    if not is_strongly_regime_acyclic(solved):
         return MarkovReport(applicable=False, passed=False)
-    union = union_graph(s, solved)
+    union = union_graph(solved)
     anc_r = union.ancestors([ctx])
     joint = solved.joint
-    names = sorted(v for v in s.variable_names if v != ctx)
+    names = sorted(v for v in solved.scm.variable_names if v != ctx)
     obligations: list[MarkovObligation] = []
 
     def run(x, y, regime, clause, candidates):
@@ -314,8 +312,8 @@ def markov_check(s: Scm, solved: SolvedModel | None = None) -> MarkovReport:
         )
 
     for r in solved.regimes:
-        ident = ident_graph(s, r, solved)
-        descr = descriptive_graph(s, r, solved)
+        ident = ident_graph(solved, r)
+        descr = descriptive_graph(solved, r)
         skel = ident.skeleton()
         for x, y in itertools.combinations(names, 2):
             if skel.adjacent(x, y):

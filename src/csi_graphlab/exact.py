@@ -11,7 +11,7 @@ block given its solved ancestors) at a fraction of the cost.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -36,9 +36,6 @@ __all__ = [
     "solve_all",
     "joint_pmf",
     "noise_observable_joint",
-    "conditional",
-    "support",
-    "regimes",
     "draw_samples",
 ]
 
@@ -329,28 +326,19 @@ def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointP
     return JointPmf(scope, out)
 
 
-def conditional(p: JointPmf, condition: Mapping[str, str]) -> JointPmf:
-    return p.conditional(condition)
-
-
-def support(p: JointPmf, names: Sequence[str]) -> list[tuple[str, ...]]:
-    return p.support(names)
-
-
-def regimes(s: Scm, table: SolutionTable | None = None) -> tuple[str, ...]:
-    """Context values with positive probability, sorted."""
-    joint = joint_pmf(s, table)
-    return tuple(v[0] for v in joint.support([s.context_variable]))
-
-
 @dataclass
 class SolvedModel:
-    """One-stop bundle: solution table plus the two joints, computed once."""
+    """One solve of a model: the solution table, the two joints and, filled on
+    first use, everything derived from them (the regimes here, the graph
+    families in `graph_objects`).  Derived values are computed once per
+    instance; they are immutable, so sharing them is safe.
+    """
 
     scm: Scm
     table: SolutionTable
     joint: JointPmf
     noise_joint: JointPmf
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> "SolvedModel":
@@ -364,7 +352,11 @@ class SolvedModel:
 
     @property
     def regimes(self) -> tuple[str, ...]:
-        return tuple(v[0] for v in self.joint.support([self.scm.context_variable]))
+        """Context values with positive probability, sorted."""
+        if "regimes" not in self._derived:
+            support = self.joint.support([self.scm.context_variable])
+            self._derived["regimes"] = tuple(v[0] for v in support)
+        return self._derived["regimes"]
 
 
 # --- sampling ----------------------------------------------------------------------

@@ -9,17 +9,20 @@ model's own visible graph), and an identification variant that re-adds
 pooled edges between ancestors of the context.  Edges touching the context
 variable are carried over from the pooled visible graph by convention; in
 the counterfactual graph they are annotations, not claims.
+
+Every graph of one solve is derived from a `SolvedModel` and computed at
+most once per instance: the union graph and the four per-regime families
+are kept on the instance, next to its regimes.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .exact import JointPmf, SolvedModel, joint_pmf, solve_all
-from .graphs import DirectedGraph, union_graphs
+from .exact import JointPmf, SolvedModel, joint_pmf, noise_name
+from .graphs import DirectedGraph
 from .independence import CiQuery, ci_exact
 from .scm import MechanismTable, Scm, ScmError, intervene
 
@@ -121,10 +124,19 @@ def observable_graph(
     return DirectedGraph(s.variable_names, edges)
 
 
-def union_graph(s: Scm, solved: SolvedModel | None = None) -> DirectedGraph:
+def _once(
+    solved: SolvedModel, key: Hashable, build: Callable[[], DirectedGraph]
+) -> DirectedGraph:
+    """`build()`, computed once per solved model; a raising build stores nothing."""
+    cache = solved._derived
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def union_graph(solved: SolvedModel) -> DirectedGraph:
     """Visible graph of the pooled distribution (all contexts mixed)."""
-    q = solved.joint if solved is not None else joint_pmf(s)
-    return observable_graph(s, q)
+    return _once(solved, "union", lambda: observable_graph(solved.scm, solved.joint))
 
 
 def visible_context_edges(union: DirectedGraph, context: str) -> list[tuple[str, str]]:
@@ -138,18 +150,22 @@ def _with_context_edges(
     return DirectedGraph(g.nodes, edges)
 
 
-def descriptive_graph(s: Scm, r: str, solved: SolvedModel | None = None) -> DirectedGraph:
+def descriptive_graph(solved: SolvedModel, r: str) -> DirectedGraph:
     """Edges visible within the stratum R=r, plus pooled edges touching R."""
-    solved = solved if solved is not None else SolvedModel.of(s)
-    ctx = s.context_variable
     _require_regime(solved, r)
+    return _once(solved, ("descriptive", r), lambda: _build_descriptive(solved, r))
+
+
+def _build_descriptive(solved: SolvedModel, r: str) -> DirectedGraph:
+    s = solved.scm
+    ctx = s.context_variable
     cut = intervene(s, ctx, r)
     cond = solved.joint.conditional({ctx: r})
     barred = observable_graph(s, cond, mechanisms=cut.mechanisms)
-    return _with_context_edges(barred, union_graph(s, solved), ctx)
+    return _with_context_edges(barred, union_graph(solved), ctx)
 
 
-def physical_graph(s: Scm, r: str, solved: SolvedModel | None = None) -> DirectedGraph:
+def physical_graph(solved: SolvedModel, r: str) -> DirectedGraph:
     """Edges the mechanisms can still exhibit with the context held at r.
 
     Candidate parents of Y are its pooled-graph parents; declared arguments
@@ -161,10 +177,14 @@ def physical_graph(s: Scm, r: str, solved: SolvedModel | None = None) -> Directe
     Mechanism changes hidden by support gating leave no trace here, so the
     per-regime graphs always union back to the pooled graph.
     """
-    solved = solved if solved is not None else SolvedModel.of(s)
-    ctx = s.context_variable
     _require_regime(solved, r)
-    union = union_graph(s, solved)
+    return _once(solved, ("physical", r), lambda: _build_physical(solved, r))
+
+
+def _build_physical(solved: SolvedModel, r: str) -> DirectedGraph:
+    s = solved.scm
+    ctx = s.context_variable
+    union = union_graph(solved)
     joint = solved.joint
     edges = []
     for v in s.variables:
@@ -205,33 +225,41 @@ def physical_graph(s: Scm, r: str, solved: SolvedModel | None = None) -> Directe
     return _with_context_edges(barred, union, ctx)
 
 
-def counterfactual_graph(s: Scm, r: str, solved: SolvedModel | None = None) -> DirectedGraph:
+def counterfactual_graph(solved: SolvedModel, r: str) -> DirectedGraph:
     """Visible graph of the model intervened to R=r, plus annotation R edges.
 
     The returned graph's edges touching the context come from the original
     pooled graph for display symmetry only; the intervened model itself has
     no such edges.  Raises if the intervened model is not uniquely solvable.
     """
-    solved = solved if solved is not None else SolvedModel.of(s)
-    ctx = s.context_variable
     _require_regime(solved, r)
+    return _once(solved, ("counterfactual", r), lambda: _build_counterfactual(solved, r))
+
+
+def _build_counterfactual(solved: SolvedModel, r: str) -> DirectedGraph:
+    s = solved.scm
+    ctx = s.context_variable
     cut = intervene(s, ctx, r)
     cut_joint = joint_pmf(cut)
     barred = observable_graph(s, cut_joint, mechanisms=cut.mechanisms)
-    return _with_context_edges(barred, union_graph(s, solved), ctx)
+    return _with_context_edges(barred, union_graph(solved), ctx)
 
 
-def ident_graph(s: Scm, r: str, solved: SolvedModel | None = None) -> DirectedGraph:
+def ident_graph(solved: SolvedModel, r: str) -> DirectedGraph:
     """Descriptive graph plus pooled edges between ancestors of the context.
 
     Between variables that are pooled-graph ancestors of R, context-specific
     structure is not identifiable from the distribution, so those pooled
     edges are restored.
     """
-    solved = solved if solved is not None else SolvedModel.of(s)
-    union = union_graph(s, solved)
-    anc = union.ancestors({s.context_variable})
-    descr = descriptive_graph(s, r, solved)
+    _require_regime(solved, r)
+    return _once(solved, ("ident", r), lambda: _build_ident(solved, r))
+
+
+def _build_ident(solved: SolvedModel, r: str) -> DirectedGraph:
+    union = union_graph(solved)
+    anc = union.ancestors({solved.scm.context_variable})
+    descr = descriptive_graph(solved, r)
     extra = [(u, v) for u, v in union.edges if u in anc and v in anc]
     return DirectedGraph(descr.nodes, set(descr.edges) | set(extra))
 
@@ -244,21 +272,17 @@ def _require_regime(solved: SolvedModel, r: str) -> None:
         )
 
 
-def is_weakly_regime_acyclic(s: Scm, solved: SolvedModel | None = None) -> bool:
+def is_weakly_regime_acyclic(solved: SolvedModel) -> bool:
     """Every per-context descriptive graph is acyclic."""
-    solved = solved if solved is not None else SolvedModel.of(s)
-    return all(
-        descriptive_graph(s, r, solved).is_acyclic() for r in solved.regimes
-    )
+    return all(descriptive_graph(solved, r).is_acyclic() for r in solved.regimes)
 
 
-def is_strongly_regime_acyclic(s: Scm, solved: SolvedModel | None = None) -> bool:
+def is_strongly_regime_acyclic(solved: SolvedModel) -> bool:
     """Weakly regime-acyclic and no pooled cycle touches an ancestor of the context."""
-    solved = solved if solved is not None else SolvedModel.of(s)
-    if not is_weakly_regime_acyclic(s, solved):
+    if not is_weakly_regime_acyclic(solved):
         return False
-    union = union_graph(s, solved)
-    anc = union.ancestors({s.context_variable})
+    union = union_graph(solved)
+    anc = union.ancestors({solved.scm.context_variable})
     for comp in union.strongly_connected_components():
         if len(comp) > 1 and comp & anc:
             return False
@@ -289,7 +313,7 @@ def _reduction_scan(mech, keep_idx, rows, noise_support, clause, regime, out):
                     return
 
 
-def support_reduction_witnesses(s: Scm, solved: SolvedModel | None = None) -> list[dict]:
+def support_reduction_witnesses(solved: SolvedModel) -> list[dict]:
     """Mechanism evaluations that disagree across support rows sharing their
     visible-parent projection.
 
@@ -300,9 +324,9 @@ def support_reduction_witnesses(s: Scm, solved: SolvedModel | None = None) -> li
     solution-side laws are only meaningful without such coupling.  At most
     one witness per variable and clause.
     """
-    solved = solved if solved is not None else SolvedModel.of(s)
+    s = solved.scm
     ctx = s.context_variable
-    union = union_graph(s, solved)
+    union = union_graph(solved)
     out: list[dict] = []
     for v in s.variables:
         y = v.name
@@ -313,7 +337,7 @@ def support_reduction_witnesses(s: Scm, solved: SolvedModel | None = None) -> li
         rows = solved.joint.support(mech.parents)
         _reduction_scan(mech, keep, rows, s.noises[y].support, "pooled", None, out)
     for r in solved.regimes:
-        descr = descriptive_graph(s, r, solved)
+        descr = descriptive_graph(solved, r)
         cond = solved.joint.conditional({ctx: r})
         for v in s.variables:
             y = v.name
@@ -350,25 +374,25 @@ class GraphObjectSet:
     strongly_regime_acyclic: bool
 
 
-def ground_truth(s: Scm, solved: SolvedModel | None = None) -> GraphObjectSet:
-    solved = solved if solved is not None else SolvedModel.of(s)
-    per: dict[str, RegimeGraphs] = {}
-    for r in solved.regimes:
-        per[r] = RegimeGraphs(
+def ground_truth(solved: SolvedModel) -> GraphObjectSet:
+    per = {
+        r: RegimeGraphs(
             regime=r,
-            descriptive=descriptive_graph(s, r, solved),
-            physical=physical_graph(s, r, solved),
-            counterfactual=counterfactual_graph(s, r, solved),
-            ident=ident_graph(s, r, solved),
+            descriptive=descriptive_graph(solved, r),
+            physical=physical_graph(solved, r),
+            counterfactual=counterfactual_graph(solved, r),
+            ident=ident_graph(solved, r),
         )
+        for r in solved.regimes
+    }
     return GraphObjectSet(
-        context=s.context_variable,
+        context=solved.scm.context_variable,
         regimes=solved.regimes,
-        mechanism=mechanism_graph(s),
-        union=union_graph(s, solved),
+        mechanism=mechanism_graph(solved.scm),
+        union=union_graph(solved),
         per_regime=per,
-        weakly_regime_acyclic=is_weakly_regime_acyclic(s, solved),
-        strongly_regime_acyclic=is_strongly_regime_acyclic(s, solved),
+        weakly_regime_acyclic=is_weakly_regime_acyclic(solved),
+        strongly_regime_acyclic=is_strongly_regime_acyclic(solved),
     )
 
 
@@ -387,7 +411,7 @@ def _subsets(pool: list[str]):
         yield from itertools.combinations(pool, k)
 
 
-def check_R_faithfulness(s: Scm, solved: SolvedModel | None = None) -> FaithfulnessReport:
+def check_R_faithfulness(solved: SolvedModel) -> FaithfulnessReport:
     """Exhaustive check: adjacency in a per-context graph must defeat every separator.
 
     For each context value r and each pair adjacent in the descriptive graph
@@ -395,12 +419,11 @@ def check_R_faithfulness(s: Scm, solved: SolvedModel | None = None) -> Faithfuln
     pooled nor within the stratum R=r (the latter only for pairs away from
     the context variable).  Runs the exact oracle over all subsets.
     """
-    solved = solved if solved is not None else SolvedModel.of(s)
-    ctx = s.context_variable
+    ctx = solved.scm.context_variable
     names = list(solved.joint.scope)
     report = FaithfulnessReport(holds=True)
     for r in solved.regimes:
-        descr = descriptive_graph(s, r, solved)
+        descr = descriptive_graph(solved, r)
         for x, y in descr.skeleton().sorted_pairs():
             pooled_pool = [v for v in names if v not in (x, y)]
             masked_pool = [v for v in names if v not in (x, y, ctx)]
@@ -423,7 +446,7 @@ def check_R_faithfulness(s: Scm, solved: SolvedModel | None = None) -> Faithfuln
     return report
 
 
-def _rewrite_witnesses(s: Scm, solved: SolvedModel, cap: int) -> list[dict]:
+def _rewrite_witnesses(solved: SolvedModel, cap: int) -> list[dict]:
     """Mechanisms expressible over an alternative parent set, support-exactly.
 
     Bounded search: drop one visible parent X of Y at a time and test whether
@@ -437,13 +460,13 @@ def _rewrite_witnesses(s: Scm, solved: SolvedModel, cap: int) -> list[dict]:
     context) is the one that always exists when X is visible pooled but in
     no single-context graph.
     """
+    s = solved.scm
     ctx = s.context_variable
-    union = union_graph(s, solved)
+    union = union_graph(solved)
     nj = solved.noise_joint
     scope_pos = {name: i for i, name in enumerate(nj.scope)}
     witnesses: list[dict] = []
     budget = cap
-    from .exact import noise_name
 
     for y in s.variable_names:
         visible = sorted(union.parents(y))
@@ -481,18 +504,15 @@ def _rewrite_witnesses(s: Scm, solved: SolvedModel, cap: int) -> list[dict]:
     return witnesses
 
 
-def check_strong_R_faithfulness(
-    s: Scm, solved: SolvedModel | None = None, cap: int = 1000
-) -> FaithfulnessReport:
+def check_strong_R_faithfulness(solved: SolvedModel, cap: int = 1000) -> FaithfulnessReport:
     """Faithfulness plus absence of support-equivalent re-parameterizations.
 
     The re-parameterization search is bounded and best-effort (one dropped
     parent at a time, at most `cap` candidate checks); a clean report is
     therefore evidence, not proof, while any witness is definite.
     """
-    solved = solved if solved is not None else SolvedModel.of(s)
-    report = check_R_faithfulness(s, solved)
-    report.rewrite_witnesses = _rewrite_witnesses(s, solved, cap)
+    report = check_R_faithfulness(solved)
+    report.rewrite_witnesses = _rewrite_witnesses(solved, cap)
     if report.rewrite_witnesses:
         report.holds = False
     return report

@@ -194,17 +194,6 @@ class DirectedGraph:
         pairs = {tuple(sorted(e)) for e in self._edges}
         return UndirectedSkeleton(self._nodes, pairs)
 
-    def drop_node_edges(self, node: str) -> "DirectedGraph":
-        """Same graph with every edge incident to `node` removed (node kept)."""
-        self._require(node)
-        return DirectedGraph(self._nodes, [e for e in self._edges if node not in e])
-
-    def induced(self, keep: Iterable[str]) -> "DirectedGraph":
-        keep_set = set(keep)
-        nodes = tuple(n for n in self._nodes if n in keep_set)
-        edges = [(u, v) for u, v in self._edges if u in keep_set and v in keep_set]
-        return DirectedGraph(nodes, edges)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedGraph):
             return NotImplemented
@@ -215,9 +204,6 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return "DirectedGraph(nodes=%r, edges=%r)" % (list(self._nodes), self.sorted_edges())
-
-    def edge_subset_of(self, other: "DirectedGraph") -> bool:
-        return self._edges <= other._edges
 
     def to_dot(self, name: str = "G", dashed: Iterable[tuple[str, str]] = ()) -> str:
         """Render as DOT, one node or edge per line, lexicographic order (byte-stable)."""
@@ -272,11 +258,6 @@ class UndirectedSkeleton:
         if node not in self._adj:
             raise GraphError("unknown node %r" % (node,))
         return self._adj[node]
-
-    def drop_node_edges(self, node: str) -> "UndirectedSkeleton":
-        if node not in self._adj:
-            raise GraphError("unknown node %r" % (node,))
-        return UndirectedSkeleton(self._nodes, [p for p in self._pairs if node not in p])
 
     def restrict_to(self, keep: Iterable[str]) -> "UndirectedSkeleton":
         keep_set = set(keep)

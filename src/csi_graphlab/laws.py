@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .discovery import markov_check
-from .exact import SolveError, SolvedModel
+from .exact import ComplexityError, SolveError, SolvedModel
 from .graph_objects import (
     check_R_faithfulness,
     check_strong_R_faithfulness,
@@ -142,8 +142,11 @@ def random_scm(spec: RandomModelSpec, max_attempts: int = 1000) -> SampledModel:
     rationals over a shared denominator of at most 8.  Solvable draws whose
     mechanisms do not factor through their visible parents on support are
     always rejected (reason "support_entangled"): the solution-side laws
-    quantify over models without such fine-tuned coupling.  Raises LawsError
-    with the rejection tally when no admissible model appears within the cap.
+    quantify over models without such fine-tuned coupling.  When
+    `spec.require` needs a solution, draws without a unique one are rejected
+    as "unsolvable" and draws beyond the solver's size guard as "too_large".
+    Raises LawsError with the rejection tally when no admissible model
+    appears within the cap.
     """
     rejections: dict[str, int] = {}
     need_solution = (
@@ -160,14 +163,17 @@ def random_scm(spec: RandomModelSpec, max_attempts: int = 1000) -> SampledModel:
         except SolveError:
             if need_solution:
                 reason = "unsolvable"
+        except ComplexityError:
+            if need_solution:
+                reason = "too_large"
         if reason is None and solved is not None:
-            if support_reduction_witnesses(s, solved):
+            if support_reduction_witnesses(solved):
                 reason = "support_entangled"
         if reason is None and spec.require.strongly_regime_acyclic:
-            if not is_strongly_regime_acyclic(s, solved):
+            if not is_strongly_regime_acyclic(solved):
                 reason = "not_strongly_regime_acyclic"
         if reason is None and spec.require.R_faithful:
-            if not check_R_faithfulness(s, solved).holds:
+            if not check_R_faithfulness(solved).holds:
                 reason = "not_R_faithful"
         if reason is None:
             return SampledModel(s, solved, attempt + 1, dict(rejections))
@@ -217,20 +223,15 @@ def _skip(name: str, reason: str) -> CheckResult:
     return CheckResult(name, passed=True, skipped=True, reason=reason)
 
 
-def _solve(s: Scm, solved: SolvedModel | None) -> SolvedModel:
-    return solved if solved is not None else SolvedModel.of(s)
-
-
 # --- graph-family laws ---------------------------------------------------------------
 
-def check_edge_inclusions(s: Scm, solved: SolvedModel | None = None) -> CheckResult:
+def check_edge_inclusions(s: Scm, solved: SolvedModel) -> CheckResult:
     """Per context value: descriptive edges within physical edges within pooled."""
-    solved = _solve(s, solved)
-    union = union_graph(s, solved)
+    union = union_graph(solved)
     wit: list[dict] = []
     for r in solved.regimes:
-        descr = descriptive_graph(s, r, solved)
-        phys = physical_graph(s, r, solved)
+        descr = descriptive_graph(solved, r)
+        phys = physical_graph(solved, r)
         for e in sorted(descr.edges - phys.edges):
             wit.append({"relation": "descriptive_within_physical", "regime": r, "edge": e})
         for e in sorted(phys.edges - union.edges):
@@ -238,20 +239,19 @@ def check_edge_inclusions(s: Scm, solved: SolvedModel | None = None) -> CheckRes
     return _done("edge_inclusions", wit)
 
 
-def check_union_property(s: Scm, solved: SolvedModel | None = None) -> CheckResult:
+def check_union_property(s: Scm, solved: SolvedModel) -> CheckResult:
     """The pooled graph is exactly the union of the per-context physical graphs.
 
     The union of descriptive graphs may fall short of the pooled graph, but
     only when some mechanism is re-expressible over other parents; the
     rewrite search must then produce a witness.
     """
-    solved = _solve(s, solved)
-    union = union_graph(s, solved)
+    union = union_graph(solved)
     phys_edges: set[tuple[str, str]] = set()
     descr_edges: set[tuple[str, str]] = set()
     for r in solved.regimes:
-        phys_edges |= physical_graph(s, r, solved).edges
-        descr_edges |= descriptive_graph(s, r, solved).edges
+        phys_edges |= physical_graph(solved, r).edges
+        descr_edges |= descriptive_graph(solved, r).edges
     wit: list[dict] = []
     notes: list[str] = []
     for e in sorted(union.edges - phys_edges):
@@ -260,7 +260,7 @@ def check_union_property(s: Scm, solved: SolvedModel | None = None) -> CheckResu
         wit.append({"relation": "physical_union_exceeds_pooled", "edge": e})
     gap = sorted(union.edges - descr_edges)
     if gap:
-        faith = check_strong_R_faithfulness(s, solved)
+        faith = check_strong_R_faithfulness(solved)
         if faith.holds:
             wit.append({"relation": "descriptive_gap_without_rewrite", "edges": gap})
         else:
@@ -271,13 +271,12 @@ def check_union_property(s: Scm, solved: SolvedModel | None = None) -> CheckResu
     return _done("union_property", wit, tuple(notes))
 
 
-def check_regime_children(s: Scm, solved: SolvedModel | None = None) -> CheckResult:
+def check_regime_children(s: Scm, solved: SolvedModel) -> CheckResult:
     """No pooled context arrow into Y means Y keeps its pooled parents in
     every per-context physical graph."""
-    solved = _solve(s, solved)
     ctx = s.context_variable
-    union = union_graph(s, solved)
-    phys = {r: physical_graph(s, r, solved) for r in solved.regimes}
+    union = union_graph(solved)
+    phys = {r: physical_graph(solved, r) for r in solved.regimes}
     wit: list[dict] = []
     for y in s.variable_names:
         if y == ctx or ctx in union.parents(y):
@@ -295,23 +294,22 @@ def check_regime_children(s: Scm, solved: SolvedModel | None = None) -> CheckRes
     return _done("regime_children", wit)
 
 
-def check_ident_sandwich(s: Scm, solved: SolvedModel | None = None) -> CheckResult:
+def check_ident_sandwich(s: Scm, solved: SolvedModel) -> CheckResult:
     """Descriptive within identified within pooled; under strong regime-
     acyclicity the identified graph also stays within the physical graph."""
-    solved = _solve(s, solved)
-    union = union_graph(s, solved)
-    strong = is_strongly_regime_acyclic(s, solved)
+    union = union_graph(solved)
+    strong = is_strongly_regime_acyclic(solved)
     wit: list[dict] = []
     notes: list[str] = []
     for r in solved.regimes:
-        descr = descriptive_graph(s, r, solved)
-        ident = ident_graph(s, r, solved)
+        descr = descriptive_graph(solved, r)
+        ident = ident_graph(solved, r)
         for e in sorted(descr.edges - ident.edges):
             wit.append({"relation": "descriptive_within_ident", "regime": r, "edge": e})
         for e in sorted(ident.edges - union.edges):
             wit.append({"relation": "ident_within_pooled", "regime": r, "edge": e})
         if strong:
-            phys = physical_graph(s, r, solved)
+            phys = physical_graph(solved, r)
             for e in sorted(ident.edges - phys.edges):
                 wit.append({"relation": "ident_within_physical", "regime": r, "edge": e})
     if not strong:
@@ -324,7 +322,7 @@ def check_ident_sandwich(s: Scm, solved: SolvedModel | None = None) -> CheckResu
 
 # --- solution-function laws ----------------------------------------------------------
 
-def check_solution_locality(s: Scm, solved: SolvedModel | None = None) -> CheckResult:
+def check_solution_locality(s: Scm, solved: SolvedModel) -> CheckResult:
     """Solved values depend only on ancestral noises.
 
     Pooled clause: two noise assignments agreeing on the pooled ancestors of X
@@ -332,13 +330,12 @@ def check_solution_locality(s: Scm, solved: SolvedModel | None = None) -> CheckR
     agreement on the descriptive ancestors of X suffices.  Needs weak
     regime-acyclicity.
     """
-    solved = _solve(s, solved)
-    if not is_weakly_regime_acyclic(s, solved):
+    if not is_weakly_regime_acyclic(solved):
         return _skip("solution_locality", "model is not weakly regime-acyclic")
     table = solved.table
     names = table.variables
     pos = {v: i for i, v in enumerate(names)}
-    union = union_graph(s, solved)
+    union = union_graph(solved)
     ctx = s.context_variable
     wit: list[dict] = []
 
@@ -363,7 +360,7 @@ def check_solution_locality(s: Scm, solved: SolvedModel | None = None) -> CheckR
     for v in names:
         scan(v, union.ancestors([v]), all_rows, "pooled")
     for r in solved.regimes:
-        descr = descriptive_graph(s, r, solved)
+        descr = descriptive_graph(solved, r)
         rows_r = [(n, vals) for n, vals in all_rows if vals[pos[ctx]] == r]
         for v in names:
             scan(v, descr.ancestors([v]), rows_r, "per_context", r)
@@ -371,7 +368,7 @@ def check_solution_locality(s: Scm, solved: SolvedModel | None = None) -> CheckR
 
 
 def check_noise_factorization(
-    s: Scm, solved: SolvedModel | None = None, cap: int | None = None
+    s: Scm, solved: SolvedModel, cap: int | None = None
 ) -> CheckResult:
     """Conditioning on observables only ties together ancestral noises.
 
@@ -381,8 +378,7 @@ def check_noise_factorization(
     descriptive ancestors of Z.  Exact equality, subsets up to `cap` names
     (default: all but the full set).  Needs weak regime-acyclicity.
     """
-    solved = _solve(s, solved)
-    if not is_weakly_regime_acyclic(s, solved):
+    if not is_weakly_regime_acyclic(solved):
         return _skip("noise_factorization", "model is not weakly regime-acyclic")
     names = solved.table.variables
     n = len(names)
@@ -393,12 +389,12 @@ def check_noise_factorization(
     npos = {v: i for i, v in enumerate(names)}
     vpos = {v: n + i for i, v in enumerate(names)}
     rows = list(nj.table.items())
-    union = union_graph(s, solved)
+    union = union_graph(solved)
     ctx = s.context_variable
     rcol = vpos[ctx]
     priors = {v: dict(s.noises[v].pmf) for v in names}
     anc_ctx = union.ancestors([ctx])
-    descr = {r: descriptive_graph(s, r, solved) for r in solved.regimes}
+    descr = {r: descriptive_graph(solved, r) for r in solved.regimes}
     wit: list[dict] = []
 
     def verify(conditioned_on, anc, group, clause, regime=None):
@@ -451,7 +447,7 @@ def check_noise_factorization(
     return _done("noise_factorization", wit, notes)
 
 
-def check_local_markov(s: Scm, solved: SolvedModel | None = None) -> CheckResult:
+def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     """Parent sets act as barriers against all other noise terms.
 
     Pooled clause: a variable off every pooled cycle is independent of the
@@ -460,14 +456,13 @@ def check_local_markov(s: Scm, solved: SolvedModel | None = None) -> CheckResult
     independent of the other noises given its descriptive parents, within
     the stratum.
     """
-    solved = _solve(s, solved)
     nj = solved.noise_joint
     names = solved.table.variables
     n = len(names)
     npos = {v: i for i, v in enumerate(names)}
     vpos = {v: n + i for i, v in enumerate(names)}
     rows = list(nj.table.items())
-    union = union_graph(s, solved)
+    union = union_graph(solved)
     ctx = s.context_variable
     scc = union.scc_of()
     wit: list[dict] = []
@@ -513,7 +508,7 @@ def check_local_markov(s: Scm, solved: SolvedModel | None = None) -> CheckResult
         barrier_test(y, union.parents(y), rows, "pooled")
     anc_ctx = union.ancestors([ctx])
     for r in solved.regimes:
-        descr = descriptive_graph(s, r, solved)
+        descr = descriptive_graph(solved, r)
         dscc = descr.scc_of()
         rows_r = [(key, p) for key, p in rows if key[vpos[ctx]] == r]
         for y in names:
@@ -526,11 +521,10 @@ def check_local_markov(s: Scm, solved: SolvedModel | None = None) -> CheckResult
     return _done("local_markov", wit)
 
 
-def check_markov(s: Scm, solved: SolvedModel | None = None) -> CheckResult:
+def check_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     """Every non-adjacent pair is separated by its designated conditioning set
     (delegates to the discovery-side checker); needs strong regime-acyclicity."""
-    solved = _solve(s, solved)
-    report = markov_check(s, solved)
+    report = markov_check(solved)
     if not report.applicable:
         return _skip("markov", "model is not strongly regime-acyclic")
     wit = [

@@ -100,8 +100,8 @@ def test_criterion_02_markov_property(capsys, solved_examples):
         assert summary.tallies["markov"] == {"passed": 100, "failed": 0, "skipped": 0}
 
         s, sm = solved_examples["non-markov(1/3)"]
-        assert ("X", "Y") not in descriptive_graph(s, "b0", sm).edges
-        assert ("X", "Y") in ident_graph(s, "b0", sm).edges
+        assert ("X", "Y") not in descriptive_graph(sm, "b0").edges
+        assert ("X", "Y") in ident_graph(sm, "b0").edges
         assert detect_graph(ExactTester(sm), "b0").adjacent("X", "Y")
         assert laws.check_markov(s, sm).passed
 
@@ -112,7 +112,7 @@ def test_criterion_03_union_identification(capsys, solved_examples):
     def body():
         strong = []
         for name, (s, sm) in solved_examples.items():
-            if check_R_faithfulness(s, sm).holds and check_strong_R_faithfulness(s, sm).holds:
+            if check_R_faithfulness(sm).holds and check_strong_R_faithfulness(sm).holds:
                 strong.append(name)
         assert "not-strong-faithful" not in strong and len(strong) == 10
 
@@ -124,7 +124,7 @@ def test_criterion_03_union_identification(capsys, solved_examples):
             detect = {r: detect_graph(tester, r) for r in sm.regimes}
             rec = union_from_contexts(detect, pooled, ctx)
             away = {p for p in rec.pairs if ctx not in p}
-            truth = {p for p in union_graph(s, sm).skeleton().pairs if ctx not in p}
+            truth = {p for p in union_graph(sm).skeleton().pairs if ctx not in p}
             return away ^ truth
 
         for name in strong:
@@ -137,8 +137,8 @@ def test_criterion_03_union_identification(capsys, solved_examples):
 def test_criterion_04_worked_example(capsys, solved_examples):
     def body():
         s, sm = solved_examples["intro"]
-        assert ("T", "Y") not in descriptive_graph(s, "0", sm).edges
-        assert ("T", "Y") in physical_graph(s, "0", sm).edges
+        assert ("T", "Y") not in descriptive_graph(sm, "0").edges
+        assert ("T", "Y") in physical_graph(sm, "0").edges
 
         s, sm = solved_examples["intro-mediator"]
         tester = ExactTester(sm)
@@ -173,13 +173,13 @@ def test_criterion_05_jci_soundness(capsys):
             m = laws.random_scm(mspec)
             s, sm = m.scm, m.solved
             tester = ExactTester(sm)
-            union = union_graph(s, sm)
+            union = union_graph(sm)
             detect = {r: detect_graph(tester, r) for r in sm.regimes}
             report = classify_changes(
                 union, detect, mode="oriented", context=s.context_variable
             )
             for r, items in report.changes.items():
-                phys = physical_graph(s, r, sm)
+                phys = physical_graph(sm, r)
                 for c in items:
                     if c.classification == NON_PHYSICAL:
                         n_nonphys += 1
@@ -195,8 +195,8 @@ def test_criterion_05_jci_soundness(capsys):
 def test_criterion_06_counterfactual_excess(capsys, solved_examples):
     def body():
         s, sm = solved_examples["cf-example"]
-        assert ("X", "Y") in counterfactual_graph(s, "1", sm).edges
-        assert ("X", "Y") not in union_graph(s, sm).edges
+        assert ("X", "Y") in counterfactual_graph(sm, "1").edges
+        assert ("X", "Y") not in union_graph(sm).edges
 
     run_criterion(capsys, 6, "counterfactual-excess", body)
 
@@ -269,9 +269,9 @@ def test_criterion_09_single_regime_limit(capsys, solved_examples):
         s, sm = solved_examples["p1-limit"]
         assert len(sm.regimes) == 1
         r0 = sm.regimes[0]
-        union = union_graph(s, sm)
-        assert descriptive_graph(s, r0, sm).edges == union.edges
-        assert physical_graph(s, r0, sm).edges == union.edges
+        union = union_graph(sm)
+        assert descriptive_graph(sm, r0).edges == union.edges
+        assert physical_graph(sm, r0).edges == union.edges
 
     run_criterion(capsys, 9, "single-regime-limit", body)
 

@@ -26,7 +26,7 @@ def solved(name):
 
 def ground_truth_inputs(m):
     tester = ExactTester(m)
-    union = union_graph(m.scm, m)
+    union = union_graph(m)
     detect = {r: detect_graph(tester, r) for r in m.regimes}
     return union, detect
 
@@ -79,7 +79,7 @@ def test_hidden_gated_change_is_labeled_non_physical():
     report = classify_changes(union, detect, mode="oriented", context="C")
     got = by_edge(report, "0")
     assert got[("X", "Y")].classification == NON_PHYSICAL
-    assert ("X", "Y") in physical_graph(m.scm, "0", m).edges
+    assert ("X", "Y") in physical_graph(m, "0").edges
 
 
 @pytest.mark.parametrize("name", list_examples())
@@ -89,7 +89,7 @@ def test_oriented_verdicts_sound_against_ground_truth(name):
     union, detect = ground_truth_inputs(m)
     report = classify_changes(union, detect, mode="oriented", context=ctx)
     for r, items in report.changes.items():
-        phys = physical_graph(m.scm, r, m)
+        phys = physical_graph(m, r)
         for c in items:
             if c.classification == NON_PHYSICAL:
                 assert c.edge in phys.edges, (name, r, c)
@@ -104,7 +104,7 @@ def test_skeleton_verdicts_sound_against_ground_truth(name):
     union, detect = ground_truth_inputs(m)
     report = classify_changes(union, detect, mode="skeleton", context=ctx)
     for r, items in report.changes.items():
-        phys_sk = physical_graph(m.scm, r, m).skeleton()
+        phys_sk = physical_graph(m, r).skeleton()
         for c in items:
             if c.classification == NON_PHYSICAL:
                 assert c.edge in phys_sk.pairs, (name, r, c)

@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import csi_graphlab
 from csi_graphlab.cli import EXIT_LAW_FAILURE, EXIT_OK, EXIT_USAGE, main
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.exact import draw_samples
@@ -300,12 +305,28 @@ def test_verify_spec_file(capsys, tmp_path):
     assert rc == EXIT_USAGE and "not valid JSON" in err
 
 
-def test_threads_flag_is_validated(capsys):
-    rc, _, err = invoke(capsys, "corpus", "list", "--threads", "0")
-    assert rc == EXIT_USAGE
-    assert "--threads" in err
-    rc, _, _ = invoke(capsys, "corpus", "list", "--threads", "4")
-    assert rc == EXIT_OK
+def _cli_stdout_under_hash_seed(hash_seed, *argv):
+    package_root = str(Path(csi_graphlab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "CSI_GRAPHLAB_SEED"}
+    env["PYTHONHASHSEED"] = str(hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "csi_graphlab.cli", *argv],
+        env=env, capture_output=True, check=True,
+    )
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--count", "20", "--seed", "1"),
+    ("ground-truth", "--full", "MODEL"),
+])
+def test_output_is_independent_of_hash_seed(tmp_path, argv):
+    model = write_model(tmp_path, "non-markov(1/3)")
+    argv = [model if a == "MODEL" else a for a in argv]
+    outs = {_cli_stdout_under_hash_seed(seed, *argv) for seed in (0, 12345)}
+    assert len(outs) == 1
+    assert outs.pop().startswith(b"{")
 
 
 def test_unknown_command_exits_2(capsys):

@@ -100,7 +100,7 @@ def test_union_from_contexts_recovers_union_when_faithful():
     pooled = skeleton_pooled(t)
     det = {r: detect_graph(t, r) for r in m.regimes}
     got = union_from_contexts(det, pooled, "R")
-    assert got == union_graph(m.scm, m).skeleton()
+    assert got == union_graph(m).skeleton()
 
 
 def test_union_from_contexts_misses_edge_without_strong_faithfulness():
@@ -109,7 +109,7 @@ def test_union_from_contexts_misses_edge_without_strong_faithfulness():
     pooled = skeleton_pooled(t)
     det = {r: detect_graph(t, r) for r in m.regimes}
     got = union_from_contexts(det, pooled, "R")
-    want = union_graph(m.scm, m).skeleton()
+    want = union_graph(m).skeleton()
     assert set(want.pairs) - set(got.pairs) == {("X", "Y")}
 
 
@@ -128,7 +128,7 @@ def test_pooled_skeleton_matches_acyclified_union_when_strongly_faithful(name):
     m = solved(name)
     t = ExactTester(m)
     sk = skeleton_pooled(t)
-    target = acyclify(union_graph(m.scm, m)).skeleton()
+    target = acyclify(union_graph(m)).skeleton()
     if name == "not-strong-faithful":
         assert sk != target
     else:
@@ -140,14 +140,14 @@ def test_detect_sandwich_and_intersection_agreement(name):
     m = solved(name)
     ctx = m.scm.context_variable
     t = ExactTester(m)
-    assert check_R_faithfulness(m.scm, m).holds
+    assert check_R_faithfulness(m).holds
     pooled = skeleton_pooled(t)
     for r in m.regimes:
         det = detect_graph(t, r)
         inter = intersection_graph(pooled, skeleton_masked(t, r), ctx)
         assert non_ctx(inter, ctx) == non_ctx(det, ctx), r
-        low = non_ctx(descriptive_graph(m.scm, r, m).skeleton(), ctx)
-        high = non_ctx(ident_graph(m.scm, r, m).skeleton(), ctx)
+        low = non_ctx(descriptive_graph(m, r).skeleton(), ctx)
+        high = non_ctx(ident_graph(m, r).skeleton(), ctx)
         assert low <= non_ctx(det, ctx) <= high, r
         ctx_edges = {p for p in det.pairs if ctx in p}
         assert ctx_edges <= {p for p in pooled.pairs if ctx in p}, r
@@ -156,13 +156,13 @@ def test_detect_sandwich_and_intersection_agreement(name):
 @pytest.mark.parametrize("name", list_examples())
 def test_markov_check_passes_on_corpus(name):
     m = solved(name)
-    rep = markov_check(m.scm, m)
+    rep = markov_check(m)
     assert rep.applicable
     assert rep.passed, [o for o in rep.failures]
 
 
 def test_markov_obligations_on_intro_are_frozen():
-    rep = markov_check(get_example("intro"))
+    rep = markov_check(SolvedModel.of(get_example("intro")))
     got = [(o.x, o.y, o.regime, o.clause, o.separator) for o in rep.obligations]
     assert got == [
         ("T", "Y", "0", "masked_regime", ()),

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import pytest
 
+from csi_graphlab import graph_objects, laws
 from csi_graphlab.corpus import get_example, list_examples
+from csi_graphlab.discovery import markov_check
 from csi_graphlab.exact import SolvedModel
 from csi_graphlab.graph_objects import (
     check_R_faithfulness,
@@ -14,9 +18,11 @@ from csi_graphlab.graph_objects import (
     mechanism_graph,
     observable_graph,
     physical_graph,
+    support_reduction_witnesses,
     union_graph,
 )
 from csi_graphlab.graphs import union_graphs
+from csi_graphlab.scm import ScmError
 
 
 def edges(g):
@@ -139,28 +145,28 @@ EXPECTED = {
 def test_frozen_graph_families(name):
     m = solved(name)
     want = EXPECTED[name]
-    assert edges(union_graph(m.scm, m)) == want["union"]
+    assert edges(union_graph(m)) == want["union"]
     for r, e in want["descriptive"].items():
-        assert edges(descriptive_graph(m.scm, r, m)) == e, ("descriptive", r)
+        assert edges(descriptive_graph(m, r)) == e, ("descriptive", r)
     for r, e in want["physical"].items():
-        assert edges(physical_graph(m.scm, r, m)) == e, ("physical", r)
+        assert edges(physical_graph(m, r)) == e, ("physical", r)
     for r, e in want.get("counterfactual", {}).items():
-        assert edges(counterfactual_graph(m.scm, r, m)) == e, ("cf", r)
+        assert edges(counterfactual_graph(m, r)) == e, ("cf", r)
     for r, e in want.get("ident", {}).items():
-        assert edges(ident_graph(m.scm, r, m)) == e, ("ident", r)
+        assert edges(ident_graph(m, r)) == e, ("ident", r)
 
 
 def test_cf_edge_absent_from_union():
     m = solved("cf-example")
-    assert ("X", "Y") in counterfactual_graph(m.scm, "1", m).edges
-    assert ("X", "Y") not in union_graph(m.scm, m).edges
+    assert ("X", "Y") in counterfactual_graph(m, "1").edges
+    assert ("X", "Y") not in union_graph(m).edges
 
 
 def test_union_is_union_of_physical():
     for name in sorted(EXPECTED):
         m = solved(name)
-        per_regime = [physical_graph(m.scm, r, m) for r in m.regimes]
-        assert union_graphs(per_regime).edges == union_graph(m.scm, m).edges, name
+        per_regime = [physical_graph(m, r) for r in m.regimes]
+        assert union_graphs(per_regime).edges == union_graph(m).edges, name
 
 
 def test_descriptive_union_gap_matches_faithfulness():
@@ -168,8 +174,8 @@ def test_descriptive_union_gap_matches_faithfulness():
     # one whose strong faithfulness check fails.
     for name in sorted(EXPECTED):
         m = solved(name)
-        pooled = union_graphs([descriptive_graph(m.scm, r, m) for r in m.regimes])
-        gap = sorted(set(union_graph(m.scm, m).edges) - set(pooled.edges))
+        pooled = union_graphs([descriptive_graph(m, r) for r in m.regimes])
+        gap = sorted(set(union_graph(m).edges) - set(pooled.edges))
         if name == "not-strong-faithful":
             assert gap == [("X", "Y")]
         else:
@@ -179,8 +185,8 @@ def test_descriptive_union_gap_matches_faithfulness():
 @pytest.mark.parametrize("name", list_examples())
 def test_all_fixtures_strongly_regime_acyclic(name):
     m = solved(name)
-    assert is_weakly_regime_acyclic(m.scm, m)
-    assert is_strongly_regime_acyclic(m.scm, m)
+    assert is_weakly_regime_acyclic(m)
+    assert is_strongly_regime_acyclic(m)
 
 
 def test_mechanism_graph_reads_raw_tables():
@@ -199,12 +205,12 @@ def test_observable_graph_prunes_off_support_arguments():
 def test_physical_graph_forces_context_argument():
     # Under the off regime the gate is closed for every pooled input row.
     m = solved("exo-gate")
-    assert edges(physical_graph(m.scm, "0", m)) == [("R", "Y")]
+    assert edges(physical_graph(m, "0")) == [("R", "Y")]
 
 
 def test_ground_truth_bundle_shape():
     m = solved("intro")
-    gt = ground_truth(m.scm, m)
+    gt = ground_truth(m)
     assert gt.regimes == ("0", "1")
     assert edges(gt.union) == EXPECTED["intro"]["union"]
     for r in gt.regimes:
@@ -216,12 +222,18 @@ def test_ground_truth_bundle_shape():
     assert gt.weakly_regime_acyclic and gt.strongly_regime_acyclic
 
 
+FAMILIES = (descriptive_graph, physical_graph, counterfactual_graph, ident_graph)
+
+
 def test_unknown_regime_rejected():
     m = solved("intro")
     with pytest.raises(Exception):
-        descriptive_graph(m.scm, "7", m)
-    with pytest.raises(Exception):
-        physical_graph(get_example_solved_regimeless(), "1", None)
+        descriptive_graph(m, "7")
+    m = SolvedModel.of(get_example_solved_regimeless())
+    for family in FAMILIES:
+        for _ in range(2):  # a failed derivation is not remembered
+            with pytest.raises(ScmError, match="zero probability"):
+                family(m, "1")
 
 
 def get_example_solved_regimeless():
@@ -229,16 +241,58 @@ def get_example_solved_regimeless():
     return get_example("p1-limit")
 
 
+def test_each_family_is_built_at_most_once_per_regime(monkeypatch):
+    builds = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            builds[name, args[1] if name.startswith("_build") else None] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("observable_graph", "_build_descriptive", "_build_physical",
+                 "_build_counterfactual", "_build_ident"):
+        monkeypatch.setattr(graph_objects, name, counting(name, getattr(graph_objects, name)))
+    for name in list_examples():
+        builds.clear()
+        m = solved(name)
+        for _ in range(2):
+            ground_truth(m)
+            support_reduction_witnesses(m)
+            markov_check(m)
+            for chk in laws.DEFAULT_CHECKS:
+                chk(m.scm, m)
+        per_regime = {
+            ("_build_" + fam, r): 1
+            for fam in ("descriptive", "physical", "counterfactual", "ident")
+            for r in m.regimes
+        }
+        # observable_graph: the union graph once, descriptive and counterfactual once per regime
+        assert builds == {**per_regime, ("observable_graph", None): 1 + 2 * len(m.regimes)}, name
+        assert union_graph(m) is union_graph(m)
+        for r in m.regimes:
+            for family in FAMILIES:
+                assert family(m, r) is family(m, r), (name, family.__name__, r)
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_fresh_solve_gives_equal_graphs(name):
+    a, b = solved(name), solved(name)
+    ga, gb = ground_truth(a), ground_truth(b)
+    assert ga == gb
+    assert ga.union is not gb.union
+
+
 def test_faithfulness_verdicts():
     for name in ["intro", "exo-gate", "non-markov(1/3)"]:
         m = solved(name)
-        rep = check_R_faithfulness(m.scm, m)
+        rep = check_R_faithfulness(m)
         assert rep.holds, name
-        strong = check_strong_R_faithfulness(m.scm, m)
+        strong = check_strong_R_faithfulness(m)
         assert strong.holds, name
     m = solved("not-strong-faithful")
-    assert check_R_faithfulness(m.scm, m).holds
-    strong = check_strong_R_faithfulness(m.scm, m)
+    assert check_R_faithfulness(m).holds
+    strong = check_strong_R_faithfulness(m)
     assert not strong.holds
     assert strong.rewrite_witnesses == [
         {"variable": "Y", "dropped": "X", "parents": ["R"]}

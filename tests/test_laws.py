@@ -72,7 +72,7 @@ def test_every_fixture_passes_every_check(name, solved_examples):
 @pytest.mark.parametrize("name", list_examples())
 def test_fixture_support_is_not_entangled(name, solved_examples):
     s, sm = solved_examples[name]
-    assert support_reduction_witnesses(s, sm) == []
+    assert support_reduction_witnesses(sm) == []
 
 
 def test_unfaithful_fixture_passes_with_the_rewrite_note(solved_examples):
@@ -90,8 +90,8 @@ def test_masked_edge_reappears_in_the_audit_graph(solved_examples):
     # the only pooled X-Y dependence routes through the fine-tuned regime b0,
     # so the stratum graph drops it while the audit graph keeps it testable
     s, sm = solved_examples["non-markov(1/3)"]
-    assert ("X", "Y") not in descriptive_graph(s, "b0", sm).edges
-    assert ("X", "Y") in ident_graph(s, "b0", sm).edges
+    assert ("X", "Y") not in descriptive_graph(sm, "b0").edges
+    assert ("X", "Y") in ident_graph(sm, "b0").edges
     res = laws.check_markov(s, sm)
     assert res.passed and not res.skipped
 
@@ -99,8 +99,8 @@ def test_masked_edge_reappears_in_the_audit_graph(solved_examples):
 def test_entangled_support_is_detected_and_breaks_locality():
     s = diagonal_model()
     sm = SolvedModel.of(s)
-    assert sorted(union_graph(s, sm).parents("Y")) == []
-    assert support_reduction_witnesses(s, sm) == [
+    assert sorted(union_graph(sm).parents("Y")) == []
+    assert support_reduction_witnesses(sm) == [
         {
             "variable": "Y",
             "clause": "pooled",
@@ -122,7 +122,18 @@ def test_sampler_rejects_entangled_draws():
     m = laws.random_scm(spec)
     assert m.rejections == {"support_entangled": 1}
     assert m.attempts == 2
-    assert support_reduction_witnesses(m.scm, m.solved) == []
+    assert support_reduction_witnesses(m.solved) == []
+
+
+def test_sampler_rejects_oversized_draws():
+    # the first draws at this seed exceed the solver's size guard
+    spec = laws.RandomModelSpec(n_vars=12, max_domain=4, seed=5)
+    m = laws.random_scm(spec)
+    assert m.rejections == {"too_large": 9, "unsolvable": 1}
+    assert m.attempts == 11
+    assert m.solved is not None
+    unsolved = laws.random_scm(replace(spec, require=laws.Requirements(solvable=False)))
+    assert (unsolved.attempts, unsolved.solved) == (1, None)
 
 
 def test_random_models_are_reproducible():
@@ -182,7 +193,7 @@ def test_check_result_validation():
 def test_checks_skip_hypotheses_they_cannot_assume():
     # this seed draws a solvable model with a stratum cycle
     m = laws.random_scm(replace(SPEC, max_parents=3, seed=369))
-    assert not is_weakly_regime_acyclic(m.scm, m.solved)
+    assert not is_weakly_regime_acyclic(m.solved)
     for chk in (laws.check_solution_locality, laws.check_noise_factorization):
         res = chk(m.scm, m.solved)
         assert res.skipped and res.passed
