@@ -25,7 +25,6 @@ __all__ = [
     "RULE_R1_PARENT",
     "RULE_R1_SKELETON",
     "RULE_R2",
-    "RULE_R2_CYCLE",
     "EdgeChange",
     "ChangeReport",
     "classify_changes",
@@ -38,7 +37,6 @@ UNDETERMINED = "undetermined"
 RULE_R1_PARENT = "R1-parent"
 RULE_R1_SKELETON = "R1-skeleton"
 RULE_R2 = "R2"
-RULE_R2_CYCLE = "R2-cycle"
 
 
 class ClassifyError(ValueError):
@@ -130,7 +128,6 @@ def _classify_oriented(
     anc_ctx = union.ancestors([context])
     others = sorted(union.parents(y) - {context})
     if anc_ctx.isdisjoint(union.ancestors(others)):
-        scc = union.scc_of()[y]
         if any(len(c) >= 2 and c & anc_ctx
                for c in union.strongly_connected_components()):
             return EdgeChange(
@@ -140,22 +137,6 @@ def _classify_oriented(
                     "the pooled graph has a cycle through an ancestor of "
                     "%s, so the disjoint-ancestry rule is not known to be "
                     "sound here" % context
-                ),
-                **base,
-            )
-        # Defensive: with reflexive ancestor sets the disjointness above
-        # cannot hold while y sits on a cycle (the cycle re-enters y through
-        # a parent whose ancestors include the context), so this branch is
-        # unreachable for consistent directed inputs.
-        if len(scc) >= 2:
-            return EdgeChange(
-                classification=PHYSICAL,
-                rule=RULE_R2_CYCLE,
-                justification=(
-                    "ancestries of %s and of the other parents of %s are "
-                    "disjoint; some mechanism feeding the cycle %s changed "
-                    "physically, though not necessarily this exact edge"
-                    % (context, y, sorted(scc))
                 ),
                 **base,
             )

@@ -15,6 +15,12 @@ class DataError(ValueError):
     """Malformed dataset or invalid dataset query."""
 
 
+def _require_unique(columns: tuple[str, ...]) -> None:
+    for i, c in enumerate(columns):
+        if c in columns[:i]:
+            raise DataError("duplicate column name %r" % (c,))
+
+
 class Dataset:
     """Rows of category labels stored as integer codes.
 
@@ -30,8 +36,7 @@ class Dataset:
         codes: np.ndarray,
     ):
         self.columns = tuple(columns)
-        if len(set(self.columns)) != len(self.columns):
-            raise DataError("duplicate column names")
+        _require_unique(self.columns)
         self.categories = {c: tuple(categories[c]) for c in self.columns}
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 2 or codes.shape[1] != len(self.columns):
@@ -76,6 +81,7 @@ class Dataset:
     ) -> "Dataset":
         rows = [tuple(r) for r in rows]
         columns = tuple(columns)
+        _require_unique(columns)
         for i, r in enumerate(rows):
             if len(r) != len(columns):
                 raise DataError("row %d has %d fields, expected %d" % (i, len(r), len(columns)))

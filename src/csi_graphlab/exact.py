@@ -11,9 +11,11 @@ block given its solved ancestors) at a fraction of the cost.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping, Sequence
+import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "ComplexityError",
     "DistributionError",
     "JointPmf",
+    "first_dependence",
     "SolutionTable",
     "SolvedModel",
     "noise_name",
@@ -63,7 +66,7 @@ class NotUniquelySolvableError(SolveError):
 
 
 class ComplexityError(ScmError):
-    """Nominal noise-space x candidate-space size exceeds the guard."""
+    """Noise cells x per-block candidate count exceeds the solver's guard."""
 
 
 class DistributionError(ScmError):
@@ -76,6 +79,41 @@ def noise_name(variable: str) -> str:
 
 
 # --- joint pmf ----------------------------------------------------------------
+
+def _getter(pos: Sequence[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """Key -> tuple of its coordinates at `pos`."""
+    if len(pos) >= 2:
+        return itemgetter(*pos)
+    if pos:
+        i = pos[0]
+        return lambda key: (key[i],)
+    return lambda key: ()
+
+
+def first_dependence(
+    cells: Mapping[tuple[str, ...], Fraction], k: int
+) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """Exact factorization test of a table of masses.
+
+    Each key splits at position k into a = key[:k] and b = key[k:].  Returns
+    the first (a, b), in sorted order of a and then b, with
+    P(a, b) * P != P(a) * P(b), where P is the table's total; None when the
+    table factorizes.
+    """
+    left: dict[tuple[str, ...], Fraction] = {}
+    right: dict[tuple[str, ...], Fraction] = {}
+    for key, p in cells.items():
+        a, b = key[:k], key[k:]
+        left[a] = left[a] + p if a in left else p
+        right[b] = right[b] + p if b in right else p
+    total = sum(left.values())
+    rights = sorted(right.items())
+    for a, pa in sorted(left.items()):
+        for b, pb in rights:
+            if cells.get(a + b, 0) * total != pa * pb:
+                return a, b
+    return None
+
 
 @dataclass(frozen=True, eq=False)
 class JointPmf:
@@ -95,9 +133,7 @@ class JointPmf:
             return self.table == other.table
         if set(self.scope) != set(other.scope):
             return False
-        perm = [other.scope.index(v) for v in self.scope]
-        reordered = {tuple(k[i] for i in perm): p for k, p in other.table.items()}
-        return self.table == reordered
+        return self.table == other.marginal(self.scope).table
 
     def _positions(self, names: Sequence[str]) -> list[int]:
         out = []
@@ -108,34 +144,39 @@ class JointPmf:
                 raise DistributionError("name %r is not in scope %r" % (name, self.scope)) from None
         return out
 
-    def total(self) -> Fraction:
-        return sum(self.table.values(), Fraction(0))
+    def strata(
+        self, by: Sequence[str], cols: Sequence[str]
+    ) -> dict[tuple[str, ...], dict[tuple[str, ...], Fraction]]:
+        """Masses grouped by the `by` coordinates and, within each group,
+        summed down to the `cols` coordinates; every other coordinate is
+        summed out.  Groups and cells keep their order of first appearance.
+        """
+        cell = _getter(self._positions(cols))
+        group = _getter(self._positions(by))
+        out: dict[tuple[str, ...], dict[tuple[str, ...], Fraction]] = {}
+        for key, p in self.table.items():
+            g = group(key)
+            cells = out.get(g)
+            if cells is None:
+                cells = out[g] = {}
+            c = cell(key)
+            cells[c] = cells[c] + p if c in cells else p
+        return out
 
     def marginal(self, names: Sequence[str]) -> "JointPmf":
         names = tuple(names)
         if not names:
             raise DistributionError("marginal needs at least one name")
-        pos = self._positions(names)
-        out: dict[tuple[str, ...], Fraction] = {}
-        for key, p in self.table.items():
-            sub = tuple(key[i] for i in pos)
-            out[sub] = out.get(sub, Fraction(0)) + p
-        return JointPmf(names, out)
+        return JointPmf(names, self.strata((), names).get((), {}))
 
     def conditional(self, condition: Mapping[str, str]) -> "JointPmf":
         """Restrict to rows matching `condition` and renormalize; scope unchanged."""
         if not condition:
             return self
-        pos = self._positions(tuple(condition))
-        want = tuple(condition[self.scope[i]] for i in pos)
-        rows = {
-            key: p
-            for key, p in self.table.items()
-            if tuple(key[i] for i in pos) == want
-        }
-        mass = sum(rows.values(), Fraction(0))
-        if mass == 0:
+        rows = self.strata(tuple(condition), self.scope).get(tuple(condition.values()))
+        if rows is None:
             raise DistributionError("conditioning event %r has probability zero" % (dict(condition),))
+        mass = sum(rows.values())
         return JointPmf(self.scope, {k: p / mass for k, p in rows.items()})
 
     def support(self, names: Sequence[str]) -> list[tuple[str, ...]]:
@@ -144,15 +185,8 @@ class JointPmf:
 
     def mass(self, partial: Mapping[str, str]) -> Fraction:
         """Probability of a partial assignment (sum over matching rows)."""
-        if not partial:
-            return self.total()
-        pos = self._positions(tuple(partial))
-        want = tuple(partial[self.scope[i]] for i in pos)
-        acc = Fraction(0)
-        for key, p in self.table.items():
-            if tuple(key[i] for i in pos) == want:
-                acc += p
-        return acc
+        cells = self.strata(tuple(partial), ()).get(tuple(partial.values()), {})
+        return cells.get((), Fraction(0))
 
     def items_sorted(self) -> list[tuple[tuple[str, ...], Fraction]]:
         return sorted(self.table.items())
@@ -204,13 +238,12 @@ def _condensation_order(s: Scm) -> list[tuple[str, ...]]:
     return order
 
 
-def _nominal_pairs(s: Scm) -> int:
-    noise_cells = 1
-    cand_cells = 1
-    for v in s.variables:
-        noise_cells *= max(1, len(s.noises[v.name].support))
-        cand_cells *= len(v.domain)
-    return noise_cells * cand_cells
+def _nominal_pairs(s: Scm, comp_order: list[tuple[str, ...]]) -> int:
+    """Noise cells times the candidates the block solver may try per cell:
+    the sum over strongly connected blocks of their joint domain size."""
+    noise_cells = math.prod(max(1, len(s.noises[v].support)) for v in s.variable_names)
+    size = {v.name: len(v.domain) for v in s.variables}
+    return noise_cells * sum(math.prod(size[v] for v in comp) for comp in comp_order)
 
 
 def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
@@ -218,7 +251,8 @@ def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
 
     Raises UnsolvableModelError / NotUniquelySolvableError with the witness
     noise assignment (and, for multiplicity, two distinct solutions), and
-    ComplexityError when the nominal noise x candidate product exceeds
+    ComplexityError when the noise cells times the candidates summed over the
+    strongly connected blocks (each block's joint domain size) exceed
     `max_pairs`.
     """
     from .scm import validate_scm
@@ -226,12 +260,13 @@ def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
     problems = validate_scm(s)
     if problems:
         raise ScmError("invalid model: " + "; ".join(problems))
-    if _nominal_pairs(s) > max_pairs:
+    comp_order = _condensation_order(s)
+    nominal = _nominal_pairs(s, comp_order)
+    if nominal > max_pairs:
         raise ComplexityError(
-            "nominal search space %d exceeds max_pairs=%d" % (_nominal_pairs(s), max_pairs)
+            "nominal search space %d exceeds max_pairs=%d" % (nominal, max_pairs)
         )
     names = s.variable_names
-    comp_order = _condensation_order(s)
     mech = {v: s.mechanisms[v] for v in names}
     domains = {v.name: v.domain for v in s.variables}
     supports = [s.noises[v].support for v in names]
@@ -306,12 +341,7 @@ def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
 def joint_pmf(s: Scm, table: SolutionTable | None = None) -> JointPmf:
     """Exact observable joint: push-forward of the noise product through the solution."""
     table = table if table is not None else solve_all(s)
-    out: dict[tuple[str, ...], Fraction] = {}
-    for prob, vals in zip(table.probabilities, table.values):
-        if prob == 0:
-            continue
-        out[vals] = out.get(vals, Fraction(0)) + prob
-    return JointPmf(table.variables, out)
+    return noise_observable_joint(s, table).marginal(table.variables)
 
 
 def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointPmf:

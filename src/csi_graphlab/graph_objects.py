@@ -464,7 +464,6 @@ def _rewrite_witnesses(solved: SolvedModel, cap: int) -> list[dict]:
     ctx = s.context_variable
     union = union_graph(solved)
     nj = solved.noise_joint
-    scope_pos = {name: i for i, name in enumerate(nj.scope)}
     witnesses: list[dict] = []
     budget = cap
 
@@ -485,18 +484,8 @@ def _rewrite_witnesses(solved: SolvedModel, cap: int) -> list[dict]:
                 if budget <= 0:
                     return witnesses
                 budget -= 1
-                cols = [scope_pos[c] for c in cand] + [scope_pos[noise_name(y)]]
-                ycol = scope_pos[y]
-                seen: dict[tuple[str, ...], str] = {}
-                fd_holds = True
-                for key in nj.table:
-                    sig = tuple(key[c] for c in cols)
-                    val = key[ycol]
-                    prev = seen.setdefault(sig, val)
-                    if prev != val:
-                        fd_holds = False
-                        break
-                if fd_holds:
+                groups = nj.strata([*cand, noise_name(y)], (y,))
+                if all(len(values) == 1 for values in groups.values()):
                     witnesses.append(
                         {"variable": y, "dropped": x, "parents": list(cand)}
                     )

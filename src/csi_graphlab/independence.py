@@ -1,9 +1,14 @@
-"""Conditional independence tests: exact rational oracle and a stratified G-test."""
+"""Conditional independence tests: exact rational oracle and a stratified G-test.
+
+The exact oracle reads its strata from `JointPmf.strata` and decides each
+with `exact.first_dependence`.  `_stratum_ids` is the one mixed-radix
+encoder of sampled rows; the transfer test uses it too.
+"""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -11,7 +16,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .data import DataError, Dataset
-from .exact import JointPmf
+from .exact import JointPmf, first_dependence
 
 __all__ = [
     "IndependenceError",
@@ -68,6 +73,23 @@ def _query_context(q: CiQuery, context: str | None) -> str | None:
     return context
 
 
+def _exact_strata(
+    p: JointPmf, q: CiQuery, context: str | None, cols: tuple[str, ...]
+) -> dict[tuple[str, ...], dict[tuple[str, ...], Fraction]]:
+    """Masses of `cols` per stratum of z, inside the query's regime if set."""
+    ctx = _query_context(q, context)
+    if ctx is None:
+        return p.strata(q.z, cols)
+    strata = {
+        key[:-1]: cells
+        for key, cells in p.strata((*q.z, ctx), cols).items()
+        if key[-1] == q.regime
+    }
+    if not strata:
+        raise IndependenceError("regime value %r has probability zero" % (q.regime,))
+    return strata
+
+
 def ci_exact(p: JointPmf, q: CiQuery, context: str | None = None) -> CiVerdict:
     """Exact verdict: within every positive-probability stratum of z (and the
     regime, if set), the joint over (x, y) must factorize as a product of its
@@ -75,35 +97,9 @@ def ci_exact(p: JointPmf, q: CiQuery, context: str | None = None) -> CiVerdict:
 
     Strata of probability zero do not exist in the pmf and are vacuous.
     """
-    ctx = _query_context(q, context)
-    scope = [q.x, q.y, *q.z]
-    if ctx is not None:
-        scope.append(ctx)
-    marg = p.marginal(scope)
-    rows = marg.table
-    if ctx is not None:
-        rows = {k: v for k, v in rows.items() if k[-1] == q.regime}
-        if not rows:
-            raise IndependenceError(
-                "regime value %r has probability zero" % (q.regime,)
-            )
-    strata: dict[tuple[str, ...], dict[tuple[str, str], Fraction]] = {}
-    z_lo = 2
-    z_hi = 2 + len(q.z)
-    for key, prob in rows.items():
-        strata.setdefault(key[z_lo:z_hi], {}).setdefault((key[0], key[1]), Fraction(0))
-        strata[key[z_lo:z_hi]][(key[0], key[1])] += prob
-    for cells in strata.values():
-        total = sum(cells.values(), Fraction(0))
-        x_mass: dict[str, Fraction] = {}
-        y_mass: dict[str, Fraction] = {}
-        for (xv, yv), prob in cells.items():
-            x_mass[xv] = x_mass.get(xv, Fraction(0)) + prob
-            y_mass[yv] = y_mass.get(yv, Fraction(0)) + prob
-        for xv, px in x_mass.items():
-            for yv, py in y_mass.items():
-                if cells.get((xv, yv), Fraction(0)) * total != px * py:
-                    return CiVerdict(False, 0.0, 0.0, "ci_exact")
+    for cells in _exact_strata(p, q, context, (q.x, q.y)).values():
+        if first_dependence(cells, 1) is not None:
+            return CiVerdict(False, 0.0, 0.0, "ci_exact")
     return CiVerdict(True, 1.0, 0.0, "ci_exact")
 
 
@@ -111,44 +107,24 @@ def conditional_mutual_information(
     p: JointPmf, q: CiQuery, context: str | None = None
 ) -> float:
     """Exact conditional mutual information of the query, in nats (as float)."""
-    ctx = _query_context(q, context)
-    scope = [q.x, q.y, *q.z]
-    if ctx is not None:
-        scope.append(ctx)
-    marg = p.marginal(scope)
-    rows = marg.table
-    if ctx is not None:
-        mass = sum((v for k, v in rows.items() if k[-1] == q.regime), Fraction(0))
-        if mass == 0:
-            raise IndependenceError("regime value %r has probability zero" % (q.regime,))
-        rows = {k: v / mass for k, v in rows.items() if k[-1] == q.regime}
-    z_lo = 2
-    z_hi = 2 + len(q.z)
-    strata: dict[tuple[str, ...], dict[tuple[str, str], Fraction]] = {}
-    for key, prob in rows.items():
-        strata.setdefault(key[z_lo:z_hi], {}).setdefault((key[0], key[1]), Fraction(0))
-        strata[key[z_lo:z_hi]][(key[0], key[1])] += prob
+    joint = _exact_strata(p, q, context, (q.x, q.y))
+    px = _exact_strata(p, q, context, (q.x,))
+    py = _exact_strata(p, q, context, (q.y,))
+    mass = sum(sum(cells.values()) for cells in joint.values())
     mi = 0.0
-    for cells in strata.values():
-        total = sum(cells.values(), Fraction(0))
-        x_mass: dict[str, Fraction] = {}
-        y_mass: dict[str, Fraction] = {}
+    for z, cells in joint.items():
+        total = sum(cells.values())
         for (xv, yv), prob in cells.items():
-            x_mass[xv] = x_mass.get(xv, Fraction(0)) + prob
-            y_mass[yv] = y_mass.get(yv, Fraction(0)) + prob
-        for (xv, yv), prob in cells.items():
-            ratio = (prob * total) / (x_mass[xv] * y_mass[yv])
-            mi += float(prob) * math.log(float(ratio))
+            ratio = (prob * total) / (px[z][(xv,)] * py[z][(yv,)])
+            mi += float(prob / mass) * math.log(float(ratio))
     return mi
 
 
 def _stratum_ids(data: Dataset, cols: tuple[str, ...], mask: np.ndarray) -> np.ndarray:
-    if not cols:
-        return np.zeros(int(mask.sum()), dtype=np.int64)
-    sizes = [len(data.labels(c)) for c in cols]
+    """Mixed-radix code of the `cols` values of each masked row (0 if no cols)."""
     ids = np.zeros(int(mask.sum()), dtype=np.int64)
-    for c, k in zip(cols, sizes):
-        ids = ids * k + data.column(c)[mask]
+    for c in cols:
+        ids = ids * len(data.labels(c)) + data.column(c)[mask]
     return ids
 
 

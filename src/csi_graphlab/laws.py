@@ -16,7 +16,14 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .discovery import markov_check
-from .exact import ComplexityError, SolveError, SolvedModel
+from .exact import (
+    ComplexityError,
+    JointPmf,
+    SolveError,
+    SolvedModel,
+    first_dependence,
+    noise_name,
+)
 from .graph_objects import (
     check_R_faithfulness,
     check_strong_R_faithfulness,
@@ -144,7 +151,9 @@ def random_scm(spec: RandomModelSpec, max_attempts: int = 1000) -> SampledModel:
     always rejected (reason "support_entangled"): the solution-side laws
     quantify over models without such fine-tuned coupling.  When
     `spec.require` needs a solution, draws without a unique one are rejected
-    as "unsolvable" and draws beyond the solver's size guard as "too_large".
+    as "unsolvable" and draws beyond the solver's size guard as "too_large"
+    (noise cells times the candidates summed over the strongly connected
+    blocks exceed `exact.DEFAULT_MAX_PAIRS`).
     Raises LawsError with the rejection tally when no admissible model
     appears within the cap.
     """
@@ -386,34 +395,29 @@ def check_noise_factorization(
     if cap < 0:
         raise LawsError("cap must be nonnegative")
     nj = solved.noise_joint
-    npos = {v: i for i, v in enumerate(names)}
-    vpos = {v: n + i for i, v in enumerate(names)}
-    rows = list(nj.table.items())
+    noises = tuple(noise_name(v) for v in names)
     union = union_graph(solved)
     ctx = s.context_variable
-    rcol = vpos[ctx]
-    priors = {v: dict(s.noises[v].pmf) for v in names}
+    priors = [dict(s.noises[v].pmf) for v in names]
     anc_ctx = union.ancestors([ctx])
     descr = {r: descriptive_graph(solved, r) for r in solved.regimes}
     wit: list[dict] = []
 
     def verify(conditioned_on, anc, group, clause, regime=None):
-        anc_cols = [npos[a] for a in sorted(anc)]
-        outside = [v for v in names if v not in anc]
-        block: dict[tuple[str, ...], Fraction] = {}
-        for key, p in group:
-            sig = tuple(key[c] for c in anc_cols)
-            block[sig] = block.get(sig, Fraction(0)) + p
-        for key, p in group:
-            expected = block[tuple(key[c] for c in anc_cols)]
-            for v in outside:
-                expected *= priors[v][key[npos[v]]]
+        anc = sorted(anc)
+        block = JointPmf(noises, group).strata((), [noise_name(a) for a in anc])[()]
+        anc_cols = [names.index(a) for a in anc]
+        outside = [i for i, v in enumerate(names) if v not in anc]
+        for row, p in group.items():
+            expected = block[tuple(row[c] for c in anc_cols)]
+            for i in outside:
+                expected *= priors[i][row[i]]
             if p != expected:
                 wit.append({
                     "clause": clause,
                     "regime": regime,
                     "conditioned_on": conditioned_on,
-                    "noise_row": [key[npos[v]] for v in names],
+                    "noise_row": list(row),
                     "probability": str(p),
                     "factored": str(expected),
                 })
@@ -423,24 +427,19 @@ def check_noise_factorization(
         for z_vars in itertools.combinations(names, size):
             if len(wit) >= _WITNESS_CAP:
                 return _done("noise_factorization", wit)
-            zcols = [vpos[z] for z in z_vars]
-            groups: dict[tuple[str, ...], list] = {}
-            for key, p in rows:
-                groups.setdefault(tuple(key[c] for c in zcols), []).append((key, p))
+            pooled = nj.strata(z_vars, noises)
             anc = union.ancestors(z_vars)
-            for z_vals in sorted(groups):
-                verify(dict(zip(z_vars, z_vals)), anc, groups[z_vals], "pooled")
+            for z_vals in sorted(pooled):
+                verify(dict(zip(z_vars, z_vals)), anc, pooled[z_vals], "pooled")
             if ctx in z_vars:
                 continue
-            strata: dict[tuple[tuple[str, ...], str], list] = {}
-            for key, p in rows:
-                sig = (tuple(key[c] for c in zcols), key[rcol])
-                strata.setdefault(sig, []).append((key, p))
-            for z_vals, r in sorted(strata):
+            per_context = nj.strata((*z_vars, ctx), noises)
+            for key in sorted(per_context):
+                *z_vals, r = key
                 anc_r = anc_ctx | descr[r].ancestors(z_vars)
                 given = dict(zip(z_vars, z_vals))
                 given[ctx] = r
-                verify(given, anc_r, strata[(z_vals, r)], "per_context", r)
+                verify(given, anc_r, per_context[key], "per_context", r)
     notes = ()
     if cap < n:
         notes = ("conditioning sets of more than %d variables not checked" % cap,)
@@ -458,64 +457,47 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     """
     nj = solved.noise_joint
     names = solved.table.variables
-    n = len(names)
-    npos = {v: i for i, v in enumerate(names)}
-    vpos = {v: n + i for i, v in enumerate(names)}
-    rows = list(nj.table.items())
     union = union_graph(solved)
     ctx = s.context_variable
     scc = union.scc_of()
     wit: list[dict] = []
     obligations = 0
 
-    def barrier_test(y, b_vars, subset, clause, regime=None):
-        ycol = vpos[y]
-        other = [npos[v] for v in names if v != y]
-        bcols = [vpos[b] for b in sorted(b_vars)]
-        groups: dict[tuple[str, ...], list] = {}
-        for key, p in subset:
-            groups.setdefault(tuple(key[c] for c in bcols), []).append((key, p))
+    def barrier_test(y, b_vars, pmf, clause, regime=None):
+        barrier = sorted(b_vars)
+        others = [noise_name(v) for v in names if v != y]
+        groups = pmf.strata(barrier, (y, *others))
         for b_vals in sorted(groups):
-            grp = groups[b_vals]
-            mass = sum(p for _, p in grp)
-            m_y: dict[str, Fraction] = {}
-            m_e: dict[tuple[str, ...], Fraction] = {}
-            m_pair: dict[tuple[str, tuple[str, ...]], Fraction] = {}
-            for key, p in grp:
-                yv = key[ycol]
-                ev = tuple(key[c] for c in other)
-                m_y[yv] = m_y.get(yv, Fraction(0)) + p
-                m_e[ev] = m_e.get(ev, Fraction(0)) + p
-                m_pair[(yv, ev)] = m_pair.get((yv, ev), Fraction(0)) + p
-            for yv in sorted(m_y):
-                for ev in sorted(m_e):
-                    if m_pair.get((yv, ev), Fraction(0)) * mass != m_y[yv] * m_e[ev]:
-                        wit.append({
-                            "clause": clause,
-                            "variable": y,
-                            "regime": regime,
-                            "barrier": sorted(b_vars),
-                            "barrier_value": list(b_vals),
-                            "value": yv,
-                            "other_noises": list(ev),
-                        })
-                        return
+            hit = first_dependence(groups[b_vals], 1)
+            if hit is not None:
+                (yv,), ev = hit
+                wit.append({
+                    "clause": clause,
+                    "variable": y,
+                    "regime": regime,
+                    "barrier": barrier,
+                    "barrier_value": list(b_vals),
+                    "value": yv,
+                    "other_noises": list(ev),
+                })
+                return
 
     for y in names:
         if len(scc[y]) > 1:
             continue
         obligations += 1
-        barrier_test(y, union.parents(y), rows, "pooled")
+        barrier_test(y, union.parents(y), nj, "pooled")
     anc_ctx = union.ancestors([ctx])
+    by_regime = nj.strata((ctx,), nj.scope)
     for r in solved.regimes:
         descr = descriptive_graph(solved, r)
         dscc = descr.scc_of()
-        rows_r = [(key, p) for key, p in rows if key[vpos[ctx]] == r]
+        nj_r = JointPmf(nj.scope, by_regime.get((r,), {}))
         for y in names:
             if y == ctx or y in anc_ctx or len(dscc[y]) > 1:
                 continue
             obligations += 1
-            barrier_test(y, set(descr.parents(y)) - {ctx}, rows_r, "per_context", r)
+            barrier_test(y, set(descr.parents(y)) - {ctx}, nj_r, "per_context", r)
     if obligations == 0:
         return _skip("local_markov", "no variable meets the barrier hypotheses")
     return _done("local_markov", wit)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .independence import CiQuery, g_test, g_test_from_tables
+from .independence import CiQuery, _stratum_ids, g_test, g_test_from_tables
 from .rng import derive_seed
 
 __all__ = [
@@ -72,13 +72,6 @@ class TransferVerdict:
             raise TransferError("verdict flags are inconsistent")
 
 
-def _cell_ids(data: Dataset, cols: list[str], sizes: list[int]) -> np.ndarray:
-    ids = np.zeros(data.n_rows, dtype=np.int64)
-    for name, size in zip(cols, sizes):
-        ids = ids * size + data.column(name)
-    return ids
-
-
 def transfer_evidence(
     data: Dataset,
     x: str,
@@ -120,13 +113,12 @@ def transfer_evidence(
             "no rows outside %s=%s to estimate the null from" % (context, r0)
         )
 
-    cols = [*z, x]
-    sizes = [len(data.labels(c)) for c in cols]
-    n_cells = int(np.prod(sizes))
+    cols = (*z, x)
+    n_cells = int(np.prod([len(data.labels(c)) for c in cols]))
     n_x = len(data.labels(x))
     n_y = len(data.labels(y))
     n_strata = n_cells // n_x
-    ids = _cell_ids(data, cols, sizes)
+    ids = _stratum_ids(data, cols, np.ones(data.n_rows, dtype=bool))
 
     cell_counts = np.bincount(ids[in_r0], minlength=n_cells)
     p_cells = cell_counts / cell_counts.sum()

@@ -6,7 +6,6 @@ from csi_graphlab.classify import (
     RULE_R1_PARENT,
     RULE_R1_SKELETON,
     RULE_R2,
-    RULE_R2_CYCLE,
     UNDETERMINED,
     ChangeReport,
     ClassifyError,
@@ -138,15 +137,14 @@ def test_no_edge_receives_both_rule_families():
             for c in items:
                 if c.rule == RULE_R1_PARENT:
                     assert ctx not in union.parents(c.edge[1])
-                if c.rule in (RULE_R2, RULE_R2_CYCLE):
+                if c.rule == RULE_R2:
                     assert ctx in union.parents(c.edge[1])
 
 
 def test_cycle_through_the_head_blocks_the_ancestry_rule():
     # A directed cycle through Y re-enters it via a non-context parent
     # whose ancestors then include the context, so the disjointness
-    # precondition can never hold together with cycle membership and the
-    # downgraded cycle rule stays a defensive branch.
+    # precondition can never hold together with cycle membership.
     union = DirectedGraph(
         ["R", "W", "X", "Y"],
         [("R", "Y"), ("X", "Y"), ("Y", "W"), ("W", "Y")],
@@ -160,7 +158,6 @@ def test_cycle_through_the_head_blocks_the_ancestry_rule():
     got = by_edge(report, "0")
     assert got[("X", "Y")].classification == UNDETERMINED
     assert got[("X", "Y")].rule is None
-    assert RULE_R2_CYCLE == "R2-cycle"
 
 
 def test_cycle_through_context_ancestor_withholds_the_ancestry_rule():

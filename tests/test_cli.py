@@ -133,6 +133,14 @@ def test_discover_sample_mode_recovers_the_skeletons(capsys, tmp_path):
     assert "--alpha" in err
 
 
+def test_duplicate_csv_column_is_named(capsys, tmp_path):
+    csv = tmp_path / "dup.csv"
+    csv.write_text("R,X,X\n0,a,b\n1,b,a\n")
+    rc, out, err = invoke(capsys, "discover", "--data", str(csv), "--alpha", "0.05")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "duplicate column name 'X'" in err
+
+
 def test_classify_skeleton_mode(capsys, tmp_path):
     scm = write_model(tmp_path, "intro-mediator")
     rc, report, _ = invoke(capsys, "discover", "--exact", scm)

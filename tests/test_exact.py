@@ -12,6 +12,7 @@ from csi_graphlab.exact import (
     UnsolvableModelError,
     declared_graph,
     draw_samples,
+    first_dependence,
     joint_pmf,
     noise_name,
     noise_observable_joint,
@@ -72,6 +73,30 @@ def test_marginal_and_conditional_on_intro():
         joint.conditional({"T": "+1", "R": "0"})  # zero-probability event
 
 
+def test_strata_group_and_sum_in_first_appearance_order():
+    joint = joint_pmf(get_example("intro"))
+    strata = joint.strata(("R",), ("T",))
+    assert strata == {
+        ("0",): {("-1",): H},
+        ("1",): {("-1",): Fraction(1, 4), ("+1",): Fraction(1, 4)},
+    }
+    assert list(strata) == list(dict.fromkeys(key[:1] for key in joint.table))
+    assert joint.strata((), ()) == {(): {(): Fraction(1)}}
+    assert joint.mass({}) == Fraction(1)
+
+
+def test_first_dependence_returns_the_first_sorted_failure():
+    q = Fraction(1, 4)
+    assert first_dependence({("a", "x"): q, ("a", "y"): q, ("b", "x"): 2 * q}, 1) == (
+        ("a",), ("x",)
+    )
+    product = {(a, b, c): q / 2 for a in "01" for b in "01" for c in "01"}
+    assert first_dependence(product, 1) is None
+    assert first_dependence(product, 2) is None
+    del product[("1", "1", "1")]
+    assert first_dependence(product, 2) == (("0", "0"), ("0",))
+
+
 def test_noise_observable_joint_scope_and_consistency():
     s = get_example("intro")
     nj = noise_observable_joint(s)
@@ -109,6 +134,15 @@ def test_noise_dependent_multiplicity_reported_first():
 def test_complexity_guard():
     with pytest.raises(ComplexityError):
         solve_all(get_example("intro"), max_pairs=1)
+    # 8 noise cells x (2 + 2 + 3) candidates over the singleton blocks R, T, Y
+    solve_all(get_example("intro"), max_pairs=56)
+    with pytest.raises(ComplexityError, match="56 exceeds max_pairs=55"):
+        solve_all(get_example("intro"), max_pairs=55)
+    # 2 noise cells x (2 * 2) candidates over the one block {A, B}
+    s = cyclic_pair(lambda b, n: b, lambda a, n: "0", noise_a=coin("A"))
+    solve_all(s, max_pairs=8)
+    with pytest.raises(ComplexityError):
+        solve_all(s, max_pairs=7)
 
 
 def test_declared_graph_lists_mechanism_arrows():

@@ -269,6 +269,21 @@ def test_d_separation_matches_path_oracle(g, data):
     assert got == d_separated(g, y, x, z)
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=small_dags(max_nodes=9), data=st.data())
+def test_d_separation_matches_networkx(g, data):
+    nx = pytest.importorskip("networkx")
+    ref = nx.DiGraph()
+    ref.add_nodes_from(g.nodes)
+    ref.add_edges_from(g.edges)
+    nodes = sorted(g.nodes)
+    x = data.draw(st.sampled_from(nodes))
+    y = data.draw(st.sampled_from([n for n in nodes if n != x]))
+    rest = [n for n in nodes if n not in (x, y)]
+    z = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
+    assert d_separated(g, x, y, z) == nx.is_d_separator(ref, {x}, {y}, set(z))
+
+
 @settings(max_examples=100, deadline=None)
 @given(g=small_digraphs(), data=st.data())
 def test_ancestors_reflexive_and_idempotent(g, data):

@@ -127,11 +127,9 @@ def test_sampler_rejects_entangled_draws():
 
 def test_sampler_rejects_oversized_draws():
     # the first draws at this seed exceed the solver's size guard
-    spec = laws.RandomModelSpec(n_vars=12, max_domain=4, seed=5)
-    m = laws.random_scm(spec)
-    assert m.rejections == {"too_large": 9, "unsolvable": 1}
-    assert m.attempts == 11
-    assert m.solved is not None
+    spec = laws.RandomModelSpec(n_vars=16, max_domain=8, seed=0)
+    with pytest.raises(laws.LawsError, match=r"rejections: too_large=3\)"):
+        laws.random_scm(spec, max_attempts=3)
     unsolved = laws.random_scm(replace(spec, require=laws.Requirements(solvable=False)))
     assert (unsolved.attempts, unsolved.solved) == (1, None)
 
