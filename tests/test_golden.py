@@ -16,7 +16,7 @@ import pytest
 from csi_graphlab import laws
 from csi_graphlab.cli import EXIT_OK, main
 from csi_graphlab.corpus import get_example, list_examples
-from csi_graphlab.exact import JointPmf, SolvedModel
+from csi_graphlab.exact import JointPmf, SolvedModel, draw_samples
 from csi_graphlab.scm import serialize_scm
 
 VERIFY_20_SEED_1 = "edf7d8ac3c8a22b69744720bf65e2d0f59b80548001bacd363a79772bf3821b3"
@@ -130,6 +130,32 @@ WITNESS_DIGESTS = {
 }
 
 
+# sampled-data reports on 4000 rows drawn with seed 7: (model, argv after the CSV)
+_REPLICATES = ("--K", "50", "--N", "1000", "--seed", "3")
+SAMPLE_DIGESTS = {
+    "transfer-fig1-change-overlap": (
+        "fig1-change-overlap",
+        ("transfer-test", "--x", "X", "--y", "Y", "--r0", "0", "--context", "C", *_REPLICATES),
+        "d7d50d0483e30bb584d75cbf40e8187943945fd9f7e5303885758244a13a847d",
+    ),
+    "transfer-fig1-nochange-overlap": (
+        "fig1-nochange-overlap",
+        ("transfer-test", "--x", "X", "--y", "Y", "--r0", "0", "--context", "C", *_REPLICATES),
+        "0197679c21b0140f478eb334d3f359eb9a8a6ed48238cc8b794e0b2fc8b22f77",
+    ),
+    "transfer-intro-mediator-z": (
+        "intro-mediator",
+        ("transfer-test", "--x", "T", "--y", "Y", "--z", "M", "--r0", "1", *_REPLICATES),
+        "71f7802fd702d0ae842d2a90905d457b6a19829003dbb62ab4b000f527f81433",
+    ),
+    "discover-intro-mediator": (
+        "intro-mediator",
+        ("discover", "--alpha", "0.05", "--data"),
+        "cf9dfecde65d213239877052b5544a4fabe58e8f936c0d12e49439428d28cafd",
+    ),
+}
+
+
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -169,6 +195,15 @@ def test_corpus_reports_are_pinned(name, capsys, tmp_path):
     report.write_text(found)
     classified = _stdout(capsys, "classify", str(report), "--mode", "oriented")
     assert (_sha(truth), _sha(found), _sha(classified)) == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_DIGESTS))
+def test_sampled_data_reports_are_pinned(case, capsys, tmp_path):
+    name, argv, want = SAMPLE_DIGESTS[case]
+    csv = tmp_path / "data.csv"
+    csv.write_text(draw_samples(get_example(name), 4000, 7).to_csv())
+    command, *rest = argv
+    assert _sha(_stdout(capsys, command, *rest, str(csv))) == want
 
 
 @pytest.mark.parametrize("name", sorted(WITNESS_DIGESTS))
