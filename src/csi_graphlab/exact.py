@@ -274,11 +274,14 @@ def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
     probs: list[Fraction] = []
     values: list[tuple[str, ...]] = []
 
-    for noise in itertools.product(*supports):
+    # row probabilities in itertools.product order, by prefix products
+    row_probs = [Fraction(1)]
+    for v, support in zip(names, supports):
+        weights = [s.noises[v].probability(lbl) for lbl in support]
+        row_probs = [p * w for p in row_probs for w in weights]
+
+    for noise, prob in zip(itertools.product(*supports), row_probs):
         nmap = dict(zip(names, noise))
-        prob = Fraction(1)
-        for v, lbl in nmap.items():
-            prob *= s.noises[v].probability(lbl)
         sols: list[dict[str, str]] = []
 
         def walk(k: int, partial: dict[str, str]) -> None:

@@ -56,27 +56,38 @@ def mechanism_graph(s: Scm) -> DirectedGraph:
     edges = []
     for v in s.variables:
         mech = s.mechanisms[v.name]
-        pa_domains = [s.domain(p) for p in mech.parents]
+        grid = list(itertools.product(*(s.domain(p) for p in mech.parents)))
         noise_support = s.noises[v.name].support
         for i, x in enumerate(mech.parents):
-            found = False
-            others = pa_domains[:i] + pa_domains[i + 1:]
-            for rest in itertools.product(*others) if others else [()]:
-                for n in noise_support:
-                    outs = set()
-                    for xval in pa_domains[i]:
-                        pa = rest[:i] + (xval,) + rest[i:]
-                        outs.add(mech.value(pa, n))
-                        if len(outs) > 1:
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
+            if _varies_with(mech, grid, i, _others(len(mech.parents), i), noise_support):
                 edges.append((x, v.name))
     return DirectedGraph(s.variable_names, edges)
+
+
+def _others(n: int, i: int) -> list[int]:
+    return [j for j in range(n) if j != i]
+
+
+def _varies_with(
+    mech: MechanismTable,
+    rows: list[tuple[str, ...]],
+    xi: int,
+    key_idx: list[int],
+    noise_support: tuple[str, ...],
+) -> bool:
+    """Does `mech` give two outputs under one noise label on rows that agree
+    on the `key_idx` coordinates and show at least two values at `xi`?"""
+    groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
+    for w in rows:
+        groups.setdefault(tuple(w[j] for j in key_idx), []).append(w)
+    for members in groups.values():
+        if len({w[xi] for w in members}) < 2:
+            continue
+        for n in noise_support:
+            first = mech.value(members[0], n)
+            if any(mech.value(w, n) != first for w in members[1:]):
+                return True
+    return False
 
 
 def observable_graph(
@@ -100,26 +111,7 @@ def observable_graph(
         sup = q.support(mech.parents)
         noise_support = s.noises[y].support
         for i, x in enumerate(mech.parents):
-            groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-            for row in sup:
-                key = row[:i] + row[i + 1:]
-                groups.setdefault(key, []).append(row)
-            found = False
-            for members in groups.values():
-                if len(members) < 2:
-                    continue
-                for n in noise_support:
-                    outs = set()
-                    for row in members:
-                        outs.add(mech.value(row, n))
-                        if len(outs) > 1:
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
+            if _varies_with(mech, sup, i, _others(len(mech.parents), i), noise_support):
                 edges.append((x, y))
     return DirectedGraph(s.variable_names, edges)
 
@@ -202,24 +194,7 @@ def _build_physical(solved: SolvedModel, r: str) -> DirectedGraph:
         idx = [mech.parents.index(p) for p in cand]
         noise_support = s.noises[y].support
         for k, x in enumerate(cand):
-            if x == ctx:
-                continue
-            xi = idx[k]
-            key_idx = idx[:k] + idx[k + 1:]
-            groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-            for w in rows:
-                groups.setdefault(tuple(w[j] for j in key_idx), []).append(w)
-            found = False
-            for members in groups.values():
-                if len({w[xi] for w in members}) < 2:
-                    continue
-                for n in noise_support:
-                    if len({mech.value(w, n) for w in members}) > 1:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
+            if x != ctx and _varies_with(mech, rows, idx[k], idx[:k] + idx[k + 1:], noise_support):
                 edges.append((x, y))
     barred = DirectedGraph(s.variable_names, edges)
     return _with_context_edges(barred, union, ctx)

@@ -3,17 +3,22 @@
 The exact oracle reads its strata from `JointPmf.strata` and decides each
 with `exact.first_dependence`.  `_stratum_ids` is the one mixed-radix
 encoder of sampled rows; the transfer test uses it too.
+
+Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
+an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
+returns K verdicts from array operations alone.  `g_test` passes one test
+(K = 1) whose strata are counted with a single `bincount`; the transfer test
+passes all its replicates at once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .data import DataError, Dataset
 from .exact import JointPmf, first_dependence
@@ -174,58 +179,90 @@ def g_test(
     nx = len(data.labels(q.x))
     ny = len(data.labels(q.y))
     ids = _stratum_ids(data, q.z, mask)
-    order = np.argsort(ids, kind="stable")
-    ids, x, y = ids[order], x[order], y[order]
-    bounds = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1], True])
-    tables = [
-        np.bincount(x[lo:hi] * ny + y[lo:hi], minlength=nx * ny).reshape(nx, ny)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
-    return g_test_from_tables(tables, alpha, min_expected)
+    n_ids = math.prod(len(data.labels(c)) for c in q.z)
+    if n_ids * nx * ny > len(ids):
+        # more cells than rows: number the observed strata instead
+        _, ids = np.unique(ids, return_inverse=True)
+        n_ids = int(ids.max()) + 1
+    counts = np.bincount((ids * nx + x) * ny + y, minlength=n_ids * nx * ny)
+    counts = counts.reshape(n_ids, nx, ny)
+    stack = counts[counts.any(axis=(1, 2))][None]
+    return g_test_from_tables(stack, alpha, min_expected)[0]
+
+
+def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive run of `values`, as `np.sum` gives it on the run alone.
+
+    Numpy's pairwise summation groups terms by the run's length, so runs of
+    equal length are summed together along the last axis of one 2-D block.
+    """
+    sums = np.empty(len(lengths))
+    starts = np.cumsum(lengths) - lengths
+    for n in np.unique(lengths):
+        which = np.flatnonzero(lengths == n)
+        sums[which] = values[starts[which, None] + np.arange(n)].sum(axis=1)
+    return sums
 
 
 def g_test_from_tables(
-    tables: Iterable[np.ndarray], alpha: float, min_expected: float = 5.0
-) -> CiVerdict:
-    """G-test over pre-tabulated per-stratum contingency tables.
+    tables: np.ndarray, alpha: float, min_expected: float = 5.0
+) -> list[CiVerdict]:
+    """Stacked G-test: one verdict per test k of an integer stack `tables`
+    of shape (K, S, nx, ny), whose `tables[k, s]` is the contingency table
+    of stratum s of test k.
 
-    Applies the same qualification rules as `g_test`; `g_test` itself and
-    the bootstrap replicates of the transfer test share this core so both
-    decide identically on identical counts.
+    Applies the qualification rules of `g_test`, which calls it with K = 1;
+    the transfer test calls it once for all its replicates.  Each verdict is
+    bit-identical to testing its S tables one at a time: a stratum's terms
+    are summed as one `np.sum` over its positive cells in row-major order,
+    the strata are added left to right, and the tail is the chi-squared
+    survival function `chdtrc`.  An all-zero stratum counts as one with a
+    single observed category.
     """
     if not (0.0 < alpha < 1.0):
         raise IndependenceError("alpha must be in (0, 1)")
-    g_stat = 0.0
-    df = 0
-    skipped_low = 0
-    degenerate = 0
-    used = 0
-    for counts in tables:
-        counts = counts[counts.sum(axis=1) > 0][:, counts.sum(axis=0) > 0]
-        lx, ly = counts.shape
-        if lx < 2 or ly < 2:
-            degenerate += 1
-            continue
-        n_z = counts.sum()
-        expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / n_z
-        if expected.min() < min_expected:
-            skipped_low += 1
-            continue
-        obs = counts[counts > 0]
-        exp = expected[counts > 0]
-        g_stat += 2.0 * float(np.sum(obs * np.log(obs / exp)))
-        df += (lx - 1) * (ly - 1)
-        used += 1
-    warning = None
-    notes = []
-    if skipped_low:
-        notes.append("%d strata below the expected-count floor" % skipped_low)
-    if degenerate:
-        notes.append("%d strata with a single observed category" % degenerate)
-    if used == 0:
-        notes.append("no qualifying strata; defaulting to independence")
-        return CiVerdict(True, 1.0, 0.0, "g_test", warning="; ".join(notes))
-    if notes:
-        warning = "; ".join(notes)
-    p_value = float(chi2.sf(g_stat, df))
-    return CiVerdict(p_value >= alpha, p_value, g_stat, "g_test", warning=warning)
+    counts = np.asarray(tables, dtype=np.int64)
+    if counts.ndim != 4:
+        raise IndependenceError("tables must have shape (K, S, nx, ny)")
+    rows = counts.sum(axis=3)
+    cols = counts.sum(axis=2)
+    n = rows.sum(axis=2)
+    lx = np.count_nonzero(rows, axis=2)
+    ly = np.count_nonzero(cols, axis=2)
+    degenerate = (lx < 2) | (ly < 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = rows[..., :, None] * cols[..., None, :] / n[..., None, None]
+    kept = (rows[..., :, None] > 0) & (cols[..., None, :] > 0)
+    floor = np.where(kept, expected, np.inf).min(axis=(2, 3), initial=np.inf)
+    low = ~degenerate & (floor < min_expected)
+    used = ~(degenerate | low)
+
+    cells = used[..., None, None] & (counts > 0)
+    obs = counts[cells]
+    terms = obs * np.log(obs / expected[cells])
+    stat = np.zeros(used.shape)
+    stat[used] = 2.0 * _run_sums(terms, np.count_nonzero(cells, axis=(2, 3))[used])
+    g = np.add.accumulate(np.hstack([np.zeros((len(stat), 1)), stat]), axis=1)[:, -1]
+    df = ((lx - 1) * (ly - 1) * used).sum(axis=1)
+    tested = used.any(axis=1)
+    p = np.ones(len(g))
+    positive = tested & (g > 0)
+    p[positive] = chdtrc(df[positive], g[positive])
+
+    verdicts = []
+    for n_low, n_degenerate, ok, p_value, g_stat in zip(
+        low.sum(axis=1).tolist(), degenerate.sum(axis=1).tolist(),
+        tested.tolist(), p.tolist(), g.tolist(),
+    ):
+        notes = []
+        if n_low:
+            notes.append("%d strata below the expected-count floor" % n_low)
+        if n_degenerate:
+            notes.append("%d strata with a single observed category" % n_degenerate)
+        if not ok:
+            notes.append("no qualifying strata; defaulting to independence")
+            verdicts.append(CiVerdict(True, 1.0, 0.0, "g_test", warning="; ".join(notes)))
+        else:
+            warning = "; ".join(notes) or None
+            verdicts.append(CiVerdict(p_value >= alpha, p_value, g_stat, "g_test", warning))
+    return verdicts

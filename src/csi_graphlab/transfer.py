@@ -9,6 +9,10 @@ under that null, and measure how often the G-test would still have
 rejected independence.  High simulated rejection power plus an observed
 non-rejection in the real r0 stratum is evidence that the mechanism, not
 the support, changed.
+
+Each replicate draws its counts from its own seed stream into one
+(K, strata, x, y) stack, and a single call of the stacked G-test kernel
+decides all K replicates.
 """
 
 from __future__ import annotations
@@ -139,18 +143,15 @@ def transfer_evidence(
         context=context,
     )
 
-    p_values = []
-    unseen_rows = 0
+    tables = np.zeros((cfg.K, n_cells, n_y), dtype=np.int64)
     for k in range(cfg.K):
         rng = np.random.default_rng(derive_seed(cfg.seed, k))
         drawn = rng.multinomial(cfg.N, p_cells)
-        unseen_rows += int(drawn[fallback].sum())
-        table = np.zeros((n_cells, n_y), dtype=np.int64)
         for cell in np.flatnonzero(drawn):
-            table[cell] = rng.multinomial(drawn[cell], law[cell])
-        strata = table.reshape(n_strata, n_x, n_y)
-        verdict = g_test_from_tables(strata, cfg.alpha)
-        p_values.append(verdict.p_value)
+            tables[k, cell] = rng.multinomial(drawn[cell], law[cell])
+    unseen_rows = int(tables[:, fallback].sum())
+    verdicts = g_test_from_tables(tables.reshape(cfg.K, n_strata, n_x, n_y), cfg.alpha)
+    p_values = [v.p_value for v in verdicts]
     rejecting = sum(1 for p in p_values if p < cfg.alpha)
     power = rejecting / cfg.K
 

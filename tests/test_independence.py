@@ -1,9 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2
 
+import csi_graphlab
 from csi_graphlab.corpus import get_example
+from csi_graphlab.data import Dataset
 from csi_graphlab.exact import SolvedModel, draw_samples, joint_pmf
 from csi_graphlab.independence import (
     CiQuery,
@@ -11,6 +20,7 @@ from csi_graphlab.independence import (
     ci_exact,
     conditional_mutual_information,
     g_test,
+    g_test_from_tables,
 )
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
 
@@ -142,3 +152,168 @@ def test_g_test_rejects_bad_alpha_and_empty_selection():
         g_test(d, CiQuery("T", "Y"), alpha=0.0)
     with pytest.raises(IndependenceError):
         g_test(d, CiQuery("T", "Y", regime="7"), alpha=0.05, context="R")
+
+
+# --- the stacked G-test kernel against the one-table-at-a-time loop it replaced ---
+
+
+def reference_g_test(tables, alpha, min_expected=5.0):
+    """The per-stratum G-test loop with `chi2.sf`, kept as the reference."""
+    g_stat = 0.0
+    df = 0
+    skipped_low = 0
+    degenerate = 0
+    used = 0
+    for counts in tables:
+        counts = counts[counts.sum(axis=1) > 0][:, counts.sum(axis=0) > 0]
+        lx, ly = counts.shape
+        if lx < 2 or ly < 2:
+            degenerate += 1
+            continue
+        n_z = counts.sum()
+        expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / n_z
+        if expected.min() < min_expected:
+            skipped_low += 1
+            continue
+        obs = counts[counts > 0]
+        exp = expected[counts > 0]
+        g_stat += 2.0 * float(np.sum(obs * np.log(obs / exp)))
+        df += (lx - 1) * (ly - 1)
+        used += 1
+    notes = []
+    if skipped_low:
+        notes.append("%d strata below the expected-count floor" % skipped_low)
+    if degenerate:
+        notes.append("%d strata with a single observed category" % degenerate)
+    if used == 0:
+        notes.append("no qualifying strata; defaulting to independence")
+        return (True, 1.0, 0.0, "; ".join(notes))
+    p_value = float(chi2.sf(g_stat, df))
+    return (p_value >= alpha, p_value, g_stat, "; ".join(notes) or None)
+
+
+def _bits(independent, p_value, statistic, warning):
+    return (independent, p_value.hex(), statistic.hex(), warning)
+
+
+def assert_kernel_matches_reference(stack, alpha=0.05, min_expected=5.0):
+    stack = np.asarray(stack, dtype=np.int64)
+    got = g_test_from_tables(stack, alpha, min_expected)
+    assert len(got) == len(stack)
+    for verdict, tables in zip(got, stack):
+        assert verdict.method == "g_test"
+        want = reference_g_test(tables, alpha, min_expected)
+        assert _bits(verdict.independent, verdict.p_value, verdict.statistic,
+                     verdict.warning) == _bits(*want)
+
+
+def _independent_table(rows, cols, scale):
+    return np.outer(rows, cols) * scale
+
+
+KERNEL_CASES = {
+    "zero row and column": [[[[30, 0, 12], [0, 0, 0], [9, 0, 40]]]],
+    "single observed category": [[[[20, 30], [0, 0]], [[0, 7], [0, 9]]]],
+    "below the expected-count floor": [[[[3, 1], [2, 6]], [[40, 20], [25, 35]]]],
+    "no stratum qualifies": [[[[0, 0], [0, 0]], [[2, 1], [1, 3]], [[5, 0], [0, 0]]]],
+    "eight or more cells": [[[[31, 12, 40, 9], [18, 25, 11, 30], [22, 8, 19, 27]]],
+                            [[[60, 55, 52, 49], [61, 0, 50, 57], [59, 44, 0, 63]]]],
+    "near independence": [[_independent_table([3, 5, 2], [4, 1, 6, 2], 7)],
+                          [_independent_table([3, 5, 2], [4, 1, 6, 2], 7)
+                           + np.eye(3, 4, dtype=np.int64)]],
+    "statistic rounds below zero": [[[[9554173, 1313672], [2297436, 315891]]]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_stacked_kernel_matches_the_per_table_loop(case):
+    assert_kernel_matches_reference(KERNEL_CASES[case])
+
+
+@st.composite
+def table_stacks(draw):
+    k, s = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    nx, ny = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    stack = np.zeros((k, s, nx, ny), dtype=np.int64)
+    for i in range(k):
+        for j in range(s):
+            kind = draw(st.sampled_from(("dense", "sparse", "independent", "zero")))
+            if kind == "dense":
+                cells = draw(st.lists(st.integers(0, 400), min_size=nx * ny, max_size=nx * ny))
+                stack[i, j] = np.reshape(cells, (nx, ny))
+            elif kind == "sparse":
+                cells = draw(st.lists(st.sampled_from((0, 0, 0, 1, 2, 9)),
+                                      min_size=nx * ny, max_size=nx * ny))
+                stack[i, j] = np.reshape(cells, (nx, ny))
+            elif kind == "independent":
+                rows = draw(st.lists(st.integers(1, 9), min_size=nx, max_size=nx))
+                cols = draw(st.lists(st.integers(1, 9), min_size=ny, max_size=ny))
+                table = _independent_table(rows, cols, draw(st.integers(1, 6)))
+                table[draw(st.integers(0, nx - 1)), draw(st.integers(0, ny - 1))] += draw(
+                    st.integers(0, 2))
+                stack[i, j] = table
+    return stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=table_stacks(), alpha=st.sampled_from((0.01, 0.05, 0.5)),
+       min_expected=st.sampled_from((0.0, 5.0, 20.0)))
+def test_stacked_kernel_matches_the_per_table_loop_on_random_stacks(stack, alpha, min_expected):
+    assert_kernel_matches_reference(stack, alpha, min_expected)
+
+
+@st.composite
+def small_datasets(draw):
+    sizes = draw(st.lists(st.integers(1, 4), min_size=5, max_size=5))
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, sizes, size=(n, 5))
+    if draw(st.booleans()):  # leave most (Z1, Z2) strata empty
+        codes[:, 4] = codes[:, 3] % sizes[4]
+    return Dataset.from_rows(("R", "X", "Y", "Z1", "Z2"), codes.astype(str).tolist())
+
+
+def reference_stratum_tables(data, q, context):
+    """Per-stratum (x, y) tables of the query's rows, strata in ascending code order."""
+    rows = np.ones(data.n_rows, dtype=bool)
+    if q.regime is not None:
+        rows = data.column(context) == data.code_of(context, q.regime)
+    x, y = data.column(q.x), data.column(q.y)
+    tables = {}
+    for i in np.flatnonzero(rows):
+        key = tuple(int(data.column(c)[i]) for c in q.z)
+        table = tables.setdefault(key, np.zeros((len(data.labels(q.x)), len(data.labels(q.y))),
+                                                dtype=np.int64))
+        table[x[i], y[i]] += 1
+    return [tables[key] for key in sorted(tables)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=small_datasets(), z=st.sampled_from(((), ("Z1",), ("Z1", "Z2"), ("Z2", "Z1"))),
+       pooled=st.booleans())
+def test_g_test_matches_the_per_table_loop_on_sampled_rows(data, z, pooled):
+    regime = None if pooled else data.labels("R")[0]
+    q = CiQuery("X", "Y", z, regime=regime)
+    got = g_test(data, q, alpha=0.05, context="R")
+    want = reference_g_test(reference_stratum_tables(data, q, "R"), 0.05)
+    assert _bits(got.independent, got.p_value, got.statistic, got.warning) == _bits(*want)
+
+
+def test_stacked_kernel_validates_its_input():
+    with pytest.raises(IndependenceError):
+        g_test_from_tables(np.zeros((1, 1, 2, 2), dtype=np.int64), alpha=1.0)
+    with pytest.raises(IndependenceError):
+        g_test_from_tables(np.zeros((1, 2, 2), dtype=np.int64), alpha=0.05)
+    assert g_test_from_tables(np.zeros((0, 1, 2, 2), dtype=np.int64), alpha=0.05) == []
+
+
+def test_package_import_leaves_scipy_stats_out():
+    package_root = str(Path(csi_graphlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, csi_graphlab; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "False"
