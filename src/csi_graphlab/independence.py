@@ -259,10 +259,8 @@ def g_test_from_tables(
             notes.append("%d strata below the expected-count floor" % n_low)
         if n_degenerate:
             notes.append("%d strata with a single observed category" % n_degenerate)
-        if not ok:
+        if not ok:  # then p_value is 1.0 and g_stat 0.0
             notes.append("no qualifying strata; defaulting to independence")
-            verdicts.append(CiVerdict(True, 1.0, 0.0, "g_test", warning="; ".join(notes)))
-        else:
-            warning = "; ".join(notes) or None
-            verdicts.append(CiVerdict(p_value >= alpha, p_value, g_stat, "g_test", warning))
+        warning = "; ".join(notes) or None
+        verdicts.append(CiVerdict(p_value >= alpha, p_value, g_stat, "g_test", warning))
     return verdicts
