@@ -7,8 +7,8 @@ encoder of sampled rows; the transfer test uses it too.
 Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
 an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
 returns K verdicts from array operations alone.  `g_test` passes one test
-(K = 1) whose strata are counted with a single `bincount`; the transfer test
-passes all its replicates at once.
+(K = 1) whose observed strata are counted with a single `bincount`; the
+transfer test passes its replicates in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -125,12 +125,28 @@ def conditional_mutual_information(
     return mi
 
 
-def _stratum_ids(data: Dataset, cols: tuple[str, ...], mask: np.ndarray) -> np.ndarray:
-    """Mixed-radix code of the `cols` values of each masked row (0 if no cols)."""
+def _stratum_ids(
+    data: Dataset, cols: tuple[str, ...], mask: np.ndarray, observed: bool = False
+) -> tuple[np.ndarray, int]:
+    """Mixed-radix code of the `cols` values of each masked row, and the
+    number of codes (all codes 0 and one code if no cols).
+
+    With `observed`, the codes are renumbered after each column to their
+    ranks among the codes the masked rows show, which keeps the code order,
+    counts only the value tuples that occur and keeps every code below
+    rows * labels.
+    """
     ids = np.zeros(int(mask.sum()), dtype=np.int64)
+    n = 1
     for c in cols:
-        ids = ids * len(data.labels(c)) + data.column(c)[mask]
-    return ids
+        size = len(data.labels(c))
+        ids = ids * size + data.column(c)[mask]
+        n *= size
+        if observed:
+            seen = np.cumsum(np.bincount(ids, minlength=n) > 0)
+            n = int(seen[-1])
+            ids = (seen - 1)[ids]
+    return ids, n
 
 
 def g_test(
@@ -178,16 +194,10 @@ def g_test(
     y = data.column(q.y)[mask]
     nx = len(data.labels(q.x))
     ny = len(data.labels(q.y))
-    ids = _stratum_ids(data, q.z, mask)
-    n_ids = math.prod(len(data.labels(c)) for c in q.z)
-    if n_ids * nx * ny > len(ids):
-        # more cells than rows: number the observed strata instead
-        _, ids = np.unique(ids, return_inverse=True)
-        n_ids = int(ids.max()) + 1
-    counts = np.bincount((ids * nx + x) * ny + y, minlength=n_ids * nx * ny)
-    counts = counts.reshape(n_ids, nx, ny)
-    stack = counts[counts.any(axis=(1, 2))][None]
-    return g_test_from_tables(stack, alpha, min_expected)[0]
+    # one stratum per z value tuple the rows show: at most rows * nx * ny cells
+    ranks, n_strata = _stratum_ids(data, q.z, mask, observed=True)
+    counts = np.bincount((ranks * nx + x) * ny + y, minlength=n_strata * nx * ny)
+    return g_test_from_tables(counts.reshape(1, n_strata, nx, ny), alpha, min_expected)[0]
 
 
 def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -212,7 +222,8 @@ def g_test_from_tables(
     of stratum s of test k.
 
     Applies the qualification rules of `g_test`, which calls it with K = 1;
-    the transfer test calls it once for all its replicates.  Each verdict is
+    the transfer test calls it once per chunk of replicates.  Its temporaries
+    are a few arrays of the stack's size.  Each verdict is
     bit-identical to testing its S tables one at a time: a stratum's terms
     are summed as one `np.sum` over its positive cells in row-major order,
     the strata are added left to right, and the tail is the chi-squared

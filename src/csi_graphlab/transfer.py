@@ -10,9 +10,11 @@ rejected independence.  High simulated rejection power plus an observed
 non-rejection in the real r0 stratum is evidence that the mechanism, not
 the support, changed.
 
-Each replicate draws its counts from its own seed stream into one
-(K, strata, x, y) stack, and a single call of the stacked G-test kernel
-decides all K replicates.
+Each replicate draws its counts from its own seed stream into a
+(replicates, strata, x, y) stack, and one call of the stacked G-test kernel
+decides a whole chunk of replicates.  A chunk holds at most `_CELL_BUDGET`
+table cells (or one replicate, if a single table is larger), so memory does
+not grow with K.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ __all__ = [
     "TransferVerdict",
     "transfer_evidence",
 ]
+
+# table cells the replicates of one kernel call may hold together
+_CELL_BUDGET = 1 << 18
 
 
 class TransferError(ValueError):
@@ -117,12 +122,11 @@ def transfer_evidence(
             "no rows outside %s=%s to estimate the null from" % (context, r0)
         )
 
-    cols = (*z, x)
-    n_cells = int(np.prod([len(data.labels(c)) for c in cols]))
     n_x = len(data.labels(x))
     n_y = len(data.labels(y))
+    # every (z, x) code, seen or not: the replicate draws depend on the layout
+    ids, n_cells = _stratum_ids(data, (*z, x), np.ones(data.n_rows, dtype=bool))
     n_strata = n_cells // n_x
-    ids = _stratum_ids(data, cols, np.ones(data.n_rows, dtype=bool))
 
     cell_counts = np.bincount(ids[in_r0], minlength=n_cells)
     p_cells = cell_counts / cell_counts.sum()
@@ -143,15 +147,22 @@ def transfer_evidence(
         context=context,
     )
 
-    tables = np.zeros((cfg.K, n_cells, n_y), dtype=np.int64)
-    for k in range(cfg.K):
-        rng = np.random.default_rng(derive_seed(cfg.seed, k))
-        drawn = rng.multinomial(cfg.N, p_cells)
-        for cell in np.flatnonzero(drawn):
-            tables[k, cell] = rng.multinomial(drawn[cell], law[cell])
-    unseen_rows = int(tables[:, fallback].sum())
-    verdicts = g_test_from_tables(tables.reshape(cfg.K, n_strata, n_x, n_y), cfg.alpha)
-    p_values = [v.p_value for v in verdicts]
+    chunk = max(1, _CELL_BUDGET // (n_cells * n_y))
+    p_values = []
+    unseen_rows = 0
+    for first in range(0, cfg.K, chunk):
+        reps = range(first, min(first + chunk, cfg.K))
+        tables = np.zeros((len(reps), n_cells, n_y), dtype=np.int64)
+        for i, k in enumerate(reps):
+            rng = np.random.default_rng(derive_seed(cfg.seed, k))
+            drawn = rng.multinomial(cfg.N, p_cells)
+            for cell in np.flatnonzero(drawn):
+                tables[i, cell] = rng.multinomial(drawn[cell], law[cell])
+        unseen_rows += int(tables[:, fallback].sum())
+        verdicts = g_test_from_tables(
+            tables.reshape(len(reps), n_strata, n_x, n_y), cfg.alpha
+        )
+        p_values += [v.p_value for v in verdicts]
     rejecting = sum(1 for p in p_values if p < cfg.alpha)
     power = rejecting / cfg.K
 

@@ -17,6 +17,7 @@ from csi_graphlab.exact import SolvedModel, draw_samples, joint_pmf
 from csi_graphlab.independence import (
     CiQuery,
     IndependenceError,
+    _stratum_ids,
     ci_exact,
     conditional_mutual_information,
     g_test,
@@ -297,6 +298,18 @@ def test_g_test_matches_the_per_table_loop_on_sampled_rows(data, z, pooled):
     got = g_test(data, q, alpha=0.05, context="R")
     want = reference_g_test(reference_stratum_tables(data, q, "R"), 0.05)
     assert _bits(got.independent, got.p_value, got.statistic, got.warning) == _bits(*want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=small_datasets(), z=st.sampled_from(((), ("Z1",), ("Z1", "Z2"), ("X", "Z2", "Z1"))))
+def test_observed_stratum_ids_are_ranks_of_the_codes(data, z):
+    mask = data.column("R") == 0
+    codes, n_codes = _stratum_ids(data, z, mask)
+    ranks, n_ranks = _stratum_ids(data, z, mask, observed=True)
+    assert n_codes == math.prod(len(data.labels(c)) for c in z)
+    present, want = np.unique(codes, return_inverse=True)
+    assert n_ranks == len(present)
+    assert np.array_equal(ranks, want)
 
 
 def test_stacked_kernel_validates_its_input():

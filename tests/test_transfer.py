@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csi_graphlab import transfer
 from csi_graphlab.corpus import get_example
 from csi_graphlab.data import Dataset
 from csi_graphlab.exact import draw_samples
@@ -174,3 +175,40 @@ def test_conditioning_set_is_respected():
     without_z = transfer_evidence(data, "X", "Y", (), "0", cfg, context="R")
     assert with_z.estimated_power_under_null <= 0.15
     assert without_z.estimated_power_under_null >= 0.9
+
+
+def test_replicate_chunks_stay_under_the_cell_budget(monkeypatch):
+    # 64 strata of 3x3 tables; A = 3 occurs only in the r0 stratum, so some
+    # cells fall back to the uniform law in every chunk.
+    rng = np.random.default_rng(5)
+    n = 4000
+    r = rng.integers(0, 2, size=n)
+    z = rng.integers(0, 4, size=(n, 3))
+    z[:, 0] = np.where(r == 1, z[:, 0] % 3, z[:, 0])
+    x = rng.integers(0, 3, size=n)
+    y = np.where(rng.random(n) < 0.8, (x + z[:, 1]) % 3, rng.integers(0, 3, size=n))
+    y = np.where(r == 0, rng.integers(0, 3, size=n), y)
+    data = Dataset.from_rows(
+        ["R", "X", "Y", "A", "B", "D"], np.column_stack([r, x, y, z]).astype(str).tolist()
+    )
+    cfg = TransferConfig(K=40, N=8000, alpha=0.05, seed=3)
+    shapes = []
+    kernel = transfer.g_test_from_tables
+
+    def spy(tables, *args, **kwargs):
+        shapes.append(tables.shape)
+        return kernel(tables, *args, **kwargs)
+
+    monkeypatch.setattr(transfer, "g_test_from_tables", spy)
+    runs = {}
+    for budget in (1 << 30, 3000, 0):
+        monkeypatch.setattr(transfer, "_CELL_BUDGET", budget)
+        shapes.clear()
+        runs[budget] = transfer_evidence(data, "X", "Y", ("A", "B", "D"), "0", cfg, context="R")
+        assert sum(s[0] for s in shapes) == cfg.K
+        assert all(s[1:] == (64, 3, 3) for s in shapes)
+        assert all(s[0] == 1 or s[0] * 64 * 9 <= budget for s in shapes)
+        assert len(shapes) == {1 << 30: 1, 3000: 8, 0: 40}[budget]
+    assert runs[1 << 30].details["unseen_cell_rows"] > 0
+    assert runs[1 << 30].estimated_power_under_null >= 0.9
+    assert runs[1 << 30] == runs[3000] == runs[0]
