@@ -20,7 +20,7 @@ solved = SolvedModel.of(s)
 print("checks on the exo-gate example:")
 for chk in DEFAULT_CHECKS:
     res = chk(s, solved)
-    status = "skip(%s)" % res.skip_reason if res.skipped else ("pass" if res.passed else "FAIL")
+    status = "skip(%s)" % res.reason if res.skipped else ("pass" if res.passed else "FAIL")
     print("  %-22s %s" % (res.name, status))
 
 # a random-model stream: sizes cycle from 2 up to n_vars, every model is

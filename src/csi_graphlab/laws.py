@@ -5,15 +5,30 @@ solution of a model, in exact arithmetic, and a failure carries a minimal
 witness.  Models that do not meet a law's hypotheses yield a skipped result,
 never a silent pass or a spurious failure.  `random_scm` draws small models
 by rejection so the relations get exercised far from the curated corpus.
+
+The noise-factorization law, which quantifies over all 2^n - 1 conditioning
+sets, is decided by one integer kernel instead of row-by-row `Fraction`
+products.  Masses are scaled to integers P = p * D over the lcm D of the
+noise joint's denominators, and each prior to a_i = prior * d_i over the lcm
+d_i of its own denominators; a row whose cell (group, ancestral noise
+values) holds the mass S factors exactly when P * prod_out d_i ==
+S * prod_out a_i over the noises outside the block.  Every conditioning set
+is coded from per-row value and noise ranks and per-variable ancestor masks,
+and the cell sums of a batch of sets come from one sort and one
+`np.add.reduceat`.  The terms are int64 when they provably stay below 2**62
+and Python ints otherwise; only witnesses go back to `Fraction`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .discovery import markov_check
 from .exact import (
@@ -199,6 +214,9 @@ def random_scm(spec: RandomModelSpec, max_attempts: int = 1000) -> SampledModel:
 # --- check results -----------------------------------------------------------------
 
 _WITNESS_CAP = 10
+
+# clause x noise row x variable elements one pass of the factorization kernel holds
+_ELEMENT_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -386,6 +404,19 @@ def check_noise_factorization(
     outside Z) the block is over pooled ancestors of the context plus
     descriptive ancestors of Z.  Exact equality, subsets up to `cap` names
     (default: all but the full set).  Needs weak regime-acyclicity.
+
+    Decided in integers, for all conditioning sets at once.  With D the lcm
+    of the noise joint's mass denominators, P = p * D per row, and for each
+    noise i its prior's denominator lcm d_i and scaled prior a_i = prior * d_i,
+    a row in a cell (group, ancestral noise values) whose masses sum to S
+    passes when P * prod_out d_i == S * prod_out a_i, the products running
+    over the noises outside the block.  The arrays are int64 when every such
+    term stays below 2**62 and Python ints (dtype object) otherwise.  Each
+    pass of the kernel holds at most `_ELEMENT_BUDGET` clause x row x
+    variable elements.  Each failing (conditioning set, clause, group) gives
+    one witness, its first failing row in table order, with `Fraction`
+    values; at most `_WITNESS_CAP` are kept.  Rows are the noise joint's
+    keys, whose noise assignment pins the row.
     """
     if not is_weakly_regime_acyclic(solved):
         return _skip("noise_factorization", "model is not weakly regime-acyclic")
@@ -394,56 +425,137 @@ def check_noise_factorization(
     cap = (n - 1) if cap is None else cap
     if cap < 0:
         raise LawsError("cap must be nonnegative")
-    nj = solved.noise_joint
-    noises = tuple(noise_name(v) for v in names)
-    union = union_graph(solved)
-    ctx = s.context_variable
-    priors = [dict(s.noises[v].pmf) for v in names]
-    anc_ctx = union.ancestors([ctx])
-    descr = {r: descriptive_graph(solved, r) for r in solved.regimes}
-    wit: list[dict] = []
-
-    def verify(conditioned_on, anc, group, clause, regime=None):
-        anc = sorted(anc)
-        block = JointPmf(noises, group).strata((), [noise_name(a) for a in anc])[()]
-        anc_cols = [names.index(a) for a in anc]
-        outside = [i for i, v in enumerate(names) if v not in anc]
-        for row, p in group.items():
-            expected = block[tuple(row[c] for c in anc_cols)]
-            for i in outside:
-                expected *= priors[i][row[i]]
-            if p != expected:
-                wit.append({
-                    "clause": clause,
-                    "regime": regime,
-                    "conditioned_on": conditioned_on,
-                    "noise_row": list(row),
-                    "probability": str(p),
-                    "factored": str(expected),
-                })
-                return
-
-    for size in range(1, min(cap, n) + 1):
-        for z_vars in itertools.combinations(names, size):
-            if len(wit) >= _WITNESS_CAP:
-                return _done("noise_factorization", wit)
-            pooled = nj.strata(z_vars, noises)
-            anc = union.ancestors(z_vars)
-            for z_vals in sorted(pooled):
-                verify(dict(zip(z_vars, z_vals)), anc, pooled[z_vals], "pooled")
-            if ctx in z_vars:
-                continue
-            per_context = nj.strata((*z_vars, ctx), noises)
-            for key in sorted(per_context):
-                *z_vals, r = key
-                anc_r = anc_ctx | descr[r].ancestors(z_vars)
-                given = dict(zip(z_vars, z_vals))
-                given[ctx] = r
-                verify(given, anc_r, per_context[key], "per_context", r)
     notes = ()
     if cap < n:
         notes = ("conditioning sets of more than %d variables not checked" % cap,)
+    ctx = s.context_variable
+    ci = names.index(ctx)
+    regimes = solved.regimes
+    nj = solved.noise_joint
+    noise_at = [nj.scope.index(noise_name(v)) for v in names]
+    value_at = [nj.scope.index(v) for v in names]
+    noise_rows = [tuple(key[k] for k in noise_at) for key in nj.table]
+    value_rows = [tuple(key[k] for k in value_at) for key in nj.table]
+    denom = math.lcm(*(p.denominator for p in nj.table.values()))
+    mass = [int(p * denom) for p in nj.table.values()]
+    pmfs = [s.noises[v].pmf for v in names]
+    d = [math.lcm(*(p.denominator for _, p in pmf)) for pmf in pmfs]
+    prior = [{lbl: int(p * dj) for lbl, p in pmf} for pmf, dj in zip(pmfs, d)]
+    scaled = [[prior[j][lbl] for j, lbl in enumerate(row)] for row in noise_rows]
+    # value and noise codes: ranks in sorted-label order, mixed radix with the
+    # first variable most significant, so code order is sorted-tuple order
+    v_code, v_radix = _ranks(value_rows)
+    u_code, u_radix = _ranks(noise_rows)
+    v_span = math.prod(v_radix) * v_radix[ci]
+    u_span = math.prod(u_radix)
+    exact_int64 = (
+        sum(abs(m) for m in mass) * math.prod(d) < 1 << 62 and v_span * u_span < 1 << 62
+    )
+    dt = np.int64 if exact_int64 else object
+    v_code = np.array(v_code, dtype=dt)
+    v_weighted = v_code * np.array([math.prod(v_radix[j + 1:]) for j in range(n)], dtype=dt)
+    u_weighted = np.array(u_code, dtype=dt) * np.array(
+        [math.prod(u_radix[j + 1:]) for j in range(n)], dtype=dt
+    )
+    mass = np.array(mass, dtype=dt)
+    scaled = np.array(scaled, dtype=dt)
+    d = np.array(d, dtype=dt)
+    regime_of = {r: k for k, r in enumerate(regimes)}
+    reg = np.array([regime_of[row[ci]] for row in value_rows], dtype=np.intp)
+
+    # ancestor masks: anc[k, j, l] says names[l] is an ancestor of names[j]
+    # in the union graph (k = 0) or in regime k - 1's descriptive graph
+    graphs = [union_graph(solved)] + [descriptive_graph(solved, r) for r in regimes]
+    ancestors = [[g.ancestors([v]) for v in names] for g in graphs]
+    anc = np.array([[[u in a for u in names] for a in per] for per in ancestors], dtype=np.int64)
+
+    # conditioning sets in `combinations` order; each has a pooled clause and,
+    # when it leaves out the context, a per-context clause right after it
+    subsets = [
+        z for size in range(1, min(cap, n) + 1) for z in itertools.combinations(range(n), size)
+    ]
+    z_bits = np.zeros((len(subsets), n), dtype=bool)
+    z_bits[
+        np.repeat(np.arange(len(subsets)), [len(z) for z in subsets]),
+        np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp),
+    ] = True
+    clauses = 2 - z_bits[:, ci]
+    first_clause = np.concatenate(([0], np.cumsum(clauses)))
+    per_context = np.zeros(first_clause[-1], dtype=bool)
+    per_context[first_clause[:-1][clauses == 2] + 1] = True
+    subset_of = np.repeat(np.arange(len(subsets)), clauses)
+
+    wit: list[dict] = []
+    n_rows = len(mass)
+    step = max(1, _ELEMENT_BUDGET // (2 * n_rows * n))
+    for lo in range(0, len(subsets), step):
+        hi = min(lo + step, len(subsets))
+        t0, t1 = first_clause[lo], first_clause[hi]
+        z = z_bits[subset_of[t0:t1]].astype(np.int64)
+        pc = per_context[t0:t1]
+        # ancestors of Z are the OR of the members' ancestor masks
+        pooled_anc = (z @ anc[0]) > 0
+        context_anc = ((z @ anc[1:]) > 0) | anc[0, ci].astype(bool)
+        inside = np.where(
+            pc[:, None, None], context_anc.transpose(1, 0, 2), pooled_anc[:, None, :]
+        )  # (clause, regime, variable)
+        out_d = np.where(inside, 1, d).prod(axis=2)[:, reg]
+        row_inside = inside[:, reg, :]
+        anc_code = np.zeros((t1 - t0, n_rows), dtype=dt)
+        out_a = np.ones((t1 - t0, n_rows), dtype=dt)
+        for j in range(n):
+            in_j = row_inside[:, :, j]
+            anc_code += np.where(in_j, u_weighted[:, j], 0)
+            out_a *= np.where(in_j, 1, scaled[:, j])
+        # pooled groups are Z's values; per-context groups append the context
+        # last, as (*z_vars, ctx) sorts
+        group = (z.astype(dt) @ v_weighted.T) * v_radix[ci] + pc[:, None] * v_code[:, ci]
+        # cell sums S: sort each clause's rows by (group, ancestral noise code)
+        key = group * u_span + anc_code
+        order = np.argsort(key, axis=1)
+        sorted_key = np.take_along_axis(key, order, axis=1)
+        starts = np.ones(key.shape, dtype=bool)
+        starts[:, 1:] = sorted_key[:, 1:] != sorted_key[:, :-1]
+        starts = starts.ravel()
+        sums = np.add.reduceat(mass[order].ravel(), np.flatnonzero(starts))
+        cell_sum = np.empty_like(key)
+        np.put_along_axis(
+            cell_sum, order, sums[np.cumsum(starts) - 1].reshape(key.shape), axis=1
+        )
+        fail = mass * out_d != cell_sum * out_a
+        for t in np.flatnonzero(fail.any(axis=1)):
+            m = subset_of[t0 + t]
+            rows = np.flatnonzero(fail[t])
+            _, first = np.unique(group[t, rows], return_index=True)
+            for i in rows[first]:
+                vals = value_rows[i]
+                given = {names[j]: vals[j] for j in subsets[m]}
+                regime = None
+                if pc[t]:
+                    regime = given[ctx] = vals[ci]
+                wit.append({
+                    "clause": "per_context" if pc[t] else "pooled",
+                    "regime": regime,
+                    "conditioned_on": given,
+                    "noise_row": list(noise_rows[i]),
+                    "probability": str(Fraction(int(mass[i]), denom)),
+                    "factored": str(
+                        Fraction(int(cell_sum[t, i] * out_a[t, i]), denom * int(out_d[t, i]))
+                    ),
+                })
+            if len(wit) >= _WITNESS_CAP and m + 1 < len(subsets):
+                # a full witness list ends the walk before the next set, and
+                # a walk ended early reports no unchecked sets
+                return _done("noise_factorization", wit)
     return _done("noise_factorization", wit, notes)
+
+
+def _ranks(rows: list[tuple[str, ...]]) -> tuple[list[list[int]], list[int]]:
+    """Per column, each label's rank among the column's sorted labels; and
+    the number of labels per column."""
+    columns = [sorted(set(col)) for col in zip(*rows)]
+    rank = [{lbl: k for k, lbl in enumerate(col)} for col in columns]
+    return [[rank[j][x] for j, x in enumerate(row)] for row in rows], [len(c) for c in columns]
 
 
 def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:

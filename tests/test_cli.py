@@ -328,6 +328,7 @@ def _cli_stdout_under_hash_seed(hash_seed, *argv):
 @pytest.mark.parametrize("argv", [
     ("verify", "--count", "20", "--seed", "1"),
     ("ground-truth", "--full", "MODEL"),
+    ("discover", "--exact", "MODEL"),
 ])
 def test_output_is_independent_of_hash_seed(tmp_path, argv):
     model = write_model(tmp_path, "non-markov(1/3)")

@@ -1,11 +1,14 @@
+import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csi_graphlab import laws
 from csi_graphlab.corpus import get_example, list_examples
-from csi_graphlab.exact import SolvedModel
+from csi_graphlab.exact import JointPmf, SolvedModel, noise_name
 from csi_graphlab.graph_objects import (
     descriptive_graph,
     ident_graph,
@@ -13,6 +16,7 @@ from csi_graphlab.graph_objects import (
     support_reduction_witnesses,
     union_graph,
 )
+from csi_graphlab.laws import _WITNESS_CAP, LawsError, _done, _skip
 from csi_graphlab.rng import derive_seed
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
 
@@ -261,3 +265,262 @@ def test_suite_records_failures_and_skips():
     assert first["model_index"] == 0
     assert first["model_seed"] == derive_seed(SPEC.seed, 0)
     assert first["witnesses"] == [{"variable": "x"}]
+
+
+# --- the integer noise-factorization kernel against the Fraction reference ----------
+
+def reference_noise_factorization(s, solved, cap=None):
+    """The row-by-row `Fraction` check the integer kernel replaced, verbatim."""
+    if not is_weakly_regime_acyclic(solved):
+        return _skip("noise_factorization", "model is not weakly regime-acyclic")
+    names = solved.table.variables
+    n = len(names)
+    cap = (n - 1) if cap is None else cap
+    if cap < 0:
+        raise LawsError("cap must be nonnegative")
+    nj = solved.noise_joint
+    noises = tuple(noise_name(v) for v in names)
+    union = union_graph(solved)
+    ctx = s.context_variable
+    priors = [dict(s.noises[v].pmf) for v in names]
+    anc_ctx = union.ancestors([ctx])
+    descr = {r: descriptive_graph(solved, r) for r in solved.regimes}
+    wit: list[dict] = []
+
+    def verify(conditioned_on, anc, group, clause, regime=None):
+        anc = sorted(anc)
+        block = JointPmf(noises, group).strata((), [noise_name(a) for a in anc])[()]
+        anc_cols = [names.index(a) for a in anc]
+        outside = [i for i, v in enumerate(names) if v not in anc]
+        for row, p in group.items():
+            expected = block[tuple(row[c] for c in anc_cols)]
+            for i in outside:
+                expected *= priors[i][row[i]]
+            if p != expected:
+                wit.append({
+                    "clause": clause,
+                    "regime": regime,
+                    "conditioned_on": conditioned_on,
+                    "noise_row": list(row),
+                    "probability": str(p),
+                    "factored": str(expected),
+                })
+                return
+
+    for size in range(1, min(cap, n) + 1):
+        for z_vars in itertools.combinations(names, size):
+            if len(wit) >= _WITNESS_CAP:
+                return _done("noise_factorization", wit)
+            pooled = nj.strata(z_vars, noises)
+            anc = union.ancestors(z_vars)
+            for z_vals in sorted(pooled):
+                verify(dict(zip(z_vars, z_vals)), anc, pooled[z_vals], "pooled")
+            if ctx in z_vars:
+                continue
+            per_context = nj.strata((*z_vars, ctx), noises)
+            for key in sorted(per_context):
+                *z_vals, r = key
+                anc_r = anc_ctx | descr[r].ancestors(z_vars)
+                given = dict(zip(z_vars, z_vals))
+                given[ctx] = r
+                verify(given, anc_r, per_context[key], "per_context", r)
+    notes = ()
+    if cap < n:
+        notes = ("conditioning sets of more than %d variables not checked" % cap,)
+    return _done("noise_factorization", wit, notes)
+
+
+def moved_mass(solved, src, dst, share):
+    """The solved model with `share` of the mass of noise-joint row `src`
+    (in sorted row order) moved to row `dst`."""
+    nj = solved.noise_joint
+    rows = nj.items_sorted()
+    table = dict(nj.table)
+    amount = rows[src][1] * share
+    table[rows[src][0]] -= amount
+    table[rows[dst][0]] += amount
+    return replace(solved, noise_joint=JointPmf(nj.scope, table))
+
+
+def tampered(solved):
+    # as in test_golden: half the first sorted row's mass moves to the last row
+    return moved_mass(solved, 0, -1, Fraction(1, 2))
+
+
+def assert_matches_reference(sm, caps=(None,)):
+    for cap in caps:
+        got = laws.check_noise_factorization(sm.scm, sm, cap=cap)
+        assert got == reference_noise_factorization(sm.scm, sm, cap=cap), cap
+
+
+def verify_models(count=200, seed=1):
+    """The models `verify --count 200 --seed 1` checks."""
+    spec = laws.RandomModelSpec()
+    sizes = range(2, spec.n_vars + 1)
+    return [
+        laws.random_scm(replace(spec, n_vars=sizes[i % len(sizes)], seed=derive_seed(seed, i)))
+        for i in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_factorization_kernel_matches_reference_on_the_corpus(name, solved_examples):
+    s, sm = solved_examples[name]
+    assert_matches_reference(sm, caps=(None, 0, 1, 2))
+    t = tampered(sm)
+    assert not laws.check_noise_factorization(s, t).passed
+    assert_matches_reference(t, caps=(None, 0, 1, 2))
+
+
+def test_factorization_kernel_matches_reference_on_verify_models():
+    failed = 0
+    for m in verify_models():
+        assert_matches_reference(m.solved)
+        t = tampered(m.solved)
+        assert_matches_reference(t)
+        failed += not laws.check_noise_factorization(m.scm, t).passed
+    assert failed == 189
+
+
+@pytest.mark.parametrize("n_vars, seed", [(8, 7), (8, 13), (8, 17), (8, 18), (10, 2)])
+def test_factorization_kernel_matches_reference_on_larger_models(n_vars, seed):
+    m = laws.random_scm(laws.RandomModelSpec(n_vars=n_vars, max_domain=3, seed=seed))
+    assert_matches_reference(m.solved)
+    assert_matches_reference(tampered(m.solved))
+
+
+@pytest.fixture(scope="module")
+def hypothesis_models(solved_examples):
+    drawn = [laws.random_scm(replace(SPEC, n_vars=k, seed=k)).solved for k in (3, 4, 5, 6)]
+    return [sm for _, sm in solved_examples.values()] + drawn
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_factorization_kernel_matches_reference_on_moved_mass(data, hypothesis_models):
+    sm = data.draw(st.sampled_from(hypothesis_models))
+    rows = len(sm.noise_joint.table)
+    src = data.draw(st.integers(0, rows - 1))
+    dst = data.draw(st.integers(0, rows - 1))
+    share = data.draw(st.fractions(0, 1, max_denominator=7))
+    assert_matches_reference(moved_mass(sm, src, dst, share), caps=(None, 1))
+
+
+def wide_denominator_model():
+    """R -> X -> Y with coin noises over three primes near 2**31."""
+    primes = (2147483647, 2147483629, 2147483587)
+    b = ("0", "1")
+    names = ("R", "X", "Y")
+    return Scm(
+        variables=tuple(VariableSpec(v, b) for v in names),
+        context_variable="R",
+        noises={
+            v: NoiseSpec(v, (("u0", Fraction(1, p)), ("u1", Fraction(p - 1, p))))
+            for v, p in zip(names, primes)
+        },
+        mechanisms={
+            "R": MechanismTable.from_function("R", (), (), ("u0", "u1"), lambda u: b[u == "u1"]),
+            "X": MechanismTable.from_function(
+                "X", ("R",), (b,), ("u0", "u1"), lambda r, u: b[(r == "1") != (u == "u1")]
+            ),
+            "Y": MechanismTable.from_function(
+                "Y", ("X",), (b,), ("u0", "u1"), lambda x, u: b[x == "1" and u == "u1"]
+            ),
+        },
+    )
+
+
+def test_factorization_kernel_falls_back_to_python_ints_exactly():
+    sm = SolvedModel.of(wide_denominator_model())
+    denom = math.lcm(*(p.denominator for p in sm.noise_joint.table.values()))
+    priors = math.prod(n.pmf[0][1].denominator for n in sm.scm.noises.values())
+    assert denom * priors >= 1 << 62
+    assert laws.check_noise_factorization(sm.scm, sm).passed
+    assert_matches_reference(sm, caps=(None, 1))
+    t = tampered(sm)
+    assert not laws.check_noise_factorization(sm.scm, t).passed
+    assert_matches_reference(t, caps=(None, 1))
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_factorization_chunks_give_the_same_result(name, solved_examples, monkeypatch):
+    s, sm = solved_examples[name]
+    t = tampered(sm)
+    per_subset = 2 * len(t.noise_joint.table) * len(s.variables)
+    runs = []
+    # one conditioning set per pass, three per pass, all in one pass
+    for budget in (0, 3 * per_subset, 1 << 40):
+        monkeypatch.setattr(laws, "_ELEMENT_BUDGET", budget)
+        runs.append(laws.check_noise_factorization(s, t))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == reference_noise_factorization(s, t)
+    assert not runs[0].passed
+
+
+# --- invariances ---------------------------------------------------------------------
+
+def renamed_variables(s):
+    """The model with its variables renamed so that their sort order reverses."""
+    order = sorted(s.variable_names)
+    new = {v: "V%03d" % (len(order) - 1 - k) for k, v in enumerate(order)}
+    return Scm(
+        variables=tuple(VariableSpec(new[v.name], v.domain) for v in s.variables),
+        context_variable=new[s.context_variable],
+        noises={new[v]: NoiseSpec(new[v], n.pmf) for v, n in s.noises.items()},
+        mechanisms={
+            new[v]: MechanismTable(new[v], tuple(new[p] for p in m.parents), dict(m.table))
+            for v, m in s.mechanisms.items()
+        },
+    )
+
+
+def permuted_noise_labels(s):
+    """The model with each noise's labels permuted so that their sort order reverses."""
+    swap = {}
+    for v, n in s.noises.items():
+        labels = sorted(n.labels)
+        swap[v] = dict(zip(labels, reversed(labels)))
+    return Scm(
+        variables=s.variables,
+        context_variable=s.context_variable,
+        noises={
+            v: NoiseSpec(v, tuple((swap[v][lbl], p) for lbl, p in n.pmf))
+            for v, n in s.noises.items()
+        },
+        mechanisms={
+            v: MechanismTable(
+                v, m.parents, {(pa, swap[v][u]): out for (pa, u), out in m.table.items()}
+            )
+            for v, m in s.mechanisms.items()
+        },
+    )
+
+
+def verdicts(s, solved=None):
+    solved = solved if solved is not None else SolvedModel.of(s)
+    return [(r.name, r.passed, r.skipped) for r in (chk(s, solved) for chk in laws.DEFAULT_CHECKS)]
+
+
+@pytest.fixture(scope="module")
+def invariance_models(solved_examples):
+    spec = laws.RandomModelSpec(n_vars=5, max_domain=3)
+    drawn = [
+        laws.random_scm(replace(spec, n_vars=2 + i % 4, seed=derive_seed(11, i)))
+        for i in range(40)
+    ]
+    # and the stratum-cycle draw of test_checks_skip_hypotheses_they_cannot_assume
+    drawn.append(laws.random_scm(replace(SPEC, max_parents=3, seed=369)))
+    return list(solved_examples.values()) + [(m.scm, m.solved) for m in drawn]
+
+
+@pytest.mark.parametrize("relabel", [renamed_variables, permuted_noise_labels])
+def test_law_verdicts_survive_relabeling(relabel, invariance_models):
+    assert len(invariance_models) == 52
+    changed = skipped = 0
+    for s, sm in invariance_models:
+        relabeled = relabel(s)
+        changed += relabeled != s
+        want = verdicts(s, sm)
+        assert verdicts(relabeled) == want
+        skipped += sum(skip for _, _, skip in want)
+    assert changed >= 45 and skipped >= 3
