@@ -6,17 +6,12 @@ witness.  Models that do not meet a law's hypotheses yield a skipped result,
 never a silent pass or a spurious failure.  `random_scm` draws small models
 by rejection so the relations get exercised far from the curated corpus.
 
-The noise-factorization law, which quantifies over all 2^n - 1 conditioning
-sets, is decided by one integer kernel instead of row-by-row `Fraction`
-products.  Masses are scaled to integers P = p * D over the lcm D of the
-noise joint's denominators, and each prior to a_i = prior * d_i over the lcm
-d_i of its own denominators; a row whose cell (group, ancestral noise
-values) holds the mass S factors exactly when P * prod_out d_i ==
-S * prod_out a_i over the noises outside the block.  Every conditioning set
-is coded from per-row value and noise ranks and per-variable ancestor masks,
-and the cell sums of a batch of sets come from one sort and one
-`np.add.reduceat`.  The terms are int64 when they provably stay below 2**62
-and Python ints otherwise; only witnesses go back to `Fraction`.
+The noise-factorization law, over all 2^n - 1 conditioning sets, is one
+integer kernel: masses and priors are scaled to integers by the lcm of their
+denominators (P = p * D, a_i = prior_i * d_i), and a row factors exactly when
+P * prod_out d_i == S * prod_out a_i, S being the mass of its cell.  The
+terms are int64 below 2**62 and Python ints above; only witnesses go back to
+`Fraction`.
 """
 
 from __future__ import annotations
