@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from csi_graphlab.corpus import get_example, list_examples
@@ -20,6 +23,9 @@ from csi_graphlab.graph_objects import (
     ident_graph,
     union_graph,
 )
+from csi_graphlab.laws import RandomModelSpec, random_scm
+
+SEPARATOR_SEARCHES = "799488609217f7fa9b3e585d537d33b9a35b811735600b6c44ffc6f9f8f83e82"
 
 
 def solved(name):
@@ -195,3 +201,46 @@ def test_discovery_is_deterministic():
     b = skeleton_pooled(t).to_dot()
     assert a == b
     assert detect_graph(t, "b0").to_dot() == detect_graph(t, "b0").to_dot()
+
+
+def _separator_searches(m):
+    """Everything the separating-set searches decide on one solved model."""
+    t = ExactTester(m)
+
+    def run(search, *args):
+        certs = []
+        sk = search(t, *args, certificates=certs)
+        return [sk.sorted_pairs(), [
+            [c.x, c.y, list(c.z), c.regime, c.method, c.p_value] for c in certs
+        ]]
+
+    faith = check_R_faithfulness(m)
+    markov = markov_check(m)
+    return {
+        "faithful": [faith.holds, faith.violations],
+        "markov": [markov.applicable, markov.passed, [
+            [o.x, o.y, o.regime, o.clause, [list(z) for z in o.candidates],
+             None if o.separator is None else list(o.separator), o.passed]
+            for o in markov.obligations
+        ]],
+        "pooled": run(skeleton_pooled),
+        "masked": {r: run(skeleton_masked, r) for r in m.regimes},
+        "detect": {r: run(detect_graph, r) for r in m.regimes},
+    }
+
+
+def test_separator_searches_are_pinned():
+    """R-faithfulness violations, Markov obligations and exact-oracle
+    certificates, byte for byte, on the corpus and 160 random models."""
+    models = [(name, solved(name)) for name in list_examples()]
+    models += [
+        ("random-%d-%d" % (n, k), random_scm(RandomModelSpec(n_vars=n, seed=k)).solved)
+        for n in range(3, 7) for k in range(40)
+    ]
+    payload = {name: _separator_searches(m) for name, m in models}
+    randoms = [v for name, v in payload.items() if name.startswith("random-")]
+    assert len(randoms) == 160
+    assert sum(not v["faithful"][0] for v in randoms) == 32
+    assert sum(len(v["markov"][2]) for v in randoms) == 1660
+    blob = json.dumps(payload, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SEPARATOR_SEARCHES
