@@ -5,13 +5,16 @@ rational joint, `SampleTester` against a dataset with a G-test.  On top of
 them sit a deterministic PC-style skeleton search (pooled or masked to one
 context value), the exhaustive per-context detection skeleton, and the
 executable Markov check that verifies each designated separating set on the
-exact distribution.
+exact distribution.  All three search for separating sets with
+`independence.first_separator`, each over its own ordered sequence of
+candidate sets: the stable-PC neighbour subsets, every subset of the other
+non-context variables, or the designated parent sets.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .data import Dataset
@@ -23,7 +26,7 @@ from .graph_objects import (
     is_strongly_regime_acyclic,
     union_graph,
 )
-from .independence import CiQuery, CiVerdict, ci_exact, g_test
+from .independence import CiQuery, CiVerdict, ci_exact, first_separator, g_test, subsets
 
 __all__ = [
     "DiscoveryError",
@@ -117,22 +120,13 @@ def _pc_skeleton(nodes, query, regime, certificates):
             if len(cand_a) < k and len(cand_b) < k:
                 continue
             tested_any = True
-            tried: set[tuple[str, ...]] = set()
-            removed = False
-            for pool in (cand_a, cand_b):
-                if removed or len(pool) < k:
-                    continue
-                for z in itertools.combinations(pool, k):
-                    if z in tried:
-                        continue
-                    tried.add(z)
-                    verdict = query(a, b, z, regime)
-                    if verdict.independent:
-                        adj[a].discard(b)
-                        adj[b].discard(a)
-                        _record(certificates, a, b, z, regime, verdict)
-                        removed = True
-                        break
+            sets = dict.fromkeys(itertools.chain(
+                itertools.combinations(cand_a, k), itertools.combinations(cand_b, k)))
+            hit = first_separator(query, a, b, sets, (regime,))
+            if hit is not None:
+                adj[a].discard(b)
+                adj[b].discard(a)
+                _record(certificates, a, b, *hit)
         if not tested_any:
             break
         k += 1
@@ -141,12 +135,18 @@ def _pc_skeleton(nodes, query, regime, certificates):
 
 def skeleton_pooled(
     tester,
-    variables: Iterable[str] | None = None,
     certificates: list[SeparationCertificate] | None = None,
 ) -> UndirectedSkeleton:
     """PC-style skeleton over the pooled distribution (context included)."""
-    nodes = tuple(variables) if variables is not None else tester.variables
-    return _pc_skeleton(nodes, tester.test, None, certificates)
+    return _pc_skeleton(tester.variables, tester.test, None, certificates)
+
+
+def _require_regime(tester, regime: str) -> None:
+    if regime not in tester.regimes:
+        raise DiscoveryError(
+            "regime %r not available; observed regimes: %s"
+            % (regime, ", ".join(tester.regimes))
+        )
 
 
 def skeleton_masked(
@@ -155,11 +155,7 @@ def skeleton_masked(
     certificates: list[SeparationCertificate] | None = None,
 ) -> UndirectedSkeleton:
     """PC-style skeleton over the non-context variables, every query masked to one context value."""
-    if regime not in tester.regimes:
-        raise DiscoveryError(
-            "regime %r not available; observed regimes: %s"
-            % (regime, ", ".join(tester.regimes))
-        )
+    _require_regime(tester, regime)
     nodes = tuple(v for v in tester.variables if v != tester.context)
     return _pc_skeleton(nodes, tester.test, regime, certificates)
 
@@ -179,17 +175,6 @@ def intersection_graph(
     return UndirectedSkeleton(pooled.nodes, pairs)
 
 
-def _subset_pool(variables, exclude, max_subsets):
-    pool = [v for v in variables if v not in exclude]
-    if 2 ** len(pool) > max_subsets:
-        raise DiscoveryError(
-            "conditioning-set search over %d variables exceeds max_subsets=%d"
-            % (len(pool), max_subsets)
-        )
-    for k in range(len(pool) + 1):
-        yield from itertools.combinations(pool, k)
-
-
 def detect_graph(
     tester,
     regime: str,
@@ -198,45 +183,30 @@ def detect_graph(
 ) -> UndirectedSkeleton:
     """Exhaustive per-context skeleton: an edge survives only if no conditioning
     set separates the pair, neither pooled nor masked to the given context value.
+    Sets are tried smallest first, each pooled before masked.
 
     Context edges use pooled queries only (no masked test involves the context
     itself) and therefore come out identical for every regime.
     """
-    if regime not in tester.regimes:
-        raise DiscoveryError(
-            "regime %r not available; observed regimes: %s"
-            % (regime, ", ".join(tester.regimes))
-        )
+    _require_regime(tester, regime)
     ctx = tester.context
-    nodes = tester.variables
-    others = [v for v in nodes if v != ctx]
+    others = [v for v in tester.variables if v != ctx]
+    queries = [(x, y, (None, regime)) for x, y in itertools.combinations(sorted(others), 2)]
+    queries += [(ctx, y, (None,)) for y in sorted(others)]
     pairs = []
-    for x, y in itertools.combinations(sorted(others), 2):
-        separated = False
-        for z in _subset_pool(others, {x, y}, max_subsets):
-            pooled = tester.test(x, y, z, None)
-            if pooled.independent:
-                _record(certificates, x, y, z, None, pooled)
-                separated = True
-                break
-            masked = tester.test(x, y, z, regime)
-            if masked.independent:
-                _record(certificates, x, y, z, regime, masked)
-                separated = True
-                break
-        if not separated:
+    for x, y, regimes in queries:
+        pool = [v for v in others if v not in (x, y)]
+        if 2 ** len(pool) > max_subsets:
+            raise DiscoveryError(
+                "conditioning-set search over %d variables exceeds max_subsets=%d"
+                % (len(pool), max_subsets)
+            )
+        hit = first_separator(tester.test, x, y, subsets(pool), regimes)
+        if hit is None:
             pairs.append((x, y))
-    for y in sorted(others):
-        separated = False
-        for z in _subset_pool(others, {y}, max_subsets):
-            pooled = tester.test(ctx, y, z, None)
-            if pooled.independent:
-                _record(certificates, ctx, y, z, None, pooled)
-                separated = True
-                break
-        if not separated:
-            pairs.append(tuple(sorted((ctx, y))))
-    return UndirectedSkeleton(nodes, pairs)
+        else:
+            _record(certificates, x, y, *hit)
+    return UndirectedSkeleton(tester.variables, pairs)
 
 
 def union_from_contexts(
@@ -295,20 +265,16 @@ def markov_check(solved: SolvedModel) -> MarkovReport:
         return MarkovReport(applicable=False, passed=False)
     union = union_graph(solved)
     anc_r = union.ancestors([ctx])
-    joint = solved.joint
+    test = ExactTester(solved).test
     names = sorted(v for v in solved.scm.variable_names if v != ctx)
     obligations: list[MarkovObligation] = []
 
     def run(x, y, regime, clause, candidates):
-        separator = None
-        for z in dict.fromkeys(candidates):
-            q = CiQuery(x, y, z, regime)
-            if ci_exact(joint, q, context=ctx).independent:
-                separator = z
-                break
+        candidates = tuple(dict.fromkeys(candidates))
+        hit = first_separator(test, x, y, candidates, (regime,))
+        separator = None if hit is None else hit[0]
         obligations.append(
-            MarkovObligation(x, y, regime, clause, tuple(dict.fromkeys(candidates)),
-                             separator, separator is not None)
+            MarkovObligation(x, y, regime, clause, candidates, separator, hit is not None)
         )
 
     for r in solved.regimes:

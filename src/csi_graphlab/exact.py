@@ -188,9 +188,6 @@ class JointPmf:
         cells = self.strata(tuple(partial), ()).get(tuple(partial.values()), {})
         return cells.get((), Fraction(0))
 
-    def items_sorted(self) -> list[tuple[tuple[str, ...], Fraction]]:
-        return sorted(self.table.items())
-
 
 # --- solving -------------------------------------------------------------------
 
@@ -202,7 +199,6 @@ class SolutionTable:
     noise_assignments: tuple[tuple[str, ...], ...]
     probabilities: tuple[Fraction, ...]
     values: tuple[tuple[str, ...], ...]
-    uniquely_solvable: bool = True
 
 
 def declared_graph(s: Scm) -> DirectedGraph:
@@ -351,11 +347,10 @@ def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointP
     """Joint over noises (scope names ~X) and observables; noises pin the row."""
     table = table if table is not None else solve_all(s)
     scope = tuple(noise_name(v) for v in table.variables) + table.variables
-    out: dict[tuple[str, ...], Fraction] = {}
-    for noise, prob, vals in zip(table.noise_assignments, table.probabilities, table.values):
-        if prob == 0:
-            continue
-        out[noise + vals] = prob
+    out = {
+        noise + vals: prob
+        for noise, prob, vals in zip(table.noise_assignments, table.probabilities, table.values)
+    }
     return JointPmf(scope, out)
 
 

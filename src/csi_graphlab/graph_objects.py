@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .exact import JointPmf, SolvedModel, joint_pmf, noise_name
 from .graphs import DirectedGraph
-from .independence import CiQuery, ci_exact
+from .independence import CiQuery, ci_exact, first_separator, subsets
 from .scm import MechanismTable, Scm, ScmError, intervene
 
 __all__ = [
@@ -381,47 +381,43 @@ class FaithfulnessReport:
     rewrite_witnesses: list[dict] = field(default_factory=list)
 
 
-def _subsets(pool: list[str]):
-    for k in range(len(pool) + 1):
-        yield from itertools.combinations(pool, k)
-
-
 def check_R_faithfulness(solved: SolvedModel) -> FaithfulnessReport:
     """Exhaustive check: adjacency in a per-context graph must defeat every separator.
 
     For each context value r and each pair adjacent in the descriptive graph
     of r, no conditioning set may render the pair independent, neither
     pooled nor within the stratum R=r (the latter only for pairs away from
-    the context variable).  Runs the exact oracle over all subsets.
+    the context variable).  Runs the exact oracle over all subsets: first
+    every pooled set, then every masked one.
     """
     ctx = solved.scm.context_variable
-    names = list(solved.joint.scope)
+    joint = solved.joint
+    names = list(joint.scope)
+
+    def test(x, y, z, regime):
+        return ci_exact(joint, CiQuery(x, y, z, regime), context=ctx)
+
     report = FaithfulnessReport(holds=True)
     for r in solved.regimes:
         descr = descriptive_graph(solved, r)
         for x, y in descr.skeleton().sorted_pairs():
-            pooled_pool = [v for v in names if v not in (x, y)]
-            masked_pool = [v for v in names if v not in (x, y, ctx)]
-            hit = None
-            for z in _subsets(pooled_pool):
-                if ci_exact(solved.joint, CiQuery(x, y, z)).independent:
-                    hit = {"regime": r, "x": x, "y": y, "z": list(z), "masked": False}
-                    break
+            pooled = subsets([v for v in names if v not in (x, y)])
+            hit = first_separator(test, x, y, pooled, (None,))
             if hit is None and ctx not in (x, y):
-                for z in _subsets(masked_pool):
-                    verdict = ci_exact(
-                        solved.joint, CiQuery(x, y, z, regime=r), context=ctx
-                    )
-                    if verdict.independent:
-                        hit = {"regime": r, "x": x, "y": y, "z": list(z), "masked": True}
-                        break
+                masked = subsets([v for v in names if v not in (x, y, ctx)])
+                hit = first_separator(test, x, y, masked, (r,))
             if hit is not None:
+                z, regime, _ = hit
                 report.holds = False
-                report.violations.append(hit)
+                report.violations.append(
+                    {"regime": r, "x": x, "y": y, "z": list(z), "masked": regime is not None})
     return report
 
 
-def _rewrite_witnesses(solved: SolvedModel, cap: int) -> list[dict]:
+REWRITE_CHECK_CAP = 1000
+
+
+def _rewrite_witnesses(solved: SolvedModel) -> list[dict]:
     """Mechanisms expressible over an alternative parent set, support-exactly.
 
     Bounded search: drop one visible parent X of Y at a time and test whether
@@ -440,7 +436,7 @@ def _rewrite_witnesses(solved: SolvedModel, cap: int) -> list[dict]:
     union = union_graph(solved)
     nj = solved.noise_joint
     witnesses: list[dict] = []
-    budget = cap
+    budget = REWRITE_CHECK_CAP
 
     for y in s.variable_names:
         visible = sorted(union.parents(y))
@@ -468,15 +464,15 @@ def _rewrite_witnesses(solved: SolvedModel, cap: int) -> list[dict]:
     return witnesses
 
 
-def check_strong_R_faithfulness(solved: SolvedModel, cap: int = 1000) -> FaithfulnessReport:
+def check_strong_R_faithfulness(solved: SolvedModel) -> FaithfulnessReport:
     """Faithfulness plus absence of support-equivalent re-parameterizations.
 
     The re-parameterization search is bounded and best-effort (one dropped
-    parent at a time, at most `cap` candidate checks); a clean report is
-    therefore evidence, not proof, while any witness is definite.
+    parent at a time, at most `REWRITE_CHECK_CAP` candidate checks); a clean
+    report is therefore evidence, not proof, while any witness is definite.
     """
     report = check_R_faithfulness(solved)
-    report.rewrite_witnesses = _rewrite_witnesses(solved, cap)
+    report.rewrite_witnesses = _rewrite_witnesses(solved)
     if report.rewrite_witnesses:
         report.holds = False
     return report

@@ -205,15 +205,13 @@ class DirectedGraph:
     def __repr__(self) -> str:
         return "DirectedGraph(nodes=%r, edges=%r)" % (list(self._nodes), self.sorted_edges())
 
-    def to_dot(self, name: str = "G", dashed: Iterable[tuple[str, str]] = ()) -> str:
+    def to_dot(self, name: str = "G") -> str:
         """Render as DOT, one node or edge per line, lexicographic order (byte-stable)."""
-        dashed_set = set(dashed)
         lines = ["digraph \"%s\" {" % name]
         for n in sorted(self._nodes):
             lines.append("  \"%s\";" % n)
         for u, v in self.sorted_edges():
-            attr = " [style=dashed]" if (u, v) in dashed_set else ""
-            lines.append("  \"%s\" -> \"%s\"%s;" % (u, v, attr))
+            lines.append("  \"%s\" -> \"%s\";" % (u, v))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -258,21 +256,6 @@ class UndirectedSkeleton:
         if node not in self._adj:
             raise GraphError("unknown node %r" % (node,))
         return self._adj[node]
-
-    def restrict_to(self, keep: Iterable[str]) -> "UndirectedSkeleton":
-        keep_set = set(keep)
-        nodes = tuple(n for n in self._nodes if n in keep_set)
-        pairs = [p for p in self._pairs if p[0] in keep_set and p[1] in keep_set]
-        return UndirectedSkeleton(nodes, pairs)
-
-    def union(self, other: "UndirectedSkeleton") -> "UndirectedSkeleton":
-        nodes = self._nodes + tuple(n for n in other._nodes if n not in self._nodes)
-        return UndirectedSkeleton(nodes, set(self._pairs) | set(other._pairs))
-
-    def intersection(self, other: "UndirectedSkeleton") -> "UndirectedSkeleton":
-        if set(self._nodes) != set(other._nodes):
-            raise GraphError("intersection requires identical node sets")
-        return UndirectedSkeleton(self._nodes, self._pairs & other._pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedSkeleton):

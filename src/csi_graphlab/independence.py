@@ -9,11 +9,20 @@ an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
 returns K verdicts from array operations alone.  `g_test` passes one test
 (K = 1) whose observed strata are counted with a single `bincount`; the
 transfer test passes its replicates in chunks of bounded size.
+
+Separating sets are searched for in one place, `first_separator`: given a
+test and an ordered sequence of conditioning sets (usually from `subsets`),
+it returns the first set and regime that make x and y independent.  The
+pooled, masked and detection skeletons, the Markov check and the
+R-faithfulness check all use it, so the order in which sets are tried, on
+which certificates depend, is fixed there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,6 +132,33 @@ def conditional_mutual_information(
             ratio = (prob * total) / (px[z][(xv,)] * py[z][(yv,)])
             mi += float(prob / mass) * math.log(float(ratio))
     return mi
+
+
+def subsets(pool: Sequence[str]) -> Iterable[tuple[str, ...]]:
+    """Every subset of `pool`, by size, each size in `itertools.combinations` order."""
+    for k in range(len(pool) + 1):
+        yield from itertools.combinations(pool, k)
+
+
+def first_separator(
+    test: Callable[[str, str, tuple[str, ...], str | None], CiVerdict],
+    x: str,
+    y: str,
+    sets: Iterable[tuple[str, ...]],
+    regimes: Sequence[str | None],
+) -> tuple[tuple[str, ...], str | None, CiVerdict] | None:
+    """(z, regime, verdict) of the first independent `test(x, y, z, regime)`.
+
+    The sets are tried in order and, for each set, the regimes in order
+    (None means pooled); the search stops at the first independent verdict.
+    None if no verdict is independent.
+    """
+    for z in sets:
+        for regime in regimes:
+            verdict = test(x, y, z, regime)
+            if verdict.independent:
+                return z, regime, verdict
+    return None
 
 
 def _stratum_ids(

@@ -76,7 +76,7 @@ def test_intersection_identity_when_masked_is_restriction():
     m = solved("intro")
     t = ExactTester(m)
     pooled = skeleton_pooled(t)
-    masked = pooled.restrict_to(("T", "Y"))
+    masked = UndirectedSkeleton(("T", "Y"), [p for p in pooled.pairs if "R" not in p])
     assert intersection_graph(pooled, masked, "R") == pooled
 
 

@@ -170,7 +170,7 @@ def _stdout(capsys, *argv):
 def _tampered(name):
     solved = SolvedModel.of(get_example(name))
     nj = solved.noise_joint
-    (first, p_first), *_, (last, p_last) = nj.items_sorted()
+    (first, p_first), *_, (last, p_last) = sorted(nj.table.items())
     table = dict(nj.table)
     table[first] = p_first / 2
     table[last] = p_last + p_first / 2

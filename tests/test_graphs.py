@@ -202,13 +202,6 @@ def test_union_graphs_merges_edges_and_nodes():
     assert u.edges == {("A", "B"), ("C", "B")}
 
 
-def test_skeleton_set_operations():
-    s1 = UndirectedSkeleton(["A", "B", "C"], [("A", "B"), ("B", "C")])
-    s2 = UndirectedSkeleton(["A", "B", "C"], [("B", "A")])
-    assert s1.intersection(s2).pairs == {("A", "B")}
-    assert s1.union(s2).pairs == {("A", "B"), ("B", "C")}
-
-
 # --- DOT ------------------------------------------------------------------------
 
 def test_dot_output_is_byte_stable():

@@ -9,10 +9,13 @@ from hypothesis import given, settings, strategies as st
 from csi_graphlab import laws
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.exact import JointPmf, SolvedModel, noise_name
+from csi_graphlab.discovery import ExactTester, detect_graph, skeleton_masked, skeleton_pooled
 from csi_graphlab.graph_objects import (
+    counterfactual_graph,
     descriptive_graph,
     ident_graph,
     is_weakly_regime_acyclic,
+    physical_graph,
     support_reduction_witnesses,
     union_graph,
 )
@@ -334,7 +337,7 @@ def moved_mass(solved, src, dst, share):
     """The solved model with `share` of the mass of noise-joint row `src`
     (in sorted row order) moved to row `dst`."""
     nj = solved.noise_joint
-    rows = nj.items_sorted()
+    rows = sorted(nj.table.items())
     table = dict(nj.table)
     amount = rows[src][1] * share
     table[rows[src][0]] -= amount
@@ -496,6 +499,32 @@ def permuted_noise_labels(s):
     )
 
 
+def reversed_categories(s):
+    """The model with each variable's category labels permuted so that their
+    sort order reverses; the domain keeps its positions."""
+    swap = {}
+    for v in s.variables:
+        labels = sorted(v.domain)
+        swap[v.name] = dict(zip(labels, reversed(labels)))
+
+    def values(names, row):
+        return tuple(swap[n][x] for n, x in zip(names, row))
+
+    return Scm(
+        variables=tuple(VariableSpec(v.name, values([v.name] * len(v.domain), v.domain))
+                        for v in s.variables),
+        context_variable=s.context_variable,
+        noises=s.noises,
+        mechanisms={
+            v: MechanismTable(
+                v, m.parents,
+                {(values(m.parents, pa), u): swap[v][out] for (pa, u), out in m.table.items()},
+            )
+            for v, m in s.mechanisms.items()
+        },
+    )
+
+
 def verdicts(s, solved=None):
     solved = solved if solved is not None else SolvedModel.of(s)
     return [(r.name, r.passed, r.skipped) for r in (chk(s, solved) for chk in laws.DEFAULT_CHECKS)]
@@ -524,3 +553,52 @@ def test_law_verdicts_survive_relabeling(relabel, invariance_models):
         assert verdicts(relabeled) == want
         skipped += sum(skip for _, _, skip in want)
     assert changed >= 45 and skipped >= 3
+
+
+def structures(solved, names, regimes):
+    """Every graph family and exact skeleton of one solve, keyed by regime,
+    with the nodes renamed by `names` and the regimes by `regimes`."""
+
+    def edges(g):
+        return {tuple(names[v] for v in e) for e in g.edges}
+
+    def pairs(sk):
+        return {frozenset(names[v] for v in p) for p in sk.pairs}
+
+    t = ExactTester(solved)
+    out = {"union": edges(union_graph(solved)), "pooled": pairs(skeleton_pooled(t))}
+    for r in solved.regimes:
+        for family in (descriptive_graph, physical_graph, counterfactual_graph, ident_graph):
+            out[family.__name__, regimes[r]] = edges(family(solved, r))
+        out["masked", regimes[r]] = pairs(skeleton_masked(t, r))
+        out["detect", regimes[r]] = pairs(detect_graph(t, r))
+    return out
+
+
+@pytest.fixture(scope="module")
+def structure_models(solved_examples):
+    drawn = [
+        laws.random_scm(laws.RandomModelSpec(n_vars=n, seed=k)).solved
+        for n in (3, 4, 5) for k in range(30)
+    ]
+    return [sm for _, sm in solved_examples.values()] + drawn
+
+
+@pytest.mark.parametrize("relabel", [renamed_variables, reversed_categories])
+def test_graphs_and_skeletons_survive_relabeling(relabel, structure_models):
+    """Graph families and exact skeletons map through a renaming of the
+    variables and through a permutation of each variable's categories."""
+    assert len(structure_models) == 101
+    changed = 0
+    for sm in structure_models:
+        s = sm.scm
+        relabeled = relabel(s)
+        changed += relabeled != s
+        names = dict(zip(s.variable_names, relabeled.variable_names))
+        ctx, new_ctx = s.context_variable, relabeled.context_variable
+        regimes = dict(zip(s.domain(ctx), relabeled.domain(new_ctx)))
+        want = structures(sm, names, regimes)
+        got = structures(SolvedModel.of(relabeled), {v: v for v in names.values()},
+                         {r: r for r in regimes.values()})
+        assert got == want
+    assert changed == len(structure_models)
