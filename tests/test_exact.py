@@ -1,15 +1,17 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from csi_graphlab.corpus import get_example
+from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.exact import (
     ComplexityError,
     NotUniquelySolvableError,
     SolvedModel,
     UnsolvableModelError,
+    _condensation_order,
     declared_graph,
     draw_samples,
     first_dependence,
@@ -18,6 +20,8 @@ from csi_graphlab.exact import (
     noise_observable_joint,
     solve_all,
 )
+from csi_graphlab.laws import RandomModelSpec, _draw_model
+from csi_graphlab.rng import derive_seed
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
 
 H = Fraction(1, 2)
@@ -225,6 +229,65 @@ def test_solver_agrees_with_global_brute_force():
                 solve_all(s)
             failed += 1
     assert solved >= 20 and failed >= 20  # both branches exercised
+
+
+def test_dead_branch_in_an_upstream_block_is_not_a_second_solution():
+    # Block {A, B} (A = B, B = A) has two local solutions.  Downstream, block
+    # {C, D} has the fixed point C = D = 0 when A = 0 and none when A = 1, so
+    # the model as a whole has exactly one solution.
+    bit = ("0", "1")
+    flip = {"0": "1", "1": "0"}
+    variables = tuple(VariableSpec(v, bit) for v in "RABCD")
+    noises = {v: point(v) for v in "RABCD"}
+    mechanisms = {
+        "R": MechanismTable.from_function("R", (), [], ("0",), lambda n: "0"),
+        "A": MechanismTable.from_function("A", ("B",), [bit], ("0",), lambda b, n: b),
+        "B": MechanismTable.from_function("B", ("A",), [bit], ("0",), lambda a, n: a),
+        "C": MechanismTable.from_function(
+            "C", ("A", "D"), [bit, bit], ("0",),
+            lambda a, d, n: "0" if a == "0" else flip[d],
+        ),
+        "D": MechanismTable.from_function("D", ("C",), [bit], ("0",), lambda c, n: c),
+    }
+    s = Scm(variables, "R", noises, mechanisms)
+    assert _condensation_order(s) == [("A", "B"), ("C", "D"), ("R",)]
+    table = solve_all(s)
+    assert table.values == (("0", "0", "0", "0", "0"),)
+    assert table.probabilities == (Fraction(1),)
+
+
+def _solve_outcome(s):
+    try:
+        t = solve_all(s)
+    except NotUniquelySolvableError as e:
+        return ("non-unique", sorted(e.noise_assignment.items()), e.solutions)
+    except UnsolvableModelError as e:
+        return ("unsolvable", sorted(e.noise_assignment.items()))
+    return ("solved", t.variables, t.noise_assignments, t.probabilities, t.values)
+
+
+# sha256 over the block order and solve outcome of every model of
+# `_pinned_models`: 1,911 solved, 256 unsolvable and 244 not uniquely solvable
+SOLVER_PIN = "45c3c7ac2c34456230d94a44dc27973acab3c8eb03883ed862818bd78aaa1a03"
+
+
+def _pinned_models():
+    for name in list_examples():
+        yield get_example(name)
+    rng = random.Random(7)
+    for _ in range(1500):
+        yield random_model(rng, rng.randint(2, 6), cyclic=rng.random() < 0.7)
+    for n in range(2, 8):
+        for k in range(150):
+            spec = RandomModelSpec(n_vars=n, seed=k)
+            yield _draw_model(random.Random(derive_seed(k, 0)), spec)
+
+
+def test_block_order_and_solve_outcomes_are_pinned():
+    h = hashlib.sha256()
+    for s in _pinned_models():
+        h.update(repr((_condensation_order(s), _solve_outcome(s))).encode())
+    assert h.hexdigest() == SOLVER_PIN
 
 
 def test_solved_model_regimes():
