@@ -260,6 +260,17 @@ def _require_key(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _require_pairs(doc: dict, key: str, where: str) -> list[tuple[str, str]]:
+    """The value of `key`: a list of [name, name] pairs."""
+    value = _require_key(doc, key, where)
+    if not isinstance(value, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(v, str) for v in p)
+        for p in value
+    ):
+        raise CliError("%s: key %r must be a list of [name, name] pairs" % (where, key))
+    return [tuple(p) for p in value]
+
+
 def _cmd_classify(args) -> int:
     where = "discovery report %r" % args.report
     try:
@@ -271,13 +282,17 @@ def _cmd_classify(args) -> int:
 
     context = _require_key(doc, "context", where)
     nodes = _require_key(doc, "nodes", where)
+    if not isinstance(nodes, list) or not all(isinstance(v, str) for v in nodes):
+        raise CliError("%s: key 'nodes' must be a list of names" % where)
     per_regime = _require_key(doc, "per_regime", where)
     if not isinstance(per_regime, dict) or not per_regime:
         raise CliError("%s: key 'per_regime' must be a non-empty object" % where)
     detect = {}
     for r, entry in per_regime.items():
-        pairs = _require_key(entry, "detect", "%s, regime %r" % (where, r))
-        detect[r] = UndirectedSkeleton(nodes, [tuple(p) for p in pairs])
+        at = "%s, regime %r" % (where, r)
+        if not isinstance(entry, dict):
+            raise CliError("%s: key 'per_regime' must map each regime to an object" % at)
+        detect[r] = UndirectedSkeleton(nodes, _require_pairs(entry, "detect", at))
 
     if args.mode == "oriented":
         if "union_directed" not in doc:
@@ -285,10 +300,9 @@ def _cmd_classify(args) -> int:
                 "%s has no key 'union_directed'; oriented mode needs the "
                 "directed pooled graph that exact-mode discover emits" % where
             )
-        pooled = DirectedGraph(nodes, [tuple(e) for e in doc["union_directed"]])
+        pooled = DirectedGraph(nodes, _require_pairs(doc, "union_directed", where))
     else:
-        pairs = _require_key(doc, "pooled_skeleton", where)
-        pooled = UndirectedSkeleton(nodes, [tuple(p) for p in pairs])
+        pooled = UndirectedSkeleton(nodes, _require_pairs(doc, "pooled_skeleton", where))
 
     report = classify_changes(
         pooled, detect, mode=args.mode, context=context, regimes=sorted(detect)

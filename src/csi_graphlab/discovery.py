@@ -79,14 +79,13 @@ class ExactTester:
 class SampleTester:
     """Answers independence queries from a dataset with the stratified G-test."""
 
-    def __init__(self, data: Dataset, alpha: float, context: str, min_expected: float = 5.0):
+    def __init__(self, data: Dataset, alpha: float, context: str):
         if context not in data.columns:
             raise DiscoveryError("context column %r not in dataset" % (context,))
         if not (0.0 < alpha < 1.0):
             raise DiscoveryError("alpha must be in (0, 1)")
         self._data = data
         self._alpha = alpha
-        self._min_expected = min_expected
         self.variables = data.columns
         self.context = context
         codes = sorted(set(data.column(context).tolist()))
@@ -94,10 +93,7 @@ class SampleTester:
 
     def test(self, x: str, y: str, z: Sequence[str] = (), regime: str | None = None) -> CiVerdict:
         q = CiQuery(x, y, tuple(z), regime)
-        return g_test(
-            self._data, q, self._alpha,
-            context=self.context, min_expected=self._min_expected,
-        )
+        return g_test(self._data, q, self._alpha, context=self.context)
 
 
 def _record(certs, x, y, z, regime, verdict):
@@ -191,16 +187,17 @@ def detect_graph(
     _require_regime(tester, regime)
     ctx = tester.context
     others = [v for v in tester.variables if v != ctx]
+    # checked before the first query: the context pairs have the largest pool
+    if others and 2 ** (len(others) - 1) > max_subsets:
+        raise DiscoveryError(
+            "conditioning-set search over %d variables exceeds max_subsets=%d"
+            % (len(others) - 1, max_subsets)
+        )
     queries = [(x, y, (None, regime)) for x, y in itertools.combinations(sorted(others), 2)]
     queries += [(ctx, y, (None,)) for y in sorted(others)]
     pairs = []
     for x, y, regimes in queries:
         pool = [v for v in others if v not in (x, y)]
-        if 2 ** len(pool) > max_subsets:
-            raise DiscoveryError(
-                "conditioning-set search over %d variables exceeds max_subsets=%d"
-                % (len(pool), max_subsets)
-            )
         hit = first_separator(tester.test, x, y, subsets(pool), regimes)
         if hit is None:
             pairs.append((x, y))

@@ -2,17 +2,19 @@
 
 Ground truth stays in `fractions.Fraction` end to end.  The solver
 enumerates candidate assignments per strongly connected block of the
-declared parent structure, walking blocks in condensation order with
-backtracking; this detects unsolvability and non-uniqueness exactly like
-whole-space enumeration (any failure or multiplicity shows up inside some
-block given its solved ancestors) at a fraction of the cost.
+declared parent structure, in condensation order.  For each noise assignment
+it runs one depth-first search over the blocks and stops at the second
+complete solution, so uniqueness is decided for the whole model, exactly as
+whole-space enumeration decides it: a block may have several local
+solutions as long as all but one die in later blocks.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -22,7 +24,7 @@ import numpy as np
 from .data import Dataset
 from .graphs import DirectedGraph
 from .rng import uniform_thresholds_index
-from .scm import Scm, ScmError
+from .scm import Scm, ScmError, validate_scm
 
 __all__ = [
     "SolveError",
@@ -126,15 +128,6 @@ class JointPmf:
         if len(set(self.scope)) != len(self.scope):
             raise DistributionError("duplicate names in scope")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JointPmf):
-            return NotImplemented
-        if self.scope == other.scope:
-            return self.table == other.table
-        if set(self.scope) != set(other.scope):
-            return False
-        return self.table == other.marginal(self.scope).table
-
     def _positions(self, names: Sequence[str]) -> list[int]:
         out = []
         for name in names:
@@ -208,29 +201,26 @@ def declared_graph(s: Scm) -> DirectedGraph:
 
 
 def _condensation_order(s: Scm) -> list[tuple[str, ...]]:
+    """Strongly connected blocks of the declared graph (as sorted name tuples)
+    in topological order; Kahn's algorithm, smallest ready block first."""
     g = declared_graph(s)
-    comp_of = g.scc_of()
-    # topological order of the condensation via repeated peeling
-    comp_list = sorted({tuple(sorted(c)) for c in comp_of.values()})
-    preds: dict[tuple[str, ...], set[tuple[str, ...]]] = {c: set() for c in comp_list}
-    member_comp = {m: tuple(sorted(comp_of[m])) for m in g.nodes}
+    block = {v: tuple(sorted(comp)) for v, comp in g.scc_of().items()}
+    succs: dict[tuple[str, ...], set[tuple[str, ...]]] = {b: set() for b in block.values()}
+    indeg = dict.fromkeys(succs, 0)
     for u, v in g.edges:
-        cu, cv = member_comp[u], member_comp[v]
-        if cu != cv:
-            preds[cv].add(cu)
+        if block[u] != block[v] and block[v] not in succs[block[u]]:
+            succs[block[u]].add(block[v])
+            indeg[block[v]] += 1
+    ready = [b for b, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     order: list[tuple[str, ...]] = []
-    ready = sorted(c for c in comp_list if not preds[c])
-    remaining = {c: set(ps) for c, ps in preds.items()}
-    done: set[tuple[str, ...]] = set()
     while ready:
-        c = ready.pop(0)
-        order.append(c)
-        done.add(c)
-        newly = sorted(
-            d for d in comp_list
-            if d not in done and d not in ready and remaining[d] <= done
-        )
-        ready = sorted(set(ready) | set(newly))
+        b = heapq.heappop(ready)
+        order.append(b)
+        for c in succs[b]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, c)
     return order
 
 
@@ -245,14 +235,15 @@ def _nominal_pairs(s: Scm, comp_order: list[tuple[str, ...]]) -> int:
 def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
     """Unique solution per positive-probability noise assignment, or raise.
 
+    Each noise assignment gets a full depth-first search over the blocks of
+    `_condensation_order`, stopped at the second complete solution; a local
+    solution of a block that no later block can extend is not a solution.
     Raises UnsolvableModelError / NotUniquelySolvableError with the witness
     noise assignment (and, for multiplicity, two distinct solutions), and
     ComplexityError when the noise cells times the candidates summed over the
     strongly connected blocks (each block's joint domain size) exceed
     `max_pairs`.
     """
-    from .scm import validate_scm
-
     problems = validate_scm(s)
     if problems:
         raise ScmError("invalid model: " + "; ".join(problems))
@@ -263,12 +254,29 @@ def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
             "nominal search space %d exceeds max_pairs=%d" % (nominal, max_pairs)
         )
     names = s.variable_names
-    mech = {v: s.mechanisms[v] for v in names}
+    mech = s.mechanisms
     domains = {v.name: v.domain for v in s.variables}
     supports = [s.noises[v].support for v in names]
-    noise_rows: list[tuple[str, ...]] = []
-    probs: list[Fraction] = []
-    values: list[tuple[str, ...]] = []
+
+    def walk(k: int, noise: dict[str, str], partial: dict[str, str]) -> Iterator[tuple[str, ...]]:
+        # Depth-first over the blocks from block k on.  A block reads only its
+        # own and earlier blocks, so values left by an abandoned branch are
+        # overwritten before they are read again.
+        while k < len(comp_order) and len(comp_order[k]) == 1:
+            v = comp_order[k][0]
+            partial[v] = mech[v].value(tuple(partial[p] for p in mech[v].parents), noise[v])
+            k += 1
+        if k == len(comp_order):
+            yield tuple(partial[v] for v in names)
+            return
+        comp = comp_order[k]
+        for cand in itertools.product(*(domains[v] for v in comp)):
+            partial.update(zip(comp, cand))
+            if all(
+                mech[v].value(tuple(partial[p] for p in mech[v].parents), noise[v]) == partial[v]
+                for v in comp
+            ):
+                yield from walk(k + 1, noise, partial)
 
     # row probabilities in itertools.product order, by prefix products
     row_probs = [Fraction(1)]
@@ -276,56 +284,23 @@ def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
         weights = [s.noises[v].probability(lbl) for lbl in support]
         row_probs = [p * w for p in row_probs for w in weights]
 
+    noise_rows: list[tuple[str, ...]] = []
+    probs: list[Fraction] = []
+    values: list[tuple[str, ...]] = []
     for noise, prob in zip(itertools.product(*supports), row_probs):
         nmap = dict(zip(names, noise))
-        sols: list[dict[str, str]] = []
-
-        def walk(k: int, partial: dict[str, str]) -> None:
-            if len(sols) >= 2:
-                return
-            if k == len(comp_order):
-                sols.append(dict(partial))
-                return
-            comp = comp_order[k]
-            if len(comp) == 1:
-                v = comp[0]
-                m = mech[v]
-                pa = tuple(partial[p] for p in m.parents)
-                partial[v] = m.value(pa, nmap[v])
-                walk(k + 1, partial)
-                del partial[v]
-                return
-            for cand in itertools.product(*(domains[m_] for m_ in comp)):
-                trial = dict(zip(comp, cand))
-                ok = True
-                for v in comp:
-                    m = mech[v]
-                    pa = tuple(trial[p] if p in trial else partial[p] for p in m.parents)
-                    if m.value(pa, nmap[v]) != trial[v]:
-                        ok = False
-                        break
-                if ok:
-                    partial.update(trial)
-                    walk(k + 1, partial)
-                    for v in comp:
-                        del partial[v]
-                    if len(sols) >= 2:
-                        return
-
-        walk(0, {})
-        if not sols:
+        found = tuple(itertools.islice(walk(0, nmap, {}), 2))
+        if not found:
             raise UnsolvableModelError(
                 "no solution for noise assignment %r" % (nmap,), nmap
             )
-        if len(sols) > 1:
+        if len(found) > 1:
             raise NotUniquelySolvableError(
-                "multiple solutions for noise assignment %r" % (nmap,),
-                nmap,
-                tuple(tuple(sol[v] for v in names) for sol in sols),
+                "multiple solutions for noise assignment %r" % (nmap,), nmap, found
             )
         noise_rows.append(noise)
         probs.append(prob)
-        values.append(tuple(sols[0][v] for v in names))
+        values.append(found[0])
 
     return SolutionTable(
         variables=names,
@@ -369,13 +344,14 @@ class SolvedModel:
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def of(cls, s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> "SolvedModel":
-        table = solve_all(s, max_pairs)
+    def of(cls, s: Scm) -> "SolvedModel":
+        table = solve_all(s)
+        noise_joint = noise_observable_joint(s, table)
         return cls(
             scm=s,
             table=table,
-            joint=joint_pmf(s, table),
-            noise_joint=noise_observable_joint(s, table),
+            joint=noise_joint.marginal(table.variables),
+            noise_joint=noise_joint,
         )
 
     @property
@@ -411,13 +387,5 @@ def draw_samples(s: Scm, n: int, seed: int, table: SolutionTable | None = None) 
     thr = np.array(thresholds, dtype=np.uint64)
     idx = uniform_thresholds_index(thr, seed, n)
     domains = {v.name: v.domain for v in s.variables}
-    code_of = {
-        v: {lbl: i for i, lbl in enumerate(domains[v])}
-        for v in table.variables
-    }
-    row_codes = np.array(
-        [[code_of[v][val] for v, val in zip(table.variables, vals)] for vals in table.values],
-        dtype=np.int64,
-    )
-    codes = row_codes[idx]
-    return Dataset(table.variables, domains, codes)
+    rows = Dataset.from_rows(table.variables, table.values, domains)
+    return Dataset(table.variables, domains, rows.codes[idx])

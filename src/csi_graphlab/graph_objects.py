@@ -18,7 +18,7 @@ are kept on the instance, next to its regimes.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 
 from .exact import JointPmf, SolvedModel, joint_pmf, noise_name
@@ -59,7 +59,7 @@ def mechanism_graph(s: Scm) -> DirectedGraph:
         grid = list(itertools.product(*(s.domain(p) for p in mech.parents)))
         noise_support = s.noises[v.name].support
         for i, x in enumerate(mech.parents):
-            if _varies_with(mech, grid, i, _others(len(mech.parents), i), noise_support):
+            if _varies_with(mech, grid, _others(len(mech.parents), i), noise_support, None):
                 edges.append((x, v.name))
     return DirectedGraph(s.variable_names, edges)
 
@@ -71,47 +71,49 @@ def _others(n: int, i: int) -> list[int]:
 def _varies_with(
     mech: MechanismTable,
     rows: list[tuple[str, ...]],
-    xi: int,
     key_idx: list[int],
     noise_support: tuple[str, ...],
-) -> bool:
-    """Does `mech` give two outputs under one noise label on rows that agree
-    on the `key_idx` coordinates and show at least two values at `xi`?"""
+    xi: int | None,
+) -> tuple[tuple[str, ...], tuple[str, ...], str] | None:
+    """First (row, row', label) on which `mech` gives two outputs under one
+    noise label, among rows that agree on the `key_idx` coordinates; None
+    when there is none.
+
+    Groups go in order of first appearance, labels in support order; row is
+    the group's first member and row' the first member whose output differs
+    from it.  With `xi` given, only groups showing two values at `xi` count.
+    """
     groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
     for w in rows:
         groups.setdefault(tuple(w[j] for j in key_idx), []).append(w)
-    for members in groups.values():
-        if len({w[xi] for w in members}) < 2:
+    for first, *rest in groups.values():
+        if not rest or (xi is not None and all(w[xi] == first[xi] for w in rest)):
             continue
         for n in noise_support:
-            first = mech.value(members[0], n)
-            if any(mech.value(w, n) != first for w in members[1:]):
-                return True
-    return False
+            out = mech.value(first, n)
+            for w in rest:
+                if mech.value(w, n) != out:
+                    return first, w, n
+    return None
 
 
-def observable_graph(
-    s: Scm,
-    q: JointPmf,
-    mechanisms: Mapping[str, MechanismTable] | None = None,
-) -> DirectedGraph:
+def observable_graph(s: Scm, q: JointPmf) -> DirectedGraph:
     """Edge X -> Y iff f_Y is non-constant in X on the support of q.
 
     Non-constancy means: two parent assignments in the support of q's
     marginal over Y's declared parents that differ only in X and give
     different outputs under a common positive-probability noise label.
     """
-    mechanisms = mechanisms if mechanisms is not None else s.mechanisms
     edges = []
     for v in s.variables:
         y = v.name
-        mech = mechanisms[y]
+        mech = s.mechanisms[y]
         if not mech.parents:
             continue
         sup = q.support(mech.parents)
         noise_support = s.noises[y].support
         for i, x in enumerate(mech.parents):
-            if _varies_with(mech, sup, i, _others(len(mech.parents), i), noise_support):
+            if _varies_with(mech, sup, _others(len(mech.parents), i), noise_support, None):
                 edges.append((x, y))
     return DirectedGraph(s.variable_names, edges)
 
@@ -153,7 +155,7 @@ def _build_descriptive(solved: SolvedModel, r: str) -> DirectedGraph:
     ctx = s.context_variable
     cut = intervene(s, ctx, r)
     cond = solved.joint.conditional({ctx: r})
-    barred = observable_graph(s, cond, mechanisms=cut.mechanisms)
+    barred = observable_graph(cut, cond)
     return _with_context_edges(barred, union_graph(solved), ctx)
 
 
@@ -194,7 +196,7 @@ def _build_physical(solved: SolvedModel, r: str) -> DirectedGraph:
         idx = [mech.parents.index(p) for p in cand]
         noise_support = s.noises[y].support
         for k, x in enumerate(cand):
-            if x != ctx and _varies_with(mech, rows, idx[k], idx[:k] + idx[k + 1:], noise_support):
+            if x != ctx and _varies_with(mech, rows, idx[:k] + idx[k + 1:], noise_support, idx[k]):
                 edges.append((x, y))
     barred = DirectedGraph(s.variable_names, edges)
     return _with_context_edges(barred, union, ctx)
@@ -215,8 +217,7 @@ def _build_counterfactual(solved: SolvedModel, r: str) -> DirectedGraph:
     s = solved.scm
     ctx = s.context_variable
     cut = intervene(s, ctx, r)
-    cut_joint = joint_pmf(cut)
-    barred = observable_graph(s, cut_joint, mechanisms=cut.mechanisms)
+    barred = observable_graph(cut, joint_pmf(cut))
     return _with_context_edges(barred, union_graph(solved), ctx)
 
 
@@ -264,30 +265,6 @@ def is_strongly_regime_acyclic(solved: SolvedModel) -> bool:
     return True
 
 
-def _reduction_scan(mech, keep_idx, rows, noise_support, clause, regime, out):
-    groups: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-    for row in rows:
-        groups.setdefault(tuple(row[j] for j in keep_idx), []).append(row)
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        for n in noise_support:
-            seen: dict[str, tuple[str, ...]] = {}
-            for row in members:
-                seen.setdefault(mech.value(row, n), row)
-                if len(seen) > 1:
-                    a, b = (seen[v] for v in list(seen)[:2])
-                    out.append({
-                        "variable": mech.variable,
-                        "clause": clause,
-                        "regime": regime,
-                        "visible_parents": [mech.parents[j] for j in keep_idx],
-                        "rows": [list(a), list(b)],
-                        "noise": n,
-                    })
-                    return
-
-
 def support_reduction_witnesses(solved: SolvedModel) -> list[dict]:
     """Mechanism evaluations that disagree across support rows sharing their
     visible-parent projection.
@@ -301,29 +278,35 @@ def support_reduction_witnesses(solved: SolvedModel) -> list[dict]:
     """
     s = solved.scm
     ctx = s.context_variable
-    union = union_graph(solved)
     out: list[dict] = []
+
+    def scan(mech: MechanismTable, visible: DirectedGraph, q: JointPmf, clause, regime):
+        y = mech.variable
+        keep = [i for i, p in enumerate(mech.parents) if p in visible.parents(y)]
+        hit = _varies_with(mech, q.support(mech.parents), keep, s.noises[y].support, None)
+        if hit is not None:
+            a, b, n = hit
+            out.append({
+                "variable": y,
+                "clause": clause,
+                "regime": regime,
+                "visible_parents": [mech.parents[j] for j in keep],
+                "rows": [list(a), list(b)],
+                "noise": n,
+            })
+
+    union = union_graph(solved)
     for v in s.variables:
-        y = v.name
-        mech = s.mechanisms[y]
-        if not mech.parents:
-            continue
-        keep = [i for i, p in enumerate(mech.parents) if p in union.parents(y)]
-        rows = solved.joint.support(mech.parents)
-        _reduction_scan(mech, keep, rows, s.noises[y].support, "pooled", None, out)
+        mech = s.mechanisms[v.name]
+        if mech.parents:
+            scan(mech, union, solved.joint, "pooled", None)
     for r in solved.regimes:
         descr = descriptive_graph(solved, r)
         cond = solved.joint.conditional({ctx: r})
         for v in s.variables:
-            y = v.name
-            mech = s.mechanisms[y]
-            if y == ctx or not mech.parents:
-                continue
-            keep = [i for i, p in enumerate(mech.parents) if p in descr.parents(y)]
-            rows = cond.support(mech.parents)
-            _reduction_scan(
-                mech, keep, rows, s.noises[y].support, "per_context", r, out
-            )
+            mech = s.mechanisms[v.name]
+            if v.name != ctx and mech.parents:
+                scan(mech, descr, cond, "per_context", r)
     return out
 
 

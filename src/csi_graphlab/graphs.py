@@ -219,12 +219,11 @@ class DirectedGraph:
 class UndirectedSkeleton:
     """Immutable undirected graph; adjacency pairs stored as sorted 2-tuples."""
 
-    __slots__ = ("_nodes", "_pairs", "_adj")
+    __slots__ = ("_nodes", "_pairs")
 
     def __init__(self, nodes: Iterable[str], pairs: Iterable[tuple[str, str]] = ()):
         self._nodes = _check_nodes(nodes)
         node_set = set(self._nodes)
-        adj: dict[str, set[str]] = {n: set() for n in self._nodes}
         pair_set: set[tuple[str, str]] = set()
         for a, b in pairs:
             if a not in node_set or b not in node_set:
@@ -233,10 +232,7 @@ class UndirectedSkeleton:
                 raise GraphError("self-adjacency on %r is not allowed" % (a,))
             lo, hi = sorted((a, b))
             pair_set.add((lo, hi))
-            adj[a].add(b)
-            adj[b].add(a)
         self._pairs = frozenset(pair_set)
-        self._adj = {n: frozenset(s) for n, s in adj.items()}
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -251,11 +247,6 @@ class UndirectedSkeleton:
 
     def adjacent(self, a: str, b: str) -> bool:
         return tuple(sorted((a, b))) in self._pairs
-
-    def neighbors(self, node: str) -> frozenset[str]:
-        if node not in self._adj:
-            raise GraphError("unknown node %r" % (node,))
-        return self._adj[node]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UndirectedSkeleton):

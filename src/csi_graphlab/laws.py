@@ -25,6 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .data import Dataset
 from .discovery import markov_check
 from .exact import (
     ComplexityError,
@@ -439,17 +440,19 @@ def check_noise_factorization(
     scaled = [[prior[j][lbl] for j, lbl in enumerate(row)] for row in noise_rows]
     # value and noise codes: ranks in sorted-label order, mixed radix with the
     # first variable most significant, so code order is sorted-tuple order
-    v_code, v_radix = _ranks(value_rows)
-    u_code, u_radix = _ranks(noise_rows)
+    v_data = Dataset.from_rows(names, value_rows)
+    u_data = Dataset.from_rows([noise_name(v) for v in names], noise_rows)
+    v_radix = [len(labels) for labels in v_data.categories.values()]
+    u_radix = [len(labels) for labels in u_data.categories.values()]
     v_span = math.prod(v_radix) * v_radix[ci]
     u_span = math.prod(u_radix)
     exact_int64 = (
         sum(abs(m) for m in mass) * math.prod(d) < 1 << 62 and v_span * u_span < 1 << 62
     )
     dt = np.int64 if exact_int64 else object
-    v_code = np.array(v_code, dtype=dt)
+    v_code = v_data.codes.astype(dt)
     v_weighted = v_code * np.array([math.prod(v_radix[j + 1:]) for j in range(n)], dtype=dt)
-    u_weighted = np.array(u_code, dtype=dt) * np.array(
+    u_weighted = u_data.codes.astype(dt) * np.array(
         [math.prod(u_radix[j + 1:]) for j in range(n)], dtype=dt
     )
     mass = np.array(mass, dtype=dt)
@@ -543,14 +546,6 @@ def check_noise_factorization(
                 # a walk ended early reports no unchecked sets
                 return _done("noise_factorization", wit)
     return _done("noise_factorization", wit, notes)
-
-
-def _ranks(rows: list[tuple[str, ...]]) -> tuple[list[list[int]], list[int]]:
-    """Per column, each label's rank among the column's sorted labels; and
-    the number of labels per column."""
-    columns = [sorted(set(col)) for col in zip(*rows)]
-    rank = [{lbl: k for k, lbl in enumerate(col)} for col in columns]
-    return [[rank[j][x] for j, x in enumerate(row)] for row in rows], [len(c) for c in columns]
 
 
 def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:

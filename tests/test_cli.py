@@ -194,6 +194,37 @@ def test_classify_input_validation(capsys, tmp_path):
     assert "union_directed" in err
     rc, _, _ = invoke(capsys, "classify", str(sample_like))
     assert rc == EXIT_OK
+    # malformed values exit 2 and name the key (and the regime, inside one)
+    good = {
+        "context": "R",
+        "nodes": ["R", "X"],
+        "pooled_skeleton": [["R", "X"]],
+        "union_directed": [["R", "X"]],
+        "per_regime": {"0": {"detect": [["R", "X"]]}},
+    }
+    cases = [
+        ({"per_regime": {"0": 5}}, "regime '0': key 'per_regime'"),
+        ({"per_regime": {"0": {"detect": [1]}}}, "regime '0': key 'detect'"),
+        ({"per_regime": {"0": {"detect": [["R"]]}}}, "regime '0': key 'detect'"),
+        ({"per_regime": {"0": {"detect": "RX"}}}, "regime '0': key 'detect'"),
+        ({"pooled_skeleton": [["R", 1]]}, "key 'pooled_skeleton'"),
+        ({"union_directed": 3}, "key 'union_directed'"),
+        ({"nodes": "RX"}, "key 'nodes'"),
+        ({"nodes": ["R", 1]}, "key 'nodes'"),
+    ]
+    for change, culprit in cases:
+        doc = tmp_path / "malformed.json"
+        doc.write_text(json.dumps({**good, **change}))
+        for mode in ("skeleton", "oriented"):
+            rc, _, err = invoke(capsys, "classify", str(doc), "--mode", mode)
+            if mode == "skeleton" and "union_directed" in change:
+                assert rc == EXIT_OK
+                continue
+            if mode == "oriented" and "pooled_skeleton" in change:
+                assert rc == EXIT_OK
+                continue
+            assert rc == EXIT_USAGE, (change, mode)
+            assert culprit in err, (change, mode, err)
 
 
 def transfer_csv(tmp_path):

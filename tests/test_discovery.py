@@ -100,6 +100,33 @@ def test_detect_graph_cap_and_unknown_regime():
         detect_graph(t, "9")
 
 
+class CountingTester:
+    """Forwards to a tester and counts the queries it answers."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.variables = inner.variables
+        self.context = inner.context
+        self.regimes = inner.regimes
+        self.queries = 0
+
+    def test(self, *args, **kwargs):
+        self.queries += 1
+        return self.inner.test(*args, **kwargs)
+
+
+def test_detect_graph_checks_the_cap_before_the_first_query():
+    # intro: the T-Y pool is empty and fits max_subsets=1; the context pairs'
+    # pool of one variable does not
+    t = CountingTester(ExactTester(solved("intro")))
+    certificates = []
+    with pytest.raises(DiscoveryError, match="over 1 variables exceeds max_subsets=1"):
+        detect_graph(t, "0", max_subsets=1, certificates=certificates)
+    assert t.queries == 0
+    assert certificates == []
+    assert pairs(detect_graph(t, "0", max_subsets=2)) == [("R", "T")]
+
+
 def test_union_from_contexts_recovers_union_when_faithful():
     m = solved("intro")
     t = ExactTester(m)
