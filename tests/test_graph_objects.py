@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from collections import Counter
 
 import pytest
@@ -5,7 +8,7 @@ import pytest
 from csi_graphlab import graph_objects, laws
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.discovery import markov_check
-from csi_graphlab.exact import SolvedModel
+from csi_graphlab.exact import SolvedModel, SolveError
 from csi_graphlab.graph_objects import (
     check_R_faithfulness,
     check_strong_R_faithfulness,
@@ -21,7 +24,9 @@ from csi_graphlab.graph_objects import (
     support_reduction_witnesses,
     union_graph,
 )
-from csi_graphlab.graphs import union_graphs
+from csi_graphlab.graphs import DirectedGraph, acyclify, union_graphs
+from csi_graphlab.laws import RandomModelSpec, _draw_model
+from csi_graphlab.rng import derive_seed
 from csi_graphlab.scm import ScmError
 
 
@@ -297,3 +302,59 @@ def test_faithfulness_verdicts():
     assert strong.rewrite_witnesses == [
         {"variable": "Y", "dropped": "X", "parents": ["R"]}
     ]
+
+
+def _graph_record(g):
+    return [
+        g.to_dot(),
+        g.skeleton().to_dot(),
+        sorted(sorted(c) for c in g.strongly_connected_components()),
+        {v: [sorted(g.ancestors([v])), sorted(g.descendants([v]))] for v in g.nodes},
+    ]
+
+
+def _pinned_solved_models():
+    for name in list_examples():
+        yield SolvedModel.of(get_example(name))
+    for n in range(2, 8):
+        for k in range(150):
+            s = _draw_model(random.Random(derive_seed(k, 0)), RandomModelSpec(n_vars=n, seed=k))
+            try:
+                yield SolvedModel.of(s)
+            except SolveError:
+                continue
+
+
+def _random_digraphs(count=2000):
+    rng = random.Random(11)
+    for _ in range(count):
+        names = ["N%d" % i for i in range(rng.randint(1, 9))]
+        pairs = [(a, b) for a in names for b in names if a != b]
+        yield DirectedGraph(names, [e for e in pairs if rng.random() < 0.25])
+
+
+# sha256 over `_graph_record` of every graph of `_pinned_solved_models` (the
+# mechanism, union and acyclified-union graphs and each regime's four
+# families) plus the weak and strong acyclicity flags, then over the records
+# of `_random_digraphs` (1,053 of the 2,000 cyclic)
+GRAPH_PIN = "5e288c503c555908ea5817085b367d22b4d3aaa7d4b527cfeb5da5e9fb9694b5"
+
+
+def test_graph_layer_is_pinned():
+    h = hashlib.sha256()
+    n_models = n_cyclic = 0
+    for m in _pinned_solved_models():
+        gt = ground_truth(m)
+        graphs = [gt.mechanism, gt.union, acyclify(gt.union)]
+        for r in gt.regimes:
+            rg = gt.per_regime[r]
+            graphs += [rg.descriptive, rg.physical, rg.counterfactual, rg.ident]
+        record = [[_graph_record(g) for g in graphs],
+                  gt.weakly_regime_acyclic, gt.strongly_regime_acyclic]
+        h.update(json.dumps(record, sort_keys=True).encode())
+        n_models += 1
+        n_cyclic += not gt.union.is_acyclic()
+    assert (n_models, n_cyclic) == (734, 4)
+    for g in _random_digraphs():
+        h.update(json.dumps(_graph_record(g), sort_keys=True).encode())
+    assert h.hexdigest() == GRAPH_PIN

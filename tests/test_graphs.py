@@ -277,6 +277,19 @@ def test_d_separation_matches_networkx(g, data):
     assert d_separated(g, x, y, z) == nx.is_d_separator(ref, {x}, {y}, set(z))
 
 
+@settings(max_examples=200, deadline=None)
+@given(g=small_digraphs())
+def test_sccs_match_networkx(g):
+    nx = pytest.importorskip("networkx")
+    ref = nx.DiGraph()
+    ref.add_nodes_from(g.nodes)
+    ref.add_edges_from(g.edges)
+    want = {frozenset(c) for c in nx.strongly_connected_components(ref)}
+    comps = g.strongly_connected_components()
+    assert len(comps) == len(want)
+    assert set(comps) == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(g=small_digraphs(), data=st.data())
 def test_ancestors_reflexive_and_idempotent(g, data):
