@@ -124,6 +124,10 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 # --- ground-truth --------------------------------------------------------------------
 
+# per-regime graph families in report order; without --full only the first two get DOT files
+_FAMILIES = ("descriptive", "physical", "counterfactual", "ident")
+
+
 def _cmd_ground_truth(args) -> int:
     gt = ground_truth(_load_model(args.scm, "model"))
 
@@ -133,32 +137,26 @@ def _cmd_ground_truth(args) -> int:
         "acyclified-union.dot": acyclify(gt.union).to_dot("acyclified-union"),
     }
     for r in gt.regimes:
-        rg = gt.per_regime[r]
-        dots["descriptive-%s.dot" % r] = rg.descriptive.to_dot("descriptive-%s" % r)
-        dots["physical-%s.dot" % r] = rg.physical.to_dot("physical-%s" % r)
-        if args.full:
-            dots["counterfactual-%s.dot" % r] = rg.counterfactual.to_dot(
-                "counterfactual-%s" % r
-            )
-            dots["ident-%s.dot" % r] = rg.ident.to_dot("ident-%s" % r)
+        for fam in _FAMILIES if args.full else _FAMILIES[:2]:
+            name = "%s-%s" % (fam, r)
+            dots[name + ".dot"] = getattr(gt.per_regime[r], fam).to_dot(name)
 
-    all_edges: set[tuple[str, str]] = set(gt.mechanism.edges) | set(gt.union.edges)
+    all_edges = gt.mechanism.edges | gt.union.edges
     for rg in gt.per_regime.values():
-        for g in (rg.descriptive, rg.physical, rg.counterfactual, rg.ident):
-            all_edges |= g.edges
-    table = []
-    for e in sorted(all_edges):
-        table.append({
+        for fam in _FAMILIES:
+            all_edges |= getattr(rg, fam).edges
+    table = [
+        {
             "edge": list(e),
             "mechanism": e in gt.mechanism.edges,
             "union": e in gt.union.edges,
-            "descriptive": {r: e in gt.per_regime[r].descriptive.edges for r in gt.regimes},
-            "physical": {r: e in gt.per_regime[r].physical.edges for r in gt.regimes},
-            "counterfactual": {
-                r: e in gt.per_regime[r].counterfactual.edges for r in gt.regimes
+            **{
+                fam: {r: e in getattr(gt.per_regime[r], fam).edges for r in gt.regimes}
+                for fam in _FAMILIES
             },
-            "ident": {r: e in gt.per_regime[r].ident.edges for r in gt.regimes},
-        })
+        }
+        for e in sorted(all_edges)
+    ]
 
     doc = {
         "command": "ground-truth",

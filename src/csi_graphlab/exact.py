@@ -368,23 +368,21 @@ class SolvedModel:
 def draw_samples(s: Scm, n: int, seed: int, table: SolutionTable | None = None) -> Dataset:
     """n iid rows from the observable joint, deterministic in (model, n, seed).
 
-    Exact inverse-CDF over the noise assignments: cumulative Fractions are
-    turned into ceil(c * 2**64) integer thresholds once, then each SplitMix64
-    draw z (u = z / 2**64) picks the first cell with u below its boundary.
+    Exact inverse-CDF over the noise assignments: with D the lcm of the
+    probabilities' denominators, the integer prefix sums C of p * D give the
+    thresholds ceil(C * 2**64 / D) once, then each SplitMix64 draw z
+    (u = z / 2**64) picks the first cell with u below its boundary.
     """
     if n < 0:
         raise ScmError("sample count must be nonnegative")
     table = table if table is not None else solve_all(s)
     if not table.noise_assignments:
         raise DistributionError("model has no positive-probability noise assignment")
-    cum = Fraction(0)
-    thresholds = []
-    for prob in table.probabilities[:-1]:
-        cum += prob
-        scaled = cum * (1 << 64)
-        t = -(-scaled.numerator // scaled.denominator)  # ceil
-        thresholds.append(min(t, (1 << 64) - 1))
-    thr = np.array(thresholds, dtype=np.uint64)
+    probs = table.probabilities
+    d = math.lcm(*(p.denominator for p in probs))
+    prefix = itertools.accumulate(p.numerator * (d // p.denominator) for p in probs[:-1])
+    top = (1 << 64) - 1
+    thr = np.array([min(-(-(c << 64) // d), top) for c in prefix], dtype=np.uint64)
     idx = uniform_thresholds_index(thr, seed, n)
     domains = {v.name: v.domain for v in s.variables}
     rows = Dataset.from_rows(table.variables, table.values, domains)

@@ -11,8 +11,9 @@ variable are carried over from the pooled visible graph by convention; in
 the counterfactual graph they are annotations, not claims.
 
 Every graph of one solve is derived from a `SolvedModel` and computed at
-most once per instance: the union graph and the four per-regime families
-are kept on the instance, next to its regimes.
+most once per instance: the union graph, the four per-regime families and
+the weak and strong regime-acyclicity flags are kept on the instance, next
+to its regimes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .exact import JointPmf, SolvedModel, joint_pmf, noise_name
 from .graphs import DirectedGraph
@@ -30,7 +32,6 @@ __all__ = [
     "mechanism_graph",
     "observable_graph",
     "union_graph",
-    "visible_context_edges",
     "descriptive_graph",
     "physical_graph",
     "counterfactual_graph",
@@ -46,6 +47,8 @@ __all__ = [
     "check_strong_R_faithfulness",
 ]
 
+T = TypeVar("T")
+
 
 def mechanism_graph(s: Scm) -> DirectedGraph:
     """Edge X -> Y iff f_Y is non-constant in X over the full parent grid.
@@ -53,19 +56,27 @@ def mechanism_graph(s: Scm) -> DirectedGraph:
     Noise labels with probability zero are ignored: they cannot ever matter
     to the solved model.
     """
+    return _visible_edges(
+        s, lambda mech: list(itertools.product(*(s.domain(p) for p in mech.parents)))
+    )
+
+
+def _visible_edges(
+    s: Scm, rows_of: Callable[[MechanismTable], list[tuple[str, ...]]]
+) -> DirectedGraph:
+    """Edge X -> Y iff f_Y gives two outputs under one noise label on two rows
+    of `rows_of(f_Y)` (assignments to Y's declared parents) that differ only in X."""
     edges = []
     for v in s.variables:
         mech = s.mechanisms[v.name]
-        grid = list(itertools.product(*(s.domain(p) for p in mech.parents)))
-        noise_support = s.noises[v.name].support
+        if not mech.parents:
+            continue
+        rows = rows_of(mech)
         for i, x in enumerate(mech.parents):
-            if _varies_with(mech, grid, _others(len(mech.parents), i), noise_support, None):
+            others = [j for j in range(len(mech.parents)) if j != i]
+            if _varies_with(mech, rows, others, s.noises[v.name].support, None):
                 edges.append((x, v.name))
     return DirectedGraph(s.variable_names, edges)
-
-
-def _others(n: int, i: int) -> list[int]:
-    return [j for j in range(n) if j != i]
 
 
 def _varies_with(
@@ -104,23 +115,10 @@ def observable_graph(s: Scm, q: JointPmf) -> DirectedGraph:
     marginal over Y's declared parents that differ only in X and give
     different outputs under a common positive-probability noise label.
     """
-    edges = []
-    for v in s.variables:
-        y = v.name
-        mech = s.mechanisms[y]
-        if not mech.parents:
-            continue
-        sup = q.support(mech.parents)
-        noise_support = s.noises[y].support
-        for i, x in enumerate(mech.parents):
-            if _varies_with(mech, sup, _others(len(mech.parents), i), noise_support, None):
-                edges.append((x, y))
-    return DirectedGraph(s.variable_names, edges)
+    return _visible_edges(s, lambda mech: q.support(mech.parents))
 
 
-def _once(
-    solved: SolvedModel, key: Hashable, build: Callable[[], DirectedGraph]
-) -> DirectedGraph:
+def _once(solved: SolvedModel, key: Hashable, build: Callable[[], T]) -> T:
     """`build()`, computed once per solved model; a raising build stores nothing."""
     cache = solved._derived
     if key not in cache:
@@ -133,15 +131,11 @@ def union_graph(solved: SolvedModel) -> DirectedGraph:
     return _once(solved, "union", lambda: observable_graph(solved.scm, solved.joint))
 
 
-def visible_context_edges(union: DirectedGraph, context: str) -> list[tuple[str, str]]:
-    return [e for e in union.sorted_edges() if context in e]
-
-
 def _with_context_edges(
     g: DirectedGraph, union: DirectedGraph, context: str
 ) -> DirectedGraph:
-    edges = set(g.edges) | set(visible_context_edges(union, context))
-    return DirectedGraph(g.nodes, edges)
+    """`g` plus the pooled edges touching the context."""
+    return DirectedGraph(g.nodes, g.edges | {e for e in union.edges if context in e})
 
 
 def descriptive_graph(solved: SolvedModel, r: str) -> DirectedGraph:
@@ -250,19 +244,24 @@ def _require_regime(solved: SolvedModel, r: str) -> None:
 
 def is_weakly_regime_acyclic(solved: SolvedModel) -> bool:
     """Every per-context descriptive graph is acyclic."""
-    return all(descriptive_graph(solved, r).is_acyclic() for r in solved.regimes)
+    return _once(solved, "weakly_acyclic", lambda: all(
+        descriptive_graph(solved, r).is_acyclic() for r in solved.regimes
+    ))
 
 
 def is_strongly_regime_acyclic(solved: SolvedModel) -> bool:
     """Weakly regime-acyclic and no pooled cycle touches an ancestor of the context."""
+    return _once(solved, "strongly_acyclic", lambda: _strong(solved))
+
+
+def _strong(solved: SolvedModel) -> bool:
     if not is_weakly_regime_acyclic(solved):
         return False
     union = union_graph(solved)
     anc = union.ancestors({solved.scm.context_variable})
-    for comp in union.strongly_connected_components():
-        if len(comp) > 1 and comp & anc:
-            return False
-    return True
+    return not any(
+        len(comp) > 1 and comp & anc for comp in union.strongly_connected_components()
+    )
 
 
 def support_reduction_witnesses(solved: SolvedModel) -> list[dict]:

@@ -1,8 +1,10 @@
 """Directed graphs over named nodes.
 
 Small immutable graph objects plus the handful of structural operations the
-rest of the package leans on: reflexive ancestry, strongly connected
-components, acyclification, d-separation and DOT rendering.
+rest of the package leans on: reflexive ancestry (one closure walk over
+parents or children), strongly connected components (each one the set of
+nodes both reachable from and reaching its first member), acyclification,
+d-separation and DOT rendering.
 """
 
 from __future__ import annotations
@@ -88,85 +90,37 @@ class DirectedGraph:
         if node not in self._parents:
             raise GraphError("unknown node %r" % (node,))
 
-    def ancestors(self, seeds: Iterable[str]) -> frozenset[str]:
-        """Reflexive ancestor set: the seeds plus everything with a directed path into them."""
-        frontier = deque()
+    def _closure(self, seeds: Iterable[str], step: dict[str, frozenset[str]]) -> frozenset[str]:
+        """The seeds plus every node reached from them along `step` (parents or children)."""
         seen: set[str] = set()
         for s in seeds:
             self._require(s)
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
+            seen.add(s)
+        frontier = deque(seen)
         while frontier:
-            v = frontier.popleft()
-            for p in self._parents[v]:
-                if p not in seen:
-                    seen.add(p)
-                    frontier.append(p)
+            for w in step[frontier.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
         return frozenset(seen)
+
+    def ancestors(self, seeds: Iterable[str]) -> frozenset[str]:
+        """Reflexive ancestor set: the seeds plus everything with a directed path into them."""
+        return self._closure(seeds, self._parents)
 
     def descendants(self, seeds: Iterable[str]) -> frozenset[str]:
         """Reflexive descendant set."""
-        frontier = deque()
-        seen: set[str] = set()
-        for s in seeds:
-            self._require(s)
-            if s not in seen:
-                seen.add(s)
-                frontier.append(s)
-        while frontier:
-            v = frontier.popleft()
-            for c in self._children[v]:
-                if c not in seen:
-                    seen.add(c)
-                    frontier.append(c)
-        return frozenset(seen)
+        return self._closure(seeds, self._children)
 
     def strongly_connected_components(self) -> list[frozenset[str]]:
-        """Tarjan's algorithm, iterative; components in a deterministic order."""
-        index: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
+        """Mutually reachable node sets, in node-list order of their first member."""
         comps: list[frozenset[str]] = []
-        counter = 0
-        for root in self._nodes:
-            if root in index:
-                continue
-            work: list[tuple[str, Iterable[str]]] = [(root, iter(sorted(self._children[root])))]
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                v, it = work[-1]
-                advanced = False
-                for w in it:
-                    if w not in index:
-                        index[w] = low[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, iter(sorted(self._children[w]))))
-                        advanced = True
-                        break
-                    if w in on_stack:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp = set()
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.add(w)
-                        if w == v:
-                            break
-                    comps.append(frozenset(comp))
+        placed: set[str] = set()
+        for v in self._nodes:
+            if v not in placed:
+                comp = self._closure([v], self._parents) & self._closure([v], self._children)
+                placed |= comp
+                comps.append(comp)
         return comps
 
     def scc_of(self) -> dict[str, frozenset[str]]:
@@ -207,13 +161,7 @@ class DirectedGraph:
 
     def to_dot(self, name: str = "G") -> str:
         """Render as DOT, one node or edge per line, lexicographic order (byte-stable)."""
-        lines = ["digraph \"%s\" {" % name]
-        for n in sorted(self._nodes):
-            lines.append("  \"%s\";" % n)
-        for u, v in self.sorted_edges():
-            lines.append("  \"%s\" -> \"%s\";" % (u, v))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot("digraph", "->", name, self._nodes, self.sorted_edges())
 
 
 class UndirectedSkeleton:
@@ -260,13 +208,18 @@ class UndirectedSkeleton:
         return "UndirectedSkeleton(nodes=%r, pairs=%r)" % (list(self._nodes), self.sorted_pairs())
 
     def to_dot(self, name: str = "G") -> str:
-        lines = ["graph \"%s\" {" % name]
-        for n in sorted(self._nodes):
-            lines.append("  \"%s\";" % n)
-        for a, b in self.sorted_pairs():
-            lines.append("  \"%s\" -- \"%s\";" % (a, b))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot("graph", "--", name, self._nodes, self.sorted_pairs())
+
+
+def _dot(
+    kind: str, arrow: str, name: str, nodes: Iterable[str], pairs: list[tuple[str, str]]
+) -> str:
+    """DOT text, one node or pair per line, in the order given (nodes sorted)."""
+    lines = ['%s "%s" {' % (kind, name)]
+    lines += ['  "%s";' % n for n in sorted(nodes)]
+    lines += ['  "%s" %s "%s";' % (u, arrow, v) for u, v in pairs]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def union_graphs(graphs: Iterable[DirectedGraph]) -> DirectedGraph:
@@ -295,19 +248,10 @@ def acyclify(g: DirectedGraph) -> DirectedGraph:
     """
     comp_of = g.scc_of()
     edges: set[tuple[str, str]] = set()
-    ext_parents: dict[frozenset[str], set[str]] = {}
-    for comp in set(comp_of.values()):
-        ps: set[str] = set()
-        for m in comp:
-            ps |= g.parents(m)
-        ext_parents[comp] = ps - comp
     for v in g.nodes:
         comp = comp_of[v]
-        for m in comp:
-            if m != v:
-                edges.add((m, v))
-        for p in ext_parents[comp]:
-            edges.add((p, v))
+        parents = comp.union(*(g.parents(m) for m in comp))
+        edges.update((p, v) for p in parents if p != v)
     return DirectedGraph(g.nodes, edges)
 
 

@@ -14,7 +14,9 @@ Each replicate draws its counts from its own seed stream into a
 (replicates, strata, x, y) stack, and one call of the stacked G-test kernel
 decides a whole chunk of replicates.  A chunk holds at most `_CELL_BUDGET`
 table cells (or one replicate, if a single table is larger), so memory does
-not grow with K.
+not grow with K.  A replicate table spans every (z, x, y) code, seen or not,
+so a code space above `_TABLE_BUDGET` cells is rejected before any array is
+built.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
 
 # table cells the replicates of one kernel call may hold together
 _CELL_BUDGET = 1 << 18
+# cells of one replicate's (z, x, y) table; a wider code space is rejected
+_TABLE_BUDGET = 1 << 20
 
 
 class TransferError(ValueError):
@@ -124,6 +128,14 @@ def transfer_evidence(
 
     n_x = len(data.labels(x))
     n_y = len(data.labels(y))
+    table_cells = n_x * n_y
+    for c in z:
+        table_cells *= len(data.labels(c))
+    if table_cells > _TABLE_BUDGET:
+        raise TransferError(
+            "the (z, x, y) code space over %s has %d cells, more than _TABLE_BUDGET = %d "
+            "per replicate table" % (", ".join((*z, x, y)), table_cells, _TABLE_BUDGET)
+        )
     # every (z, x) code, seen or not: the replicate draws depend on the layout
     ids, n_cells = _stratum_ids(data, (*z, x), np.ones(data.n_rows, dtype=bool))
     n_strata = n_cells // n_x

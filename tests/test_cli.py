@@ -10,6 +10,7 @@ import pytest
 import csi_graphlab
 from csi_graphlab.cli import EXIT_LAW_FAILURE, EXIT_OK, EXIT_USAGE, main
 from csi_graphlab.corpus import get_example, list_examples
+from csi_graphlab.data import Dataset
 from csi_graphlab.exact import draw_samples
 from csi_graphlab.laws import SuiteSummary
 from csi_graphlab.scm import load_scm, serialize_scm
@@ -273,6 +274,20 @@ def test_transfer_bad_column_names_it(capsys, tmp_path):
                         "--r0", "0", "--context", "C")
     assert rc == EXIT_USAGE
     assert "'Q'" in err
+
+
+def test_transfer_over_the_table_budget_exits_2(capsys, tmp_path):
+    rows = [
+        (str(i % 2), str(i % 10), str(i // 10 % 10), str(i % 103), str(7 * i % 103))
+        for i in range(206)
+    ]
+    path = tmp_path / "wide.csv"
+    path.write_text(Dataset.from_rows(["R", "X", "Y", "Z0", "Z1"], rows).to_csv())
+    rc, out, err = invoke(capsys, "transfer-test", str(path), "--x", "X", "--y", "Y",
+                          "--z", "Z0,Z1", "--r0", "0", "--K", "5")
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert "_TABLE_BUDGET" in err and "1060900 cells" in err
 
 
 def test_sample_matches_the_library(capsys, tmp_path):

@@ -3,8 +3,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from csi_graphlab import exact
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.exact import (
     ComplexityError,
@@ -20,8 +22,9 @@ from csi_graphlab.exact import (
     noise_observable_joint,
     solve_all,
 )
-from csi_graphlab.laws import RandomModelSpec, _draw_model
-from csi_graphlab.rng import derive_seed
+from csi_graphlab.data import Dataset
+from csi_graphlab.laws import RandomModelSpec, _draw_model, random_scm
+from csi_graphlab.rng import derive_seed, uniform_thresholds_index
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
 
 H = Fraction(1, 2)
@@ -319,6 +322,40 @@ def test_draw_samples_respects_joint_support():
         for i in range(d.codes.shape[0])
     }
     assert seen <= set(INTRO_JOINT)
+
+
+def _reference_thresholds(table):
+    """`draw_samples`' inverse-CDF thresholds from a running Fraction sum."""
+    cum = Fraction(0)
+    thresholds = []
+    for prob in table.probabilities[:-1]:
+        cum += prob
+        scaled = cum * (1 << 64)
+        thresholds.append(min(-(-scaled.numerator // scaled.denominator), (1 << 64) - 1))
+    return np.array(thresholds, dtype=np.uint64)
+
+
+def test_draw_samples_matches_the_fraction_reference(monkeypatch):
+    seen = []
+
+    def recording(thr, seed, n):
+        seen.append(thr)
+        return uniform_thresholds_index(thr, seed, n)
+
+    monkeypatch.setattr(exact, "uniform_thresholds_index", recording)
+    models = [get_example(name) for name in list_examples()]
+    models += [random_scm(RandomModelSpec(n_vars=n, seed=k)).scm
+               for n in range(2, 7) for k in range(10)]
+    assert len(models) == len(list_examples()) + 50
+    for s in models:
+        table = solve_all(s)
+        want = _reference_thresholds(table)
+        domains = {v.name: v.domain for v in s.variables}
+        rows = Dataset.from_rows(table.variables, table.values, domains).codes
+        for n, seed in ((1, 0), (300, 5), (2000, 11)):
+            got = draw_samples(s, n, seed, table)
+            assert (seen.pop() == want).all()
+            assert (got.codes == rows[uniform_thresholds_index(want, seed, n)]).all()
 
 
 def test_draw_samples_empty():

@@ -212,3 +212,29 @@ def test_replicate_chunks_stay_under_the_cell_budget(monkeypatch):
     assert runs[1 << 30].details["unseen_cell_rows"] > 0
     assert runs[1 << 30].estimated_power_under_null >= 0.9
     assert runs[1 << 30] == runs[3000] == runs[0]
+
+
+def wide_data(z_labels):
+    """Two z columns with `z_labels` labels each, 10-label x and y."""
+    rows = [
+        (str(i % 2), str(i % 10), str(i // 10 % 10), str(i % z_labels), str(7 * i % z_labels))
+        for i in range(2 * z_labels)
+    ]
+    return Dataset.from_rows(["R", "X", "Y", "Z0", "Z1"], rows)
+
+
+def test_code_space_over_the_table_budget_is_rejected_before_allocating(monkeypatch):
+    data = wide_data(103)  # 103 * 103 * 10 * 10 = 1,060,900 cells
+    cfg = TransferConfig(K=2, N=100, alpha=0.05, seed=1)
+    real = transfer._stratum_ids
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("arrays sized before the budget check")
+
+    monkeypatch.setattr(transfer, "_stratum_ids", no_allocation)
+    with pytest.raises(TransferError, match=r"Z0, Z1, X, Y has 1060900 cells.*_TABLE_BUDGET"):
+        transfer_evidence(data, "X", "Y", ("Z0", "Z1"), "0", cfg, context="R")
+    monkeypatch.setattr(transfer, "_stratum_ids", real)
+    under = wide_data(102)  # 1,040,400 cells
+    verdict = transfer_evidence(under, "X", "Y", ("Z0", "Z1"), "0", cfg, context="R")
+    assert len(verdict.details["per_replicate_p_values"]) == 2
