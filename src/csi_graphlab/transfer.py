@@ -21,6 +21,7 @@ built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,9 +129,7 @@ def transfer_evidence(
 
     n_x = len(data.labels(x))
     n_y = len(data.labels(y))
-    table_cells = n_x * n_y
-    for c in z:
-        table_cells *= len(data.labels(c))
+    table_cells = math.prod(len(data.labels(c)) for c in (*z, x, y))
     if table_cells > _TABLE_BUDGET:
         raise TransferError(
             "the (z, x, y) code space over %s has %d cells, more than _TABLE_BUDGET = %d "
