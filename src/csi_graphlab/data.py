@@ -1,4 +1,10 @@
-"""Tabular categorical datasets: integer codes plus per-column label sets."""
+"""Tabular categorical datasets: integer codes plus per-column label sets.
+
+A dataset holds one row per sample, or, once `Dataset.tabulate` has
+compressed it, its distinct rows with an integer multiplicity each in
+`counts`.  `_stratum_ids` is the one mixed-radix encoder of rows: the count
+table, the G-test and the transfer test all number their cells with it.
+"""
 
 from __future__ import annotations
 
@@ -21,12 +27,40 @@ def _require_unique(columns: tuple[str, ...]) -> None:
             raise DataError("duplicate column name %r" % (c,))
 
 
+def _stratum_ids(
+    data: "Dataset", cols: tuple[str, ...], mask: np.ndarray, observed: bool = False
+) -> tuple[np.ndarray, int]:
+    """Mixed-radix code of the `cols` values of each masked row, and the
+    number of codes (all codes 0 and one code if no cols).
+
+    With `observed`, the codes are renumbered after each column to their
+    ranks among the codes the masked rows show, which keeps the code order,
+    counts only the value tuples that occur and keeps every code below
+    rows * labels.
+    """
+    ids = np.zeros(int(mask.sum()), dtype=np.int64)
+    n = 1
+    for c in cols:
+        size = len(data.labels(c))
+        ids = ids * size + data.column(c)[mask]
+        n *= size
+        if observed:
+            present = np.bincount(ids, minlength=n) > 0
+            ids = (np.cumsum(present) - 1)[ids]
+            n = int(np.count_nonzero(present))
+    return ids, n
+
+
 class Dataset:
     """Rows of category labels stored as integer codes.
 
     `categories[col]` fixes the code -> label mapping for a column; codes are
     positions in that tuple.  The category universe may be wider than the
     observed values (e.g. the generating model's domain).
+
+    `counts` is None when every row is one sample; otherwise row i stands for
+    `counts[i]` >= 1 samples, as in the count table `tabulate` returns.
+    `n_rows` and `column` always speak of the stored rows.
     """
 
     def __init__(
@@ -34,6 +68,7 @@ class Dataset:
         columns: Sequence[str],
         categories: Mapping[str, Sequence[str]],
         codes: np.ndarray,
+        counts: np.ndarray | None = None,
     ):
         self.columns = tuple(columns)
         _require_unique(self.columns)
@@ -47,7 +82,14 @@ class Dataset:
                 raise DataError("column %r has no categories" % (c,))
             if codes.shape[0] and (codes[:, j].min() < 0 or codes[:, j].max() >= k):
                 raise DataError("column %r has codes outside 0..%d" % (c, k - 1))
+        if counts is not None:
+            counts = np.asarray(counts, dtype=np.int64)
+            if counts.shape != (codes.shape[0],):
+                raise DataError("counts must hold one entry per row")
+            if codes.shape[0] and counts.min() < 1:
+                raise DataError("counts must be positive")
         self.codes = codes
+        self.counts = counts
 
     @property
     def n_rows(self) -> int:
@@ -97,14 +139,17 @@ class Dataset:
             for c in columns
         }
         codes = np.empty((len(rows), len(columns)), dtype=np.int64)
-        for i, r in enumerate(rows):
-            for j, c in enumerate(columns):
-                try:
-                    codes[i, j] = index[c][r[j]]
-                except KeyError:
-                    raise DataError(
-                        "row %d: label %r not among categories of column %r" % (i, r[j], c)
-                    ) from None
+        try:
+            for j, (c, values) in enumerate(zip(columns, zip(*rows))):
+                codes[:, j] = np.fromiter(map(index[c].__getitem__, values), np.int64, len(rows))
+        except KeyError:
+            # name the first unknown label in row-major order
+            for i, r in enumerate(rows):
+                for j, c in enumerate(columns):
+                    if r[j] not in index[c]:
+                        raise DataError(
+                            "row %d: label %r not among categories of column %r" % (i, r[j], c)
+                        ) from None
         return cls(columns, categories, codes)
 
     @classmethod
@@ -126,9 +171,25 @@ class Dataset:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.columns)
         cats = [self.categories[c] for c in self.columns]
-        for row in self.codes:
+        rows = self.codes if self.counts is None else np.repeat(self.codes, self.counts, axis=0)
+        for row in rows:
             writer.writerow([cats[j][row[j]] for j in range(len(self.columns))])
         return out.getvalue()
 
     def restrict(self, mask: np.ndarray) -> "Dataset":
-        return Dataset(self.columns, self.categories, self.codes[mask])
+        counts = None if self.counts is None else self.counts[mask]
+        return Dataset(self.columns, self.categories, self.codes[mask], counts)
+
+    def tabulate(self) -> "Dataset":
+        """The count table: the distinct rows in code order, with `counts`.
+
+        Rows are numbered by their observed ranks over every column, which
+        stay below `n_rows` however wide the code space is, and counted with
+        one `bincount` (weighted by `counts` if already set).
+        """
+        ranks, n = _stratum_ids(self, self.columns, np.ones(self.n_rows, dtype=bool),
+                                observed=True)
+        codes = np.empty((n, len(self.columns)), dtype=np.int64)
+        codes[ranks] = self.codes
+        counts = np.bincount(ranks, weights=self.counts, minlength=n).astype(np.int64)
+        return Dataset(self.columns, self.categories, codes, counts)

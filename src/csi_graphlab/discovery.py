@@ -1,7 +1,8 @@
 """Skeleton discovery from pooled and per-context independence tests.
 
 Two testers answer the same query surface: `ExactTester` against the exact
-rational joint, `SampleTester` against a dataset with a G-test.  On top of
+rational joint, `SampleTester` against a dataset with a G-test, answered
+from a count table built once, with a memo on the exact query.  On top of
 them sit a deterministic PC-style skeleton search (pooled or masked to one
 context value), the exhaustive per-context detection skeleton, and the
 executable Markov check that verifies each designated separating set on the
@@ -77,23 +78,32 @@ class ExactTester:
 
 
 class SampleTester:
-    """Answers independence queries from a dataset with the stratified G-test."""
+    """Answers independence queries from a dataset with the stratified G-test.
+
+    The dataset is compressed once into its count table (`Dataset.tabulate`),
+    which gives every query the verdict of the raw rows.  Verdicts are
+    memoized on the exact query: (x, y) order and z order both count, since
+    the G statistic's float sum follows them.
+    """
 
     def __init__(self, data: Dataset, alpha: float, context: str):
         if context not in data.columns:
             raise DiscoveryError("context column %r not in dataset" % (context,))
         if not (0.0 < alpha < 1.0):
             raise DiscoveryError("alpha must be in (0, 1)")
-        self._data = data
+        self._table = data.tabulate()
         self._alpha = alpha
+        self._memo: dict[CiQuery, CiVerdict] = {}
         self.variables = data.columns
         self.context = context
-        codes = sorted(set(data.column(context).tolist()))
+        codes = sorted(set(self._table.column(context).tolist()))
         self.regimes = tuple(data.labels(context)[c] for c in codes)
 
     def test(self, x: str, y: str, z: Sequence[str] = (), regime: str | None = None) -> CiVerdict:
         q = CiQuery(x, y, tuple(z), regime)
-        return g_test(self._data, q, self._alpha, context=self.context)
+        if q not in self._memo:
+            self._memo[q] = g_test(self._table, q, self._alpha, context=self.context)
+        return self._memo[q]
 
 
 def _record(certs, x, y, z, regime, verdict):

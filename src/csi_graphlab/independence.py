@@ -1,14 +1,17 @@
 """Conditional independence tests: exact rational oracle and a stratified G-test.
 
 The exact oracle reads its strata from `JointPmf.strata` and decides each
-with `exact.first_dependence`.  `_stratum_ids` is the one mixed-radix
-encoder of sampled rows; the transfer test uses it too.
+with `exact.first_dependence`.
 
 Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
 an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
 returns K verdicts from array operations alone.  `g_test` passes one test
-(K = 1) whose observed strata are counted with a single `bincount`; the
-transfer test passes its replicates in chunks of bounded size.
+(K = 1) whose observed strata are numbered by `data._stratum_ids` and counted
+with a single `bincount`, weighted by the dataset's `counts` when it is a
+count table.  A count table built once (`Dataset.tabulate`) gives the same
+tables as the raw rows at a fraction of the rows to scan; the discovery
+tester builds it once and keeps a memo on the exact query.  The transfer
+test passes its replicates in chunks of bounded size.
 
 Separating sets are searched for in one place, `first_separator`: given a
 test and an ordered sequence of conditioning sets (usually from `subsets`),
@@ -29,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import chdtrc
 
-from .data import DataError, Dataset
+from .data import DataError, Dataset, _stratum_ids
 from .exact import JointPmf, first_dependence
 
 __all__ = [
@@ -161,30 +164,6 @@ def first_separator(
     return None
 
 
-def _stratum_ids(
-    data: Dataset, cols: tuple[str, ...], mask: np.ndarray, observed: bool = False
-) -> tuple[np.ndarray, int]:
-    """Mixed-radix code of the `cols` values of each masked row, and the
-    number of codes (all codes 0 and one code if no cols).
-
-    With `observed`, the codes are renumbered after each column to their
-    ranks among the codes the masked rows show, which keeps the code order,
-    counts only the value tuples that occur and keeps every code below
-    rows * labels.
-    """
-    ids = np.zeros(int(mask.sum()), dtype=np.int64)
-    n = 1
-    for c in cols:
-        size = len(data.labels(c))
-        ids = ids * size + data.column(c)[mask]
-        n *= size
-        if observed:
-            seen = np.cumsum(np.bincount(ids, minlength=n) > 0)
-            n = int(seen[-1])
-            ids = (seen - 1)[ids]
-    return ids, n
-
-
 def g_test(
     data: Dataset,
     q: CiQuery,
@@ -203,6 +182,9 @@ def g_test(
     information and are likewise skipped.  With no qualifying stratum the
     verdict is independent with p = 1 and a warning.  Independence is
     declared iff the chi-squared tail probability is >= alpha.
+
+    A count table (`Dataset.tabulate`) gives the verdict of its raw rows:
+    each row is counted `counts` times, exactly below 2^53 rows.
     """
     if not (0.0 < alpha < 1.0):
         raise IndependenceError("alpha must be in (0, 1)")
@@ -230,9 +212,11 @@ def g_test(
     y = data.column(q.y)[mask]
     nx = len(data.labels(q.x))
     ny = len(data.labels(q.y))
+    weights = None if data.counts is None else data.counts[mask]
     # one stratum per z value tuple the rows show: at most rows * nx * ny cells
     ranks, n_strata = _stratum_ids(data, q.z, mask, observed=True)
-    counts = np.bincount((ranks * nx + x) * ny + y, minlength=n_strata * nx * ny)
+    cells = np.bincount((ranks * nx + x) * ny + y, weights, n_strata * nx * ny)
+    counts = cells.astype(np.int64, copy=False)
     return g_test_from_tables(counts.reshape(1, n_strata, nx, ny), alpha, min_expected)[0]
 
 

@@ -591,12 +591,14 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
         barrier_test(y, union.parents(y), nj, "pooled")
     anc_ctx = union.ancestors([ctx])
     by_regime = nj.strata((ctx,), nj.scope)
+    weak = is_weakly_regime_acyclic(solved)
     for r in solved.regimes:
         descr = descriptive_graph(solved, r)
-        dscc = descr.scc_of()
+        # weakly regime-acyclic: every descriptive component is a single node
+        dscc = {} if weak else descr.scc_of()
         nj_r = JointPmf(nj.scope, by_regime.get((r,), {}))
         for y in names:
-            if y == ctx or y in anc_ctx or len(dscc[y]) > 1:
+            if y == ctx or y in anc_ctx or len(dscc.get(y, ())) > 1:
                 continue
             obligations += 1
             barrier_test(y, set(descr.parents(y)) - {ctx}, nj_r, "per_context", r)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .independence import CiQuery, _stratum_ids, g_test, g_test_from_tables
+from .data import Dataset, _stratum_ids
+from .independence import CiQuery, g_test, g_test_from_tables
 from .rng import derive_seed
 
 __all__ = [
@@ -103,9 +103,12 @@ def transfer_evidence(
     seen in the r0 stratum but absent from the estimation rows fall back to
     a uniform law over y, counted in details["unseen_cell_rows"].  Each
     replicate draws its contingency from an independently derived seed, so
-    the replicate order never affects the outcome.
+    the replicate order never affects the outcome.  It reads one row per
+    sample, so a count table (`Dataset.tabulate`) is rejected.
     """
     z = tuple(z)
+    if data.counts is not None:
+        raise TransferError("transfer_evidence needs one row per sample, not a count table")
     for name in (x, y, context, *z):
         if name not in data.columns:
             raise TransferError("unknown column %r" % (name,))

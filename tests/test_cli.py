@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -132,6 +133,23 @@ def test_discover_sample_mode_recovers_the_skeletons(capsys, tmp_path):
     rc, _, err = invoke(capsys, "discover", "--data", str(csv))
     assert rc == EXIT_USAGE
     assert "--alpha" in err
+
+
+def test_header_only_csv_exits_2(capsys, tmp_path):
+    csv = tmp_path / "empty.csv"
+    csv.write_text("R,X,Y\n")
+    rc, out, err = invoke(capsys, "discover", "--data", str(csv), "--alpha", "0.05")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "no rows to test" in err
+
+
+def test_two_row_csv_report_is_pinned(capsys, tmp_path):
+    csv = tmp_path / "two.csv"
+    csv.write_text("R,X,Y\n0,a,b\n1,b,a\n")
+    rc, out, _ = invoke(capsys, "discover", "--data", str(csv), "--alpha", "0.05")
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a2d54b069df9b79c0c194b53ca26983bcd89fb4ad0d95388fd9ae561dc707fec")
 
 
 def test_duplicate_csv_column_is_named(capsys, tmp_path):

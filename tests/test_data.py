@@ -79,3 +79,55 @@ def test_constructor_validation():
         Dataset(("A",), {"A": ("0",)}, np.zeros((3,), dtype=np.int64))
     with pytest.raises(DataError):
         Dataset(("A",), {"A": ("0",)}, np.array([[1]], dtype=np.int64))
+
+
+def test_from_rows_names_the_first_bad_label_in_row_major_order():
+    cats = {"A": ("0", "1"), "B": ("0", "1"), "C": ("0", "1")}
+    with pytest.raises(DataError, match=r"row 0: label '9' not among categories of column 'C'"):
+        Dataset.from_rows(("A", "B", "C"), [("0", "1", "9"), ("1", "9", "0")], cats)
+
+
+def test_header_only_csv_keeps_the_columns_and_tabulates_to_no_rows():
+    d = Dataset.from_csv("R,X\n")
+    assert d.n_rows == 0 and d.codes.shape == (0, 2)
+    assert d.labels("X") == ("",)
+    t = d.tabulate()
+    assert t.n_rows == 0 and t.counts.tolist() == []
+
+
+def tally():
+    return Dataset.from_rows(
+        ("R", "X"),
+        [("1", "b"), ("0", "a"), ("1", "b"), ("0", "b"), ("1", "b"), ("0", "a")],
+    )
+
+
+def test_tabulate_keeps_distinct_rows_in_code_order():
+    t = tally().tabulate()
+    assert t.codes.tolist() == [[0, 0], [0, 1], [1, 1]]
+    assert t.counts.tolist() == [2, 1, 3]
+    assert t.categories == tally().categories
+    again = t.tabulate()
+    assert (again.codes == t.codes).all() and (again.counts == t.counts).all()
+    assert tally().counts is None
+
+
+def test_restrict_and_to_csv_keep_the_counts_of_a_count_table():
+    d = tally()
+    t = d.tabulate()
+    kept = t.restrict(t.column("R") == t.code_of("R", "1"))
+    assert kept.counts.tolist() == [3]
+    assert kept.counts.sum() == (d.column("R") == 1).sum()
+    text = t.to_csv()
+    assert len(text.splitlines()) == 1 + d.n_rows
+    back = Dataset.from_csv(text).tabulate()
+    assert (back.codes == t.codes).all() and (back.counts == t.counts).all()
+    assert Dataset.from_csv(kept.to_csv()).n_rows == 3
+
+
+def test_counts_are_validated():
+    codes = np.zeros((2, 1), dtype=np.int64)
+    with pytest.raises(DataError, match="one entry per row"):
+        Dataset(("A",), {"A": ("0",)}, codes, np.ones(3, dtype=np.int64))
+    with pytest.raises(DataError, match="positive"):
+        Dataset(("A",), {"A": ("0",)}, codes, np.array([1, 0]))

@@ -13,6 +13,7 @@ from scipy.stats import chi2
 import csi_graphlab
 from csi_graphlab.corpus import get_example
 from csi_graphlab.data import Dataset
+from csi_graphlab.discovery import SampleTester, detect_graph, skeleton_masked, skeleton_pooled
 from csi_graphlab.exact import SolvedModel, draw_samples, joint_pmf
 from csi_graphlab.independence import (
     CiQuery,
@@ -23,6 +24,7 @@ from csi_graphlab.independence import (
     g_test,
     g_test_from_tables,
 )
+from csi_graphlab.laws import RandomModelSpec, random_scm
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
 
 
@@ -310,6 +312,108 @@ def test_observed_stratum_ids_are_ranks_of_the_codes(data, z):
     present, want = np.unique(codes, return_inverse=True)
     assert n_ranks == len(present)
     assert np.array_equal(ranks, want)
+
+
+# --- the count table against the raw rows ---
+
+
+@st.composite
+def categorical_datasets(draw):
+    """Rows over R, X, Y, Z1, Z2, with declared categories that may exceed the
+    observed ones, columns with a single category and few rows per stratum."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=5, max_size=5))
+    extra = draw(st.lists(st.integers(0, 2), min_size=5, max_size=5))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, sizes, size=(n, 5))
+    if draw(st.booleans()):  # leave most (Z1, Z2) strata empty
+        codes[:, 4] = codes[:, 3] % sizes[4]
+    columns = ("R", "X", "Y", "Z1", "Z2")
+    categories = {c: tuple("c%d" % i for i in range(k + e))
+                  for c, k, e in zip(columns, sizes, extra)}
+    return Dataset(columns, categories, codes)
+
+
+def _verdict_or_error(data, q, **kw):
+    try:
+        return g_test(data, q, **kw)
+    except IndependenceError as e:
+        return ("IndependenceError", str(e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=categorical_datasets(),
+       z=st.sampled_from(((), ("Z1",), ("Z1", "Z2"), ("Z2", "Z1"), ("Z2", "Z1", "R"))),
+       regime=st.integers(-1, 5), swap=st.booleans(),
+       min_expected=st.sampled_from((0.0, 5.0, 40.0)))
+def test_g_test_on_the_count_table_equals_the_raw_rows(data, z, regime, swap, min_expected):
+    labels = data.labels("R")
+    pooled = regime < 0 or "R" in z
+    q = CiQuery(*(("Y", "X") if swap else ("X", "Y")), z,
+                regime=None if pooled else labels[regime % len(labels)])
+    table = data.tabulate()
+    assert table.n_rows <= data.n_rows and table.counts.sum() == data.n_rows
+    kw = dict(alpha=0.05, context="R", min_expected=min_expected)
+    assert _verdict_or_error(table, q, **kw) == _verdict_or_error(data, q, **kw)
+
+
+def test_a_regime_without_rows_fails_alike_on_the_count_table():
+    data = Dataset(("R", "X", "Y"), {"R": ("0", "1", "2"), "X": ("a", "b"), "Y": ("a", "b")},
+                   np.array([[0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 0]]))
+    q = CiQuery("X", "Y", regime="2")
+    want = _verdict_or_error(data, q, alpha=0.05, context="R")
+    assert want == ("IndependenceError", "regime value '2' has no rows in the dataset")
+    assert _verdict_or_error(data.tabulate(), q, alpha=0.05, context="R") == want
+
+
+def test_count_table_of_a_code_space_beyond_int64():
+    # 5^30 > 2^63: a raw mixed-radix row code would overflow
+    rng = np.random.default_rng(4)
+    columns = tuple("V%d" % i for i in range(30))
+    codes = rng.integers(0, 5, size=(3000, 30))
+    codes[:, 1] = (codes[:, 0] + (rng.random(3000) < 0.2)) % 5
+    codes[1000:, 2:] = codes[:1000, 2:][rng.integers(0, 1000, size=2000)]
+    data = Dataset(columns, {c: tuple("abcde") for c in columns}, codes)
+    table = data.tabulate()
+    rows, counts = np.unique(codes, axis=0, return_counts=True)
+    assert np.array_equal(table.codes, rows) and np.array_equal(table.counts, counts)
+    for q in (CiQuery("V0", "V1"), CiQuery("V0", "V1", tuple(columns[2:7])),
+              CiQuery("V3", "V2", tuple(reversed(columns[4:30])))):
+        assert g_test(table, q, alpha=0.05) == g_test(data, q, alpha=0.05)
+
+
+def test_sample_tester_verdicts_equal_fresh_g_tests():
+    m = random_scm(RandomModelSpec(n_vars=6, max_domain=3, seed=3))
+    data = draw_samples(m.scm, 3000, 5, m.solved.table)
+    tester = SampleTester(data, 0.01, "R")
+    asked = []
+    answer = tester.test
+
+    def recording(x, y, z=(), regime=None):
+        verdict = answer(x, y, z, regime)
+        asked.append((CiQuery(x, y, tuple(z), regime), verdict))
+        return verdict
+
+    tester.test = recording
+    skeleton_pooled(tester)
+    for r in tester.regimes:
+        skeleton_masked(tester, r)
+        detect_graph(tester, r)
+    assert len({q for q, _ in asked}) < len(asked)  # the memo answered some
+    for q, verdict in asked:
+        assert verdict == g_test(data, q, 0.01, context="R")
+
+
+def test_sample_tester_memo_keeps_pair_and_z_order():
+    rng = np.random.default_rng(33)
+    codes = rng.integers(0, 3, size=(rng.integers(200, 2000), 5))
+    data = Dataset.from_rows(("R", "X", "Y", "Z1", "Z2"), codes.astype(str).tolist())
+    tester = SampleTester(data, 0.05, "R")
+    orders = [(x, y, z) for x, y in (("X", "Y"), ("Y", "X")) for z in (("Z1", "Z2"), ("Z2", "Z1"))]
+    for x, y, z in orders + orders:
+        assert tester.test(x, y, z) == g_test(data, CiQuery(x, y, z), 0.05, context="R")
+    # each order sums G in its own float order
+    assert len({tester.test(*o).statistic for o in orders}) == 4
 
 
 def test_stacked_kernel_validates_its_input():

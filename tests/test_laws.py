@@ -385,6 +385,20 @@ def test_factorization_kernel_matches_reference_on_verify_models():
     assert failed == 189
 
 
+def test_local_markov_skips_descriptive_components_only_when_weakly_acyclic(monkeypatch):
+    # a draw whose descriptive cycles decide which variables are checked per context
+    cyclic = laws.random_scm(laws.RandomModelSpec(n_vars=7, seed=4857737775391808504))
+    models = [m for m in verify_models() + [cyclic] if m.solved is not None]
+    cases = [(m.scm, sm) for m in models for sm in (m.solved, tampered(m.solved))]
+    fast = [laws.check_local_markov(s, sm) for s, sm in cases]
+    # with the flag forced off, every descriptive graph takes its SCC pass
+    monkeypatch.setattr(laws, "is_weakly_regime_acyclic", lambda solved: False)
+    assert fast == [laws.check_local_markov(s, sm) for s, sm in cases]
+    assert any(not r.passed and not r.skipped for r in fast)
+    monkeypatch.setattr(laws, "is_weakly_regime_acyclic", lambda solved: True)
+    assert laws.check_local_markov(cyclic.scm, cyclic.solved) != fast[-2]
+
+
 @pytest.mark.parametrize("n_vars, seed", [(8, 7), (8, 13), (8, 17), (8, 18), (10, 2)])
 def test_factorization_kernel_matches_reference_on_larger_models(n_vars, seed):
     m = laws.random_scm(laws.RandomModelSpec(n_vars=n_vars, max_domain=3, seed=seed))

@@ -238,3 +238,9 @@ def test_code_space_over_the_table_budget_is_rejected_before_allocating(monkeypa
     under = wide_data(102)  # 1,040,400 cells
     verdict = transfer_evidence(under, "X", "Y", ("Z0", "Z1"), "0", cfg, context="R")
     assert len(verdict.details["per_replicate_p_values"]) == 2
+
+
+def test_count_table_is_rejected_by_name():
+    data = fixture_samples("fig1-change-overlap", n=500)
+    with pytest.raises(TransferError, match="count table"):
+        run(data.tabulate())
