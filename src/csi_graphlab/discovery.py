@@ -1,8 +1,8 @@
 """Skeleton discovery from pooled and per-context independence tests.
 
-Two testers answer the same query surface: `ExactTester` against the exact
-rational joint, `SampleTester` against a dataset with a G-test, answered
-from a count table built once, with a memo on the exact query.  On top of
+Two testers answer the same query surface, each with a memo on the exact
+query: `ExactTester` against the exact joint, `SampleTester` against a
+dataset with a G-test, answered from a count table built once.  On top of
 them sit a deterministic PC-style skeleton search (pooled or masked to one
 context value), the exhaustive per-context detection skeleton, and the
 executable Markov check that verifies each designated separating set on the
@@ -64,17 +64,21 @@ class SeparationCertificate:
 
 
 class ExactTester:
-    """Answers independence queries from the exact joint of a solved model."""
+    """Answers independence queries from the exact joint of a solved model,
+    with verdicts memoized on the exact query as in `SampleTester`."""
 
     def __init__(self, solved: SolvedModel):
         self._solved = solved
+        self._memo: dict[CiQuery, CiVerdict] = {}
         self.variables = solved.scm.variable_names
         self.context = solved.scm.context_variable
         self.regimes = solved.regimes
 
     def test(self, x: str, y: str, z: Sequence[str] = (), regime: str | None = None) -> CiVerdict:
         q = CiQuery(x, y, tuple(z), regime)
-        return ci_exact(self._solved.joint, q, context=self.context)
+        if q not in self._memo:
+            self._memo[q] = ci_exact(self._solved.joint, q, context=self.context)
+        return self._memo[q]
 
 
 class SampleTester:

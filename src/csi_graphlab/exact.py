@@ -1,8 +1,13 @@
-"""Exact distribution layer: solve the model, build rational joints, sample.
+"""Exact distribution layer: solve the model, build exact joints, sample.
 
-Ground truth stays in `fractions.Fraction` end to end.  The solver
-enumerates candidate assignments per strongly connected block of the
-declared parent structure, in condensation order.  For each noise assignment
+Ground truth is exact.  Noise priors and solution-table probabilities are
+`fractions.Fraction`s; a joint stores each row's mass as a Python-int weight
+over one common denominator, so its group-bys and factorization tests run on
+ints, and `Fraction` comes back only at the boundary (`JointPmf.table`,
+`JointPmf.mass`).
+
+The solver enumerates candidate assignments per strongly connected block of
+the declared parent structure, in condensation order.  For each noise assignment
 it runs one depth-first search over the blocks and stops at the second
 complete solution, so uniqueness is decided for the whole model, exactly as
 whole-space enumeration decides it: a block may have several local
@@ -93,17 +98,18 @@ def _getter(pos: Sequence[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
 
 
 def first_dependence(
-    cells: Mapping[tuple[str, ...], Fraction], k: int
+    cells: Mapping[tuple[str, ...], int], k: int
 ) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     """Exact factorization test of a table of masses.
 
     Each key splits at position k into a = key[:k] and b = key[k:].  Returns
     the first (a, b), in sorted order of a and then b, with
     P(a, b) * P != P(a) * P(b), where P is the table's total; None when the
-    table factorizes.
+    table factorizes.  Both sides scale alike, so integer weights over any
+    common denominator give the verdict of the masses they stand for.
     """
-    left: dict[tuple[str, ...], Fraction] = {}
-    right: dict[tuple[str, ...], Fraction] = {}
+    left: dict[tuple[str, ...], int] = {}
+    right: dict[tuple[str, ...], int] = {}
     for key, p in cells.items():
         a, b = key[:k], key[k:]
         left[a] = left[a] + p if a in left else p
@@ -119,14 +125,36 @@ def first_dependence(
 
 @dataclass(frozen=True, eq=False)
 class JointPmf:
-    """Exact pmf over a tuple of named coordinates; only positive rows stored."""
+    """Exact pmf over a tuple of named coordinates: each stored row's mass is
+    its integer weight over one common `denominator`.
+
+    Rows of mass zero are absent from a solved model's joints.  `from_table`
+    converts a `Fraction` table; `table` and `mass` give `Fraction`s back.
+    """
 
     scope: tuple[str, ...]
-    table: dict[tuple[str, ...], Fraction]
+    weights: dict[tuple[str, ...], int]
+    denominator: int
 
     def __post_init__(self):
         if len(set(self.scope)) != len(self.scope):
             raise DistributionError("duplicate names in scope")
+
+    @classmethod
+    def from_table(
+        cls, scope: Sequence[str], table: Mapping[tuple[str, ...], Fraction]
+    ) -> "JointPmf":
+        """The pmf of a table of rational masses, over the lcm of their
+        reduced denominators."""
+        d = math.lcm(*(p.denominator for p in table.values()))
+        weights = {key: p.numerator * (d // p.denominator) for key, p in table.items()}
+        return cls(tuple(scope), weights, d)
+
+    @property
+    def table(self) -> dict[tuple[str, ...], Fraction]:
+        """Rational mass of every stored row, built on each access."""
+        d = self.denominator
+        return {key: Fraction(w, d) for key, w in self.weights.items()}
 
     def _positions(self, names: Sequence[str]) -> list[int]:
         out = []
@@ -139,47 +167,48 @@ class JointPmf:
 
     def strata(
         self, by: Sequence[str], cols: Sequence[str]
-    ) -> dict[tuple[str, ...], dict[tuple[str, ...], Fraction]]:
-        """Masses grouped by the `by` coordinates and, within each group,
+    ) -> dict[tuple[str, ...], dict[tuple[str, ...], int]]:
+        """Weights grouped by the `by` coordinates and, within each group,
         summed down to the `cols` coordinates; every other coordinate is
         summed out.  Groups and cells keep their order of first appearance.
         """
         cell = _getter(self._positions(cols))
         group = _getter(self._positions(by))
-        out: dict[tuple[str, ...], dict[tuple[str, ...], Fraction]] = {}
-        for key, p in self.table.items():
+        out: dict[tuple[str, ...], dict[tuple[str, ...], int]] = {}
+        for key, w in self.weights.items():
             g = group(key)
             cells = out.get(g)
             if cells is None:
                 cells = out[g] = {}
             c = cell(key)
-            cells[c] = cells[c] + p if c in cells else p
+            cells[c] = cells[c] + w if c in cells else w
         return out
 
     def marginal(self, names: Sequence[str]) -> "JointPmf":
         names = tuple(names)
         if not names:
             raise DistributionError("marginal needs at least one name")
-        return JointPmf(names, self.strata((), names).get((), {}))
+        return JointPmf(names, self.strata((), names).get((), {}), self.denominator)
 
     def conditional(self, condition: Mapping[str, str]) -> "JointPmf":
-        """Restrict to rows matching `condition` and renormalize; scope unchanged."""
+        """Restrict to rows matching `condition` and renormalize; scope unchanged.
+        The kept weights stay as they are, over the kept mass."""
         if not condition:
             return self
-        rows = self.strata(tuple(condition), self.scope).get(tuple(condition.values()))
-        if rows is None:
+        rows = self.strata(tuple(condition), self.scope).get(tuple(condition.values()), {})
+        kept = sum(rows.values())
+        if not kept:
             raise DistributionError("conditioning event %r has probability zero" % (dict(condition),))
-        mass = sum(rows.values())
-        return JointPmf(self.scope, {k: p / mass for k, p in rows.items()})
+        return JointPmf(self.scope, rows, kept)
 
     def support(self, names: Sequence[str]) -> list[tuple[str, ...]]:
         """Sorted positive-probability assignments of the named coordinates."""
-        return sorted(self.marginal(names).table)
+        return sorted(self.marginal(names).weights)
 
     def mass(self, partial: Mapping[str, str]) -> Fraction:
         """Probability of a partial assignment (sum over matching rows)."""
         cells = self.strata(tuple(partial), ()).get(tuple(partial.values()), {})
-        return cells.get((), Fraction(0))
+        return Fraction(cells.get((), 0), self.denominator)
 
 
 # --- solving -------------------------------------------------------------------
@@ -326,7 +355,7 @@ def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointP
         noise + vals: prob
         for noise, prob, vals in zip(table.noise_assignments, table.probabilities, table.values)
     }
-    return JointPmf(scope, out)
+    return JointPmf.from_table(scope, out)
 
 
 @dataclass

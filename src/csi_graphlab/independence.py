@@ -1,7 +1,8 @@
-"""Conditional independence tests: exact rational oracle and a stratified G-test.
+"""Conditional independence tests: exact oracle and a stratified G-test.
 
 The exact oracle reads its strata from `JointPmf.strata` and decides each
-with `exact.first_dependence`.
+with `exact.first_dependence`, on the joint's integer weights: the verdict
+of the rational masses, with no `Fraction` arithmetic.
 
 Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
 an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
@@ -27,7 +28,6 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import chdtrc
@@ -92,8 +92,8 @@ def _query_context(q: CiQuery, context: str | None) -> str | None:
 
 def _exact_strata(
     p: JointPmf, q: CiQuery, context: str | None, cols: tuple[str, ...]
-) -> dict[tuple[str, ...], dict[tuple[str, ...], Fraction]]:
-    """Masses of `cols` per stratum of z, inside the query's regime if set."""
+) -> dict[tuple[str, ...], dict[tuple[str, ...], int]]:
+    """Weights of `cols` per stratum of z, inside the query's regime if set."""
     ctx = _query_context(q, context)
     if ctx is None:
         return p.strata(q.z, cols)
@@ -110,7 +110,7 @@ def _exact_strata(
 def ci_exact(p: JointPmf, q: CiQuery, context: str | None = None) -> CiVerdict:
     """Exact verdict: within every positive-probability stratum of z (and the
     regime, if set), the joint over (x, y) must factorize as a product of its
-    marginals, with Fraction arithmetic and zero tolerance.
+    marginals, tested exactly on the joint's integer weights.
 
     Strata of probability zero do not exist in the pmf and are vacuous.
     """
@@ -123,7 +123,11 @@ def ci_exact(p: JointPmf, q: CiQuery, context: str | None = None) -> CiVerdict:
 def conditional_mutual_information(
     p: JointPmf, q: CiQuery, context: str | None = None
 ) -> float:
-    """Exact conditional mutual information of the query, in nats (as float)."""
+    """Exact conditional mutual information of the query, in nats (as float).
+
+    Each ratio of weights is one correctly rounded int / int division, so the
+    floats are those of the same ratios of rational masses.
+    """
     joint = _exact_strata(p, q, context, (q.x, q.y))
     px = _exact_strata(p, q, context, (q.x,))
     py = _exact_strata(p, q, context, (q.y,))
@@ -133,7 +137,7 @@ def conditional_mutual_information(
         total = sum(cells.values())
         for (xv, yv), prob in cells.items():
             ratio = (prob * total) / (px[z][(xv,)] * py[z][(yv,)])
-            mi += float(prob / mass) * math.log(float(ratio))
+            mi += prob / mass * math.log(ratio)
     return mi
 
 

@@ -7,9 +7,10 @@ never a silent pass or a spurious failure.  `random_scm` draws small models
 by rejection so the relations get exercised far from the curated corpus.
 
 The noise-factorization law, over all 2^n - 1 conditioning sets, is one
-integer kernel: masses and priors are scaled to integers by the lcm of their
-denominators (P = p * D, a_i = prior_i * d_i), and a row factors exactly when
-P * prod_out d_i == S * prod_out a_i, S being the mass of its cell.  The
+integer kernel on the noise joint's weights P = p * D (D its denominator) and
+the priors scaled to integers by the lcm of their denominators
+(a_i = prior_i * d_i): a row factors exactly when
+P * prod_out d_i == S * prod_out a_i, S being the weight of its cell.  The
 terms are int64 below 2**62 and Python ints above; only witnesses go back to
 `Fraction`.
 """
@@ -401,8 +402,8 @@ def check_noise_factorization(
     descriptive ancestors of Z.  Exact equality, subsets up to `cap` names
     (default: all but the full set).  Needs weak regime-acyclicity.
 
-    Decided in integers, for all conditioning sets at once.  With D the lcm
-    of the noise joint's mass denominators, P = p * D per row, and for each
+    Decided in integers, for all conditioning sets at once.  With D the noise
+    joint's denominator, P = p * D its weight per row, and for each
     noise i its prior's denominator lcm d_i and scaled prior a_i = prior * d_i,
     a row in a cell (group, ancestral noise values) whose masses sum to S
     passes when P * prod_out d_i == S * prod_out a_i, the products running
@@ -430,10 +431,10 @@ def check_noise_factorization(
     nj = solved.noise_joint
     noise_at = [nj.scope.index(noise_name(v)) for v in names]
     value_at = [nj.scope.index(v) for v in names]
-    noise_rows = [tuple(key[k] for k in noise_at) for key in nj.table]
-    value_rows = [tuple(key[k] for k in value_at) for key in nj.table]
-    denom = math.lcm(*(p.denominator for p in nj.table.values()))
-    mass = [int(p * denom) for p in nj.table.values()]
+    noise_rows = [tuple(key[k] for k in noise_at) for key in nj.weights]
+    value_rows = [tuple(key[k] for k in value_at) for key in nj.weights]
+    denom = nj.denominator
+    mass = list(nj.weights.values())
     pmfs = [s.noises[v].pmf for v in names]
     d = [math.lcm(*(p.denominator for _, p in pmf)) for pmf in pmfs]
     prior = [{lbl: int(p * dj) for lbl, p in pmf} for pmf, dj in zip(pmfs, d)]
@@ -555,7 +556,7 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     other noises given its pooled parents.  Per-context clause: a variable
     off every descriptive cycle that is no pooled ancestor of the context is
     independent of the other noises given its descriptive parents, within
-    the stratum.
+    the stratum.  Decided by `first_dependence` on the noise joint's weights.
     """
     nj = solved.noise_joint
     names = solved.table.variables
@@ -596,7 +597,7 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
         descr = descriptive_graph(solved, r)
         # weakly regime-acyclic: every descriptive component is a single node
         dscc = {} if weak else descr.scc_of()
-        nj_r = JointPmf(nj.scope, by_regime.get((r,), {}))
+        nj_r = JointPmf(nj.scope, by_regime.get((r,), {}), nj.denominator)
         for y in names:
             if y == ctx or y in anc_ctx or len(dscc.get(y, ())) > 1:
                 continue

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from csi_graphlab import cli, discovery
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.discovery import (
     DiscoveryError,
@@ -23,7 +24,10 @@ from csi_graphlab.graph_objects import (
     ident_graph,
     union_graph,
 )
+from csi_graphlab.independence import ci_exact
 from csi_graphlab.laws import RandomModelSpec, random_scm
+from csi_graphlab.scm import serialize_scm
+from fraction_reference import PIPELINE_MODELS, ci_exact as reference_ci_exact, fraction_pmf
 
 SEPARATOR_SEARCHES = "799488609217f7fa9b3e585d537d33b9a35b811735600b6c44ffc6f9f8f83e82"
 
@@ -271,3 +275,37 @@ def test_separator_searches_are_pinned():
     assert sum(len(v["markov"][2]) for v in randoms) == 1660
     blob = json.dumps(payload, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == SEPARATOR_SEARCHES
+
+
+@pytest.mark.parametrize("case", list_examples() + ["pipeline-%d-%d" % nk for nk in PIPELINE_MODELS])
+def test_exact_memo_verdicts_equal_fresh_ci_exact(case, monkeypatch, tmp_path, capsys):
+    if case.startswith("pipeline-"):
+        n, k = map(int, case.split("-")[1:])
+        s = random_scm(RandomModelSpec(n_vars=n, max_domain=3, seed=k)).scm
+    else:
+        s = get_example(case)
+    testers = []
+
+    class Recording(ExactTester):
+        def __init__(self, solved):
+            super().__init__(solved)
+            testers.append(self)
+
+    decided = []
+
+    def counted(p, q, context=None):
+        decided.append(q)
+        return ci_exact(p, q, context)
+
+    monkeypatch.setattr(cli, "ExactTester", Recording)
+    monkeypatch.setattr(discovery, "ci_exact", counted)
+    model = tmp_path / "model.json"
+    model.write_text(serialize_scm(s))
+    assert cli.main(["discover", "--exact", str(model)]) == 0
+    capsys.readouterr()
+    (tester,) = testers
+    joint = tester._solved.joint
+    assert sorted(decided, key=repr) == sorted(tester._memo, key=repr)  # each query decided once
+    for q, verdict in tester._memo.items():
+        assert verdict == ci_exact(joint, q, context=tester.context)
+        assert verdict == reference_ci_exact(fraction_pmf(joint), q, context=tester.context)

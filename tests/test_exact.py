@@ -1,15 +1,19 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csi_graphlab import exact
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.exact import (
     ComplexityError,
+    DistributionError,
+    JointPmf,
     NotUniquelySolvableError,
     SolvedModel,
     UnsolvableModelError,
@@ -26,6 +30,7 @@ from csi_graphlab.data import Dataset
 from csi_graphlab.laws import RandomModelSpec, _draw_model, random_scm
 from csi_graphlab.rng import derive_seed, uniform_thresholds_index
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
+from fraction_reference import FractionPmf, fraction_tables
 
 H = Fraction(1, 2)
 
@@ -82,13 +87,18 @@ def test_marginal_and_conditional_on_intro():
 
 def test_strata_group_and_sum_in_first_appearance_order():
     joint = joint_pmf(get_example("intro"))
+
+    def masses(strata):
+        d = joint.denominator
+        return {g: {c: Fraction(w, d) for c, w in cells.items()} for g, cells in strata.items()}
+
     strata = joint.strata(("R",), ("T",))
-    assert strata == {
+    assert masses(strata) == {
         ("0",): {("-1",): H},
         ("1",): {("-1",): Fraction(1, 4), ("+1",): Fraction(1, 4)},
     }
     assert list(strata) == list(dict.fromkeys(key[:1] for key in joint.table))
-    assert joint.strata((), ()) == {(): {(): Fraction(1)}}
+    assert masses(joint.strata((), ())) == {(): {(): Fraction(1)}}
     assert joint.mass({}) == Fraction(1)
 
 
@@ -102,6 +112,63 @@ def test_first_dependence_returns_the_first_sorted_failure():
     assert first_dependence(product, 2) is None
     del product[("1", "1", "1")]
     assert first_dependence(product, 2) == (("0", "0"), ("0",))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=fraction_tables())
+def test_from_table_round_trips(drawn):
+    scope, table = drawn
+    joint = JointPmf.from_table(scope, table)
+    assert joint.table == table
+    assert list(joint.table) == list(table)
+    assert joint.denominator == math.lcm(*(p.denominator for p in table.values()))
+    assert all(type(w) is int and w > 0 for w in joint.weights.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=fraction_tables(), data=st.data())
+def test_marginal_conditional_and_mass_match_the_fraction_reference(drawn, data):
+    scope, table = drawn
+    joint = JointPmf.from_table(scope, table)
+    fractions = FractionPmf(scope, table)
+    names = data.draw(st.lists(st.sampled_from(scope), min_size=1, unique=True))
+    assert list(joint.marginal(names).table.items()) == list(fractions.marginal(names).table.items())
+    assert joint.support(names) == fractions.support(names)
+    row = data.draw(st.sampled_from(sorted(table)))
+    given_names = data.draw(st.lists(st.sampled_from(scope), unique=True))
+    partial = {v: row[scope.index(v)] for v in given_names}
+    assert list(joint.conditional(partial).table.items()) == list(
+        fractions.conditional(partial).table.items()
+    )
+    assert joint.mass(partial) == fractions.mass(partial)
+    elsewhere = {v: data.draw(st.sampled_from(("0", "1", "2", "3"))) for v in given_names}
+    assert joint.mass(elsewhere) == fractions.mass(elsewhere)
+
+
+def test_one_row_table():
+    joint = JointPmf.from_table(("A", "B"), {("0", "1"): Fraction(2, 3)})
+    assert (joint.weights, joint.denominator) == ({("0", "1"): 2}, 3)
+    assert joint.table == {("0", "1"): Fraction(2, 3)}
+    assert joint.marginal(("B",)).table == {("1",): Fraction(2, 3)}
+    assert joint.conditional({"A": "0"}).table == {("0", "1"): Fraction(1)}
+    assert joint.mass({}) == joint.mass({"B": "1"}) == Fraction(2, 3)
+    assert joint.strata(("A",), ("B",)) == {("0",): {("1",): 2}}
+    assert first_dependence(joint.strata((), ("A", "B"))[()], 1) is None
+
+
+def test_empty_stratum():
+    joint = joint_pmf(get_example("intro"))
+    # T = +1 never happens in regime 0
+    assert ("0", "+1") not in joint.strata(("R", "T"), ("Y",))
+    assert joint.mass({"R": "0", "T": "+1"}) == Fraction(0)
+    with pytest.raises(DistributionError):
+        joint.conditional({"R": "0", "T": "+1"})
+    empty = JointPmf.from_table(("A",), {})
+    assert (empty.weights, empty.denominator, empty.table) == ({}, 1, {})
+    assert empty.strata((), ("A",)) == {}
+    assert empty.mass({}) == Fraction(0)
+    with pytest.raises(DistributionError):
+        empty.conditional({"A": "0"})
 
 
 def test_noise_observable_joint_scope_and_consistency():

@@ -1,0 +1,143 @@
+"""The integer-weight exact layer against its `Fraction` reference, by `==`.
+
+Suites: the corpus, the 200 models of `verify --count 200 --seed 1`, the
+five models of the exact_pipeline benchmark, each with its tampered noise
+joint, and random joints whose denominators reach primes near 2**31.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fraction_reference as ref
+from csi_graphlab import laws
+from csi_graphlab.corpus import get_example, list_examples
+from csi_graphlab.exact import DistributionError, JointPmf, SolvedModel
+from csi_graphlab.independence import (
+    CiQuery,
+    IndependenceError,
+    ci_exact,
+    conditional_mutual_information,
+    subsets,
+)
+
+
+@pytest.fixture(scope="module")
+def suites():
+    return {
+        "corpus": [SolvedModel.of(get_example(name)) for name in list_examples()],
+        "verify": [m.solved for m in ref.verify_models()],
+        "pipeline": [m.solved for m in ref.pipeline_models()],
+    }
+
+
+SUITES = ("corpus", "verify", "pipeline")
+
+
+def ordered(strata, denominator=None):
+    """Groups and cells in their order, masses as `Fraction`s when a
+    denominator is given."""
+    def mass(w):
+        return w if denominator is None else Fraction(w, denominator)
+
+    return [(g, [(c, mass(w)) for c, w in cells.items()]) for g, cells in strata.items()]
+
+
+def groupings(scope):
+    """(by, cols): the whole table, each name against the rest, the halves."""
+    yield (), scope
+    for i, v in enumerate(scope):
+        yield (v,), scope[:i] + scope[i + 1:]
+    half = len(scope) // 2
+    yield scope[:half], scope[half:]
+    yield scope[half:], ()
+
+
+def assert_strata_match(joint, fractions):
+    for by, cols in groupings(joint.scope):
+        assert ordered(joint.strata(by, cols), joint.denominator) == ordered(
+            fractions.strata(by, cols)
+        ), (by, cols)
+
+
+def outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except (IndependenceError, DistributionError) as e:
+        return type(e), str(e)
+
+
+def queries(names, context, regimes, max_z):
+    for x, y in itertools.combinations(names, 2):
+        for z in subsets([v for v in names if v not in (x, y)]):
+            if len(z) > max_z:
+                break
+            yield CiQuery(x, y, z)
+            if context not in (x, y, *z):
+                for r in regimes:
+                    yield CiQuery(x, y, z, r)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_strata_match_the_reference(suite, suites):
+    for sm in suites[suite]:
+        for joint in (sm.joint, sm.noise_joint, ref.tampered(sm).noise_joint):
+            assert_strata_match(joint, ref.fraction_pmf(joint))
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_ci_exact_matches_the_reference(suite, suites):
+    max_z = 2 if suite == "pipeline" else None
+    independent = 0
+    for sm in suites[suite]:
+        names = sm.table.variables
+        ctx = sm.scm.context_variable
+        # the observable joint, and the marginal of the tampered noise joint
+        tampered = ref.tampered(sm).noise_joint
+        joints = (
+            (sm.joint, ref.fraction_pmf(sm.joint)),
+            (tampered.marginal(names), ref.fraction_pmf(tampered).marginal(names)),
+        )
+        for q in queries(names, ctx, sm.regimes, len(names) if max_z is None else max_z):
+            for joint, fractions in joints:
+                got = ci_exact(joint, q, context=ctx)
+                assert got == ref.ci_exact(fractions, q, context=ctx), q
+                independent += got.independent
+    assert independent > 0
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_local_markov_matches_the_reference(suite, suites):
+    failed = 0
+    for sm in suites[suite]:
+        for case in (sm, ref.tampered(sm)):
+            got = laws.check_local_markov(case.scm, case)
+            assert got == ref.check_local_markov(case.scm, case)
+            failed += not got.passed
+    assert failed > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_random_joints_match_the_reference(data):
+    scope, table = data.draw(ref.fraction_tables())
+    joint = JointPmf.from_table(scope, table)
+    fractions = ref.FractionPmf(scope, table)
+    assert_strata_match(joint, fractions)
+    by = data.draw(st.lists(st.sampled_from(scope), unique=True))
+    cols = data.draw(st.lists(st.sampled_from(scope), unique=True))
+    assert ordered(joint.strata(by, cols), joint.denominator) == ordered(fractions.strata(by, cols))
+    if len(scope) >= 2:
+        x, y = data.draw(st.permutations(scope))[:2]
+        rest = [v for v in scope if v not in (x, y)]
+        z = tuple(data.draw(st.lists(st.sampled_from(rest), unique=True))) if rest else ()
+        context = data.draw(st.sampled_from([None] + [v for v in rest if v not in z]))
+        regime = None if context is None else data.draw(st.sampled_from(("0", "1", "2")))
+        q = CiQuery(x, y, z, regime)
+        assert outcome(ci_exact, joint, q, context) == outcome(ref.ci_exact, fractions, q, context)
+        assert outcome(conditional_mutual_information, joint, q, context) == outcome(
+            ref.conditional_mutual_information, fractions, q, context
+        )
+

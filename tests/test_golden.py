@@ -174,7 +174,7 @@ def _tampered(name):
     table = dict(nj.table)
     table[first] = p_first / 2
     table[last] = p_last + p_first / 2
-    return replace(solved, noise_joint=JointPmf(nj.scope, table))
+    return replace(solved, noise_joint=JointPmf.from_table(nj.scope, table))
 
 
 def test_pins_cover_the_corpus():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 import csi_graphlab
-from csi_graphlab.corpus import get_example
+from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.data import Dataset
 from csi_graphlab.discovery import SampleTester, detect_graph, skeleton_masked, skeleton_pooled
 from csi_graphlab.exact import SolvedModel, draw_samples, joint_pmf
@@ -23,9 +24,11 @@ from csi_graphlab.independence import (
     conditional_mutual_information,
     g_test,
     g_test_from_tables,
+    subsets,
 )
 from csi_graphlab.laws import RandomModelSpec, random_scm
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
+from fraction_reference import conditional_mutual_information as reference_mi, fraction_pmf
 
 
 def intro_joint():
@@ -103,6 +106,22 @@ def test_mi_nonnegative_and_zero_iff_independent():
     # hand value: given R=1, T uniform on {-1,+1}; Y spreads by eta
     # I(T;Y|R=1) = H(Y|R=1) - H(Y|T,R=1) = (1.5 - 1) * ln 2
     assert abs(mi1 - 0.5 * math.log(2)) < 1e-12
+
+
+@pytest.mark.parametrize("name", list_examples())
+def test_mi_is_bit_identical_to_the_fraction_reference(name):
+    # int / int and float(Fraction) are both correctly rounded
+    sm = SolvedModel.of(get_example(name))
+    names = sm.table.variables
+    ctx = sm.scm.context_variable
+    fractions = fraction_pmf(sm.joint)
+    for x, y in itertools.combinations(names, 2):
+        for z in subsets([v for v in names if v not in (x, y)]):
+            regimes = (None,) if ctx in (x, y, *z) else (None, *sm.regimes)
+            for r in regimes:
+                q = CiQuery(x, y, z, r)
+                got = conditional_mutual_information(sm.joint, q, context=ctx)
+                assert got == reference_mi(fractions, q, context=ctx), q
 
 
 def test_g_test_flags_dependence_with_enough_data():

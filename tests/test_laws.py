@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from csi_graphlab import laws
 from csi_graphlab.corpus import get_example, list_examples
-from csi_graphlab.exact import JointPmf, SolvedModel, noise_name
+from csi_graphlab.exact import SolvedModel
 from csi_graphlab.discovery import ExactTester, detect_graph, skeleton_masked, skeleton_pooled
 from csi_graphlab.graph_objects import (
     counterfactual_graph,
@@ -19,9 +18,10 @@ from csi_graphlab.graph_objects import (
     support_reduction_witnesses,
     union_graph,
 )
-from csi_graphlab.laws import _WITNESS_CAP, LawsError, _done, _skip
+from csi_graphlab.laws import _done
 from csi_graphlab.rng import derive_seed
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
+from fraction_reference import moved_mass, reference_noise_factorization, tampered, verify_models
 
 SPEC = laws.RandomModelSpec(n_vars=4, max_domain=3, max_parents=2, seed=5)
 
@@ -272,98 +272,10 @@ def test_suite_records_failures_and_skips():
 
 # --- the integer noise-factorization kernel against the Fraction reference ----------
 
-def reference_noise_factorization(s, solved, cap=None):
-    """The row-by-row `Fraction` check the integer kernel replaced, verbatim."""
-    if not is_weakly_regime_acyclic(solved):
-        return _skip("noise_factorization", "model is not weakly regime-acyclic")
-    names = solved.table.variables
-    n = len(names)
-    cap = (n - 1) if cap is None else cap
-    if cap < 0:
-        raise LawsError("cap must be nonnegative")
-    nj = solved.noise_joint
-    noises = tuple(noise_name(v) for v in names)
-    union = union_graph(solved)
-    ctx = s.context_variable
-    priors = [dict(s.noises[v].pmf) for v in names]
-    anc_ctx = union.ancestors([ctx])
-    descr = {r: descriptive_graph(solved, r) for r in solved.regimes}
-    wit: list[dict] = []
-
-    def verify(conditioned_on, anc, group, clause, regime=None):
-        anc = sorted(anc)
-        block = JointPmf(noises, group).strata((), [noise_name(a) for a in anc])[()]
-        anc_cols = [names.index(a) for a in anc]
-        outside = [i for i, v in enumerate(names) if v not in anc]
-        for row, p in group.items():
-            expected = block[tuple(row[c] for c in anc_cols)]
-            for i in outside:
-                expected *= priors[i][row[i]]
-            if p != expected:
-                wit.append({
-                    "clause": clause,
-                    "regime": regime,
-                    "conditioned_on": conditioned_on,
-                    "noise_row": list(row),
-                    "probability": str(p),
-                    "factored": str(expected),
-                })
-                return
-
-    for size in range(1, min(cap, n) + 1):
-        for z_vars in itertools.combinations(names, size):
-            if len(wit) >= _WITNESS_CAP:
-                return _done("noise_factorization", wit)
-            pooled = nj.strata(z_vars, noises)
-            anc = union.ancestors(z_vars)
-            for z_vals in sorted(pooled):
-                verify(dict(zip(z_vars, z_vals)), anc, pooled[z_vals], "pooled")
-            if ctx in z_vars:
-                continue
-            per_context = nj.strata((*z_vars, ctx), noises)
-            for key in sorted(per_context):
-                *z_vals, r = key
-                anc_r = anc_ctx | descr[r].ancestors(z_vars)
-                given = dict(zip(z_vars, z_vals))
-                given[ctx] = r
-                verify(given, anc_r, per_context[key], "per_context", r)
-    notes = ()
-    if cap < n:
-        notes = ("conditioning sets of more than %d variables not checked" % cap,)
-    return _done("noise_factorization", wit, notes)
-
-
-def moved_mass(solved, src, dst, share):
-    """The solved model with `share` of the mass of noise-joint row `src`
-    (in sorted row order) moved to row `dst`."""
-    nj = solved.noise_joint
-    rows = sorted(nj.table.items())
-    table = dict(nj.table)
-    amount = rows[src][1] * share
-    table[rows[src][0]] -= amount
-    table[rows[dst][0]] += amount
-    return replace(solved, noise_joint=JointPmf(nj.scope, table))
-
-
-def tampered(solved):
-    # as in test_golden: half the first sorted row's mass moves to the last row
-    return moved_mass(solved, 0, -1, Fraction(1, 2))
-
-
 def assert_matches_reference(sm, caps=(None,)):
     for cap in caps:
         got = laws.check_noise_factorization(sm.scm, sm, cap=cap)
         assert got == reference_noise_factorization(sm.scm, sm, cap=cap), cap
-
-
-def verify_models(count=200, seed=1):
-    """The models `verify --count 200 --seed 1` checks."""
-    spec = laws.RandomModelSpec()
-    sizes = range(2, spec.n_vars + 1)
-    return [
-        laws.random_scm(replace(spec, n_vars=sizes[i % len(sizes)], seed=derive_seed(seed, i)))
-        for i in range(count)
-    ]
 
 
 @pytest.mark.parametrize("name", list_examples())
@@ -449,7 +361,8 @@ def wide_denominator_model():
 
 def test_factorization_kernel_falls_back_to_python_ints_exactly():
     sm = SolvedModel.of(wide_denominator_model())
-    denom = math.lcm(*(p.denominator for p in sm.noise_joint.table.values()))
+    denom = sm.noise_joint.denominator
+    assert denom == math.lcm(*(p.denominator for p in sm.table.probabilities))
     priors = math.prod(n.pmf[0][1].denominator for n in sm.scm.noises.values())
     assert denom * priors >= 1 << 62
     assert laws.check_noise_factorization(sm.scm, sm).passed
