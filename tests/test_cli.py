@@ -407,3 +407,27 @@ def test_unknown_command_exits_2(capsys):
     assert rc == EXIT_USAGE
     rc, _, _ = invoke(capsys, "--help")
     assert rc == EXIT_OK
+
+
+def test_repeated_invocations_give_the_same_bytes(capsys, monkeypatch):
+    """Help, a usage error and two subcommands, back to back in one process
+    and twice over, print what each prints when run alone in a fresh one."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("--help",),
+        ("verify", "--count", "many"),
+        ("corpus", "export", "intro"),
+        ("verify", "--count", "3", "--seed", "1"),
+    ]
+    runs = [[invoke(capsys, *argv) for argv in calls] for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert [rc for rc, _, _ in runs[0]] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+    package_root = str(Path(csi_graphlab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "CSI_GRAPHLAB_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    for argv, got in zip(calls, runs[0]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "csi_graphlab.cli", *argv],
+            env=env, capture_output=True, text=True,
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv

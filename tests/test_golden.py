@@ -20,6 +20,8 @@ from csi_graphlab.exact import JointPmf, SolvedModel, draw_samples
 from csi_graphlab.scm import serialize_scm
 
 VERIFY_20_SEED_1 = "edf7d8ac3c8a22b69744720bf65e2d0f59b80548001bacd363a79772bf3821b3"
+# the suite the benchmark's `verify` workload runs
+VERIFY_200_SEED_1 = "c6b99858c5aabd0f120a2c76dea1f7b8e7baccd2a660f8142c554b1f4e401e52"
 
 # per corpus model: ground-truth --full, discover --exact, classify --mode oriented
 CLI_DIGESTS = {
@@ -183,6 +185,10 @@ def test_pins_cover_the_corpus():
 
 def test_verify_output_is_pinned(capsys):
     assert _sha(_stdout(capsys, "verify", "--count", "20", "--seed", "1")) == VERIFY_20_SEED_1
+
+
+def test_benchmark_verify_suite_is_pinned(capsys):
+    assert _sha(_stdout(capsys, "verify", "--count", "200", "--seed", "1")) == VERIFY_200_SEED_1
 
 
 @pytest.mark.parametrize("name", sorted(CLI_DIGESTS))
