@@ -128,8 +128,7 @@ def _classify_oriented(
     anc_ctx = union.ancestors([context])
     others = sorted(union.parents(y) - {context})
     if anc_ctx.isdisjoint(union.ancestors(others)):
-        if any(len(c) >= 2 and c & anc_ctx
-               for c in union.strongly_connected_components()):
+        if not union.cyclic_nodes().isdisjoint(anc_ctx):
             return EdgeChange(
                 classification=UNDETERMINED,
                 rule=None,

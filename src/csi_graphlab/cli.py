@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation error, 3 law-check failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -499,7 +500,9 @@ def _cmd_corpus(args) -> int:
 
 # --- parser --------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="DIR",
                         help="write output files into DIR instead of stdout")

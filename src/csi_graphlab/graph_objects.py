@@ -259,9 +259,7 @@ def _strong(solved: SolvedModel) -> bool:
         return False
     union = union_graph(solved)
     anc = union.ancestors({solved.scm.context_variable})
-    return not any(
-        len(comp) > 1 and comp & anc for comp in union.strongly_connected_components()
-    )
+    return union.cyclic_nodes().isdisjoint(anc)
 
 
 def support_reduction_witnesses(solved: SolvedModel) -> list[dict]:

@@ -126,8 +126,13 @@ class DirectedGraph:
     def scc_of(self) -> dict[str, frozenset[str]]:
         return {n: comp for comp in self.strongly_connected_components() for n in comp}
 
+    def cyclic_nodes(self) -> frozenset[str]:
+        """The nodes on a directed cycle: members of components of size above 1."""
+        comps = self.strongly_connected_components()
+        return frozenset().union(*(c for c in comps if len(c) > 1))
+
     def is_acyclic(self) -> bool:
-        return all(len(c) == 1 for c in self.strongly_connected_components())
+        return not self.cyclic_nodes()
 
     def topological_order(self) -> list[str]:
         if not self.is_acyclic():

@@ -6,10 +6,13 @@ witness.  Models that do not meet a law's hypotheses yield a skipped result,
 never a silent pass or a spurious failure.  `random_scm` draws small models
 by rejection so the relations get exercised far from the curated corpus.
 
-The noise-factorization law, over all 2^n - 1 conditioning sets, is one
-integer kernel on the noise joint's weights P = p * D (D its denominator) and
-the priors scaled to integers by the lcm of their denominators
-(a_i = prior_i * d_i): a row factors exactly when
+The noise-factorization law holds for every conditioning set at once when the
+noise joint is in product form and the solved values are local, as the
+paper's solution-function argument shows; that takes n locality scans.  Only
+a joint failing either property goes to the integer kernel over all 2^n - 1
+conditioning sets, which compares the noise joint's weights P = p * D
+(D its denominator) with the priors scaled to integers by the lcm of their
+denominators (a_i = prior_i * d_i): a noise tuple factors exactly when
 P * prod_out d_i == S * prod_out a_i, S being the weight of its cell.  The
 terms are int64 below 2**62 and Python ints above; only witnesses go back to
 `Fraction`.
@@ -33,6 +36,7 @@ from .exact import (
     JointPmf,
     SolveError,
     SolvedModel,
+    _getter,
     first_dependence,
     noise_name,
 )
@@ -346,6 +350,40 @@ def check_ident_sandwich(s: Scm, solved: SolvedModel) -> CheckResult:
 
 # --- solution-function laws ----------------------------------------------------------
 
+def _first_violation(rows, cols, vi):
+    """The first two (noise, values) rows that agree on the noises at `cols`
+    but solve to different values at `vi`, as (noise, value) pairs; None when
+    the noises at `cols` fix the value."""
+    key = _getter(cols)
+    seen: dict[tuple[str, ...], tuple[tuple[str, ...], str]] = {}
+    for noise, vals in rows:
+        prev = seen.setdefault(key(noise), (noise, vals[vi]))
+        if prev[1] != vals[vi]:
+            return prev, (noise, vals[vi])
+    return None
+
+
+def _locality_violations(s: Scm, solved: SolvedModel, rows):
+    """Each clause's first violation of solution locality on (noise, values)
+    rows, noises and values in variable order: the pooled clause for every
+    variable, then the per-context clause for every regime and variable."""
+    names = solved.table.variables
+    pos = {v: i for i, v in enumerate(names)}
+    ci = pos[s.context_variable]
+    union = union_graph(solved)
+    for vi, v in enumerate(names):
+        hit = _first_violation(rows, [pos[a] for a in sorted(union.ancestors([v]))], vi)
+        if hit is not None:
+            yield "pooled", v, None, hit
+    for r in solved.regimes:
+        descr = descriptive_graph(solved, r)
+        rows_r = [row for row in rows if row[1][ci] == r]
+        for vi, v in enumerate(names):
+            hit = _first_violation(rows_r, [pos[a] for a in sorted(descr.ancestors([v]))], vi)
+            if hit is not None:
+                yield "per_context", v, r, hit
+
+
 def check_solution_locality(s: Scm, solved: SolvedModel) -> CheckResult:
     """Solved values depend only on ancestral noises.
 
@@ -357,37 +395,17 @@ def check_solution_locality(s: Scm, solved: SolvedModel) -> CheckResult:
     if not is_weakly_regime_acyclic(solved):
         return _skip("solution_locality", "model is not weakly regime-acyclic")
     table = solved.table
-    names = table.variables
-    pos = {v: i for i, v in enumerate(names)}
-    union = union_graph(solved)
-    ctx = s.context_variable
-    wit: list[dict] = []
-
-    def scan(var, anc, rows, clause, regime=None):
-        cols = [pos[a] for a in sorted(anc)]
-        vi = pos[var]
-        seen: dict[tuple[str, ...], tuple[tuple[str, ...], str]] = {}
-        for noise, vals in rows:
-            key = tuple(noise[c] for c in cols)
-            prev = seen.setdefault(key, (noise, vals[vi]))
-            if prev[1] != vals[vi]:
-                wit.append({
-                    "clause": clause,
-                    "variable": var,
-                    "regime": regime,
-                    "noise_rows": [list(prev[0]), list(noise)],
-                    "values": [prev[1], vals[vi]],
-                })
-                return
-
-    all_rows = list(zip(table.noise_assignments, table.values))
-    for v in names:
-        scan(v, union.ancestors([v]), all_rows, "pooled")
-    for r in solved.regimes:
-        descr = descriptive_graph(solved, r)
-        rows_r = [(n, vals) for n, vals in all_rows if vals[pos[ctx]] == r]
-        for v in names:
-            scan(v, descr.ancestors([v]), rows_r, "per_context", r)
+    rows = list(zip(table.noise_assignments, table.values))
+    wit = [
+        {
+            "clause": clause,
+            "variable": v,
+            "regime": r,
+            "noise_rows": [list(first[0]), list(second[0])],
+            "values": [first[1], second[1]],
+        }
+        for clause, v, r, (first, second) in _locality_violations(s, solved, rows)
+    ]
     return _done("solution_locality", wit)
 
 
@@ -402,18 +420,32 @@ def check_noise_factorization(
     descriptive ancestors of Z.  Exact equality, subsets up to `cap` names
     (default: all but the full set).  Needs weak regime-acyclicity.
 
-    Decided in integers, for all conditioning sets at once.  With D the noise
-    joint's denominator, P = p * D its weight per row, and for each
-    noise i its prior's denominator lcm d_i and scaled prior a_i = prior * d_i,
-    a row in a cell (group, ancestral noise values) whose masses sum to S
-    passes when P * prod_out d_i == S * prod_out a_i, the products running
-    over the noises outside the block.  The arrays are int64 when every such
-    term stays below 2**62 and Python ints (dtype object) otherwise.  Each
-    pass of the kernel holds at most `_ELEMENT_BUDGET` clause x row x
-    variable elements.  Each failing (conditioning set, clause, group) gives
-    one witness, its first failing row in table order, with `Fraction`
-    values; at most `_WITNESS_CAP` are kept.  Rows are the noise joint's
-    keys, whose noise assignment pins the row.
+    Decided in integers.  With D the noise joint's denominator and, for each
+    noise i, d_i the lcm of its prior's denominators and a_i = prior * d_i
+    its scaled prior, a noise tuple of weight P within a group passes when
+    P * prod_out d_i == S * prod_out a_i.  S is the weight of its cell
+    (group, ancestral noise values), and the products run over the noises
+    outside the block.
+
+    The paper's own argument settles every Z at once, from two properties
+    read off the joint's own rows and weights:
+
+    - product form: the noise tuples are distinct, use only labels of
+      positive prior and number prod_i |positive support|; every weight w
+      has w * prod_i d_i == D * prod_i a_i; each prior's positive labels
+      sum to one.
+    - locality: both clauses of `check_solution_locality` hold on the
+      joint's (noise, value) rows, whose context values are all regimes.
+
+    Proof sketch.  Under product form every completion of the outside
+    noises is a row of the joint.  Locality puts all those completions in
+    one cell: the block holds the ancestors of every member of Z, and for
+    the per-context clause also the context's own ancestors, so the context
+    is fixed across the cell too.  The cell's weight S is then D times the
+    prior product over the block, and the cell test holds as an identity.
+
+    When either property fails, `_factorization_kernel` decides every
+    conditioning set; it is the only source of witnesses.
     """
     if not is_weakly_regime_acyclic(solved):
         return _skip("noise_factorization", "model is not weakly regime-acyclic")
@@ -425,19 +457,80 @@ def check_noise_factorization(
     notes = ()
     if cap < n:
         notes = ("conditioning sets of more than %d variables not checked" % cap,)
+    nj = solved.noise_joint
+    noise_of = _getter([nj.scope.index(noise_name(v)) for v in names])
+    value_of = _getter([nj.scope.index(v) for v in names])
+    rows = [(noise_of(key), value_of(key)) for key in nj.weights]
+    pmfs = [s.noises[v].pmf for v in names]
+    d = [math.lcm(*(p.denominator for _, p in pmf)) for pmf in pmfs]
+    prior = [{lbl: int(p * dj) for lbl, p in pmf} for pmf, dj in zip(pmfs, d)]
+    if _product_form(nj, rows, d, prior) and _local(s, solved, rows):
+        return _done("noise_factorization", [], notes)
+    return _factorization_kernel(s, solved, cap, notes, rows, d, prior)
+
+
+def _product_form(nj: JointPmf, rows, d: list[int], prior: list[dict[str, int]]) -> bool:
+    """Whether the joint's noise tuples are exactly the product of the
+    positive noise supports, each weighted by the product of its priors."""
+    positive = [{lbl: a for lbl, a in pr.items() if a > 0} for pr in prior]
+    if any(sum(pos.values()) != dj for pos, dj in zip(positive, d)):
+        return False
+    distinct = {noise for noise, _ in rows}
+    if len(distinct) != len(rows) or len(rows) != math.prod(map(len, positive)):
+        return False
+    scale = math.prod(d)
+    denom = nj.denominator
+    for (noise, _), w in zip(rows, nj.weights.values()):
+        a = 1
+        for pos, lbl in zip(positive, noise):
+            if lbl not in pos:
+                return False
+            a *= pos[lbl]
+        if w * scale != denom * a:
+            return False
+    return True
+
+
+def _local(s: Scm, solved: SolvedModel, rows) -> bool:
+    """Whether solution locality holds on the (noise, values) rows, every one
+    of which the per-context scans see: its context value is a regime."""
+    ci = solved.table.variables.index(s.context_variable)
+    regimes = set(solved.regimes)
+    if any(vals[ci] not in regimes for _, vals in rows):
+        return False
+    return next(_locality_violations(s, solved, rows), None) is None
+
+
+def _factorization_kernel(
+    s: Scm,
+    solved: SolvedModel,
+    cap: int,
+    notes: tuple[str, ...],
+    rows: list[tuple[tuple[str, ...], tuple[str, ...]]],
+    d: list[int],
+    prior: list[dict[str, int]],
+) -> CheckResult:
+    """The cell test for every conditioning set up to `cap` names, on the
+    joint's (noise, values) `rows` in one integer kernel.
+
+    The arrays are int64 when every term of the cell test stays below 2**62
+    and Python ints (dtype object) otherwise.  Each pass of the kernel holds
+    at most `_ELEMENT_BUDGET` clause x row x variable elements.  Each failing
+    (conditioning set, clause, group) gives one witness, its first failing
+    row in table order, with `Fraction` values; at most `_WITNESS_CAP` are
+    kept.  A noise tuple on several rows of a group is tested, and reported,
+    with their summed weight.
+    """
+    names = solved.table.variables
+    n = len(names)
     ctx = s.context_variable
     ci = names.index(ctx)
     regimes = solved.regimes
     nj = solved.noise_joint
-    noise_at = [nj.scope.index(noise_name(v)) for v in names]
-    value_at = [nj.scope.index(v) for v in names]
-    noise_rows = [tuple(key[k] for k in noise_at) for key in nj.weights]
-    value_rows = [tuple(key[k] for k in value_at) for key in nj.weights]
+    noise_rows = [noise for noise, _ in rows]
+    value_rows = [vals for _, vals in rows]
     denom = nj.denominator
     mass = list(nj.weights.values())
-    pmfs = [s.noises[v].pmf for v in names]
-    d = [math.lcm(*(p.denominator for _, p in pmf)) for pmf in pmfs]
-    prior = [{lbl: int(p * dj) for lbl, p in pmf} for pmf, dj in zip(pmfs, d)]
     scaled = [[prior[j][lbl] for j, lbl in enumerate(row)] for row in noise_rows]
     # value and noise codes: ranks in sorted-label order, mixed radix with the
     # first variable most significant, so code order is sorted-tuple order
@@ -456,6 +549,7 @@ def check_noise_factorization(
     u_weighted = u_data.codes.astype(dt) * np.array(
         [math.prod(u_radix[j + 1:]) for j in range(n)], dtype=dt
     )
+    u_code = u_weighted.sum(axis=1)
     mass = np.array(mass, dtype=dt)
     scaled = np.array(scaled, dtype=dt)
     d = np.array(d, dtype=dt)
@@ -509,19 +603,30 @@ def check_noise_factorization(
         # pooled groups are Z's values; per-context groups append the context
         # last, as (*z_vars, ctx) sorts
         group = (z.astype(dt) @ v_weighted.T) * v_radix[ci] + pc[:, None] * v_code[:, ci]
-        # cell sums S: sort each clause's rows by (group, ancestral noise code)
+        # cell sums S, and each row's noise mass M within its group (a noise
+        # tuple can repeat in a joint not built by a solve): sort each
+        # clause's rows by (group, ancestral noise code, noise code)
         key = group * u_span + anc_code
-        order = np.argsort(key, axis=1)
+        order = np.lexsort((np.broadcast_to(u_code, key.shape), key), axis=1)
         sorted_key = np.take_along_axis(key, order, axis=1)
-        starts = np.ones(key.shape, dtype=bool)
-        starts[:, 1:] = sorted_key[:, 1:] != sorted_key[:, :-1]
-        starts = starts.ravel()
-        sums = np.add.reduceat(mass[order].ravel(), np.flatnonzero(starts))
-        cell_sum = np.empty_like(key)
-        np.put_along_axis(
-            cell_sum, order, sums[np.cumsum(starts) - 1].reshape(key.shape), axis=1
-        )
-        fail = mass * out_d != cell_sum * out_a
+        sorted_u = u_code[order]
+        cell_starts = np.ones(key.shape, dtype=bool)
+        cell_starts[:, 1:] = sorted_key[:, 1:] != sorted_key[:, :-1]
+        noise_starts = cell_starts.copy()
+        noise_starts[:, 1:] |= sorted_u[:, 1:] != sorted_u[:, :-1]
+        sorted_mass = mass[order].ravel()
+
+        def run_sums(starts):
+            # each row's sum over its run of the sorted rows, in row order
+            starts = starts.ravel()
+            sums = np.add.reduceat(sorted_mass, np.flatnonzero(starts))
+            out = np.empty_like(key)
+            np.put_along_axis(out, order, sums[np.cumsum(starts) - 1].reshape(key.shape), axis=1)
+            return out
+
+        cell_sum = run_sums(cell_starts)
+        noise_mass = run_sums(noise_starts)
+        fail = noise_mass * out_d != cell_sum * out_a
         for t in np.flatnonzero(fail.any(axis=1)):
             m = subset_of[t0 + t]
             rows = np.flatnonzero(fail[t])
@@ -537,7 +642,7 @@ def check_noise_factorization(
                     "regime": regime,
                     "conditioned_on": given,
                     "noise_row": list(noise_rows[i]),
-                    "probability": str(Fraction(int(mass[i]), denom)),
+                    "probability": str(Fraction(int(noise_mass[t, i]), denom)),
                     "factored": str(
                         Fraction(int(cell_sum[t, i] * out_a[t, i]), denom * int(out_d[t, i]))
                     ),
@@ -562,7 +667,7 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     names = solved.table.variables
     union = union_graph(solved)
     ctx = s.context_variable
-    scc = union.scc_of()
+    cyclic = union.cyclic_nodes()
     wit: list[dict] = []
     obligations = 0
 
@@ -586,7 +691,7 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
                 return
 
     for y in names:
-        if len(scc[y]) > 1:
+        if y in cyclic:
             continue
         obligations += 1
         barrier_test(y, union.parents(y), nj, "pooled")
@@ -595,11 +700,11 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     weak = is_weakly_regime_acyclic(solved)
     for r in solved.regimes:
         descr = descriptive_graph(solved, r)
-        # weakly regime-acyclic: every descriptive component is a single node
-        dscc = {} if weak else descr.scc_of()
+        # weakly regime-acyclic: no descriptive graph has a cycle
+        d_cyclic = frozenset() if weak else descr.cyclic_nodes()
         nj_r = JointPmf(nj.scope, by_regime.get((r,), {}), nj.denominator)
         for y in names:
-            if y == ctx or y in anc_ctx or len(dscc.get(y, ())) > 1:
+            if y == ctx or y in anc_ctx or y in d_cyclic:
                 continue
             obligations += 1
             barrier_test(y, set(descr.parents(y)) - {ctx}, nj_r, "per_context", r)

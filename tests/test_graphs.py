@@ -107,7 +107,10 @@ def test_scc_partition():
     )
     comps = set(g.strongly_connected_components())
     assert comps == {frozenset({"A", "B"}), frozenset({"C"}), frozenset({"D"})}
+    assert g.cyclic_nodes() == {"A", "B"}
     assert not g.is_acyclic()
+    dag = DirectedGraph(["A", "B"], [("A", "B")])
+    assert dag.cyclic_nodes() == frozenset() and dag.is_acyclic()
 
 
 def test_topological_order_on_dag():
@@ -288,6 +291,8 @@ def test_sccs_match_networkx(g):
     comps = g.strongly_connected_components()
     assert len(comps) == len(want)
     assert set(comps) == want
+    assert g.cyclic_nodes() == {v for c in want if len(c) > 1 for v in c}
+    assert g.is_acyclic() == nx.is_directed_acyclic_graph(ref)
 
 
 @settings(max_examples=100, deadline=None)

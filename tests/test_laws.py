@@ -1,13 +1,15 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csi_graphlab import laws
 from csi_graphlab.corpus import get_example, list_examples
-from csi_graphlab.exact import SolvedModel
+from csi_graphlab.exact import JointPmf, SolvedModel
 from csi_graphlab.discovery import ExactTester, detect_graph, skeleton_masked, skeleton_pooled
 from csi_graphlab.graph_objects import (
     counterfactual_graph,
@@ -21,7 +23,13 @@ from csi_graphlab.graph_objects import (
 from csi_graphlab.laws import _done
 from csi_graphlab.rng import derive_seed
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
-from fraction_reference import moved_mass, reference_noise_factorization, tampered, verify_models
+from fraction_reference import (
+    moved_mass,
+    pipeline_models,
+    reference_noise_factorization,
+    tampered,
+    verify_models,
+)
 
 SPEC = laws.RandomModelSpec(n_vars=4, max_domain=3, max_parents=2, seed=5)
 
@@ -270,12 +278,129 @@ def test_suite_records_failures_and_skips():
     assert first["witnesses"] == [{"variable": "x"}]
 
 
-# --- the integer noise-factorization kernel against the Fraction reference ----------
+# --- noise factorization: the structural decision, the integer kernel and the -------
+# --- Fraction reference side by side -------------------------------------------------
+
+def kernel_only(sm, cap=None):
+    """The law as the integer kernel alone decides it."""
+    with mock.patch.object(laws, "_product_form", lambda *args: False):
+        return laws.check_noise_factorization(sm.scm, sm, cap=cap)
+
 
 def assert_matches_reference(sm, caps=(None,)):
     for cap in caps:
         got = laws.check_noise_factorization(sm.scm, sm, cap=cap)
-        assert got == reference_noise_factorization(sm.scm, sm, cap=cap), cap
+        assert got == kernel_only(sm, cap) == reference_noise_factorization(sm.scm, sm, cap=cap), cap
+
+
+def kernel_calls(monkeypatch):
+    """Record every call of the integer kernel; the law still runs it."""
+    calls = []
+    kernel = laws._factorization_kernel
+
+    def recording(s, solved, *args):
+        calls.append(solved)
+        return kernel(s, solved, *args)
+
+    monkeypatch.setattr(laws, "_factorization_kernel", recording)
+    return calls
+
+
+def test_untampered_models_never_reach_the_kernel(solved_examples):
+    models = [sm for _, sm in solved_examples.values()]
+    models += [m.solved for m in verify_models() + pipeline_models()]
+    assert len(models) == 216
+    caps = (None, 1)
+    for sm in models:
+        with mock.patch.object(
+            laws, "_factorization_kernel", side_effect=AssertionError("kernel reached")
+        ):
+            got = [laws.check_noise_factorization(sm.scm, sm, cap=cap) for cap in caps]
+        assert got[0].passed
+        assert got == [kernel_only(sm, cap) for cap in caps]
+        assert got[1] == reference_noise_factorization(sm.scm, sm, cap=1)
+
+
+def test_tampered_corpus_joints_reach_the_kernel(solved_examples, monkeypatch):
+    calls = kernel_calls(monkeypatch)
+    for s, sm in solved_examples.values():
+        t = tampered(sm)
+        assert not laws.check_noise_factorization(s, t).passed
+        assert calls[-1] is t
+    assert len(calls) == len(solved_examples)
+
+
+def with_weights(sm, weights):
+    nj = sm.noise_joint
+    return replace(sm, noise_joint=JointPmf(nj.scope, weights, nj.denominator))
+
+
+def joint_rows(sm):
+    """The noise joint's (noise, values) rows, in table order."""
+    n = len(sm.table.variables)
+    return [(key[:n], key[n:]) for key in sm.noise_joint.weights]
+
+
+def swapped_values(sm):
+    """Product-form masses whose rows swap their value tuples: the first pair
+    of rows, in table order, whose swap breaks locality on the joint's rows."""
+    items = list(sm.noise_joint.weights.items())
+    for i, j in itertools.combinations(range(len(items)), 2):
+        rows = joint_rows(sm)
+        rows[i], rows[j] = (rows[i][0], rows[j][1]), (rows[j][0], rows[i][1])
+        t = with_weights(sm, {u + v: w for (u, v), (_, w) in zip(rows, items)})
+        if next(laws._locality_violations(sm.scm, t, rows), None) is not None:
+            return t
+    return None
+
+
+def duplicated_noise(sm):
+    """The last row dropped, and its mass and values moved onto a second row
+    with the first row's noise."""
+    (first, _), *_, (_, last) = joint_rows(sm)
+    *items, (_, w) = sm.noise_joint.weights.items()
+    weights = dict(items)
+    assert first + last not in weights
+    weights[first + last] = w
+    return with_weights(sm, weights)
+
+
+def zero_prior_row(sm):
+    """A zero-prior label added to the first variable's noise (its mechanism
+    reads it as the first label), and the joint's first row moved onto it."""
+    s = sm.scm
+    v = s.variable_names[0]
+    noise, mech = s.noises[v], s.mechanisms[v]
+    label = noise.labels[0]
+    table = dict(mech.table)
+    table.update({(pa, "zero"): out for (pa, u), out in mech.table.items() if u == label})
+    s = replace(
+        s,
+        noises={**s.noises, v: NoiseSpec(v, noise.pmf + (("zero", Fraction(0)),))},
+        mechanisms={**s.mechanisms, v: MechanismTable(v, mech.parents, table)},
+    )
+    # the key opens with the first variable's noise
+    (key, w), *rest = sm.noise_joint.weights.items()
+    return replace(with_weights(sm, {("zero", *key[1:]): w, **dict(rest)}), scm=s)
+
+
+def test_adversarial_joints_fall_through_to_the_kernel(solved_examples, monkeypatch):
+    calls = kernel_calls(monkeypatch)
+    swapped = 0
+    for s, sm in solved_examples.values():
+        cases = [duplicated_noise(sm), zero_prior_row(sm)]
+        t = swapped_values(sm)
+        if t is not None:
+            # the table still spells out the untouched rows, and they are local
+            assert laws.check_solution_locality(s, t).passed
+            cases.append(t)
+            swapped += 1
+        for t in cases:
+            calls.clear()
+            got = laws.check_noise_factorization(t.scm, t)
+            assert calls == [t]
+            assert got == reference_noise_factorization(t.scm, t)
+    assert swapped == 11
 
 
 @pytest.mark.parametrize("name", list_examples())
