@@ -492,8 +492,8 @@ def _product_form(nj: JointPmf, rows, d: list[int], prior: list[dict[str, int]])
 
 
 def _local(s: Scm, solved: SolvedModel, rows) -> bool:
-    """Whether solution locality holds on the (noise, values) rows, every one
-    of which the per-context scans see: its context value is a regime."""
+    """Whether every row's context value is a regime, so that the per-context
+    scans see every row, and solution locality holds on the rows."""
     ci = solved.table.variables.index(s.context_variable)
     regimes = set(solved.regimes)
     if any(vals[ci] not in regimes for _, vals in rows):
