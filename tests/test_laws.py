@@ -400,10 +400,14 @@ def test_adversarial_joints_fall_through_to_the_kernel(solved_examples, monkeypa
 @pytest.mark.parametrize("name", list_examples())
 def test_factorization_kernel_matches_reference_on_the_corpus(name, solved_examples):
     s, sm = solved_examples[name]
-    assert_matches_reference(sm, caps=(None, 0, 1, 2))
+    # caps at or above n check the full variable set and leave no note
+    n = len(s.variables)
+    caps = (None, 0, 1, 2, n, n + 5)
+    assert_matches_reference(sm, caps=caps)
+    assert laws.check_noise_factorization(s, sm, cap=n).notes == ()
     t = tampered(sm)
     assert not laws.check_noise_factorization(s, t).passed
-    assert_matches_reference(t, caps=(None, 0, 1, 2))
+    assert_matches_reference(t, caps=caps)
 
 
 def test_factorization_kernel_matches_reference_on_verify_models():
