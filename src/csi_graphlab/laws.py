@@ -9,13 +9,12 @@ by rejection so the relations get exercised far from the curated corpus.
 The noise-factorization law holds for every conditioning set at once when the
 noise joint is in product form and the solved values are local, as the
 paper's solution-function argument shows; that takes n locality scans.  Only
-a joint failing either property goes to the integer kernel over all 2^n - 1
-conditioning sets, which compares the noise joint's weights P = p * D
-(D its denominator) with the priors scaled to integers by the lcm of their
+a joint failing either property is walked over all 2^n - 1 conditioning sets
+in Python ints, comparing the noise joint's weights P = p * D (D its
+denominator) with the priors scaled to integers by the lcm of their
 denominators (a_i = prior_i * d_i): a noise tuple factors exactly when
-P * prod_out d_i == S * prod_out a_i, S being the weight of its cell.  The
-terms are int64 below 2**62 and Python ints above; only witnesses go back to
-`Fraction`.
+P * prod_out d_i == S * prod_out a_i, S being the weight of its cell.  Only
+witnesses go back to `Fraction`.
 """
 
 from __future__ import annotations
@@ -27,9 +26,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
-import numpy as np
-
-from .data import Dataset
 from .discovery import markov_check
 from .exact import (
     ComplexityError,
@@ -103,7 +99,8 @@ class RandomModelSpec:
     def __post_init__(self):
         if self.n_vars < 1:
             raise LawsError("n_vars must be at least 1")
-        # noise pmfs share one denominator <= 8, so label counts must fit it
+        # each noise pmf draws its own denominator in [#labels, 8], so label
+        # counts must not exceed 8
         if not (2 <= self.max_domain <= 8):
             raise LawsError("max_domain must be in 2..8")
         if self.max_parents < 0:
@@ -161,15 +158,15 @@ def _draw_model(rng: random.Random, spec: RandomModelSpec) -> Scm:
 def random_scm(spec: RandomModelSpec, max_attempts: int = 1000) -> SampledModel:
     """Rejection-sample a model meeting `spec.require`; deterministic in the seed.
 
-    Mechanism outputs are uniform per table row and noise pmfs are random
-    rationals over a shared denominator of at most 8.  Solvable draws whose
-    mechanisms do not factor through their visible parents on support are
-    always rejected (reason "support_entangled"): the solution-side laws
-    quantify over models without such fine-tuned coupling.  When
-    `spec.require` needs a solution, draws without a unique one are rejected
-    as "unsolvable" and draws beyond the solver's size guard as "too_large"
-    (noise cells times the candidates summed over the strongly connected
-    blocks exceed `exact.DEFAULT_MAX_PAIRS`).
+    Mechanism outputs are uniform per table row and each noise pmf is random
+    rationals over its own denominator, drawn between its label count and 8.
+    Solvable draws whose mechanisms do not factor through their visible
+    parents on support are always rejected (reason "support_entangled"): the
+    solution-side laws quantify over models without such fine-tuned coupling.
+    When `spec.require` needs a solution, draws without a unique one are
+    rejected as "unsolvable" and draws beyond the solver's size guard as
+    "too_large" (noise cells times the candidates summed over the strongly
+    connected blocks exceed `exact.DEFAULT_MAX_PAIRS`).
     Raises LawsError with the rejection tally when no admissible model
     appears within the cap.
     """
@@ -215,9 +212,6 @@ def random_scm(spec: RandomModelSpec, max_attempts: int = 1000) -> SampledModel:
 # --- check results -----------------------------------------------------------------
 
 _WITNESS_CAP = 10
-
-# clause x noise row x variable elements one pass of the factorization kernel holds
-_ELEMENT_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -444,16 +438,17 @@ def check_noise_factorization(
     is fixed across the cell too.  The cell's weight S is then D times the
     prior product over the block, and the cell test holds as an identity.
 
-    When either property fails, `_factorization_kernel` decides every
-    conditioning set; it is the only source of witnesses.
+    When either property fails, `_factorization_kernel` walks every
+    conditioning set, group by group, in Python ints; it is the only source
+    of witnesses.
     """
-    if not is_weakly_regime_acyclic(solved):
-        return _skip("noise_factorization", "model is not weakly regime-acyclic")
     names = solved.table.variables
     n = len(names)
     cap = (n - 1) if cap is None else cap
     if cap < 0:
         raise LawsError("cap must be nonnegative")
+    if not is_weakly_regime_acyclic(solved):
+        return _skip("noise_factorization", "model is not weakly regime-acyclic")
     notes = ()
     if cap < n:
         notes = ("conditioning sets of more than %d variables not checked" % cap,)
@@ -466,7 +461,7 @@ def check_noise_factorization(
     prior = [{lbl: int(p * dj) for lbl, p in pmf} for pmf, dj in zip(pmfs, d)]
     if _product_form(nj, rows, d, prior) and _local(s, solved, rows):
         return _done("noise_factorization", [], notes)
-    return _factorization_kernel(s, solved, cap, notes, rows, d, prior)
+    return _factorization_kernel(s, solved, cap, notes, d, prior)
 
 
 def _product_form(nj: JointPmf, rows, d: list[int], prior: list[dict[str, int]]) -> bool:
@@ -506,151 +501,68 @@ def _factorization_kernel(
     solved: SolvedModel,
     cap: int,
     notes: tuple[str, ...],
-    rows: list[tuple[tuple[str, ...], tuple[str, ...]]],
     d: list[int],
     prior: list[dict[str, int]],
 ) -> CheckResult:
-    """The cell test for every conditioning set up to `cap` names, on the
-    joint's (noise, values) `rows` in one integer kernel.
+    """The cell test for every conditioning set up to `cap` names, walked in
+    Python ints over the groups of `JointPmf.strata`.
 
-    The arrays are int64 when every term of the cell test stays below 2**62
-    and Python ints (dtype object) otherwise.  Each pass of the kernel holds
-    at most `_ELEMENT_BUDGET` clause x row x variable elements.  Each failing
-    (conditioning set, clause, group) gives one witness, its first failing
-    row in table order, with `Fraction` values; at most `_WITNESS_CAP` are
-    kept.  A noise tuple on several rows of a group is tested, and reported,
-    with their summed weight.
+    Each failing (conditioning set, clause, group) gives one witness, its
+    first failing noise tuple in table order, with `Fraction` values; at most
+    `_WITNESS_CAP` are kept.  A noise tuple on several rows of a group is
+    tested, and reported, with their summed weight.
     """
     names = solved.table.variables
     n = len(names)
     ctx = s.context_variable
-    ci = names.index(ctx)
-    regimes = solved.regimes
     nj = solved.noise_joint
-    noise_rows = [noise for noise, _ in rows]
-    value_rows = [vals for _, vals in rows]
     denom = nj.denominator
-    mass = list(nj.weights.values())
-    scaled = [[prior[j][lbl] for j, lbl in enumerate(row)] for row in noise_rows]
-    # value and noise codes: ranks in sorted-label order, mixed radix with the
-    # first variable most significant, so code order is sorted-tuple order
-    v_data = Dataset.from_rows(names, value_rows)
-    u_data = Dataset.from_rows([noise_name(v) for v in names], noise_rows)
-    v_radix = [len(labels) for labels in v_data.categories.values()]
-    u_radix = [len(labels) for labels in u_data.categories.values()]
-    v_span = math.prod(v_radix) * v_radix[ci]
-    u_span = math.prod(u_radix)
-    exact_int64 = (
-        sum(abs(m) for m in mass) * math.prod(d) < 1 << 62 and v_span * u_span < 1 << 62
-    )
-    dt = np.int64 if exact_int64 else object
-    v_code = v_data.codes.astype(dt)
-    v_weighted = v_code * np.array([math.prod(v_radix[j + 1:]) for j in range(n)], dtype=dt)
-    u_weighted = u_data.codes.astype(dt) * np.array(
-        [math.prod(u_radix[j + 1:]) for j in range(n)], dtype=dt
-    )
-    u_code = u_weighted.sum(axis=1)
-    mass = np.array(mass, dtype=dt)
-    scaled = np.array(scaled, dtype=dt)
-    d = np.array(d, dtype=dt)
-    regime_of = {r: k for k, r in enumerate(regimes)}
-    reg = np.array([regime_of[row[ci]] for row in value_rows], dtype=np.intp)
-
-    # ancestor masks: anc[k, j, l] says names[l] is an ancestor of names[j]
-    # in the union graph (k = 0) or in regime k - 1's descriptive graph
-    graphs = [union_graph(solved)] + [descriptive_graph(solved, r) for r in regimes]
-    ancestors = [[g.ancestors([v]) for v in names] for g in graphs]
-    anc = np.array([[[u in a for u in names] for a in per] for per in ancestors], dtype=np.int64)
-
-    # conditioning sets in `combinations` order; each has a pooled clause and,
-    # when it leaves out the context, a per-context clause right after it
-    subsets = [
-        z for size in range(1, min(cap, n) + 1) for z in itertools.combinations(range(n), size)
-    ]
-    z_bits = np.zeros((len(subsets), n), dtype=bool)
-    z_bits[
-        np.repeat(np.arange(len(subsets)), [len(z) for z in subsets]),
-        np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp),
-    ] = True
-    clauses = 2 - z_bits[:, ci]
-    first_clause = np.concatenate(([0], np.cumsum(clauses)))
-    per_context = np.zeros(first_clause[-1], dtype=bool)
-    per_context[first_clause[:-1][clauses == 2] + 1] = True
-    subset_of = np.repeat(np.arange(len(subsets)), clauses)
-
+    noises = tuple(noise_name(v) for v in names)
+    union = union_graph(solved)
+    anc_ctx = union.ancestors([ctx])
+    descr = {r: descriptive_graph(solved, r) for r in solved.regimes}
     wit: list[dict] = []
-    n_rows = len(mass)
-    step = max(1, _ELEMENT_BUDGET // (2 * n_rows * n))
-    for lo in range(0, len(subsets), step):
-        hi = min(lo + step, len(subsets))
-        t0, t1 = first_clause[lo], first_clause[hi]
-        z = z_bits[subset_of[t0:t1]].astype(np.int64)
-        pc = per_context[t0:t1]
-        # ancestors of Z are the OR of the members' ancestor masks
-        pooled_anc = (z @ anc[0]) > 0
-        context_anc = ((z @ anc[1:]) > 0) | anc[0, ci].astype(bool)
-        inside = np.where(
-            pc[:, None, None], context_anc.transpose(1, 0, 2), pooled_anc[:, None, :]
-        )  # (clause, regime, variable)
-        out_d = np.where(inside, 1, d).prod(axis=2)[:, reg]
-        row_inside = inside[:, reg, :]
-        anc_code = np.zeros((t1 - t0, n_rows), dtype=dt)
-        out_a = np.ones((t1 - t0, n_rows), dtype=dt)
-        for j in range(n):
-            in_j = row_inside[:, :, j]
-            anc_code += np.where(in_j, u_weighted[:, j], 0)
-            out_a *= np.where(in_j, 1, scaled[:, j])
-        # pooled groups are Z's values; per-context groups append the context
-        # last, as (*z_vars, ctx) sorts
-        group = (z.astype(dt) @ v_weighted.T) * v_radix[ci] + pc[:, None] * v_code[:, ci]
-        # cell sums S, and each row's noise mass M within its group (a noise
-        # tuple can repeat in a joint not built by a solve): sort each
-        # clause's rows by (group, ancestral noise code, noise code)
-        key = group * u_span + anc_code
-        order = np.lexsort((np.broadcast_to(u_code, key.shape), key), axis=1)
-        sorted_key = np.take_along_axis(key, order, axis=1)
-        sorted_u = u_code[order]
-        cell_starts = np.ones(key.shape, dtype=bool)
-        cell_starts[:, 1:] = sorted_key[:, 1:] != sorted_key[:, :-1]
-        noise_starts = cell_starts.copy()
-        noise_starts[:, 1:] |= sorted_u[:, 1:] != sorted_u[:, :-1]
-        sorted_mass = mass[order].ravel()
 
-        def run_sums(starts):
-            # each row's sum over its run of the sorted rows, in row order
-            starts = starts.ravel()
-            sums = np.add.reduceat(sorted_mass, np.flatnonzero(starts))
-            out = np.empty_like(key)
-            np.put_along_axis(out, order, sums[np.cumsum(starts) - 1].reshape(key.shape), axis=1)
-            return out
-
-        cell_sum = run_sums(cell_starts)
-        noise_mass = run_sums(noise_starts)
-        fail = noise_mass * out_d != cell_sum * out_a
-        for t in np.flatnonzero(fail.any(axis=1)):
-            m = subset_of[t0 + t]
-            rows = np.flatnonzero(fail[t])
-            _, first = np.unique(group[t, rows], return_index=True)
-            for i in rows[first]:
-                vals = value_rows[i]
-                given = {names[j]: vals[j] for j in subsets[m]}
-                regime = None
-                if pc[t]:
-                    regime = given[ctx] = vals[ci]
+    def check_group(given, anc, cells, clause, regime=None):
+        out = [j for j, v in enumerate(names) if v not in anc]
+        block_of = _getter([j for j, v in enumerate(names) if v in anc])
+        block: dict[tuple[str, ...], int] = {}
+        for noise, w in cells.items():
+            b = block_of(noise)
+            block[b] = block.get(b, 0) + w
+        out_d = math.prod(d[j] for j in out)
+        for noise, w in cells.items():
+            factored = block[block_of(noise)] * math.prod(prior[j][noise[j]] for j in out)
+            if w * out_d != factored:
                 wit.append({
-                    "clause": "per_context" if pc[t] else "pooled",
+                    "clause": clause,
                     "regime": regime,
                     "conditioned_on": given,
-                    "noise_row": list(noise_rows[i]),
-                    "probability": str(Fraction(int(noise_mass[t, i]), denom)),
-                    "factored": str(
-                        Fraction(int(cell_sum[t, i] * out_a[t, i]), denom * int(out_d[t, i]))
-                    ),
+                    "noise_row": list(noise),
+                    "probability": str(Fraction(w, denom)),
+                    "factored": str(Fraction(factored, denom * out_d)),
                 })
-            if len(wit) >= _WITNESS_CAP and m + 1 < len(subsets):
+                return
+
+    for size in range(1, min(cap, n) + 1):
+        for z_vars in itertools.combinations(names, size):
+            if len(wit) >= _WITNESS_CAP:
                 # a full witness list ends the walk before the next set, and
                 # a walk ended early reports no unchecked sets
                 return _done("noise_factorization", wit)
+            pooled = nj.strata(z_vars, noises)
+            anc = union.ancestors(z_vars)
+            for z_vals in sorted(pooled):
+                check_group(dict(zip(z_vars, z_vals)), anc, pooled[z_vals], "pooled")
+            if ctx in z_vars:
+                continue
+            per_context = nj.strata((*z_vars, ctx), noises)
+            for key in sorted(per_context):
+                *z_vals, r = key
+                given = dict(zip(z_vars, z_vals))
+                given[ctx] = r
+                anc_r = anc_ctx | descr[r].ancestors(z_vars)
+                check_group(given, anc_r, per_context[key], "per_context", r)
     return _done("noise_factorization", wit, notes)
 
 
