@@ -457,9 +457,7 @@ def _cmd_verify(args) -> int:
         statuses: dict[str, str] = {}
         for chk in DEFAULT_CHECKS:
             res = chk(s, solved)
-            statuses[res.name] = (
-                "skipped" if res.skipped else "passed" if res.passed else "failed"
-            )
+            statuses[res.name] = res.status
             if not res.passed:
                 fixture_failures.append({
                     "fixture": name,

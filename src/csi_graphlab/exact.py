@@ -19,10 +19,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
+from typing import TypeVar
 
 import numpy as np
 
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_PAIRS = 10**8
+
+T = TypeVar("T")
 
 
 class SolveError(ScmError):
@@ -361,9 +364,10 @@ def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointP
 @dataclass
 class SolvedModel:
     """One solve of a model: the solution table, the two joints and, filled on
-    first use, everything derived from them (the regimes here, the graph
-    families in `graph_objects`).  Derived values are computed once per
-    instance; they are immutable, so sharing them is safe.
+    first use through `derive`, everything derived from them (the regimes
+    here, the graph families in `graph_objects`, the locality scan in
+    `laws`).  Derived values are computed once per instance; they are
+    immutable, so sharing them is safe.
     """
 
     scm: Scm
@@ -383,13 +387,19 @@ class SolvedModel:
             noise_joint=noise_joint,
         )
 
+    def derive(self, key: Hashable, build: Callable[[], T]) -> T:
+        """`build()`, computed once per instance under `key`; a raising build
+        stores nothing."""
+        cache = self._derived
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     @property
     def regimes(self) -> tuple[str, ...]:
         """Context values with positive probability, sorted."""
-        if "regimes" not in self._derived:
-            support = self.joint.support([self.scm.context_variable])
-            self._derived["regimes"] = tuple(v[0] for v in support)
-        return self._derived["regimes"]
+        ctx = self.scm.context_variable
+        return self.derive("regimes", lambda: tuple(v for (v,) in self.joint.support([ctx])))
 
 
 # --- sampling ----------------------------------------------------------------------

@@ -12,16 +12,15 @@ the counterfactual graph they are annotations, not claims.
 
 Every graph of one solve is derived from a `SolvedModel` and computed at
 most once per instance: the union graph, the four per-regime families and
-the weak and strong regime-acyclicity flags are kept on the instance, next
-to its regimes.
+the weak and strong regime-acyclicity flags are kept by
+`SolvedModel.derive`, next to its regimes.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 from .exact import JointPmf, SolvedModel, joint_pmf, noise_name
 from .graphs import DirectedGraph
@@ -46,9 +45,6 @@ __all__ = [
     "check_R_faithfulness",
     "check_strong_R_faithfulness",
 ]
-
-T = TypeVar("T")
-
 
 def mechanism_graph(s: Scm) -> DirectedGraph:
     """Edge X -> Y iff f_Y is non-constant in X over the full parent grid.
@@ -118,17 +114,9 @@ def observable_graph(s: Scm, q: JointPmf) -> DirectedGraph:
     return _visible_edges(s, lambda mech: q.support(mech.parents))
 
 
-def _once(solved: SolvedModel, key: Hashable, build: Callable[[], T]) -> T:
-    """`build()`, computed once per solved model; a raising build stores nothing."""
-    cache = solved._derived
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
 def union_graph(solved: SolvedModel) -> DirectedGraph:
     """Visible graph of the pooled distribution (all contexts mixed)."""
-    return _once(solved, "union", lambda: observable_graph(solved.scm, solved.joint))
+    return solved.derive("union", lambda: observable_graph(solved.scm, solved.joint))
 
 
 def _with_context_edges(
@@ -141,7 +129,7 @@ def _with_context_edges(
 def descriptive_graph(solved: SolvedModel, r: str) -> DirectedGraph:
     """Edges visible within the stratum R=r, plus pooled edges touching R."""
     _require_regime(solved, r)
-    return _once(solved, ("descriptive", r), lambda: _build_descriptive(solved, r))
+    return solved.derive(("descriptive", r), lambda: _build_descriptive(solved, r))
 
 
 def _build_descriptive(solved: SolvedModel, r: str) -> DirectedGraph:
@@ -166,7 +154,7 @@ def physical_graph(solved: SolvedModel, r: str) -> DirectedGraph:
     per-regime graphs always union back to the pooled graph.
     """
     _require_regime(solved, r)
-    return _once(solved, ("physical", r), lambda: _build_physical(solved, r))
+    return solved.derive(("physical", r), lambda: _build_physical(solved, r))
 
 
 def _build_physical(solved: SolvedModel, r: str) -> DirectedGraph:
@@ -204,7 +192,7 @@ def counterfactual_graph(solved: SolvedModel, r: str) -> DirectedGraph:
     no such edges.  Raises if the intervened model is not uniquely solvable.
     """
     _require_regime(solved, r)
-    return _once(solved, ("counterfactual", r), lambda: _build_counterfactual(solved, r))
+    return solved.derive(("counterfactual", r), lambda: _build_counterfactual(solved, r))
 
 
 def _build_counterfactual(solved: SolvedModel, r: str) -> DirectedGraph:
@@ -223,7 +211,7 @@ def ident_graph(solved: SolvedModel, r: str) -> DirectedGraph:
     edges are restored.
     """
     _require_regime(solved, r)
-    return _once(solved, ("ident", r), lambda: _build_ident(solved, r))
+    return solved.derive(("ident", r), lambda: _build_ident(solved, r))
 
 
 def _build_ident(solved: SolvedModel, r: str) -> DirectedGraph:
@@ -244,14 +232,14 @@ def _require_regime(solved: SolvedModel, r: str) -> None:
 
 def is_weakly_regime_acyclic(solved: SolvedModel) -> bool:
     """Every per-context descriptive graph is acyclic."""
-    return _once(solved, "weakly_acyclic", lambda: all(
+    return solved.derive("weakly_acyclic", lambda: all(
         descriptive_graph(solved, r).is_acyclic() for r in solved.regimes
     ))
 
 
 def is_strongly_regime_acyclic(solved: SolvedModel) -> bool:
     """Weakly regime-acyclic and no pooled cycle touches an ancestor of the context."""
-    return _once(solved, "strongly_acyclic", lambda: _strong(solved))
+    return solved.derive("strongly_acyclic", lambda: _strong(solved))
 
 
 def _strong(solved: SolvedModel) -> bool:

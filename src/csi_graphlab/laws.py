@@ -7,9 +7,10 @@ never a silent pass or a spurious failure.  `random_scm` draws small models
 by rejection so the relations get exercised far from the curated corpus.
 
 The noise-factorization law holds for every conditioning set at once when the
-noise joint is in product form and the solved values are local, as the
-paper's solution-function argument shows; that takes n locality scans.  Only
-a joint failing either property is walked over all 2^n - 1 conditioning sets
+noise joint spells the solution table in product form and the solved values
+are local, as the paper's solution-function argument shows; the locality
+scan is the one `check_solution_locality` reads, run once per solve.  Only a
+joint failing either property is walked over all 2^n - 1 conditioning sets
 in Python ints, comparing the noise joint's weights P = p * D (D its
 denominator) with the priors scaled to integers by the lcm of their
 denominators (a_i = prior_i * d_i): a noise tuple factors exactly when
@@ -233,6 +234,11 @@ class CheckResult:
         if not self.passed and not self.witnesses:
             raise LawsError("failed check needs at least one witness")
 
+    @property
+    def status(self) -> str:
+        """Tally key: "skipped", "passed" or "failed"."""
+        return "skipped" if self.skipped else "passed" if self.passed else "failed"
+
 
 def _done(name: str, witnesses: list[dict], notes: tuple[str, ...] = ()) -> CheckResult:
     witnesses = witnesses[:_WITNESS_CAP]
@@ -378,6 +384,14 @@ def _locality_violations(s: Scm, solved: SolvedModel, rows):
                 yield "per_context", v, r, hit
 
 
+def _solution_violations(solved: SolvedModel) -> tuple:
+    """`_locality_violations` on the solution table, scanned once per solve."""
+    table = solved.table
+    return solved.derive("locality", lambda: tuple(_locality_violations(
+        solved.scm, solved, list(zip(table.noise_assignments, table.values))
+    )))
+
+
 def check_solution_locality(s: Scm, solved: SolvedModel) -> CheckResult:
     """Solved values depend only on ancestral noises.
 
@@ -388,8 +402,6 @@ def check_solution_locality(s: Scm, solved: SolvedModel) -> CheckResult:
     """
     if not is_weakly_regime_acyclic(solved):
         return _skip("solution_locality", "model is not weakly regime-acyclic")
-    table = solved.table
-    rows = list(zip(table.noise_assignments, table.values))
     wit = [
         {
             "clause": clause,
@@ -398,7 +410,7 @@ def check_solution_locality(s: Scm, solved: SolvedModel) -> CheckResult:
             "noise_rows": [list(first[0]), list(second[0])],
             "values": [first[1], second[1]],
         }
-        for clause, v, r, (first, second) in _locality_violations(s, solved, rows)
+        for clause, v, r, (first, second) in _solution_violations(solved)
     ]
     return _done("solution_locality", wit)
 
@@ -421,15 +433,17 @@ def check_noise_factorization(
     (group, ancestral noise values), and the products run over the noises
     outside the block.
 
-    The paper's own argument settles every Z at once, from two properties
-    read off the joint's own rows and weights:
+    The paper's own argument settles every Z at once when the joint's keys
+    are the solution table's (noise + values) rows, in table order, and two
+    properties hold:
 
     - product form: the noise tuples are distinct, use only labels of
       positive prior and number prod_i |positive support|; every weight w
       has w * prod_i d_i == D * prod_i a_i; each prior's positive labels
       sum to one.
-    - locality: both clauses of `check_solution_locality` hold on the
-      joint's (noise, value) rows, whose context values are all regimes.
+    - locality: every row's context value is a regime, and the solve's
+      single locality scan, the one `check_solution_locality` reads, found
+      no violation of either clause.
 
     Proof sketch.  Under product form every completion of the outside
     noises is a row of the joint.  Locality puts all those completions in
@@ -453,29 +467,34 @@ def check_noise_factorization(
     if cap < n:
         notes = ("conditioning sets of more than %d variables not checked" % cap,)
     nj = solved.noise_joint
-    noise_of = _getter([nj.scope.index(noise_name(v)) for v in names])
-    value_of = _getter([nj.scope.index(v) for v in names])
-    rows = [(noise_of(key), value_of(key)) for key in nj.weights]
+    table = solved.table
     pmfs = [s.noises[v].pmf for v in names]
     d = [math.lcm(*(p.denominator for _, p in pmf)) for pmf in pmfs]
     prior = [{lbl: int(p * dj) for lbl, p in pmf} for pmf, dj in zip(pmfs, d)]
-    if _product_form(nj, rows, d, prior) and _local(s, solved, rows):
+    ci = names.index(s.context_variable)
+    if (
+        list(nj.weights) == [u + v for u, v in zip(table.noise_assignments, table.values)]
+        and _product_form(nj, table.noise_assignments, d, prior)
+        # every row lies in a per-context stratum of the scan
+        and {vals[ci] for vals in table.values} <= set(solved.regimes)
+        and not _solution_violations(solved)
+    ):
         return _done("noise_factorization", [], notes)
     return _factorization_kernel(s, solved, cap, notes, d, prior)
 
 
-def _product_form(nj: JointPmf, rows, d: list[int], prior: list[dict[str, int]]) -> bool:
-    """Whether the joint's noise tuples are exactly the product of the
-    positive noise supports, each weighted by the product of its priors."""
+def _product_form(nj: JointPmf, noises, d: list[int], prior: list[dict[str, int]]) -> bool:
+    """Whether `noises`, the joint's noise tuples in key order, are exactly
+    the product of the positive noise supports, each weighted by the product
+    of its priors."""
     positive = [{lbl: a for lbl, a in pr.items() if a > 0} for pr in prior]
     if any(sum(pos.values()) != dj for pos, dj in zip(positive, d)):
         return False
-    distinct = {noise for noise, _ in rows}
-    if len(distinct) != len(rows) or len(rows) != math.prod(map(len, positive)):
+    if len(set(noises)) != len(noises) or len(noises) != math.prod(map(len, positive)):
         return False
     scale = math.prod(d)
     denom = nj.denominator
-    for (noise, _), w in zip(rows, nj.weights.values()):
+    for noise, w in zip(noises, nj.weights.values()):
         a = 1
         for pos, lbl in zip(positive, noise):
             if lbl not in pos:
@@ -484,16 +503,6 @@ def _product_form(nj: JointPmf, rows, d: list[int], prior: list[dict[str, int]])
         if w * scale != denom * a:
             return False
     return True
-
-
-def _local(s: Scm, solved: SolvedModel, rows) -> bool:
-    """Whether every row's context value is a regime, so that the per-context
-    scans see every row, and solution locality holds on the rows."""
-    ci = solved.table.variables.index(s.context_variable)
-    regimes = set(solved.regimes)
-    if any(vals[ci] not in regimes for _, vals in rows):
-        return False
-    return next(_locality_violations(s, solved, rows), None) is None
 
 
 def _factorization_kernel(
@@ -722,15 +731,9 @@ def run_suite(
             continue
         for chk in checks:
             res = chk(sampled.scm, sampled.solved)
-            tally = tallies.setdefault(
-                res.name, {"passed": 0, "failed": 0, "skipped": 0}
-            )
-            if res.skipped:
-                tally["skipped"] += 1
-            elif res.passed:
-                tally["passed"] += 1
-            else:
-                tally["failed"] += 1
+            tally = tallies.setdefault(res.name, {"passed": 0, "failed": 0, "skipped": 0})
+            tally[res.status] += 1
+            if res.status == "failed":
                 failures.append({
                     "model_index": i,
                     "model_seed": mspec.seed,

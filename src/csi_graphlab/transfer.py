@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _stratum_ids
+from .data import DataError, Dataset, _stratum_ids
 from .independence import CiQuery, g_test, g_test_from_tables
 from .rng import derive_seed
 
@@ -116,7 +116,7 @@ def transfer_evidence(
         raise TransferError("x, y, the context, and z must not overlap")
     try:
         r0_code = data.code_of(context, r0)
-    except Exception:
+    except DataError:
         raise TransferError(
             "r0 value %r is not a category of %r" % (r0, context)
         ) from None

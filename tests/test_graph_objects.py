@@ -258,6 +258,8 @@ def test_each_family_is_built_at_most_once_per_regime(monkeypatch):
     for name in ("observable_graph", "_build_descriptive", "_build_physical",
                  "_build_counterfactual", "_build_ident"):
         monkeypatch.setattr(graph_objects, name, counting(name, getattr(graph_objects, name)))
+    scan = laws._locality_violations
+    monkeypatch.setattr(laws, "_locality_violations", counting("locality", scan))
     for name in list_examples():
         builds.clear()
         m = solved(name)
@@ -272,6 +274,9 @@ def test_each_family_is_built_at_most_once_per_regime(monkeypatch):
             for fam in ("descriptive", "physical", "counterfactual", "ident")
             for r in m.regimes
         }
+        # the locality scan, shared by both solution-function laws, runs once
+        # on a solved model that meets their hypothesis
+        assert builds.pop(("locality", None), 0) == is_weakly_regime_acyclic(m), name
         # observable_graph: the union graph once, descriptive and counterfactual once per regime
         assert builds == {**per_regime, ("observable_graph", None): 1 + 2 * len(m.regimes)}, name
         assert union_graph(m) is union_graph(m)

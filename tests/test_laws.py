@@ -201,6 +201,9 @@ def test_check_result_validation():
         )
     with pytest.raises(laws.LawsError, match="at least one witness"):
         laws.CheckResult("x", passed=False)
+    assert laws.CheckResult("x", passed=True).status == "passed"
+    assert laws.CheckResult("x", passed=False, witnesses=({"a": 1},)).status == "failed"
+    assert laws.CheckResult("x", passed=True, skipped=True, reason="r").status == "skipped"
 
 
 def test_checks_skip_hypotheses_they_cannot_assume():
@@ -388,13 +391,18 @@ def zero_prior_row(sm):
     return replace(with_weights(sm, {("zero", *key[1:]): w, **dict(rest)}), scm=s)
 
 
+def reversed_rows(sm):
+    """The same product-form weights, with the rows in reverse table order."""
+    return with_weights(sm, dict(reversed(sm.noise_joint.weights.items())))
+
+
 def test_adversarial_joints_fall_through_to_the_kernel(solved_examples, monkeypatch):
     calls = kernel_calls(monkeypatch)
     for s, sm in solved_examples.values():
         swapped = swapped_values(sm)
         # the table still spells out the untouched rows, and they are local
         assert swapped is not None and laws.check_solution_locality(s, swapped).passed
-        for t in (swapped, duplicated_noise(sm), zero_prior_row(sm)):
+        for t in (swapped, duplicated_noise(sm), zero_prior_row(sm), reversed_rows(sm)):
             calls.clear()
             got = laws.check_noise_factorization(t.scm, t)
             assert calls == [t]

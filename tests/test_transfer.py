@@ -137,6 +137,18 @@ def test_input_validation():
         transfer_evidence(empty_r0, "X", "Y", (), "0", cfg, context="C")
 
 
+def test_unrelated_lookup_errors_are_not_reported_as_missing_categories(monkeypatch):
+    data = fixture_samples("fig1-change-overlap", n=300)
+    cfg = TransferConfig(K=2, N=50, alpha=0.05, seed=1)
+
+    def broken(self, name, label):
+        raise RuntimeError("broken lookup")
+
+    monkeypatch.setattr(Dataset, "code_of", broken)
+    with pytest.raises(RuntimeError, match="broken lookup"):
+        transfer_evidence(data, "X", "Y", (), "0", cfg, context="C")
+
+
 def test_config_validation():
     with pytest.raises(TransferError, match="K"):
         TransferConfig(K=0, N=10, alpha=0.05, seed=1)
