@@ -20,7 +20,9 @@ echo
 echo "== draw data, rediscover structure from samples =="
 csi-graphlab sample m/model.scm --n 6000 --seed 11 --out data
 csi-graphlab discover --data data/samples.csv --alpha 0.05 --context R --out disc
-python3 -m json.tool --compact disc/report.json | head -c 400; echo
+# the first 400 characters of the compact report; no pipe, so no early close
+python3 -c 'import json; d = json.load(open("disc/report.json")); \
+print(json.dumps(d, separators=(",", ":"))[:400])'
 
 echo
 echo "== exact-oracle discovery feeds the change classifier =="

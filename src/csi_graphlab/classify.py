@@ -93,106 +93,54 @@ def _ordered_pair(a: str, b: str) -> tuple[str, str]:
 
 
 def _classify_oriented(
-    union: DirectedGraph, context: str, edge: tuple[str, str], regime: str
-) -> EdgeChange:
+    union: DirectedGraph, context: str, edge: tuple[str, str]
+) -> tuple[str, str | None, str]:
+    """(classification, rule, justification) of one vanished directed edge."""
     x, y = edge
-    base = dict(edge=edge, regime=regime, in_union=True, in_detect_r=False)
     if y == context:
-        return EdgeChange(
-            classification=UNDETERMINED,
-            rule=None,
-            justification="edges into the context are outside the rules",
-            **base,
-        )
+        return UNDETERMINED, None, "edges into the context are outside the rules"
     if context not in union.parents(y):
-        return EdgeChange(
-            classification=NON_PHYSICAL,
-            rule=RULE_R1_PARENT,
-            justification=(
+        return (NON_PHYSICAL, RULE_R1_PARENT,
                 "%s is not a pooled parent of %s, so the mechanism of %s is "
                 "the same in every context; the edge vanished for lack of "
-                "support" % (context, y, y)
-            ),
-            **base,
-        )
+                "support" % (context, y, y))
     if x == context:
-        return EdgeChange(
-            classification=UNDETERMINED,
-            rule=None,
-            justification=(
+        return (UNDETERMINED, None,
                 "the vanished edge leaves the context itself; the rules "
-                "address non-context parents"
-            ),
-            **base,
-        )
+                "address non-context parents")
     anc_ctx = union.ancestors([context])
     others = sorted(union.parents(y) - {context})
     if anc_ctx.isdisjoint(union.ancestors(others)):
         if not union.cyclic_nodes().isdisjoint(anc_ctx):
-            return EdgeChange(
-                classification=UNDETERMINED,
-                rule=None,
-                justification=(
+            return (UNDETERMINED, None,
                     "the pooled graph has a cycle through an ancestor of "
                     "%s, so the disjoint-ancestry rule is not known to be "
-                    "sound here" % context
-                ),
-                **base,
-            )
-        return EdgeChange(
-            classification=PHYSICAL,
-            rule=RULE_R2,
-            justification=(
+                    "sound here" % context)
+        return (PHYSICAL, RULE_R2,
                 "%s is a pooled parent of %s and no ancestor of %s is "
                 "shared with the remaining parents of %s, so only a "
                 "mechanism change can explain the missing edge"
-                % (context, y, context, y)
-            ),
-            **base,
-        )
-    return EdgeChange(
-        classification=UNDETERMINED,
-        rule=None,
-        justification=(
+                % (context, y, context, y))
+    return (UNDETERMINED, None,
             "ancestors of %s meet ancestors of the other parents of %s; "
-            "the vanishing could be physical or support-induced" % (context, y)
-        ),
-        **base,
-    )
+            "the vanishing could be physical or support-induced" % (context, y))
 
 
 def _classify_skeleton(
-    union: UndirectedSkeleton, context: str, pair: tuple[str, str], regime: str
-) -> EdgeChange:
+    union: UndirectedSkeleton, context: str, pair: tuple[str, str]
+) -> tuple[str, str | None, str]:
+    """(classification, rule, justification) of one vanished skeleton pair."""
     a, b = pair
-    base = dict(edge=pair, regime=regime, in_union=True, in_detect_r=False)
     if context in pair:
-        return EdgeChange(
-            classification=UNDETERMINED,
-            rule=None,
-            justification="the pair touches the context itself",
-            **base,
-        )
+        return UNDETERMINED, None, "the pair touches the context itself"
     if not union.adjacent(context, a) and not union.adjacent(context, b):
-        return EdgeChange(
-            classification=NON_PHYSICAL,
-            rule=RULE_R1_SKELETON,
-            justification=(
+        return (NON_PHYSICAL, RULE_R1_SKELETON,
                 "%s is adjacent to neither %s nor %s, so neither endpoint's "
                 "mechanism can take %s as a parent under any orientation"
-                % (context, a, b, context)
-            ),
-            **base,
-        )
-    return EdgeChange(
-        classification=UNDETERMINED,
-        rule=None,
-        justification=(
+                % (context, a, b, context))
+    return (UNDETERMINED, None,
             "%s is adjacent to an endpoint and the skeleton does not "
-            "determine parent or ancestor facts" % context
-        ),
-        **base,
-    )
+            "determine parent or ancestor facts" % context)
 
 
 def classify_changes(
@@ -215,10 +163,12 @@ def classify_changes(
         if not isinstance(union, DirectedGraph):
             raise ClassifyError("oriented mode needs a directed pooled graph")
         pooled_pairs = {_ordered_pair(*e) for e in union.edges}
+        candidates, verdict = union.sorted_edges(), _classify_oriented
     else:
         if isinstance(union, DirectedGraph):
             union = union.skeleton()
         pooled_pairs = set(union.pairs)
+        candidates, verdict = union.sorted_pairs(), _classify_skeleton
     if context not in union.nodes:
         raise ClassifyError("context %r is not a node of the pooled graph" % context)
     if not detect:
@@ -237,17 +187,11 @@ def classify_changes(
             raise ClassifyError(
                 "detection skeleton for regime %r has different nodes" % r
             )
-        if mode == "oriented":
-            vanished = [e for e in union.sorted_edges() if not sk.adjacent(*e)]
-            labeled = [
-                _classify_oriented(union, context, e, r) for e in vanished
-            ]
-        else:
-            vanished = [p for p in union.sorted_pairs() if not sk.adjacent(*p)]
-            labeled = [
-                _classify_skeleton(union, context, p, r) for p in vanished
-            ]
-        changes[r] = tuple(labeled)
+        changes[r] = tuple(
+            EdgeChange(e, r, True, False, *verdict(union, context, e))
+            for e in candidates
+            if not sk.adjacent(*e)
+        )
         violations[r] = tuple(
             p for p in sk.sorted_pairs() if p not in pooled_pairs
         )

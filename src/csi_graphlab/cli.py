@@ -14,7 +14,9 @@ Exit codes: 0 success, 2 validation error, 3 law-check failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import os
 import sys
@@ -88,13 +90,13 @@ def _deliver(args, files: dict[str, str], stdout_name: str) -> None:
         (out / name).write_text(text)
 
 
-def _resolve_seed(explicit: int | None) -> int:
-    """Flag wins, then CSI_GRAPHLAB_SEED, then 0."""
+def _resolve_seed(explicit: int | None, default: int | None = 0) -> int | None:
+    """Flag wins, then CSI_GRAPHLAB_SEED, then `default`."""
     if explicit is not None:
         return explicit
     env = os.environ.get("CSI_GRAPHLAB_SEED")
     if env is None:
-        return 0
+        return default
     try:
         return int(env)
     except ValueError:
@@ -112,15 +114,10 @@ def _pairs(skel: UndirectedSkeleton) -> list[list[str]]:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    def cell(v) -> str:
-        text = str(v)
-        if any(ch in text for ch in ",\"\n"):
-            text = '"%s"' % text.replace('"', '""')
-        return text
-
-    lines = [",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """Header and rows in the dialect of `Dataset.to_csv`."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    return out.getvalue()
 
 
 # --- ground-truth --------------------------------------------------------------------
@@ -445,9 +442,8 @@ def _spec_from_file(path: str) -> RandomModelSpec:
 
 def _cmd_verify(args) -> int:
     spec = _spec_from_file(args.spec) if args.spec else RandomModelSpec()
-    seed = args.seed
-    if seed is None and os.environ.get("CSI_GRAPHLAB_SEED") is not None:
-        seed = _resolve_seed(None)
+    # no flag and no environment variable: the spec's own seed
+    seed = _resolve_seed(args.seed, default=None)
 
     fixture_results: dict[str, dict[str, str]] = {}
     fixture_failures: list[dict] = []

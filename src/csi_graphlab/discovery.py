@@ -1,12 +1,13 @@
 """Skeleton discovery from pooled and per-context independence tests.
 
-Two testers answer the same query surface, each with a memo on the exact
-query: `ExactTester` against the exact joint, `SampleTester` against a
-dataset with a G-test, answered from a count table built once.  On top of
-them sit a deterministic PC-style skeleton search (pooled or masked to one
-context value), the exhaustive per-context detection skeleton, and the
-executable Markov check that verifies each designated separating set on the
-exact distribution.  All three search for separating sets with
+Two testers answer the same query surface, each memoizing verdicts on the
+exact query: `independence.ExactTester` against the exact joint, with the
+memo owned by the solve, and `SampleTester` against a dataset with a
+G-test, answered from a count table built once.  On top of them sit a
+deterministic PC-style skeleton search (pooled or masked to one context
+value), the exhaustive per-context detection skeleton, and the executable
+Markov check that verifies each designated separating set on the exact
+distribution.  All three search for separating sets with
 `independence.first_separator`, each over its own ordered sequence of
 candidate sets: the stable-PC neighbour subsets, every subset of the other
 non-context variables, or the designated parent sets.
@@ -27,7 +28,7 @@ from .graph_objects import (
     is_strongly_regime_acyclic,
     union_graph,
 )
-from .independence import CiQuery, CiVerdict, ci_exact, first_separator, g_test, subsets
+from .independence import CiQuery, CiVerdict, ExactTester, first_separator, g_test, subsets
 
 __all__ = [
     "DiscoveryError",
@@ -61,24 +62,6 @@ class SeparationCertificate:
     regime: str | None
     method: str
     p_value: float
-
-
-class ExactTester:
-    """Answers independence queries from the exact joint of a solved model,
-    with verdicts memoized on the exact query as in `SampleTester`."""
-
-    def __init__(self, solved: SolvedModel):
-        self._solved = solved
-        self._memo: dict[CiQuery, CiVerdict] = {}
-        self.variables = solved.scm.variable_names
-        self.context = solved.scm.context_variable
-        self.regimes = solved.regimes
-
-    def test(self, x: str, y: str, z: Sequence[str] = (), regime: str | None = None) -> CiVerdict:
-        q = CiQuery(x, y, tuple(z), regime)
-        if q not in self._memo:
-            self._memo[q] = ci_exact(self._solved.joint, q, context=self.context)
-        return self._memo[q]
 
 
 class SampleTester:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .exact import JointPmf, SolvedModel, joint_pmf, noise_name
 from .graphs import DirectedGraph
-from .independence import CiQuery, ci_exact, first_separator, subsets
+from .independence import ExactTester, first_separator, subsets
 from .scm import MechanismTable, Scm, ScmError, intervene
 
 __all__ = [
@@ -359,12 +359,8 @@ def check_R_faithfulness(solved: SolvedModel) -> FaithfulnessReport:
     every pooled set, then every masked one.
     """
     ctx = solved.scm.context_variable
-    joint = solved.joint
-    names = list(joint.scope)
-
-    def test(x, y, z, regime):
-        return ci_exact(joint, CiQuery(x, y, z, regime), context=ctx)
-
+    names = list(solved.joint.scope)
+    test = ExactTester(solved).test
     report = FaithfulnessReport(holds=True)
     for r in solved.regimes:
         descr = descriptive_graph(solved, r)

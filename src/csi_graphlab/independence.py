@@ -2,7 +2,10 @@
 
 The exact oracle reads its strata from `JointPmf.strata` and decides each
 with `exact.first_dependence`, on the joint's integer weights: the verdict
-of the rational masses, with no `Fraction` arithmetic.
+of the rational masses, with no `Fraction` arithmetic.  `ExactTester` is
+the one path that asks it: its memo on the exact query is kept by the
+`SolvedModel`, so exact discovery, the Markov check and the R-faithfulness
+search of one solve decide each query once.
 
 Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
 an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
@@ -10,9 +13,10 @@ returns K verdicts from array operations alone.  `g_test` passes one test
 (K = 1) whose observed strata are numbered by `data._stratum_ids` and counted
 with a single `bincount`, weighted by the dataset's `counts` when it is a
 count table.  A count table built once (`Dataset.tabulate`) gives the same
-tables as the raw rows at a fraction of the rows to scan; the discovery
-tester builds it once and keeps a memo on the exact query.  The transfer
-test passes its replicates in chunks of bounded size.
+tables as the raw rows at a fraction of the rows to scan; the sample
+tester (`discovery.SampleTester`) builds it once and keeps a memo on the
+exact query.  The transfer test passes its replicates in chunks of bounded
+size.
 
 Separating sets are searched for in one place, `first_separator`: given a
 test and an ordered sequence of conditioning sets (usually from `subsets`),
@@ -33,13 +37,14 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .data import DataError, Dataset, _stratum_ids
-from .exact import JointPmf, first_dependence
+from .exact import JointPmf, SolvedModel, first_dependence
 
 __all__ = [
     "IndependenceError",
     "CiQuery",
     "CiVerdict",
     "ci_exact",
+    "ExactTester",
     "g_test",
     "g_test_from_tables",
     "conditional_mutual_information",
@@ -118,6 +123,29 @@ def ci_exact(p: JointPmf, q: CiQuery, context: str | None = None) -> CiVerdict:
         if first_dependence(cells, 1) is not None:
             return CiVerdict(False, 0.0, 0.0, "ci_exact")
     return CiVerdict(True, 1.0, 0.0, "ci_exact")
+
+
+class ExactTester:
+    """Answers independence queries from the exact joint of a solved model.
+
+    Verdicts are memoized on the exact query in a memo the solve owns
+    (`SolvedModel.derive`), so every tester of one solve shares it: exact
+    discovery, each Markov check and the R-faithfulness search decide each
+    query once.
+    """
+
+    def __init__(self, solved: SolvedModel):
+        self._solved = solved
+        self._memo: dict[CiQuery, CiVerdict] = solved.derive("ci_memo", dict)
+        self.variables = solved.scm.variable_names
+        self.context = solved.scm.context_variable
+        self.regimes = solved.regimes
+
+    def test(self, x: str, y: str, z: Sequence[str] = (), regime: str | None = None) -> CiVerdict:
+        q = CiQuery(x, y, tuple(z), regime)
+        if q not in self._memo:
+            self._memo[q] = ci_exact(self._solved.joint, q, context=self.context)
+        return self._memo[q]
 
 
 def conditional_mutual_information(

@@ -144,16 +144,6 @@ class Scm:
     def parents(self, name: str) -> tuple[str, ...]:
         return self.mechanism(name).parents
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Scm):
-            return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.context_variable == other.context_variable
-            and self.noises == other.noises
-            and self.mechanisms == other.mechanisms
-        )
-
 
 def validate_scm(s: Scm) -> list[str]:
     """Structural checks only; distribution-level checks live with the solver.
@@ -266,10 +256,6 @@ def intervene(s: Scm, var: str, value: str) -> Scm:
 
 # --- canonical JSON document -------------------------------------------------
 
-def _fraction_to_text(p: Fraction) -> str:
-    return str(p)
-
-
 def _fraction_from_text(text: object, where: str) -> Fraction:
     if not isinstance(text, str):
         raise ScmFormatError("%s: probability must be a string like '1/2', got %r" % (where, text))
@@ -292,10 +278,7 @@ def serialize_scm(s: Scm) -> str:
         "noises": [
             {
                 "variable": v.name,
-                "pmf": [
-                    [lbl, _fraction_to_text(p)]
-                    for lbl, p in sorted(s.noises[v.name].pmf)
-                ],
+                "pmf": [[lbl, str(p)] for lbl, p in sorted(s.noises[v.name].pmf)],
             }
             for v in s.variables
         ],

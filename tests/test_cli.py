@@ -377,6 +377,27 @@ def test_verify_spec_file(capsys, tmp_path):
     assert rc == EXIT_USAGE and "not valid JSON" in err
 
 
+def test_verify_seed_precedence(capsys, tmp_path, monkeypatch):
+    """--seed, then CSI_GRAPHLAB_SEED, then the spec's own seed."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n_vars": 2, "seed": 4}))
+    base = ("verify", "--count", "1", "--spec", str(spec))
+
+    def suite_seed(*extra):
+        rc, out, _ = invoke(capsys, *base, *extra)
+        assert rc == EXIT_OK
+        return json.loads(out)["suite"]["seed"]
+
+    monkeypatch.delenv("CSI_GRAPHLAB_SEED", raising=False)
+    assert suite_seed() == 4
+    monkeypatch.setenv("CSI_GRAPHLAB_SEED", "3")
+    assert suite_seed() == 3
+    assert suite_seed("--seed", "5") == 5
+    monkeypatch.setenv("CSI_GRAPHLAB_SEED", "x")
+    rc, _, err = invoke(capsys, *base)
+    assert rc == EXIT_USAGE and "CSI_GRAPHLAB_SEED" in err
+
+
 def _cli_stdout_under_hash_seed(hash_seed, *argv):
     package_root = str(Path(csi_graphlab.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "CSI_GRAPHLAB_SEED"}

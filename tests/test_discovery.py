@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from csi_graphlab import cli, discovery
+from csi_graphlab import cli, independence
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.discovery import (
     DiscoveryError,
@@ -298,7 +298,7 @@ def test_exact_memo_verdicts_equal_fresh_ci_exact(case, monkeypatch, tmp_path, c
         return ci_exact(p, q, context)
 
     monkeypatch.setattr(cli, "ExactTester", Recording)
-    monkeypatch.setattr(discovery, "ci_exact", counted)
+    monkeypatch.setattr(independence, "ci_exact", counted)
     model = tmp_path / "model.json"
     model.write_text(serialize_scm(s))
     assert cli.main(["discover", "--exact", str(model)]) == 0
@@ -309,3 +309,24 @@ def test_exact_memo_verdicts_equal_fresh_ci_exact(case, monkeypatch, tmp_path, c
     for q, verdict in tester._memo.items():
         assert verdict == ci_exact(joint, q, context=tester.context)
         assert verdict == reference_ci_exact(fraction_pmf(joint), q, context=tester.context)
+
+
+def test_one_solve_decides_each_exact_query_once(monkeypatch):
+    """Exact testers of one solve share its memo: repeated Markov checks and
+    the R-faithfulness search never decide a query twice."""
+    m = solved("intro-mediator")
+    decided = []
+
+    def counted(p, q, context=None):
+        decided.append(q)
+        return ci_exact(p, q, context)
+
+    monkeypatch.setattr(independence, "ci_exact", counted)
+    first = markov_check(m)
+    after_first = len(decided)
+    assert first.passed and after_first > 0
+    assert markov_check(m) == first
+    assert len(decided) == after_first
+    assert check_R_faithfulness(m).holds
+    assert len(decided) == len(set(decided))
+    assert set(decided) == set(ExactTester(m)._memo)

@@ -309,6 +309,16 @@ def test_faithfulness_verdicts():
     ]
 
 
+def test_rewrite_search_stops_at_its_budget(monkeypatch):
+    m = solved("not-strong-faithful")
+    found = [{"variable": "Y", "dropped": "X", "parents": ["R"]}]
+    assert check_strong_R_faithfulness(m).rewrite_witnesses == found
+    monkeypatch.setattr(graph_objects, "REWRITE_CHECK_CAP", 0)
+    capped = check_strong_R_faithfulness(m)
+    assert capped.rewrite_witnesses == []
+    assert capped.holds
+
+
 def _graph_record(g):
     return [
         g.to_dot(),

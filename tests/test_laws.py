@@ -11,6 +11,7 @@ from csi_graphlab import laws
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.exact import JointPmf, SolvedModel
 from csi_graphlab.discovery import ExactTester, detect_graph, skeleton_masked, skeleton_pooled
+from csi_graphlab.graphs import DirectedGraph
 from csi_graphlab.graph_objects import (
     counterfactual_graph,
     descriptive_graph,
@@ -283,6 +284,66 @@ def test_suite_records_failures_and_skips():
     assert first["model_index"] == 0
     assert first["model_seed"] == derive_seed(SPEC.seed, 0)
     assert first["witnesses"] == [{"variable": "x"}]
+
+
+def test_suite_records_unsolved_models_without_checking_them():
+    spec = laws.RandomModelSpec(require=laws.Requirements(solvable=False))
+    summary = laws.run_suite(60, spec=spec, seed=1)
+    unsolved = [m["index"] for m in summary.models if not m["solved"]]
+    assert unsolved == [37, 43, 45, 47, 58]
+    assert summary.ok
+    assert sorted(summary.tallies) == sorted(c.__name__[6:] for c in laws.DEFAULT_CHECKS)
+    for tally in summary.tallies.values():
+        assert sum(tally.values()) == 55
+
+
+# --- graph-family laws: each relation broken once on a corpus model -----------------
+
+def edited(family, add=(), drop=(), regime=None):
+    """`family` with edges added and dropped, in one regime or in all of them."""
+    def graph(solved, *r):
+        g = family(solved, *r)
+        if regime is not None and r != (regime,):
+            return g
+        return DirectedGraph(g.nodes, (g.edges - set(drop)) | set(add))
+    return graph
+
+
+# intro-mediator: pooled R -> M -> T -> Y; both regimes keep the three physical
+# edges, and regime 0 describes only R -> M
+FAMILY_LAW_WITNESSES = [
+    ("edge_inclusions", "physical_graph", dict(drop=[("R", "M")], regime="0"),
+     [{"relation": "descriptive_within_physical", "regime": "0", "edge": ("R", "M")}]),
+    ("edge_inclusions", "physical_graph", dict(add=[("R", "Y")], regime="1"),
+     [{"relation": "physical_within_pooled", "regime": "1", "edge": ("R", "Y")}]),
+    ("union_property", "physical_graph", dict(drop=[("M", "T")]),
+     [{"relation": "pooled_edge_in_no_physical", "edge": ("M", "T")}]),
+    ("union_property", "physical_graph", dict(add=[("R", "Y")], regime="0"),
+     [{"relation": "physical_union_exceeds_pooled", "edge": ("R", "Y")}]),
+    ("union_property", "descriptive_graph", dict(drop=[("T", "Y")], regime="1"),
+     [{"relation": "descriptive_gap_without_rewrite", "edges": [("T", "Y")]}]),
+    ("regime_children", "physical_graph", dict(drop=[("M", "T")], regime="0"),
+     [{"variable": "T", "regime": "0", "physical_parents": [], "pooled_parents": ["M"]}]),
+    ("ident_sandwich", "ident_graph", dict(drop=[("R", "M")], regime="0"),
+     [{"relation": "descriptive_within_ident", "regime": "0", "edge": ("R", "M")}]),
+    ("ident_sandwich", "ident_graph", dict(add=[("R", "Y")], regime="0"),
+     [{"relation": "ident_within_pooled", "regime": "0", "edge": ("R", "Y")},
+      {"relation": "ident_within_physical", "regime": "0", "edge": ("R", "Y")}]),
+    ("ident_sandwich", "physical_graph", dict(drop=[("M", "T")], regime="1"),
+     [{"relation": "ident_within_physical", "regime": "1", "edge": ("M", "T")}]),
+]
+
+
+@pytest.mark.parametrize("law, family, edit, witnesses", FAMILY_LAW_WITNESSES)
+def test_family_laws_report_each_broken_relation(law, family, edit, witnesses, monkeypatch):
+    s = get_example("intro-mediator")
+    sm = SolvedModel.of(s)
+    check = getattr(laws, "check_" + law)
+    assert check(s, sm).passed
+    monkeypatch.setattr(laws, family, edited(getattr(laws, family), **edit))
+    res = check(s, sm)
+    assert not res.passed
+    assert list(res.witnesses) == witnesses
 
 
 # --- noise factorization: the structural decision, the integer walk and the ---------
