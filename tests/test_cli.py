@@ -318,6 +318,18 @@ def test_sample_matches_the_library(capsys, tmp_path):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize("name, n, seed, digest", [
+    ("intro", 50, 7, "21d455469f015e9e9cc687e2a77aaa7e03f24a762d9c034e261a4ac4dca2c574"),
+    ("intro-mediator", 10**6, 3,
+     "21a36b6c4bd8de7617a79c3367a997c0ccc1ab65f7bd86ec25c617dcde67fb93"),
+])
+def test_sample_stdout_is_pinned(capsys, tmp_path, name, n, seed, digest):
+    scm = write_model(tmp_path, name)
+    rc, out, _ = invoke(capsys, "sample", scm, "--n", str(n), "--seed", str(seed))
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_passes_and_is_byte_stable(capsys):
     rc, out, _ = invoke(capsys, "verify", "--count", "20", "--seed", "3")
     assert rc == EXIT_OK

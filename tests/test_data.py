@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from csi_graphlab.corpus import get_example
 from csi_graphlab.data import DataError, Dataset
+from csi_graphlab.exact import draw_samples
 
 
 def small():
@@ -131,3 +135,19 @@ def test_counts_are_validated():
         Dataset(("A",), {"A": ("0",)}, codes, np.ones(3, dtype=np.int64))
     with pytest.raises(DataError, match="positive"):
         Dataset(("A",), {"A": ("0",)}, codes, np.array([1, 0]))
+
+
+def test_to_csv_of_a_count_table_is_pinned():
+    quirky = Dataset.from_rows(
+        ("R", "X,1", "Y"),
+        [("0", "a,b", ""), ("1", 'say "hi"', " "), ("0", "a,b", ""), ("1", "", "z"),
+         ("0", "a,b", "")],
+    ).tabulate()
+    assert quirky.to_csv() == 'R,"X,1",Y\n0,"a,b",\n0,"a,b",\n0,"a,b",\n1,,z\n1,"say ""hi""", \n'
+    # csv.writer quotes a row whose only field is empty
+    lone = Dataset.from_rows(("E",), [("",), ("x",), ("",)]).tabulate()
+    assert lone.to_csv() == 'E\n""\n""\nx\n'
+    drawn = draw_samples(get_example("intro-mediator"), 4000, 7).tabulate()
+    assert drawn.counts.tolist() == [1000, 1031, 482, 483, 269, 250, 253, 232]
+    assert hashlib.sha256(drawn.to_csv().encode()).hexdigest() == (
+        "4b15a0b98277e52605bbdab50ca8fcdfb18f35c8527887ef94a577bd339e0232")
