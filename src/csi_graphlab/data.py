@@ -3,7 +3,14 @@
 A dataset holds one row per sample, or, once `Dataset.tabulate` has
 compressed it, its distinct rows with an integer multiplicity each in
 `counts`.  `_stratum_ids` is the one mixed-radix encoder of rows: the count
-table, the G-test and the transfer test all number their cells with it.
+table, the G-test, the transfer test and `to_csv` all number their cells
+with it.
+
+CSV I/O does its per-record work once per distinct record: `from_csv`
+parses and codes each distinct line (or `csv.reader` record) once and
+indexes the codes by row, and `to_csv` writes each distinct row once and
+repeats its line.  Sampled data has few distinct rows, so both cost little
+more than cutting and joining the text.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Iterable, Mapping, Sequence
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,6 +33,13 @@ def _require_unique(columns: tuple[str, ...]) -> None:
     for i, c in enumerate(columns):
         if c in columns[:i]:
             raise DataError("duplicate column name %r" % (c,))
+
+
+def _categories_of(categories: Mapping[str, Sequence[str]], column: str) -> Sequence[str]:
+    try:
+        return categories[column]
+    except KeyError:
+        raise DataError("categories name no labels for column %r" % (column,)) from None
 
 
 def _stratum_ids(
@@ -72,7 +87,7 @@ class Dataset:
     ):
         self.columns = tuple(columns)
         _require_unique(self.columns)
-        self.categories = {c: tuple(categories[c]) for c in self.columns}
+        self.categories = {c: tuple(_categories_of(categories, c)) for c in self.columns}
         codes = np.asarray(codes, dtype=np.int64)
         if codes.ndim != 2 or codes.shape[1] != len(self.columns):
             raise DataError("codes must be (n_rows, n_columns)")
@@ -121,35 +136,54 @@ class Dataset:
         rows: Iterable[Sequence[str]],
         categories: Mapping[str, Sequence[str]] | None = None,
     ) -> "Dataset":
-        rows = [tuple(r) for r in rows]
+        return cls._from_records(columns, [tuple(r) for r in rows], None, categories)
+
+    @classmethod
+    def _from_records(
+        cls,
+        columns: Sequence[str],
+        records: list[tuple[str, ...]],
+        ids: list[int] | None,
+        categories: Mapping[str, Sequence[str]] | None,
+    ) -> "Dataset":
+        """Code the distinct `records` once; row i is record `ids[i]` (or i if
+        no ids).  Records are numbered in order of first appearance, so the
+        first bad record first appears in the first bad row, which errors name.
+        """
+        row_of = (lambda k: k) if ids is None else ids.index
         columns = tuple(columns)
         _require_unique(columns)
-        for i, r in enumerate(rows):
+        for k, r in enumerate(records):
             if len(r) != len(columns):
-                raise DataError("row %d has %d fields, expected %d" % (i, len(r), len(columns)))
+                raise DataError("row %d has %d fields, expected %d"
+                                % (row_of(k), len(r), len(columns)))
         if categories is None:
             categories = {
-                c: tuple(sorted({r[j] for r in rows}))
+                c: tuple(sorted({r[j] for r in records}))
                 for j, c in enumerate(columns)
             }
             # an all-empty dataset still needs nonempty category sets
             categories = {c: (cats if cats else ("",)) for c, cats in categories.items()}
         index = {
-            c: {lbl: i for i, lbl in enumerate(categories[c])}
+            c: {lbl: i for i, lbl in enumerate(_categories_of(categories, c))}
             for c in columns
         }
-        codes = np.empty((len(rows), len(columns)), dtype=np.int64)
+        codes = np.empty((len(records), len(columns)), dtype=np.int64)
         try:
-            for j, (c, values) in enumerate(zip(columns, zip(*rows))):
-                codes[:, j] = np.fromiter(map(index[c].__getitem__, values), np.int64, len(rows))
+            for j, (c, values) in enumerate(zip(columns, zip(*records))):
+                codes[:, j] = np.fromiter(map(index[c].__getitem__, values), np.int64,
+                                          len(records))
         except KeyError:
             # name the first unknown label in row-major order
-            for i, r in enumerate(rows):
+            for k, r in enumerate(records):
                 for j, c in enumerate(columns):
                     if r[j] not in index[c]:
                         raise DataError(
-                            "row %d: label %r not among categories of column %r" % (i, r[j], c)
+                            "row %d: label %r not among categories of column %r"
+                            % (row_of(k), r[j], c)
                         ) from None
+        if ids is not None:
+            codes = codes[np.array(ids, dtype=np.int64)]
         return cls(columns, categories, codes)
 
     @classmethod
@@ -158,23 +192,56 @@ class Dataset:
         text: str,
         categories: Mapping[str, Sequence[str]] | None = None,
     ) -> "Dataset":
-        """Parse CSV with a header row of column names; labels taken verbatim."""
-        reader = csv.reader(io.StringIO(text))
+        """Parse CSV with a header row of column names; labels taken verbatim.
+
+        Without `"` or `\\r` in the text each record is one line, and only the
+        distinct lines go through `csv.reader`; otherwise `csv.reader` cuts
+        the records, which may hold quoted newlines.
+        """
+        by_line = '"' not in text and "\r" not in text
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty CSV: missing header row") from None
-        return cls.from_rows(header, list(reader), categories)
+            if by_line:
+                # not splitlines(): csv.reader keeps \v, \f, \x1c and the like in a field
+                records = text.split("\n")
+                if records[-1] == "":
+                    records.pop()
+            else:
+                records = list(map(tuple, csv.reader(io.StringIO(text))))
+            if not records:
+                raise DataError("empty CSV: missing header row")
+            number: dict = {}
+            ids = [number.setdefault(r, len(number)) for r in records[1:]]
+            header, *distinct = [records[0], *number]
+            if by_line:
+                header, *distinct = map(tuple, csv.reader([header, *distinct]))
+        except csv.Error as e:
+            raise DataError("malformed CSV: %s" % (e,)) from None
+        return cls._from_records(header, distinct, ids, categories)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        """Header and rows through `csv.writer`, each distinct row written once
+        and its line repeated for every stored row (`counts[i]` times for row
+        i of a count table)."""
+        lines: list[str] = []
+        # writerow hands `write` exactly one whole line per row
+        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
         writer.writerow(self.columns)
+        ranks, distinct = self._distinct()
         cats = [self.categories[c] for c in self.columns]
-        rows = self.codes if self.counts is None else np.repeat(self.codes, self.counts, axis=0)
-        for row in rows:
-            writer.writerow([cats[j][row[j]] for j in range(len(self.columns))])
-        return out.getvalue()
+        writer.writerows([cats[j][k] for j, k in enumerate(row)] for row in distinct.tolist())
+        if self.counts is not None:
+            ranks = np.repeat(ranks, self.counts)
+        header, *distinct_lines = lines
+        return header + "".join(map(distinct_lines.__getitem__, ranks.tolist()))
+
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each stored row's observed rank over every column, and the distinct
+        rows in rank (= code) order."""
+        ranks, n = _stratum_ids(self, self.columns, np.ones(self.n_rows, dtype=bool),
+                                observed=True)
+        codes = np.empty((n, len(self.columns)), dtype=np.int64)
+        codes[ranks] = self.codes
+        return ranks, codes
 
     def restrict(self, mask: np.ndarray) -> "Dataset":
         counts = None if self.counts is None else self.counts[mask]
@@ -187,9 +254,6 @@ class Dataset:
         stay below `n_rows` however wide the code space is, and counted with
         one `bincount` (weighted by `counts` if already set).
         """
-        ranks, n = _stratum_ids(self, self.columns, np.ones(self.n_rows, dtype=bool),
-                                observed=True)
-        codes = np.empty((n, len(self.columns)), dtype=np.int64)
-        codes[ranks] = self.codes
-        counts = np.bincount(ranks, weights=self.counts, minlength=n).astype(np.int64)
+        ranks, codes = self._distinct()
+        counts = np.bincount(ranks, weights=self.counts, minlength=len(codes)).astype(np.int64)
         return Dataset(self.columns, self.categories, codes, counts)

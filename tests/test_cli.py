@@ -152,6 +152,15 @@ def test_two_row_csv_report_is_pinned(capsys, tmp_path):
         "a2d54b069df9b79c0c194b53ca26983bcd89fb4ad0d95388fd9ae561dc707fec")
 
 
+def test_an_overlong_csv_field_exits_2(capsys, tmp_path):
+    csv = tmp_path / "long.csv"
+    csv.write_text("R,X,Y\n0,a,b\n1,%s,a\n" % ("b" * 200_000))
+    rc, out, err = invoke(capsys, "discover", "--data", str(csv), "--alpha", "0.05")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "malformed CSV: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
 def test_duplicate_csv_column_is_named(capsys, tmp_path):
     csv = tmp_path / "dup.csv"
     csv.write_text("R,X,X\n0,a,b\n1,b,a\n")

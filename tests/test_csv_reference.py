@@ -1,0 +1,154 @@
+"""Distinct-record CSV I/O against its row-by-row reference.
+
+`Dataset.from_csv` must give the reference's columns, categories and codes,
+or its error; `Dataset.to_csv` its bytes.  Two errors changed on purpose: a
+`csv.Error` becomes a `DataError` with the same text, and a `categories`
+mapping without a column raises a `DataError` naming it, not a `KeyError`.
+"""
+
+import csv
+import io
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import csv_reference as ref
+from csi_graphlab.data import DataError, Dataset
+
+COLUMNS = ("R", "X", "Y,1", "")
+# labels that csv.writer writes bare, then those it quotes
+PLAIN = ("0", "1", "a", "", " ", "\x0b", "\x1c", "\x85")
+LABELS = PLAIN + ("a,b", 'q"x', "\r", "\n", "\r\n")
+# raw fragments: every character csv.reader treats specially, and some it keeps
+FRAGMENTS = ("0", "1", "a", ",", '"', "\r", "\n", "\r\n", " ", "\x0b", "\x1c", "\x85")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as e:  # compared with the reference's exception below
+        return None, e
+
+
+def assert_same_error(new_err, ref_err):
+    assert new_err is not None, "reference raised %r" % (ref_err,)
+    if isinstance(ref_err, KeyError):
+        assert type(new_err) is DataError
+        assert str(new_err) == "categories name no labels for column %r" % (ref_err.args[0],)
+    elif isinstance(ref_err, csv.Error):
+        assert type(new_err) is DataError
+        assert str(new_err) == "malformed CSV: %s" % (ref_err,)
+    else:
+        assert (type(new_err), str(new_err)) == (type(ref_err), str(ref_err))
+
+
+def assert_same_dataset(new, old):
+    assert new.columns == old.columns
+    assert new.categories == old.categories
+    assert new.codes.dtype == old.codes.dtype and new.codes.shape == old.codes.shape
+    assert (new.codes == old.codes).all()
+    assert new.counts is None and old.counts is None
+
+
+def assert_from_csv_matches(text, categories=None):
+    old, ref_err = outcome(ref.from_csv, text, categories)
+    new, new_err = outcome(Dataset.from_csv, text, categories)
+    if ref_err is not None:
+        assert_same_error(new_err, ref_err)
+    else:
+        assert new_err is None, "reference parsed, package raised %r" % (new_err,)
+        assert_same_dataset(new, old)
+        assert new.to_csv() == ref.to_csv(old)
+
+
+@st.composite
+def written_texts(draw):
+    """CSV as csv.writer writes it, with LF or CRLF, repeated records, blank
+    lines and ragged rows, maybe without a final line end; plain labels and
+    LF keep it on the line path."""
+    columns = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True))
+    labels = st.sampled_from(draw(st.sampled_from((PLAIN, LABELS))))
+    pool = draw(st.lists(
+        st.one_of(
+            st.lists(labels, min_size=len(columns), max_size=len(columns)),
+            st.lists(labels, max_size=len(columns) + 1),
+        ),
+        min_size=1, max_size=4,
+    ))
+    rows = draw(st.lists(st.sampled_from(pool), max_size=12))
+    out = io.StringIO()
+    csv.writer(out, lineterminator=draw(st.sampled_from(("\n", "\r\n")))).writerows(
+        [columns, *rows])
+    text = out.getvalue()
+    if draw(st.booleans()):
+        text = text[:-1]
+    return text
+
+
+@st.composite
+def raw_texts(draw):
+    """Text cut from fragments, malformed quoting and stray \\r included."""
+    lines = draw(st.lists(st.lists(st.sampled_from(FRAGMENTS), max_size=8).map("".join),
+                          max_size=10))
+    return "\n".join(draw(st.sampled_from(lines)) if lines and draw(st.booleans()) else line
+                     for line in lines) + draw(st.sampled_from(("", "\n")))
+
+
+@st.composite
+def categories_for(draw, text):
+    """None, or explicit categories over the header's columns: maybe with a
+    column missing, labels missing or unseen labels added."""
+    if draw(st.booleans()):
+        return None
+    try:
+        header = next(csv.reader(io.StringIO(text)))
+    except (StopIteration, csv.Error):
+        header = []
+    names = draw(st.lists(st.sampled_from(header), unique=True)) if header else []
+    if draw(st.booleans()):
+        names = list(dict.fromkeys(header))
+    return {c: tuple(draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=6,
+                                   unique=True)))
+            for c in names}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_from_csv_matches_the_reference(data):
+    text = data.draw(st.one_of(written_texts(), raw_texts()))
+    assert_from_csv_matches(text, data.draw(categories_for(text)))
+
+
+@st.composite
+def tables(draw):
+    """A dataset over quirky labels, maybe a count table, maybe tabulated."""
+    columns = draw(st.lists(st.sampled_from(COLUMNS), max_size=3, unique=True))
+    cats = {c: tuple(draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4,
+                                   unique=True)))
+            for c in columns}
+    n = draw(st.integers(0, 10))
+    codes = np.array([[draw(st.integers(0, len(cats[c]) - 1)) for c in columns]
+                      for _ in range(n)], dtype=np.int64).reshape(n, len(columns))
+    counts = None
+    if draw(st.booleans()):
+        counts = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)),
+                          dtype=np.int64)
+    d = Dataset(columns, cats, codes, counts)
+    # no columns and no rows still make one observed stratum, which tabulate rejects
+    return d.tabulate() if (columns or n) and draw(st.booleans()) else d
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_to_csv_matches_the_reference(d):
+    text = d.to_csv()
+    assert text == ref.to_csv(d)
+    assert_from_csv_matches(text)
+
+
+def test_edge_texts_match_the_reference():
+    for text in ("", "\n", "R,X\n", "R,X", "R\n\n", "R\n\n\n", "R,X\n0,a\n\n0,a\n",
+                 '""\n""\n', "R\n\x0b\n\x0c\n\x1c\n\x85\n \n", "R,X\r\n0,a\r\n",
+                 "R\n0\r1\n", 'R\n"0\n1"\n0\n', "R,X\nR,X\n0,a\n"):
+        assert_from_csv_matches(text)
+        assert_from_csv_matches(text, {"R": ("0",)})

@@ -151,3 +151,28 @@ def test_to_csv_of_a_count_table_is_pinned():
     assert drawn.counts.tolist() == [1000, 1031, 482, 483, 269, 250, 253, 232]
     assert hashlib.sha256(drawn.to_csv().encode()).hexdigest() == (
         "4b15a0b98277e52605bbdab50ca8fcdfb18f35c8527887ef94a577bd339e0232")
+
+
+def test_errors_name_the_first_occurrence_of_a_repeated_bad_line():
+    # a line numbered by its distinct index would be row 1
+    with pytest.raises(DataError, match=r"^row 2 has 1 fields, expected 2$"):
+        Dataset.from_csv("R,X\n0,a\n0,a\n1\n")
+    with pytest.raises(DataError, match=r"^row 3: label '1' not among categories of column 'R'$"):
+        Dataset.from_csv("R\n0\n0\n0\n1\n1\n", categories={"R": ("0",)})
+
+
+def test_categories_without_a_column_are_named():
+    cats = {"X": ("a",)}
+    match = r"^categories name no labels for column 'Y'$"
+    with pytest.raises(DataError, match=match):
+        Dataset.from_rows(("X", "Y"), [("a", "b")], categories=cats)
+    with pytest.raises(DataError, match=match):
+        Dataset.from_csv("X,Y\na,b\n", categories=cats)
+    with pytest.raises(DataError, match=match):
+        Dataset(("X", "Y"), cats, np.zeros((1, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("field", ["a" * 200_000, '"%s"' % ("a" * 200_000)])
+def test_a_csv_parse_error_is_a_data_error(field):
+    with pytest.raises(DataError, match=r"^malformed CSV: field larger than field limit"):
+        Dataset.from_csv("R,X\n0,%s\n" % field)
