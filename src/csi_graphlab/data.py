@@ -227,8 +227,10 @@ class Dataset:
         writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
         writer.writerow(self.columns)
         ranks, distinct = self._distinct()
-        cats = [self.categories[c] for c in self.columns]
-        writer.writerows([cats[j][k] for j, k in enumerate(row)] for row in distinct.tolist())
+        labels = np.empty(distinct.shape, dtype=object)
+        for j, c in enumerate(self.columns):
+            labels[:, j] = np.array(self.categories[c], dtype=object)[distinct[:, j]]
+        writer.writerows(labels.tolist())
         if self.counts is not None:
             ranks = np.repeat(ranks, self.counts)
         header, *distinct_lines = lines
