@@ -211,12 +211,12 @@ class Dataset:
                 raise DataError("empty CSV: missing header row")
             number: dict = {}
             ids = [number.setdefault(r, len(number)) for r in records[1:]]
-            header, *distinct = [records[0], *number]
+            distinct = [records[0], *number]
             if by_line:
-                header, *distinct = map(tuple, csv.reader([header, *distinct]))
+                distinct = list(map(tuple, csv.reader(distinct)))
         except csv.Error as e:
             raise DataError("malformed CSV: %s" % (e,)) from None
-        return cls._from_records(header, distinct, ids, categories)
+        return cls._from_records(distinct[0], distinct[1:], ids, categories)
 
     def to_csv(self) -> str:
         """Header and rows through `csv.writer`, each distinct row written once
