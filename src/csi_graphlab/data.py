@@ -1,10 +1,9 @@
 """Tabular categorical datasets: integer codes plus per-column label sets.
 
-A dataset holds one row per sample, or, once `Dataset.tabulate` has
-compressed it, its distinct rows with an integer multiplicity each in
-`counts`.  `_stratum_ids` is the one mixed-radix encoder of rows: the count
-table, the G-test, the transfer test and `to_csv` all number their cells
-with it.
+Each row carries an integer multiplicity in `counts`: 1 for samples as
+drawn or read, more in the count table `Dataset.tabulate` builds.
+`_stratum_ids` is the one mixed-radix encoder of rows: the count table, the
+G-test, the transfer test and `to_csv` all number their cells with it.
 
 CSV I/O does its per-record work once per distinct record: `from_csv`
 parses and codes each distinct line (or `csv.reader` record) once and
@@ -50,11 +49,11 @@ def _stratum_ids(
 
     With `observed`, the codes are renumbered after each column to their
     ranks among the codes the masked rows show, which keeps the code order,
-    counts only the value tuples that occur and keeps every code below
-    rows * labels.
+    counts only the value tuples that occur (none over no rows) and keeps
+    every code below rows * labels.
     """
     ids = np.zeros(int(mask.sum()), dtype=np.int64)
-    n = 1
+    n = min(1, len(ids)) if observed else 1
     for c in cols:
         size = len(data.labels(c))
         ids = ids * size + data.column(c)[mask]
@@ -73,9 +72,9 @@ class Dataset:
     positions in that tuple.  The category universe may be wider than the
     observed values (e.g. the generating model's domain).
 
-    `counts` is None when every row is one sample; otherwise row i stands for
-    `counts[i]` >= 1 samples, as in the count table `tabulate` returns.
-    `n_rows` and `column` always speak of the stored rows.
+    Row i stands for `counts[i]` >= 1 samples: one each if no counts are
+    given, more in the count table `tabulate` returns.  `n_rows` and
+    `column` speak of the stored rows.
     """
 
     def __init__(
@@ -97,12 +96,13 @@ class Dataset:
                 raise DataError("column %r has no categories" % (c,))
             if codes.shape[0] and (codes[:, j].min() < 0 or codes[:, j].max() >= k):
                 raise DataError("column %r has codes outside 0..%d" % (c, k - 1))
-        if counts is not None:
-            counts = np.asarray(counts, dtype=np.int64)
-            if counts.shape != (codes.shape[0],):
-                raise DataError("counts must hold one entry per row")
-            if codes.shape[0] and counts.min() < 1:
-                raise DataError("counts must be positive")
+        if counts is None:
+            counts = np.ones(len(codes), dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.shape != (codes.shape[0],):
+            raise DataError("counts must hold one entry per row")
+        if codes.shape[0] and counts.min() < 1:
+            raise DataError("counts must be positive")
         self.codes = codes
         self.counts = counts
 
@@ -194,11 +194,12 @@ class Dataset:
     ) -> "Dataset":
         """Parse CSV with a header row of column names; labels taken verbatim.
 
-        Without `"` or `\\r` in the text each record is one line, and only the
-        distinct lines go through `csv.reader`; otherwise `csv.reader` cuts
-        the records, which may hold quoted newlines.
+        Without `"` in the text each record is one line, whether it ends in
+        `\\n` or `\\r\\n`, and only the distinct lines go through
+        `csv.reader`; otherwise `csv.reader` cuts the records, which may hold
+        quoted newlines.
         """
-        by_line = '"' not in text and "\r" not in text
+        by_line = '"' not in text
         try:
             if by_line:
                 # not splitlines(): csv.reader keeps \v, \f, \x1c and the like in a field
@@ -220,8 +221,7 @@ class Dataset:
 
     def to_csv(self) -> str:
         """Header and rows through `csv.writer`, each distinct row written once
-        and its line repeated for every stored row (`counts[i]` times for row
-        i of a count table)."""
+        and its line repeated `counts[i]` times for stored row i."""
         lines: list[str] = []
         # writerow hands `write` exactly one whole line per row
         writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
@@ -231,8 +231,7 @@ class Dataset:
         for j, c in enumerate(self.columns):
             labels[:, j] = np.array(self.categories[c], dtype=object)[distinct[:, j]]
         writer.writerows(labels.tolist())
-        if self.counts is not None:
-            ranks = np.repeat(ranks, self.counts)
+        ranks = np.repeat(ranks, self.counts)
         header, *distinct_lines = lines
         return header + "".join(map(distinct_lines.__getitem__, ranks.tolist()))
 
@@ -246,15 +245,14 @@ class Dataset:
         return ranks, codes
 
     def restrict(self, mask: np.ndarray) -> "Dataset":
-        counts = None if self.counts is None else self.counts[mask]
-        return Dataset(self.columns, self.categories, self.codes[mask], counts)
+        return Dataset(self.columns, self.categories, self.codes[mask], self.counts[mask])
 
     def tabulate(self) -> "Dataset":
         """The count table: the distinct rows in code order, with `counts`.
 
         Rows are numbered by their observed ranks over every column, which
         stay below `n_rows` however wide the code space is, and counted with
-        one `bincount` (weighted by `counts` if already set).
+        one `bincount` weighted by `counts`.
         """
         ranks, codes = self._distinct()
         counts = np.bincount(ranks, weights=self.counts, minlength=len(codes)).astype(np.int64)

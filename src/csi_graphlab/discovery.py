@@ -3,11 +3,11 @@
 Two testers answer the same query surface, each memoizing verdicts on the
 exact query: `independence.ExactTester` against the exact joint, with the
 memo owned by the solve, and `SampleTester` against a dataset with a
-G-test, answered from a count table built once.  On top of them sit a
-deterministic PC-style skeleton search (pooled or masked to one context
-value), the exhaustive per-context detection skeleton, and the executable
-Markov check that verifies each designated separating set on the exact
-distribution.  All three search for separating sets with
+G-test, answered from the dataset's count table, built once.  On top of
+them sit a deterministic PC-style skeleton search (pooled or masked to one
+context value), the exhaustive per-context detection skeleton, and the
+executable Markov check that verifies each designated separating set on the
+exact distribution.  All three search for separating sets with
 `independence.first_separator`, each over its own ordered sequence of
 candidate sets: the stable-PC neighbour subsets, every subset of the other
 non-context variables, or the designated parent sets.
@@ -68,9 +68,9 @@ class SampleTester:
     """Answers independence queries from a dataset with the stratified G-test.
 
     The dataset is compressed once into its count table (`Dataset.tabulate`),
-    which gives every query the verdict of the raw rows.  Verdicts are
-    memoized on the exact query: (x, y) order and z order both count, since
-    the G statistic's float sum follows them.
+    which gives every query the verdict of the dataset, in any row order and
+    tabulated or not.  Verdicts are memoized on the exact query: (x, y) order
+    and z order both count, since the G statistic's float sum follows them.
     """
 
     def __init__(self, data: Dataset, alpha: float, context: str):

@@ -11,12 +11,11 @@ Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
 an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
 returns K verdicts from array operations alone.  `g_test` passes one test
 (K = 1) whose observed strata are numbered by `data._stratum_ids` and counted
-with a single `bincount`, weighted by the dataset's `counts` when it is a
-count table.  A count table built once (`Dataset.tabulate`) gives the same
-tables as the raw rows at a fraction of the rows to scan; the sample
-tester (`discovery.SampleTester`) builds it once and keeps a memo on the
-exact query.  The transfer test passes its replicates in chunks of bounded
-size.
+with a single `bincount` weighted by the dataset's `counts`.  So the count
+table (`Dataset.tabulate`) gives the same tables as the rows it compresses,
+at a fraction of the rows to scan; the sample tester
+(`discovery.SampleTester`) builds it once and keeps a memo on the exact
+query.  The transfer test passes its replicates in chunks of bounded size.
 
 Separating sets are searched for in one place, `first_separator`: given a
 test and an ordered sequence of conditioning sets (usually from `subsets`),
@@ -215,8 +214,8 @@ def g_test(
     verdict is independent with p = 1 and a warning.  Independence is
     declared iff the chi-squared tail probability is >= alpha.
 
-    A count table (`Dataset.tabulate`) gives the verdict of its raw rows:
-    each row is counted `counts` times, exactly below 2^53 rows.
+    Each row is counted `counts` times, exactly below 2^53 samples, so a
+    count table (`Dataset.tabulate`) gives the verdict of its rows.
     """
     if not (0.0 < alpha < 1.0):
         raise IndependenceError("alpha must be in (0, 1)")
@@ -244,11 +243,10 @@ def g_test(
     y = data.column(q.y)[mask]
     nx = len(data.labels(q.x))
     ny = len(data.labels(q.y))
-    weights = None if data.counts is None else data.counts[mask]
     # one stratum per z value tuple the rows show: at most rows * nx * ny cells
     ranks, n_strata = _stratum_ids(data, q.z, mask, observed=True)
-    cells = np.bincount((ranks * nx + x) * ny + y, weights, n_strata * nx * ny)
-    counts = cells.astype(np.int64, copy=False)
+    cells = np.bincount((ranks * nx + x) * ny + y, data.counts[mask], n_strata * nx * ny)
+    counts = cells.astype(np.int64)
     return g_test_from_tables(counts.reshape(1, n_strata, nx, ny), alpha, min_expected)[0]
 
 

@@ -103,12 +103,11 @@ def transfer_evidence(
     seen in the r0 stratum but absent from the estimation rows fall back to
     a uniform law over y, counted in details["unseen_cell_rows"].  Each
     replicate draws its contingency from an independently derived seed, so
-    the replicate order never affects the outcome.  It reads one row per
-    sample, so a count table (`Dataset.tabulate`) is rejected.
+    the replicate order never affects the outcome.  Rows are weighted by
+    `counts`, so a count table gets the verdict of its rows, and the
+    "r0_stratum_rows" and "null_rows" details count samples.
     """
     z = tuple(z)
-    if data.counts is not None:
-        raise TransferError("transfer_evidence needs one row per sample, not a count table")
     for name in (x, y, context, *z):
         if name not in data.columns:
             raise TransferError("unknown column %r" % (name,))
@@ -142,12 +141,10 @@ def transfer_evidence(
     ids, n_cells = _stratum_ids(data, (*z, x), np.ones(data.n_rows, dtype=bool))
     n_strata = n_cells // n_x
 
-    cell_counts = np.bincount(ids[in_r0], minlength=n_cells)
+    cell_counts = np.bincount(ids[in_r0], data.counts[in_r0], n_cells)
     p_cells = cell_counts / cell_counts.sum()
-    y_counts = np.bincount(
-        ids[null_rows] * n_y + data.column(y)[null_rows],
-        minlength=n_cells * n_y,
-    ).reshape(n_cells, n_y)
+    y_codes = ids[null_rows] * n_y + data.column(y)[null_rows]
+    y_counts = np.bincount(y_codes, data.counts[null_rows], n_cells * n_y).reshape(n_cells, n_y)
     totals = y_counts.sum(axis=1)
     law = np.full((n_cells, n_y), 1.0 / n_y)
     seen = totals > 0
@@ -186,8 +183,8 @@ def transfer_evidence(
         "unseen_cell_rows": unseen_rows,
         "observed_p_value": observed.p_value,
         "observed_warning": observed.warning,
-        "r0_stratum_rows": int(in_r0.sum()),
-        "null_rows": int(null_rows.sum()),
+        "r0_stratum_rows": int(cell_counts.sum()),
+        "null_rows": int(totals.sum()),
         "null_source": "pooled" if pooled_null else "off_context",
         "min_power": cfg.min_power,
     }

@@ -8,11 +8,13 @@ mapping without a column raises a `DataError` naming it, not a `KeyError`.
 
 import csv
 import io
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import csv_reference as ref
+from csi_graphlab import data as data_module
 from csi_graphlab.data import DataError, Dataset
 
 COLUMNS = ("R", "X", "Y,1", "")
@@ -47,7 +49,8 @@ def assert_same_dataset(new, old):
     assert new.categories == old.categories
     assert new.codes.dtype == old.codes.dtype and new.codes.shape == old.codes.shape
     assert (new.codes == old.codes).all()
-    assert new.counts is None and old.counts is None
+    assert new.counts.dtype == np.int64 and (new.counts == 1).all()
+    assert (new.counts == old.counts).all()
 
 
 def assert_from_csv_matches(text, categories=None):
@@ -64,8 +67,8 @@ def assert_from_csv_matches(text, categories=None):
 @st.composite
 def written_texts(draw):
     """CSV as csv.writer writes it, with LF or CRLF, repeated records, blank
-    lines and ragged rows, maybe without a final line end; plain labels and
-    LF keep it on the line path."""
+    lines and ragged rows, maybe without a final line end; plain labels keep
+    it on the line path."""
     columns = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=3, unique=True))
     labels = st.sampled_from(draw(st.sampled_from((PLAIN, LABELS))))
     pool = draw(st.lists(
@@ -134,8 +137,7 @@ def tables(draw):
         counts = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)),
                           dtype=np.int64)
     d = Dataset(columns, cats, codes, counts)
-    # no columns and no rows still make one observed stratum, which tabulate rejects
-    return d.tabulate() if (columns or n) and draw(st.booleans()) else d
+    return d.tabulate() if draw(st.booleans()) else d
 
 
 @settings(max_examples=300, deadline=None)
@@ -152,3 +154,22 @@ def test_edge_texts_match_the_reference():
                  "R\n0\r1\n", 'R\n"0\n1"\n0\n', "R,X\nR,X\n0,a\n"):
         assert_from_csv_matches(text)
         assert_from_csv_matches(text, {"R": ("0",)})
+
+
+def test_crlf_texts_take_the_line_path_and_match_the_reference(monkeypatch):
+    sources = []
+
+    def reader(source):
+        sources.append(source)
+        return csv.reader(source)
+
+    monkeypatch.setattr(data_module, "csv",
+                        SimpleNamespace(reader=reader, writer=csv.writer, Error=csv.Error))
+    repeated = "R,X\r\n0,a\r\n1,b\r\n0,a\r\n0,a\n1,b\r\n"
+    bare_cr = "R,X\r\n0,a\r\n0\rb,a\r\n0,a\r\n"
+    assert ref.from_csv(repeated).n_rows == 5
+    assert isinstance(outcome(ref.from_csv, bare_cr)[1], csv.Error)
+    for text in (repeated, bare_cr):
+        assert_from_csv_matches(text)
+        assert_from_csv_matches(text, {"R": ("1", "0"), "X": ("b", "a")})
+    assert sources and all(isinstance(s, list) for s in sources)

@@ -99,6 +99,14 @@ def test_header_only_csv_keeps_the_columns_and_tabulates_to_no_rows():
     assert t.n_rows == 0 and t.counts.tolist() == []
 
 
+def test_no_columns_and_no_rows_tabulate_to_no_rows():
+    d = Dataset.from_csv("\n")
+    assert d.columns == () and d.n_rows == 0
+    t = d.tabulate()
+    assert t.codes.shape == (0, 0) and t.counts.tolist() == []
+    assert t.to_csv() == d.to_csv() == "\n"
+
+
 def tally():
     return Dataset.from_rows(
         ("R", "X"),
@@ -113,7 +121,7 @@ def test_tabulate_keeps_distinct_rows_in_code_order():
     assert t.categories == tally().categories
     again = t.tabulate()
     assert (again.codes == t.codes).all() and (again.counts == t.counts).all()
-    assert tally().counts is None
+    assert tally().counts.dtype == np.int64 and tally().counts.tolist() == [1] * 6
 
 
 def test_restrict_and_to_csv_keep_the_counts_of_a_count_table():

@@ -1,10 +1,12 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from csi_graphlab import cli, independence
 from csi_graphlab.corpus import get_example, list_examples
+from csi_graphlab.data import Dataset
 from csi_graphlab.discovery import (
     DiscoveryError,
     ExactTester,
@@ -215,6 +217,27 @@ def test_sample_tester_recovers_intro_skeletons():
     assert pairs(skeleton_pooled(t)) == [("R", "T"), ("T", "Y")]
     assert pairs(skeleton_masked(t, "0")) == []
     assert pairs(skeleton_masked(t, "1")) == [("T", "Y")]
+
+
+def test_sample_discovery_is_invariant_to_tabulation_and_row_order():
+    m = random_scm(RandomModelSpec(n_vars=6, max_domain=3, seed=11))
+    data = draw_samples(m.scm, 3000, 5, m.solved.table)
+    order = np.random.default_rng(1).permutation(data.n_rows)
+    shuffled = Dataset(data.columns, data.categories, data.codes[order])
+
+    def discovered(d):
+        t = SampleTester(d, alpha=0.01, context="R")
+        certs = []
+        found = [t.regimes, skeleton_pooled(t, certs).to_dot()]
+        for r in t.regimes:
+            found.append(skeleton_masked(t, r, certs).to_dot())
+            found.append(detect_graph(t, r, certificates=certs).to_dot())
+        return found, certs
+
+    want = discovered(data)
+    assert want[1]
+    assert discovered(data.tabulate()) == want
+    assert discovered(shuffled) == want
 
 
 def test_sample_tester_validation():

@@ -5,6 +5,7 @@ from csi_graphlab import transfer
 from csi_graphlab.corpus import get_example
 from csi_graphlab.data import Dataset
 from csi_graphlab.exact import draw_samples
+from csi_graphlab.laws import RandomModelSpec, random_scm
 from csi_graphlab.transfer import (
     TransferConfig,
     TransferError,
@@ -252,7 +253,23 @@ def test_code_space_over_the_table_budget_is_rejected_before_allocating(monkeypa
     assert len(verdict.details["per_replicate_p_values"]) == 2
 
 
-def test_count_table_is_rejected_by_name():
-    data = fixture_samples("fig1-change-overlap", n=500)
-    with pytest.raises(TransferError, match="count table"):
-        run(data.tabulate())
+def permuted(data, seed):
+    order = np.random.default_rng(seed).permutation(data.n_rows)
+    return Dataset(data.columns, data.categories, data.codes[order])
+
+
+@pytest.mark.parametrize("pooled_null", [False, True])
+def test_count_table_and_row_order_give_the_verdict_of_the_rows(pooled_null):
+    m = random_scm(RandomModelSpec(n_vars=5, max_domain=3, seed=2))
+    data = draw_samples(m.scm, 3000, 5, m.solved.table)
+    table = data.tabulate()
+    assert table.n_rows < data.n_rows
+    cfg = TransferConfig(K=30, N=500, alpha=0.05, seed=7)
+    for x, y, z, r0 in (("V1", "V2", (), "0"), ("V2", "V3", ("V1",), "1"),
+                        ("V4", "V3", ("V2", "V1"), "0")):
+        verdicts = [transfer_evidence(d, x, y, z, r0, cfg, context="R", pooled_null=pooled_null)
+                    for d in (data, table, permuted(data, 1))]
+        assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+        in_r0 = int((data.column("R") == data.code_of("R", r0)).sum())
+        assert verdicts[1].details["r0_stratum_rows"] == in_r0
+        assert verdicts[1].details["null_rows"] == data.n_rows - (0 if pooled_null else in_r0)
