@@ -65,6 +65,13 @@ def _stratum_ids(
     return ids, n
 
 
+def _tally(ids: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """Sum of `counts` per id in range(n), in int64 (a weighted `bincount` rounds past 2^53)."""
+    out = np.zeros(n, dtype=np.int64)
+    np.add.at(out, ids, counts)
+    return out
+
+
 class Dataset:
     """Rows of category labels stored as integer codes.
 
@@ -251,9 +258,7 @@ class Dataset:
         """The count table: the distinct rows in code order, with `counts`.
 
         Rows are numbered by their observed ranks over every column, which
-        stay below `n_rows` however wide the code space is, and counted with
-        one `bincount` weighted by `counts`.
+        stay below `n_rows` however wide the code space is.
         """
         ranks, codes = self._distinct()
-        counts = np.bincount(ranks, weights=self.counts, minlength=len(codes)).astype(np.int64)
-        return Dataset(self.columns, self.categories, codes, counts)
+        return Dataset(self.columns, self.categories, codes, _tally(ranks, self.counts, len(codes)))

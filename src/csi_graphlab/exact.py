@@ -1,10 +1,10 @@
 """Exact distribution layer: solve the model, build exact joints, sample.
 
-Ground truth is exact.  Noise priors and solution-table probabilities are
-`fractions.Fraction`s; a joint stores each row's mass as a Python-int weight
-over one common denominator, so its group-bys and factorization tests run on
-ints, and `Fraction` comes back only at the boundary (`JointPmf.table`,
-`JointPmf.mass`).
+Ground truth is exact.  Noise priors are `fractions.Fraction`s, each scaled
+to integers by `NoiseSpec.scaled`; the solver weighs every noise row with a
+Python int over one common denominator, which the joints and the sampler
+read as they are.  So group-bys, factorization tests and sampling run on
+ints, and `Fraction` comes back only where it is read (`probabilities`, `table`, `mass`).
 
 The solver enumerates candidate assignments per strongly connected block of
 the declared parent structure, in condensation order.  For each noise assignment
@@ -132,7 +132,7 @@ class JointPmf:
     its integer weight over one common `denominator`.
 
     Rows of mass zero are absent from a solved model's joints.  `from_table`
-    converts a `Fraction` table; `table` and `mass` give `Fraction`s back.
+    converts a caller's `Fraction` table; `table` and `mass` give them back.
     """
 
     scope: tuple[str, ...]
@@ -222,8 +222,14 @@ class SolutionTable:
 
     variables: tuple[str, ...]
     noise_assignments: tuple[tuple[str, ...], ...]
-    probabilities: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    denominator: int
     values: tuple[tuple[str, ...], ...]
+
+    @property
+    def probabilities(self) -> tuple[Fraction, ...]:
+        """Each row's weight over `denominator`, as a `Fraction`."""
+        return tuple(Fraction(w, self.denominator) for w in self.weights)
 
 
 def declared_graph(s: Scm) -> DirectedGraph:
@@ -310,16 +316,15 @@ def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
             ):
                 yield from walk(k + 1, noise, partial)
 
-    # row probabilities in itertools.product order, by prefix products
-    row_probs = [Fraction(1)]
-    for v, support in zip(names, supports):
-        weights = [s.noises[v].probability(lbl) for lbl in support]
-        row_probs = [p * w for p in row_probs for w in weights]
+    # row weights in itertools.product order, by prefix products of the scaled priors
+    scaled = [s.noises[v].scaled() for v in names]
+    row_weights = [1]
+    for (_, a), support in zip(scaled, supports):
+        row_weights = [w * a[lbl] for w in row_weights for lbl in support]
 
     noise_rows: list[tuple[str, ...]] = []
-    probs: list[Fraction] = []
     values: list[tuple[str, ...]] = []
-    for noise, prob in zip(itertools.product(*supports), row_probs):
+    for noise in itertools.product(*supports):
         nmap = dict(zip(names, noise))
         found = tuple(itertools.islice(walk(0, nmap, {}), 2))
         if not found:
@@ -331,13 +336,13 @@ def solve_all(s: Scm, max_pairs: int = DEFAULT_MAX_PAIRS) -> SolutionTable:
                 "multiple solutions for noise assignment %r" % (nmap,), nmap, found
             )
         noise_rows.append(noise)
-        probs.append(prob)
         values.append(found[0])
 
     return SolutionTable(
         variables=names,
         noise_assignments=tuple(noise_rows),
-        probabilities=tuple(probs),
+        weights=tuple(row_weights),
+        denominator=math.prod(d for d, _ in scaled),  # the lcm of the rows' denominators
         values=tuple(values),
     )
 
@@ -354,11 +359,8 @@ def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointP
     """Joint over noises (scope names ~X) and observables; noises pin the row."""
     table = table if table is not None else solve_all(s)
     scope = tuple(noise_name(v) for v in table.variables) + table.variables
-    out = {
-        noise + vals: prob
-        for noise, prob, vals in zip(table.noise_assignments, table.probabilities, table.values)
-    }
-    return JointPmf.from_table(scope, out)
+    keys = [noise + vals for noise, vals in zip(table.noise_assignments, table.values)]
+    return JointPmf(scope, dict(zip(keys, table.weights)), table.denominator)
 
 
 @dataclass
@@ -407,19 +409,18 @@ class SolvedModel:
 def draw_samples(s: Scm, n: int, seed: int, table: SolutionTable | None = None) -> Dataset:
     """n iid rows from the observable joint, deterministic in (model, n, seed).
 
-    Exact inverse-CDF over the noise assignments: with D the lcm of the
-    probabilities' denominators, the integer prefix sums C of p * D give the
-    thresholds ceil(C * 2**64 / D) once, then each SplitMix64 draw z
-    (u = z / 2**64) picks the first cell with u below its boundary.
+    Exact inverse-CDF over the noise assignments: with D the table's
+    denominator, the prefix sums C of the row weights give the thresholds
+    ceil(C * 2**64 / D) once, then each SplitMix64 draw z (u = z / 2**64)
+    picks the first cell with u below its boundary.
     """
     if n < 0:
         raise ScmError("sample count must be nonnegative")
     table = table if table is not None else solve_all(s)
     if not table.noise_assignments:
         raise DistributionError("model has no positive-probability noise assignment")
-    probs = table.probabilities
-    d = math.lcm(*(p.denominator for p in probs))
-    prefix = itertools.accumulate(p.numerator * (d // p.denominator) for p in probs[:-1])
+    d = table.denominator
+    prefix = itertools.accumulate(table.weights[:-1])
     top = (1 << 64) - 1
     thr = np.array([min(-(-(c << 64) // d), top) for c in prefix], dtype=np.uint64)
     idx = uniform_thresholds_index(thr, seed, n)

@@ -83,9 +83,6 @@ class DirectedGraph:
         self._require(node)
         return self._children[node]
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in self._edges
-
     def _require(self, node: str) -> None:
         if node not in self._parents:
             raise GraphError("unknown node %r" % (node,))

@@ -11,7 +11,7 @@ Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
 an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
 returns K verdicts from array operations alone.  `g_test` passes one test
 (K = 1) whose observed strata are numbered by `data._stratum_ids` and counted
-with a single `bincount` weighted by the dataset's `counts`.  So the count
+with a single `data._tally` of the dataset's `counts`.  So the count
 table (`Dataset.tabulate`) gives the same tables as the rows it compresses,
 at a fraction of the rows to scan; the sample tester
 (`discovery.SampleTester`) builds it once and keeps a memo on the exact
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .data import DataError, Dataset, _stratum_ids
+from .data import DataError, Dataset, _stratum_ids, _tally
 from .exact import JointPmf, SolvedModel, first_dependence
 
 __all__ = [
@@ -214,8 +214,7 @@ def g_test(
     verdict is independent with p = 1 and a warning.  Independence is
     declared iff the chi-squared tail probability is >= alpha.
 
-    Each row is counted `counts` times, exactly below 2^53 samples, so a
-    count table (`Dataset.tabulate`) gives the verdict of its rows.
+    Each row counts `counts` times, so a count table gives the verdict of its rows.
     """
     if not (0.0 < alpha < 1.0):
         raise IndependenceError("alpha must be in (0, 1)")
@@ -245,8 +244,7 @@ def g_test(
     ny = len(data.labels(q.y))
     # one stratum per z value tuple the rows show: at most rows * nx * ny cells
     ranks, n_strata = _stratum_ids(data, q.z, mask, observed=True)
-    cells = np.bincount((ranks * nx + x) * ny + y, data.counts[mask], n_strata * nx * ny)
-    counts = cells.astype(np.int64)
+    counts = _tally((ranks * nx + x) * ny + y, data.counts[mask], n_strata * nx * ny)
     return g_test_from_tables(counts.reshape(1, n_strata, nx, ny), alpha, min_expected)[0]
 
 

@@ -12,8 +12,8 @@ are local, as the paper's solution-function argument shows; the locality
 scan is the one `check_solution_locality` reads, run once per solve.  Only a
 joint failing either property is walked over all 2^n - 1 conditioning sets
 in Python ints, comparing the noise joint's weights P = p * D (D its
-denominator) with the priors scaled to integers by the lcm of their
-denominators (a_i = prior_i * d_i): a noise tuple factors exactly when
+denominator) with the priors scaled to integers by `NoiseSpec.scaled`
+(a_i = prior_i * d_i): a noise tuple factors exactly when
 P * prod_out d_i == S * prod_out a_i, S being the weight of its cell.  Only
 witnesses go back to `Fraction`.
 """
@@ -25,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .discovery import markov_check
 from .exact import (
@@ -427,8 +427,8 @@ def check_noise_factorization(
     (default: all but the full set).  Needs weak regime-acyclicity.
 
     Decided in integers.  With D the noise joint's denominator and, for each
-    noise i, d_i the lcm of its prior's denominators and a_i = prior * d_i
-    its scaled prior, a noise tuple of weight P within a group passes when
+    noise i, (d_i, a_i) its prior scaled by `NoiseSpec.scaled`, a noise
+    tuple of weight P within a group passes when
     P * prod_out d_i == S * prod_out a_i.  S is the weight of its cell
     (group, ancestral noise values), and the products run over the noises
     outside the block.
@@ -468,9 +468,7 @@ def check_noise_factorization(
         notes = ("conditioning sets of more than %d variables not checked" % cap,)
     nj = solved.noise_joint
     table = solved.table
-    pmfs = [s.noises[v].pmf for v in names]
-    d = [math.lcm(*(p.denominator for _, p in pmf)) for pmf in pmfs]
-    prior = [{lbl: int(p * dj) for lbl, p in pmf} for pmf, dj in zip(pmfs, d)]
+    d, prior = zip(*(s.noises[v].scaled() for v in names))
     ci = names.index(s.context_variable)
     if (
         list(nj.weights) == [u + v for u, v in zip(table.noise_assignments, table.values)]
@@ -483,7 +481,7 @@ def check_noise_factorization(
     return _factorization_kernel(s, solved, cap, notes, d, prior)
 
 
-def _product_form(nj: JointPmf, noises, d: list[int], prior: list[dict[str, int]]) -> bool:
+def _product_form(nj: JointPmf, noises, d: Sequence[int], prior: Sequence[dict[str, int]]) -> bool:
     """Whether `noises`, the joint's noise tuples in key order, are exactly
     the product of the positive noise supports, each weighted by the product
     of its priors."""
@@ -510,8 +508,8 @@ def _factorization_kernel(
     solved: SolvedModel,
     cap: int,
     notes: tuple[str, ...],
-    d: list[int],
-    prior: list[dict[str, int]],
+    d: Sequence[int],
+    prior: Sequence[dict[str, int]],
 ) -> CheckResult:
     """The cell test for every conditioning set up to `cap` names, walked in
     Python ints over the groups of `JointPmf.strata`.

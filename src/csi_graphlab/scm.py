@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,11 +66,11 @@ class NoiseSpec:
     def support(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, p in self.pmf if p > 0)
 
-    def probability(self, label: str) -> Fraction:
-        for lbl, p in self.pmf:
-            if lbl == label:
-                return p
-        raise ScmError("noise for %r has no label %r" % (self.variable, label))
+    def scaled(self) -> tuple[int, dict[str, int]]:
+        """`(d, a)`: d the lcm of the pmf's denominators and a[label] = p * d,
+        an integer, for every label in label order."""
+        d = math.lcm(*(p.denominator for _, p in self.pmf))
+        return d, {lbl: p.numerator * (d // p.denominator) for lbl, p in self.pmf}
 
 
 @dataclass

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, _stratum_ids
+from .data import DataError, Dataset, _stratum_ids, _tally
 from .independence import CiQuery, g_test, g_test_from_tables
 from .rng import derive_seed
 
@@ -141,10 +141,10 @@ def transfer_evidence(
     ids, n_cells = _stratum_ids(data, (*z, x), np.ones(data.n_rows, dtype=bool))
     n_strata = n_cells // n_x
 
-    cell_counts = np.bincount(ids[in_r0], data.counts[in_r0], n_cells)
+    cell_counts = _tally(ids[in_r0], data.counts[in_r0], n_cells)
     p_cells = cell_counts / cell_counts.sum()
     y_codes = ids[null_rows] * n_y + data.column(y)[null_rows]
-    y_counts = np.bincount(y_codes, data.counts[null_rows], n_cells * n_y).reshape(n_cells, n_y)
+    y_counts = _tally(y_codes, data.counts[null_rows], n_cells * n_y).reshape(n_cells, n_y)
     totals = y_counts.sum(axis=1)
     law = np.full((n_cells, n_y), 1.0 / n_y)
     seen = totals > 0

@@ -1,10 +1,11 @@
 """`Fraction` references for the exact layer's integer weights.
 
 Verbatim copies of the code that integer weights replaced, kept in
-`fractions.Fraction` end to end: the stratum group-by and the other
-methods of the rational joint (`FractionPmf`), the factorization test, the
-exact CI oracle, the conditional mutual information, and the local-Markov
-and noise-factorization laws.  Tests compare the package with them by `==`, on the suites at the end.
+`fractions.Fraction` end to end: the solver's prefix-product row
+probabilities, the stratum group-by and the other methods of the rational
+joint (`FractionPmf`), the factorization test, the exact CI oracle, the
+conditional mutual information, and the local-Markov and
+noise-factorization laws.  Tests compare the package with them by `==`, on the suites at the end.
 A package joint enters through `fraction_pmf`, which reads its rational
 `table` view, so no integer weight is summed or compared here.
 """
@@ -20,11 +21,45 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from csi_graphlab import laws
-from csi_graphlab.exact import DistributionError, JointPmf, _getter, noise_name
+from csi_graphlab.exact import (
+    DistributionError,
+    JointPmf,
+    _getter,
+    noise_name,
+    noise_observable_joint,
+)
 from csi_graphlab.graph_objects import descriptive_graph, is_weakly_regime_acyclic, union_graph
 from csi_graphlab.independence import CiQuery, CiVerdict, IndependenceError, _query_context
 from csi_graphlab.laws import _WITNESS_CAP, LawsError, _done, _skip
 from csi_graphlab.rng import derive_seed
+from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
+
+
+def row_probabilities(s):
+    """The solve's row probabilities, in `itertools.product` order over the
+    positive noise supports, as `solve_all` built them in `Fraction`s."""
+    row_probs = [Fraction(1)]
+    for v in s.variable_names:
+        pmf = dict(s.noises[v].pmf)
+        weights = [pmf[lbl] for lbl in s.noises[v].support]
+        row_probs = [p * w for p in row_probs for w in weights]
+    return tuple(row_probs)
+
+
+def assert_solve_matches(solved):
+    """The solution table's probabilities are `row_probabilities`, and its
+    noise joint is `JointPmf.from_table` of them: the same weights, in
+    order, over the same denominator."""
+    table = solved.table
+    probs = row_probabilities(solved.scm)
+    assert table.probabilities == probs
+    scope = tuple(noise_name(v) for v in table.variables) + table.variables
+    rows = [noise + vals for noise, vals in zip(table.noise_assignments, table.values)]
+    expected = JointPmf.from_table(scope, dict(zip(rows, probs)))
+    joint = noise_observable_joint(solved.scm, table)
+    assert joint.scope == expected.scope
+    assert list(joint.weights.items()) == list(expected.weights.items())
+    assert joint.denominator == expected.denominator
 
 
 def first_dependence(
@@ -304,6 +339,29 @@ def tampered(solved):
 
 
 BIG_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def wide_denominator_model():
+    """R -> X -> Y with coin noises over three primes near 2**31."""
+    b = ("0", "1")
+    names = ("R", "X", "Y")
+    return Scm(
+        variables=tuple(VariableSpec(v, b) for v in names),
+        context_variable="R",
+        noises={
+            v: NoiseSpec(v, (("u0", Fraction(1, p)), ("u1", Fraction(p - 1, p))))
+            for v, p in zip(names, BIG_PRIMES)
+        },
+        mechanisms={
+            "R": MechanismTable.from_function("R", (), (), ("u0", "u1"), lambda u: b[u == "u1"]),
+            "X": MechanismTable.from_function(
+                "X", ("R",), (b,), ("u0", "u1"), lambda r, u: b[(r == "1") != (u == "u1")]
+            ),
+            "Y": MechanismTable.from_function(
+                "Y", ("X",), (b,), ("u0", "u1"), lambda x, u: b[x == "1" and u == "u1"]
+            ),
+        },
+    )
 
 
 @st.composite

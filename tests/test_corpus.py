@@ -41,9 +41,9 @@ def test_unknown_name_rejected():
 
 def test_non_markov_weight_is_parametric():
     third = get_example("non-markov(1/3)")
-    assert third.noises["R"].probability("1") == Fraction(1, 3)
+    assert dict(third.noises["R"].pmf)["1"] == Fraction(1, 3)
     half = get_example("non-markov(1/2)")
-    assert half.noises["R"].probability("1") == Fraction(1, 2)
+    assert dict(half.noises["R"].pmf)["1"] == Fraction(1, 2)
     assert half.mechanisms == third.mechanisms
 
 

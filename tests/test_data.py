@@ -124,6 +124,12 @@ def test_tabulate_keeps_distinct_rows_in_code_order():
     assert tally().counts.dtype == np.int64 and tally().counts.tolist() == [1] * 6
 
 
+def test_tabulate_sums_counts_exactly_past_2_to_53():
+    codes = np.zeros((2, 2), np.int64)
+    data = Dataset(["R", "X"], {"R": ("0",), "X": ("a",)}, codes, counts=[2**53, 1])
+    assert data.tabulate().counts.tolist() == [2**53 + 1]
+
+
 def test_restrict_and_to_csv_keep_the_counts_of_a_count_table():
     d = tally()
     t = d.tabulate()

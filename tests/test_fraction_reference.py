@@ -2,7 +2,9 @@
 
 Suites: the corpus, the 200 models of `verify --count 200 --seed 1`, the
 five models of the exact_pipeline benchmark, each with its tampered noise
-joint, and random joints whose denominators reach primes near 2**31.
+joint, and random joints whose denominators reach primes near 2**31.  The
+solver's integer weights are checked on the suites' models, on `verify`
+seeds 2 and 3 and on the wide-denominator model.
 """
 
 import itertools
@@ -78,6 +80,18 @@ def queries(names, context, regimes, max_z):
             if context not in (x, y, *z):
                 for r in regimes:
                     yield CiQuery(x, y, z, r)
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_solve_matches_the_reference(suite, suites):
+    for sm in suites[suite]:
+        ref.assert_solve_matches(sm)
+
+
+def test_solve_matches_the_reference_on_more_models():
+    models = [m.solved for seed in (2, 3) for m in ref.verify_models(seed=seed)]
+    for sm in (SolvedModel.of(ref.wide_denominator_model()), *models):
+        ref.assert_solve_matches(sm)
 
 
 @pytest.mark.parametrize("suite", SUITES)

@@ -30,6 +30,7 @@ from fraction_reference import (
     reference_noise_factorization,
     tampered,
     verify_models,
+    wide_denominator_model,
 )
 
 SPEC = laws.RandomModelSpec(n_vars=4, max_domain=3, max_parents=2, seed=5)
@@ -529,30 +530,6 @@ def test_factorization_kernel_matches_reference_on_moved_mass(data, hypothesis_m
     dst = data.draw(st.integers(0, rows - 1))
     share = data.draw(st.fractions(0, 1, max_denominator=7))
     assert_matches_reference(moved_mass(sm, src, dst, share), caps=(None, 1))
-
-
-def wide_denominator_model():
-    """R -> X -> Y with coin noises over three primes near 2**31."""
-    primes = (2147483647, 2147483629, 2147483587)
-    b = ("0", "1")
-    names = ("R", "X", "Y")
-    return Scm(
-        variables=tuple(VariableSpec(v, b) for v in names),
-        context_variable="R",
-        noises={
-            v: NoiseSpec(v, (("u0", Fraction(1, p)), ("u1", Fraction(p - 1, p))))
-            for v, p in zip(names, primes)
-        },
-        mechanisms={
-            "R": MechanismTable.from_function("R", (), (), ("u0", "u1"), lambda u: b[u == "u1"]),
-            "X": MechanismTable.from_function(
-                "X", ("R",), (b,), ("u0", "u1"), lambda r, u: b[(r == "1") != (u == "u1")]
-            ),
-            "Y": MechanismTable.from_function(
-                "Y", ("X",), (b,), ("u0", "u1"), lambda x, u: b[x == "1" and u == "u1"]
-            ),
-        },
-    )
 
 
 def test_factorization_kernel_falls_back_to_python_ints_exactly():

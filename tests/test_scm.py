@@ -93,7 +93,15 @@ def test_noise_spec_is_label_canonical():
     assert a == b
     assert a.labels == ("0", "1")
     assert a.support == ("0", "1")
-    assert a.probability("1") == Fraction(1, 4)
+    assert dict(a.pmf)["1"] == Fraction(1, 4)
+
+
+def test_noise_spec_scaled_is_the_pmf_over_the_lcm_of_its_denominators():
+    pmf = (("b", Fraction(1, 6)), ("z", Fraction(0)), ("a", Fraction(3, 4)), ("c", Fraction(1, 12)))
+    d, a = NoiseSpec("X", pmf).scaled()
+    assert d == 12
+    # label order, and a zero-prior label scales to 0
+    assert list(a.items()) == [("a", 9), ("b", 2), ("c", 1), ("z", 0)]
 
 
 def test_mechanism_missing_row_raises():

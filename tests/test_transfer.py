@@ -82,6 +82,14 @@ def test_replicates_are_seed_deterministic():
     assert c.details["per_replicate_p_values"] != a.details["per_replicate_p_values"]
 
 
+def test_counts_past_2_to_53_are_tallied_exactly():
+    codes = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 0, 1]])
+    categories = {"C": ("0", "1"), "X": ("a",), "Y": ("a", "b")}
+    data = Dataset(("C", "X", "Y"), categories, codes, counts=[2**53, 1, 2**53, 1])
+    details = run(data, K=5).details
+    assert details["r0_stratum_rows"] == details["null_rows"] == 2**53 + 1
+
+
 def test_power_does_not_drop_with_more_rows():
     data = fixture_samples("fig1-change-overlap", n=1500)
     small = run(data, K=50, N=120)
