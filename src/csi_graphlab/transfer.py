@@ -10,13 +10,13 @@ rejected independence.  High simulated rejection power plus an observed
 non-rejection in the real r0 stratum is evidence that the mechanism, not
 the support, changed.
 
-Each replicate draws its counts from its own seed stream into a
-(replicates, strata, x, y) stack, and one call of the stacked G-test kernel
-decides a whole chunk of replicates.  A chunk holds at most `_CELL_BUDGET`
-table cells (or one replicate, if a single table is larger), so memory does
-not grow with K.  A replicate table spans every (z, x, y) code, seen or not,
-so a code space above `_TABLE_BUDGET` cells is rejected before any array is
-built.
+Replicate k draws its counts from a generator in the state of
+`default_rng(derive_seed(seed, k))`, set without `SeedSequence` hashing, into
+a (replicates, strata, x, y) stack; one stacked G-test kernel call decides a
+chunk of replicates.  A chunk holds at most `_CELL_BUDGET` table cells (or
+one replicate, if a single table is larger), so memory does not grow with K.
+A replicate table spans every (z, x, y) code, seen or not, so a code space
+above `_TABLE_BUDGET` cells is rejected before any array is built.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import DataError, Dataset, _stratum_ids, _tally
 from .independence import CiQuery, g_test, g_test_from_tables
-from .rng import derive_seed
+from .rng import replicate_generators
 
 __all__ = [
     "TransferError",
@@ -60,8 +60,8 @@ class TransferConfig:
     def __post_init__(self) -> None:
         if self.K < 1:
             raise TransferError("K must be at least 1")
-        if self.N < 1:
-            raise TransferError("N must be at least 1")
+        if not 1 <= self.N < 1 << 63:
+            raise TransferError("N must be from 1 to 2^63 - 1, got %d" % self.N)
         if not (0.0 < self.alpha < 1.0):
             raise TransferError("alpha must be in (0, 1)")
         if not (0.0 < self.min_power < 1.0):
@@ -164,8 +164,7 @@ def transfer_evidence(
     for first in range(0, cfg.K, chunk):
         reps = range(first, min(first + chunk, cfg.K))
         tables = np.zeros((len(reps), n_cells, n_y), dtype=np.int64)
-        for i, k in enumerate(reps):
-            rng = np.random.default_rng(derive_seed(cfg.seed, k))
+        for i, rng in enumerate(replicate_generators(cfg.seed, reps)):
             drawn = rng.multinomial(cfg.N, p_cells)
             for cell in np.flatnonzero(drawn):
                 tables[i, cell] = rng.multinomial(drawn[cell], law[cell])

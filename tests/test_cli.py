@@ -303,6 +303,16 @@ def test_transfer_bad_column_names_it(capsys, tmp_path):
     assert "'Q'" in err
 
 
+def test_transfer_n_beyond_numpy_draws_exits_2(capsys, tmp_path):
+    csv = transfer_csv(tmp_path)
+    rc, out, err = invoke(capsys, "transfer-test", csv, "--x", "X", "--y", "Y", "--r0", "0",
+                          "--context", "C", "--K", "2", "--N", str(2**63))
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert "N must be from 1 to 2^63 - 1, got 9223372036854775808" in err
+    assert "Traceback" not in err
+
+
 def test_transfer_over_the_table_budget_exits_2(capsys, tmp_path):
     rows = [
         (str(i % 2), str(i % 10), str(i // 10 % 10), str(i % 103), str(7 * i % 103))

@@ -2,7 +2,16 @@ import bisect
 
 import numpy as np
 
-from csi_graphlab.rng import GAMMA, derive_seed, mix64, stream, uniform_thresholds_index
+from csi_graphlab.rng import (
+    GAMMA,
+    _derive_seeds,
+    _pcg64_states,
+    derive_seed,
+    mix64,
+    replicate_generators,
+    stream,
+    uniform_thresholds_index,
+)
 
 MASK = (1 << 64) - 1
 
@@ -69,3 +78,32 @@ def test_threshold_lookup_degenerate_cell():
     cdf = np.array([0, 1 << 63], dtype=np.uint64)
     idx = uniform_thresholds_index(cdf, seed=11, n=500)
     assert 0 not in set(idx.tolist())
+
+
+def test_pcg64_states_match_numpy_seeding():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, MASK]
+    drawn = np.random.default_rng(2024).integers(0, MASK, 10_000, np.uint64, endpoint=True)
+    small = np.arange(2**32 - 50, 2**32 + 50, dtype=np.uint64)  # one entropy word or two
+    seeds = edges + drawn.tolist() + small.tolist()
+    got = list(_pcg64_states(np.array(seeds, dtype=np.uint64)))
+    assert got == [np.random.PCG64(s).state for s in seeds]
+
+
+def test_vectorized_derive_matches_derive_seed():
+    for seed in (0, 7, 2**63, MASK):
+        for ks in (range(3, 40), range(1000, 1001), range(5, 5)):
+            assert _derive_seeds(seed, ks).tolist() == [derive_seed(seed, k) for k in ks]
+
+
+def test_reused_generator_draws_like_a_fresh_default_rng():
+    law = np.array([0.2, 0.5, 0.3])
+    ks = range(2, 60)
+    reused = [
+        (g.multinomial(500, law), g.multinomial(0, law), g.multinomial(37, law))
+        for g in replicate_generators(11, ks)
+    ]
+    for k, draws in zip(ks, reused):
+        fresh = np.random.default_rng(derive_seed(11, k))
+        for n, got in zip((500, 0, 37), draws):
+            assert got.tolist() == fresh.multinomial(n, law).tolist()
+    assert len(reused) == len(ks)

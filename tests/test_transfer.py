@@ -6,6 +6,7 @@ from csi_graphlab.corpus import get_example
 from csi_graphlab.data import Dataset
 from csi_graphlab.exact import draw_samples
 from csi_graphlab.laws import RandomModelSpec, random_scm
+from csi_graphlab.rng import derive_seed
 from csi_graphlab.transfer import (
     TransferConfig,
     TransferError,
@@ -169,6 +170,13 @@ def test_config_validation():
         TransferConfig(K=1, N=10, alpha=0.05, seed=1, min_power=0.0)
 
 
+def test_n_beyond_numpy_draws_is_rejected():
+    # numpy's multinomial takes N as a C long: 2^63 would raise OverflowError in the draws
+    with pytest.raises(TransferError, match="N must be .* got 9223372036854775808"):
+        TransferConfig(K=1, N=2**63, alpha=0.05, seed=1)
+    assert TransferConfig(K=1, N=2**63 - 1, alpha=0.05, seed=1).N == 2**63 - 1
+
+
 def test_verdict_consistency_is_enforced():
     with pytest.raises(TransferError, match="inconsistent"):
         TransferVerdict(
@@ -198,9 +206,9 @@ def test_conditioning_set_is_respected():
     assert without_z.estimated_power_under_null >= 0.9
 
 
-def test_replicate_chunks_stay_under_the_cell_budget(monkeypatch):
-    # 64 strata of 3x3 tables; A = 3 occurs only in the r0 stratum, so some
-    # cells fall back to the uniform law in every chunk.
+def sixty_four_strata():
+    """64 strata of 3x3 tables; A = 3 occurs only in the r0 stratum, so some
+    cells fall back to the uniform law in every chunk."""
     rng = np.random.default_rng(5)
     n = 4000
     r = rng.integers(0, 2, size=n)
@@ -209,9 +217,13 @@ def test_replicate_chunks_stay_under_the_cell_budget(monkeypatch):
     x = rng.integers(0, 3, size=n)
     y = np.where(rng.random(n) < 0.8, (x + z[:, 1]) % 3, rng.integers(0, 3, size=n))
     y = np.where(r == 0, rng.integers(0, 3, size=n), y)
-    data = Dataset.from_rows(
+    return Dataset.from_rows(
         ["R", "X", "Y", "A", "B", "D"], np.column_stack([r, x, y, z]).astype(str).tolist()
     )
+
+
+def test_replicate_chunks_stay_under_the_cell_budget(monkeypatch):
+    data = sixty_four_strata()
     cfg = TransferConfig(K=40, N=8000, alpha=0.05, seed=3)
     shapes = []
     kernel = transfer.g_test_from_tables
@@ -281,3 +293,35 @@ def test_count_table_and_row_order_give_the_verdict_of_the_rows(pooled_null):
         in_r0 = int((data.column("R") == data.code_of("R", r0)).sum())
         assert verdicts[1].details["r0_stratum_rows"] == in_r0
         assert verdicts[1].details["null_rows"] == data.n_rows - (0 if pooled_null else in_r0)
+
+
+def fresh_generators(seed, ks):
+    """Replicate k's generator built the plain way, one SeedSequence per replicate."""
+    for k in ks:
+        yield np.random.default_rng(derive_seed(seed, k))
+
+
+def test_replicate_generators_give_the_verdicts_of_fresh_generators(monkeypatch):
+    def both(data, x, y, z, r0, cfg, **kw):
+        fast = transfer_evidence(data, x, y, z, r0, cfg, **kw)
+        with monkeypatch.context() as patch:
+            patch.setattr(transfer, "replicate_generators", fresh_generators)
+            assert transfer_evidence(data, x, y, z, r0, cfg, **kw) == fast
+        return fast
+
+    data = sixty_four_strata()
+    cfg = TransferConfig(K=40, N=8000, alpha=0.05, seed=3)
+    for budget in (1 << 30, 3000, 0):
+        monkeypatch.setattr(transfer, "_CELL_BUDGET", budget)
+        verdict = both(data, "X", "Y", ("A", "B", "D"), "0", cfg, context="R")
+        assert verdict.details["unseen_cell_rows"] > 0
+    monkeypatch.undo()
+    m = random_scm(RandomModelSpec(n_vars=5, max_domain=3, seed=2))
+    table = draw_samples(m.scm, 3000, 5, m.solved.table).tabulate()
+    cfg = TransferConfig(K=30, N=500, alpha=0.05, seed=2**64 - 1)
+    for pooled_null in (False, True):
+        both(table, "V2", "V3", ("V1",), "1", cfg, context="R", pooled_null=pooled_null)
+    # two cells at N = 2000: the same (n, p) pairs recur across replicates
+    data = fixture_samples("fig1-change-overlap")
+    cfg = TransferConfig(K=200, N=2000, alpha=0.05, seed=7)
+    assert both(data, "X", "Y", (), "0", cfg, context="C").evidence_physical
