@@ -32,6 +32,7 @@ from csi_graphlab.scm import serialize_scm
 from fraction_reference import PIPELINE_MODELS, ci_exact as reference_ci_exact, fraction_pmf
 
 SEPARATOR_SEARCHES = "799488609217f7fa9b3e585d537d33b9a35b811735600b6c44ffc6f9f8f83e82"
+SAMPLED_SEARCHES = "23cdf3f155ccc5d5d77d1fd3c6c46b2d5a67a526e6c184f8e956fca49844ad9c"
 
 
 def solved(name):
@@ -298,6 +299,49 @@ def test_separator_searches_are_pinned():
     assert sum(len(v["markov"][2]) for v in randoms) == 1660
     blob = json.dumps(payload, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == SEPARATOR_SEARCHES
+
+
+def sampled_datasets():
+    """(name, rows) of random 4- to 8-variable models and intro-mediator, at 10^3 and 10^4 rows."""
+    models = [("random-%d-%d" % (n, k), random_scm(RandomModelSpec(n_vars=n, max_domain=3, seed=k)).solved)
+              for n in range(4, 9) for k in range(4)]
+    models.append(("intro-mediator", solved("intro-mediator")))
+    return [("%s-%d" % (name, rows), draw_samples(m.scm, rows, 17 * i + 1, m.table))
+            for i, (name, m) in enumerate(models) for rows in (10**3, 10**4)]
+
+
+def _sampled_searches(data, alpha):
+    """Skeletons and certificates of G-test discovery, with each certificate's verdict warning."""
+    t = SampleTester(data, alpha, "R")
+
+    def run(search, *args):
+        certs = []
+        sk = search(t, *args, certificates=certs)
+        return [sk.sorted_pairs(), [
+            [c.x, c.y, list(c.z), c.regime, c.method, c.p_value,
+             t._memo[independence.CiQuery(c.x, c.y, c.z, c.regime)].warning]
+            for c in certs
+        ]]
+
+    return {
+        "pooled": run(skeleton_pooled),
+        "masked": {r: run(skeleton_masked, r) for r in t.regimes},
+        "detect": {r: run(detect_graph, r) for r in t.regimes},
+    }
+
+
+def test_sampled_separator_searches_are_pinned():
+    """G-test skeletons, certificates (p-values included) and the warnings of
+    the verdicts they cite, byte for byte, on 42 datasets at two alphas."""
+    payload = {"%s-%s" % (name, alpha): _sampled_searches(data, alpha)
+               for name, data in sampled_datasets() for alpha in (0.01, 0.05)}
+    assert len(payload) == 84
+    certs = [c for v in payload.values() for run in (v["pooled"], *v["masked"].values(),
+             *v["detect"].values()) for c in run[1]]
+    assert len(certs) == 5051
+    assert sum(c[-1] is not None for c in certs) == 3905
+    blob = json.dumps(payload, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == SAMPLED_SEARCHES
 
 
 @pytest.mark.parametrize("case", list_examples() + ["pipeline-%d-%d" % nk for nk in PIPELINE_MODELS])
