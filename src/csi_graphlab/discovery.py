@@ -19,6 +19,8 @@ import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .data import Dataset
 from .exact import SolvedModel
 from .graphs import UndirectedSkeleton, acyclify
@@ -28,7 +30,17 @@ from .graph_objects import (
     is_strongly_regime_acyclic,
     union_graph,
 )
-from .independence import CiQuery, CiVerdict, ExactTester, first_separator, g_test, subsets
+from .independence import (
+    CiQuery,
+    CiVerdict,
+    ExactTester,
+    first_separator,
+    g_test,
+    g_test_from_tables,
+    g_test_table,
+    lockstep_separators,
+    subsets,
+)
 
 __all__ = [
     "DiscoveryError",
@@ -92,36 +104,57 @@ class SampleTester:
             self._memo[q] = g_test(self._table, q, self._alpha, context=self.context)
         return self._memo[q]
 
+    def first_separators(self, step):
+        """One step of `lockstep_separators`, decided in one stacked G-test per table shape.
+
+        Every query of the step not in the memo is tabulated in order; the
+        tables of each (S, nx, ny) shape go to one `g_test_from_tables` call,
+        whose verdicts are bit-identical to testing each table alone.  The
+        searches are then scanned in the memo.
+        """
+        searches = [[CiQuery(x, y, z, r) for z in sets for r in regimes]
+                    for x, y, sets, regimes in step]
+        by_shape: dict[tuple, dict[CiQuery, np.ndarray]] = {}
+        for q in itertools.chain.from_iterable(searches):
+            if q not in self._memo:
+                table = g_test_table(self._table, q, self.context)
+                by_shape.setdefault(table.shape, {})[q] = table
+        for tables in by_shape.values():
+            verdicts = g_test_from_tables(np.stack(list(tables.values())), self._alpha)
+            self._memo.update(zip(tables, verdicts))
+        return [next(((q.z, q.regime, self._memo[q]) for q in qs if self._memo[q].independent), None)
+                for qs in searches]
+
 
 def _record(certs, x, y, z, regime, verdict):
     if certs is not None:
         certs.append(SeparationCertificate(x, y, tuple(z), regime, verdict.method, verdict.p_value))
 
 
-def _pc_skeleton(nodes, query, regime, certificates):
-    """Stable PC: per round, candidate sets come from the round-start adjacency."""
+def _pc_skeleton(nodes, tester, regime, certificates):
+    """Stable PC: per round, candidate sets come from the round-start adjacency,
+    so the pairs of a round are searched together and pruned afterwards in order."""
     nodes = tuple(nodes)
     adj = {v: set(nodes) - {v} for v in nodes}
     k = 0
     while True:
         snapshot = {v: tuple(sorted(adj[v])) for v in nodes}
-        pairs = sorted((a, b) for a in nodes for b in adj[a] if a < b)
-        tested_any = False
-        for a, b in pairs:
+        searches = []
+        for a, b in sorted((a, b) for a in nodes for b in adj[a] if a < b):
             cand_a = [c for c in snapshot[a] if c != b]
             cand_b = [c for c in snapshot[b] if c != a]
             if len(cand_a) < k and len(cand_b) < k:
                 continue
-            tested_any = True
             sets = dict.fromkeys(itertools.chain(
                 itertools.combinations(cand_a, k), itertools.combinations(cand_b, k)))
-            hit = first_separator(query, a, b, sets, (regime,))
+            searches.append((a, b, sets, (regime,)))
+        if not searches:
+            break
+        for (a, b, _, _), hit in zip(searches, lockstep_separators(tester, searches)):
             if hit is not None:
                 adj[a].discard(b)
                 adj[b].discard(a)
                 _record(certificates, a, b, *hit)
-        if not tested_any:
-            break
         k += 1
     return UndirectedSkeleton(nodes, [(a, b) for a in nodes for b in adj[a] if a < b])
 
@@ -131,7 +164,7 @@ def skeleton_pooled(
     certificates: list[SeparationCertificate] | None = None,
 ) -> UndirectedSkeleton:
     """PC-style skeleton over the pooled distribution (context included)."""
-    return _pc_skeleton(tester.variables, tester.test, None, certificates)
+    return _pc_skeleton(tester.variables, tester, None, certificates)
 
 
 def _require_regime(tester, regime: str) -> None:
@@ -150,7 +183,7 @@ def skeleton_masked(
     """PC-style skeleton over the non-context variables, every query masked to one context value."""
     _require_regime(tester, regime)
     nodes = tuple(v for v in tester.variables if v != tester.context)
-    return _pc_skeleton(nodes, tester.test, regime, certificates)
+    return _pc_skeleton(nodes, tester, regime, certificates)
 
 
 def intersection_graph(
@@ -192,10 +225,10 @@ def detect_graph(
         )
     queries = [(x, y, (None, regime)) for x, y in itertools.combinations(sorted(others), 2)]
     queries += [(ctx, y, (None,)) for y in sorted(others)]
+    searches = [(x, y, subsets([v for v in others if v not in (x, y)]), regimes)
+                for x, y, regimes in queries]
     pairs = []
-    for x, y, regimes in queries:
-        pool = [v for v in others if v not in (x, y)]
-        hit = first_separator(tester.test, x, y, subsets(pool), regimes)
+    for (x, y, _, _), hit in zip(searches, lockstep_separators(tester, searches)):
         if hit is None:
             pairs.append((x, y))
         else:

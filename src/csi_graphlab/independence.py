@@ -146,6 +146,11 @@ class ExactTester:
             self._memo[q] = ci_exact(self._solved.joint, q, context=self.context)
         return self._memo[q]
 
+    def first_separators(self, step):
+        """One step of `lockstep_separators`: `first_separator` on each search in
+        turn, so no query past a search's first independent one is decided."""
+        return [first_separator(self.test, x, y, sets, regimes) for x, y, sets, regimes in step]
+
 
 def conditional_mutual_information(
     p: JointPmf, q: CiQuery, context: str | None = None
@@ -195,6 +200,30 @@ def first_separator(
     return None
 
 
+def lockstep_separators(tester, searches: Sequence[tuple]) -> list:
+    """`first_separator(tester.test, x, y, sets, regimes)` of every search
+    `(x, y, sets, regimes)`, the searches advanced together one level at a time.
+
+    Each search's sets are cut into runs of consecutive sets of one size, read
+    lazily.  Step s hands `tester.first_separators` run s of every search still
+    unresolved; the tester returns each one's first independent
+    (z, regime, verdict) in that run, or None, and may decide the whole step at
+    once.  The result of each search is the one it gives alone.
+    """
+    runs = [itertools.groupby(sets, key=len) for _, _, sets, _ in searches]
+    hits: list = [None] * len(searches)
+    live = range(len(searches))
+    while live:
+        step = [(i, run) for i in live for _, run in itertools.islice(runs[i], 1)]
+        found = tester.first_separators(
+            [(searches[i][0], searches[i][1], run, searches[i][3]) for i, run in step]
+        )
+        for (i, _), hit in zip(step, found):
+            hits[i] = hit
+        live = [i for (i, _), hit in zip(step, found) if hit is None]
+    return hits
+
+
 def g_test(
     data: Dataset,
     q: CiQuery,
@@ -218,6 +247,12 @@ def g_test(
     """
     if not (0.0 < alpha < 1.0):
         raise IndependenceError("alpha must be in (0, 1)")
+    return g_test_from_tables(g_test_table(data, q, context)[None], alpha, min_expected)[0]
+
+
+def g_test_table(data: Dataset, q: CiQuery, context: str | None = None) -> np.ndarray:
+    """The (S, nx, ny) contingency tables `g_test` tests: one per z value tuple
+    the rows show (inside the query's regime, if set), weighted by `counts`."""
     ctx = _query_context(q, context)
     for col in (q.x, q.y, *q.z):
         if col not in data.columns:
@@ -245,7 +280,7 @@ def g_test(
     # one stratum per z value tuple the rows show: at most rows * nx * ny cells
     ranks, n_strata = _stratum_ids(data, q.z, mask, observed=True)
     counts = _tally((ranks * nx + x) * ny + y, data.counts[mask], n_strata * nx * ny)
-    return g_test_from_tables(counts.reshape(1, n_strata, nx, ny), alpha, min_expected)[0]
+    return counts.reshape(n_strata, nx, ny)
 
 
 def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from csi_graphlab import cli, independence
+import discovery_reference as ref
+from csi_graphlab import cli, discovery, independence
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.data import Dataset
 from csi_graphlab.discovery import (
@@ -108,7 +110,7 @@ def test_detect_graph_cap_and_unknown_regime():
 
 
 class CountingTester:
-    """Forwards to a tester and counts the queries it answers."""
+    """Forwards to a tester and counts the queries it is asked, one by one or a lockstep step at a time."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -120,6 +122,11 @@ class CountingTester:
     def test(self, *args, **kwargs):
         self.queries += 1
         return self.inner.test(*args, **kwargs)
+
+    def first_separators(self, step):
+        step = [(x, y, list(sets), regimes) for x, y, sets, regimes in step]
+        self.queries += sum(len(sets) * len(regimes) for _, _, sets, regimes in step)
+        return self.inner.first_separators(step)
 
 
 def test_detect_graph_checks_the_cap_before_the_first_query():
@@ -397,3 +404,82 @@ def test_one_solve_decides_each_exact_query_once(monkeypatch):
     assert check_R_faithfulness(m).holds
     assert len(decided) == len(set(decided))
     assert set(decided) == set(ExactTester(m)._memo)
+
+
+def _hex(v):
+    return (v.independent, v.p_value.hex(), v.statistic.hex(), v.method, v.warning)
+
+
+@pytest.mark.parametrize("case", list_examples() + ["pipeline-%d-%d" % nk for nk in PIPELINE_MODELS])
+def test_lockstep_exact_discovery_matches_the_sequential_reference(case, monkeypatch, tmp_path, capsys):
+    """Same report, certificates and decided queries as the one-pair-at-a-time loops:
+    the exact step decides nothing past a search's first independent query."""
+    if case.startswith("pipeline-"):
+        n, k = map(int, case.split("-")[1:])
+        s = random_scm(RandomModelSpec(n_vars=n, max_domain=3, seed=k)).scm
+    else:
+        s = get_example(case)
+    new, old = ref.assert_lockstep_matches(lambda: ExactTester(SolvedModel.of(s)))
+    assert set(new._memo) == set(old._memo)
+
+    model = tmp_path / "model.json"
+    model.write_text(serialize_scm(s))
+    testers = []
+
+    class Recording(ExactTester):
+        def __init__(self, solved):
+            super().__init__(solved)
+            testers.append(self)
+
+    monkeypatch.setattr(cli, "ExactTester", Recording)
+    reports = []
+    for module in (discovery, ref):
+        for name in ("skeleton_pooled", "skeleton_masked", "detect_graph"):
+            monkeypatch.setattr(cli, name, getattr(module, name))
+        assert cli.main(["discover", "--exact", str(model)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    lockstep, sequential = testers
+    assert set(lockstep._memo) == set(sequential._memo)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05])
+def test_lockstep_sample_discovery_matches_the_sequential_reference(alpha):
+    """Same skeletons and certificates; every verdict the loops read is in the
+    lockstep memo, bit for bit, and every lockstep verdict is that of `g_test`."""
+    for name, data in sampled_datasets():
+        new, old = ref.assert_lockstep_matches(lambda: SampleTester(data, alpha, "R"))
+        assert set(old._memo) <= set(new._memo), name
+        for q, verdict in old._memo.items():
+            assert _hex(new._memo[q]) == _hex(verdict), (name, q)
+        for q, verdict in new._memo.items():
+            assert _hex(verdict) == _hex(independence.g_test(data, q, alpha, context="R")), (name, q)
+
+
+def test_stacked_step_verdicts_equal_g_test_per_query():
+    """A step of queries whose tables have many (S, nx, ny) shapes, on raw rows and
+    on a count table: each memoized verdict is `g_test`'s, bit for bit."""
+    rng = np.random.default_rng(5)
+    n = 4000
+    r = rng.integers(0, 2, n)
+    a = rng.integers(0, 2, n)
+    b = (a + rng.integers(0, 2, n)) % 3
+    c = rng.integers(0, 4, n)
+    d = (b * c + rng.integers(0, 2, n)) % 5
+    columns = ("R", "A", "B", "C", "D")
+    data = Dataset.from_rows(columns, np.stack([r, a, b, c, d], axis=1).astype(str).tolist())
+    step = [(x, y, list(independence.subsets([v for v in columns[1:] if v not in (x, y)])), (None, "1"))
+            for x, y in itertools.permutations(columns[1:], 2)]
+    queries = [independence.CiQuery(x, y, z, reg) for x, y, sets, regs in step
+               for z in sets for reg in regs]
+    shapes = {independence.g_test_table(data, q, "R").shape for q in queries}
+    assert len(shapes) > 10
+    for source in (data, data.tabulate()):
+        tester = SampleTester(source, 0.05, "R")
+        hits = tester.first_separators(step)
+        assert set(tester._memo) == set(queries)
+        for q, verdict in tester._memo.items():
+            assert _hex(verdict) == _hex(independence.g_test(data, q, 0.05, context="R"))
+        fresh = SampleTester(source, 0.05, "R")
+        assert hits == [independence.first_separator(fresh.test, *search) for search in step]
+        assert any(hits) and not all(hits)

@@ -406,20 +406,22 @@ def test_sample_tester_verdicts_equal_fresh_g_tests():
     data = draw_samples(m.scm, 3000, 5, m.solved.table)
     tester = SampleTester(data, 0.01, "R")
     asked = []
-    answer = tester.test
+    answer = tester.first_separators
 
-    def recording(x, y, z=(), regime=None):
-        verdict = answer(x, y, z, regime)
-        asked.append((CiQuery(x, y, tuple(z), regime), verdict))
-        return verdict
+    def recording(step):
+        step = [(x, y, list(sets), regimes) for x, y, sets, regimes in step]
+        asked.extend(CiQuery(x, y, z, r) for x, y, sets, regimes in step
+                     for z in sets for r in regimes)
+        return answer(step)
 
-    tester.test = recording
+    tester.first_separators = recording
     skeleton_pooled(tester)
     for r in tester.regimes:
         skeleton_masked(tester, r)
         detect_graph(tester, r)
-    assert len({q for q, _ in asked}) < len(asked)  # the memo answered some
-    for q, verdict in asked:
+    assert len(set(asked)) < len(asked)  # the memo answered some
+    assert set(asked) == set(tester._memo)
+    for q, verdict in tester._memo.items():
         assert verdict == g_test(data, q, 0.01, context="R")
 
 
