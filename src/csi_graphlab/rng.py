@@ -24,6 +24,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _TAG = 0xD1B54A32D192ED03
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's 128-bit LCG multiplier
+_STATE_BLOCK = 1 << 12  # replicate states computed together by `replicate_generators`
 
 
 def mix64(x: int) -> int:
@@ -95,11 +96,16 @@ def _pcg64_states(seeds: np.ndarray) -> Iterator[dict]:
 
 
 def replicate_generators(seed: int, ks: range) -> Iterator[np.random.Generator]:
-    """One Generator, reset in turn to the state of `default_rng(derive_seed(seed, k))`."""
+    """One Generator, reset in turn to the state of `default_rng(derive_seed(seed, k))`.
+
+    The states are computed `_STATE_BLOCK` replicates at a time, so one call
+    serves any range with bounded memory and a single set-up.
+    """
     rng = np.random.Generator(np.random.PCG64())
-    for state in _pcg64_states(_derive_seeds(seed, ks)):
-        rng.bit_generator.state = state
-        yield rng
+    for first in range(0, len(ks), _STATE_BLOCK):
+        for state in _pcg64_states(_derive_seeds(seed, ks[first:first + _STATE_BLOCK])):
+            rng.bit_generator.state = state
+            yield rng
 
 
 def uniform_thresholds_index(thresholds: np.ndarray, seed: int, n: int) -> np.ndarray:

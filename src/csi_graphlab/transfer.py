@@ -11,9 +11,9 @@ non-rejection in the real r0 stratum is evidence that the mechanism, not
 the support, changed.
 
 Replicate k draws its counts from a generator in the state of
-`default_rng(derive_seed(seed, k))`, set without `SeedSequence` hashing, into
-a (replicates, strata, x, y) stack; one stacked G-test kernel call decides a
-chunk of replicates.  A chunk holds at most `_CELL_BUDGET` table cells (or
+`default_rng(derive_seed(seed, k))`, set without `SeedSequence` hashing by
+one `replicate_generators` call over all K, into a (replicates, strata, x, y)
+stack; one stacked G-test kernel call decides a chunk of replicates.  A chunk holds at most `_CELL_BUDGET` table cells (or
 one replicate, if a single table is larger), so memory does not grow with K.
 A replicate table spans every (z, x, y) code, seen or not, so a code space
 above `_TABLE_BUDGET` cells is rejected before any array is built.
@@ -161,16 +161,16 @@ def transfer_evidence(
     chunk = max(1, _CELL_BUDGET // (n_cells * n_y))
     p_values = []
     unseen_rows = 0
+    generators = replicate_generators(cfg.seed, range(cfg.K))
     for first in range(0, cfg.K, chunk):
-        reps = range(first, min(first + chunk, cfg.K))
-        tables = np.zeros((len(reps), n_cells, n_y), dtype=np.int64)
-        for i, rng in enumerate(replicate_generators(cfg.seed, reps)):
+        tables = np.zeros((min(chunk, cfg.K - first), n_cells, n_y), dtype=np.int64)
+        for table, rng in zip(tables, generators):
             drawn = rng.multinomial(cfg.N, p_cells)
             for cell in np.flatnonzero(drawn):
-                tables[i, cell] = rng.multinomial(drawn[cell], law[cell])
+                table[cell] = rng.multinomial(drawn[cell], law[cell])
         unseen_rows += int(tables[:, fallback].sum())
         verdicts = g_test_from_tables(
-            tables.reshape(len(reps), n_strata, n_x, n_y), cfg.alpha
+            tables.reshape(len(tables), n_strata, n_x, n_y), cfg.alpha
         )
         p_values += [v.p_value for v in verdicts]
     rejecting = sum(1 for p in p_values if p < cfg.alpha)

@@ -1,7 +1,9 @@
 import bisect
 
 import numpy as np
+import pytest
 
+from csi_graphlab import rng as rng_module
 from csi_graphlab.rng import (
     GAMMA,
     _derive_seeds,
@@ -95,7 +97,10 @@ def test_vectorized_derive_matches_derive_seed():
             assert _derive_seeds(seed, ks).tolist() == [derive_seed(seed, k) for k in ks]
 
 
-def test_reused_generator_draws_like_a_fresh_default_rng():
+@pytest.mark.parametrize("block", [None, 7])
+def test_reused_generator_draws_like_a_fresh_default_rng(block, monkeypatch):
+    if block is not None:  # states computed in blocks that cut the range
+        monkeypatch.setattr(rng_module, "_STATE_BLOCK", block)
     law = np.array([0.2, 0.5, 0.3])
     ks = range(2, 60)
     reused = [

@@ -247,6 +247,23 @@ def test_replicate_chunks_stay_under_the_cell_budget(monkeypatch):
     assert runs[1 << 30] == runs[3000] == runs[0]
 
 
+def test_one_replicate_chunks_share_one_bit_generator(monkeypatch):
+    data = sixty_four_strata()
+    cfg = TransferConfig(K=40, N=8000, alpha=0.05, seed=3)
+    want = transfer_evidence(data, "X", "Y", ("A", "B", "D"), "0", cfg, context="R")
+    built = []
+    real = np.random.PCG64
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.random, "PCG64", counted)
+    monkeypatch.setattr(transfer, "_CELL_BUDGET", 0)  # one replicate per chunk
+    assert transfer_evidence(data, "X", "Y", ("A", "B", "D"), "0", cfg, context="R") == want
+    assert len(built) == 1
+
+
 def wide_data(z_labels):
     """Two z columns with `z_labels` labels each, 10-label x and y."""
     rows = [
