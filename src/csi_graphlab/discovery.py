@@ -7,10 +7,15 @@ G-test, answered from the dataset's count table, built once.  On top of
 them sit a deterministic PC-style skeleton search (pooled or masked to one
 context value), the exhaustive per-context detection skeleton, and the
 executable Markov check that verifies each designated separating set on the
-exact distribution.  All three search for separating sets with
-`independence.first_separator`, each over its own ordered sequence of
-candidate sets: the stable-PC neighbour subsets, every subset of the other
-non-context variables, or the designated parent sets.
+exact distribution.  Each searches for separating sets over its own ordered
+sequence of candidate sets: the stable-PC neighbour subsets, every subset
+of the other non-context variables, or the designated parent sets.
+
+The skeletons search the pairs of a PC round (independent, as stable PC
+reads the round-start adjacency), or all pairs of `detect_graph`, together
+with `independence.lockstep_separators`, then remove edges and record
+certificates in pair order.  `SampleTester` decides each set size of those
+searches in one stacked kernel call per table shape.
 """
 
 from __future__ import annotations

@@ -10,19 +10,25 @@ search of one solve decide each query once.
 Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
 an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
 returns K verdicts from array operations alone.  `g_test` passes one test
-(K = 1) whose observed strata are numbered by `data._stratum_ids` and counted
-with a single `data._tally` of the dataset's `counts`.  So the count
-table (`Dataset.tabulate`) gives the same tables as the rows it compresses,
-at a fraction of the rows to scan; the sample tester
-(`discovery.SampleTester`) builds it once and keeps a memo on the exact
-query.  The transfer test passes its replicates in chunks of bounded size.
+(K = 1), the table `g_test_table` builds: its observed strata are numbered
+by `data._stratum_ids` and counted with a single `data._tally` of the
+dataset's `counts`.  So the count table (`Dataset.tabulate`) gives the same
+tables as the rows it compresses, at a fraction of the rows to scan; the
+sample tester (`discovery.SampleTester`) builds it once, keeps a memo on the
+exact query, and stacks the tables of many queries of one shape into one
+kernel call.  The transfer test passes its replicates in chunks of bounded
+size.
 
 Separating sets are searched for in one place, `first_separator`: given a
 test and an ordered sequence of conditioning sets (usually from `subsets`),
-it returns the first set and regime that make x and y independent.  The
-pooled, masked and detection skeletons, the Markov check and the
-R-faithfulness check all use it, so the order in which sets are tried, on
-which certificates depend, is fixed there.
+it returns the first set and regime that make x and y independent, so the
+order in which sets are tried, on which certificates depend, is fixed
+there.  `lockstep_separators` runs many searches together, one set size at
+a time, and hands each level to the tester: `ExactTester` runs
+`first_separator` on each search in turn, `SampleTester` decides the whole
+level at once.  Each search still gets `first_separator`'s result.  The
+skeletons search that way; the Markov check and the R-faithfulness check
+call `first_separator` directly.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ the support, changed.
 Replicate k draws its counts from a generator in the state of
 `default_rng(derive_seed(seed, k))`, set without `SeedSequence` hashing by
 one `replicate_generators` call over all K, into a (replicates, strata, x, y)
-stack; one stacked G-test kernel call decides a chunk of replicates.  A chunk holds at most `_CELL_BUDGET` table cells (or
-one replicate, if a single table is larger), so memory does not grow with K.
+stack; one stacked G-test kernel call decides a chunk of replicates.  A
+chunk holds at most `_CELL_BUDGET` table cells (or one replicate, if a
+single table is larger), so memory does not grow with K.
 A replicate table spans every (z, x, y) code, seen or not, so a code space
 above `_TABLE_BUDGET` cells is rejected before any array is built.
 """

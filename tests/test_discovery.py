@@ -351,13 +351,20 @@ def test_sampled_separator_searches_are_pinned():
     assert hashlib.sha256(blob).hexdigest() == SAMPLED_SEARCHES
 
 
-@pytest.mark.parametrize("case", list_examples() + ["pipeline-%d-%d" % nk for nk in PIPELINE_MODELS])
-def test_exact_memo_verdicts_equal_fresh_ci_exact(case, monkeypatch, tmp_path, capsys):
+EXACT_CASES = list_examples() + ["pipeline-%d-%d" % nk for nk in PIPELINE_MODELS]
+
+
+def exact_case(case):
+    """The corpus model, or `pipeline-n-k`'s RandomModelSpec(n_vars=n, max_domain=3, seed=k)."""
     if case.startswith("pipeline-"):
         n, k = map(int, case.split("-")[1:])
-        s = random_scm(RandomModelSpec(n_vars=n, max_domain=3, seed=k)).scm
-    else:
-        s = get_example(case)
+        return random_scm(RandomModelSpec(n_vars=n, max_domain=3, seed=k)).scm
+    return get_example(case)
+
+
+@pytest.mark.parametrize("case", EXACT_CASES)
+def test_exact_memo_verdicts_equal_fresh_ci_exact(case, monkeypatch, tmp_path, capsys):
+    s = exact_case(case)
     testers = []
 
     class Recording(ExactTester):
@@ -410,15 +417,11 @@ def _hex(v):
     return (v.independent, v.p_value.hex(), v.statistic.hex(), v.method, v.warning)
 
 
-@pytest.mark.parametrize("case", list_examples() + ["pipeline-%d-%d" % nk for nk in PIPELINE_MODELS])
+@pytest.mark.parametrize("case", EXACT_CASES)
 def test_lockstep_exact_discovery_matches_the_sequential_reference(case, monkeypatch, tmp_path, capsys):
     """Same report, certificates and decided queries as the one-pair-at-a-time loops:
     the exact step decides nothing past a search's first independent query."""
-    if case.startswith("pipeline-"):
-        n, k = map(int, case.split("-")[1:])
-        s = random_scm(RandomModelSpec(n_vars=n, max_domain=3, seed=k)).scm
-    else:
-        s = get_example(case)
+    s = exact_case(case)
     new, old = ref.assert_lockstep_matches(lambda: ExactTester(SolvedModel.of(s)))
     assert set(new._memo) == set(old._memo)
 
@@ -473,7 +476,7 @@ def test_stacked_step_verdicts_equal_g_test_per_query():
     queries = [independence.CiQuery(x, y, z, reg) for x, y, sets, regs in step
                for z in sets for reg in regs]
     shapes = {independence.g_test_table(data, q, "R").shape for q in queries}
-    assert len(shapes) > 10
+    assert len(queries) == 96 and len(shapes) == 48
     for source in (data, data.tabulate()):
         tester = SampleTester(source, 0.05, "R")
         hits = tester.first_separators(step)

@@ -1,7 +1,6 @@
 import bisect
 
 import numpy as np
-import pytest
 
 from csi_graphlab import rng as rng_module
 from csi_graphlab.rng import (
@@ -97,18 +96,17 @@ def test_vectorized_derive_matches_derive_seed():
             assert _derive_seeds(seed, ks).tolist() == [derive_seed(seed, k) for k in ks]
 
 
-@pytest.mark.parametrize("block", [None, 7])
-def test_reused_generator_draws_like_a_fresh_default_rng(block, monkeypatch):
-    if block is not None:  # states computed in blocks that cut the range
-        monkeypatch.setattr(rng_module, "_STATE_BLOCK", block)
+def test_reused_generator_draws_like_a_fresh_default_rng(monkeypatch):
     law = np.array([0.2, 0.5, 0.3])
     ks = range(2, 60)
-    reused = [
-        (g.multinomial(500, law), g.multinomial(0, law), g.multinomial(37, law))
-        for g in replicate_generators(11, ks)
-    ]
-    for k, draws in zip(ks, reused):
-        fresh = np.random.default_rng(derive_seed(11, k))
-        for n, got in zip((500, 0, 37), draws):
-            assert got.tolist() == fresh.multinomial(n, law).tolist()
-    assert len(reused) == len(ks)
+    for block in (rng_module._STATE_BLOCK, 7):  # 7: state blocks that cut the range
+        monkeypatch.setattr(rng_module, "_STATE_BLOCK", block)
+        reused = [
+            (g.multinomial(500, law), g.multinomial(0, law), g.multinomial(37, law))
+            for g in replicate_generators(11, ks)
+        ]
+        for k, draws in zip(ks, reused):
+            fresh = np.random.default_rng(derive_seed(11, k))
+            for n, got in zip((500, 0, 37), draws):
+                assert got.tolist() == fresh.multinomial(n, law).tolist()
+        assert len(reused) == len(ks)
