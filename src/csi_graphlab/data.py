@@ -98,9 +98,13 @@ class Dataset:
         if codes.ndim != 2 or codes.shape[1] != len(self.columns):
             raise DataError("codes must be (n_rows, n_columns)")
         for j, c in enumerate(self.columns):
-            k = len(self.categories[c])
+            labels = self.categories[c]
+            k = len(labels)
             if k == 0:
                 raise DataError("column %r has no categories" % (c,))
+            if len(set(labels)) != k:
+                repeated = next(x for i, x in enumerate(labels) if x in labels[:i])
+                raise DataError("column %r repeats category %r" % (c, repeated))
             if codes.shape[0] and (codes[:, j].min() < 0 or codes[:, j].max() >= k):
                 raise DataError("column %r has codes outside 0..%d" % (c, k - 1))
         if counts is None:
@@ -143,27 +147,28 @@ class Dataset:
         rows: Iterable[Sequence[str]],
         categories: Mapping[str, Sequence[str]] | None = None,
     ) -> "Dataset":
-        return cls._from_records(columns, [tuple(r) for r in rows], None, categories)
+        number: dict = {}
+        ids = [number.setdefault(tuple(r), len(number)) for r in rows]
+        return cls._from_records(columns, list(number), ids, categories)
 
     @classmethod
     def _from_records(
         cls,
         columns: Sequence[str],
         records: list[tuple[str, ...]],
-        ids: list[int] | None,
+        ids: list[int],
         categories: Mapping[str, Sequence[str]] | None,
     ) -> "Dataset":
-        """Code the distinct `records` once; row i is record `ids[i]` (or i if
-        no ids).  Records are numbered in order of first appearance, so the
-        first bad record first appears in the first bad row, which errors name.
+        """Code the distinct `records` once; row i is record `ids[i]`.  Records
+        are numbered in order of first appearance, so the first bad record
+        first appears in the first bad row, which errors name.
         """
-        row_of = (lambda k: k) if ids is None else ids.index
         columns = tuple(columns)
         _require_unique(columns)
         for k, r in enumerate(records):
             if len(r) != len(columns):
                 raise DataError("row %d has %d fields, expected %d"
-                                % (row_of(k), len(r), len(columns)))
+                                % (ids.index(k), len(r), len(columns)))
         if categories is None:
             categories = {
                 c: tuple(sorted({r[j] for r in records}))
@@ -187,11 +192,9 @@ class Dataset:
                     if r[j] not in index[c]:
                         raise DataError(
                             "row %d: label %r not among categories of column %r"
-                            % (row_of(k), r[j], c)
+                            % (ids.index(k), r[j], c)
                         ) from None
-        if ids is not None:
-            codes = codes[np.array(ids, dtype=np.int64)]
-        return cls(columns, categories, codes)
+        return cls(columns, categories, codes[np.array(ids, dtype=np.int64)])
 
     @classmethod
     def from_csv(

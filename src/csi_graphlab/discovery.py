@@ -11,11 +11,12 @@ exact distribution.  Each searches for separating sets over its own ordered
 sequence of candidate sets: the stable-PC neighbour subsets, every subset
 of the other non-context variables, or the designated parent sets.
 
-The skeletons search the pairs of a PC round (independent, as stable PC
-reads the round-start adjacency), or all pairs of `detect_graph`, together
-with `independence.lockstep_separators`, then remove edges and record
-certificates in pair order.  `SampleTester` decides each set size of those
-searches in one stacked kernel call per table shape.
+The skeletons hand the pairs of a PC round (independent, as stable PC
+reads the round-start adjacency), or all pairs of `detect_graph`, to the
+tester's `first_separators` as one list of searches, then remove edges and
+record certificates in pair order.  `SampleTester` advances those searches
+together one set size at a time, deciding each size in one stacked kernel
+call per table shape; `ExactTester` scans them in turn.
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ from .independence import (
     CiQuery,
     CiVerdict,
     ExactTester,
-    first_separator,
     g_test,
     g_test_from_tables,
     g_test_table,
-    lockstep_separators,
     subsets,
 )
 
@@ -109,26 +108,39 @@ class SampleTester:
             self._memo[q] = g_test(self._table, q, self._alpha, context=self.context)
         return self._memo[q]
 
-    def first_separators(self, step):
-        """One step of `lockstep_separators`, decided in one stacked G-test per table shape.
+    def first_separators(self, searches) -> list:
+        """First independent (z, regime, verdict) of each search
+        `(x, y, sets, regimes)`, or None, the searches advanced together.
 
-        Every query of the step not in the memo is tabulated in order; the
-        tables of each (S, nx, ny) shape go to one `g_test_from_tables` call,
-        whose verdicts are bit-identical to testing each table alone.  The
-        searches are then scanned in the memo.
+        Each search's sets are cut lazily into runs of one size; step s takes
+        run s of every search still unresolved, so a search resolved at one
+        size decides no query of a larger size.  Every query of the step not
+        in the memo is tabulated in order, and the tables of each (S, nx, ny)
+        shape go to one `g_test_from_tables` call, whose verdicts are
+        bit-identical to testing each table alone.
         """
-        searches = [[CiQuery(x, y, z, r) for z in sets for r in regimes]
-                    for x, y, sets, regimes in step]
-        by_shape: dict[tuple, dict[CiQuery, np.ndarray]] = {}
-        for q in itertools.chain.from_iterable(searches):
-            if q not in self._memo:
-                table = g_test_table(self._table, q, self.context)
-                by_shape.setdefault(table.shape, {})[q] = table
-        for tables in by_shape.values():
-            verdicts = g_test_from_tables(np.stack(list(tables.values())), self._alpha)
-            self._memo.update(zip(tables, verdicts))
-        return [next(((q.z, q.regime, self._memo[q]) for q in qs if self._memo[q].independent), None)
-                for qs in searches]
+        runs = [itertools.groupby(sets, key=len) for _, _, sets, _ in searches]
+        hits: list = [None] * len(searches)
+        live = range(len(searches))
+        while live:
+            step = {}
+            for i in live:
+                x, y, _, regimes = searches[i]
+                for _, run in itertools.islice(runs[i], 1):
+                    step[i] = [CiQuery(x, y, z, r) for z in run for r in regimes]
+            by_shape: dict[tuple, dict[CiQuery, np.ndarray]] = {}
+            for q in itertools.chain.from_iterable(step.values()):
+                if q not in self._memo:
+                    table = g_test_table(self._table, q, self.context)
+                    by_shape.setdefault(table.shape, {})[q] = table
+            for tables in by_shape.values():
+                verdicts = g_test_from_tables(np.stack(list(tables.values())), self._alpha)
+                self._memo.update(zip(tables, verdicts))
+            for i, qs in step.items():
+                hits[i] = next(((q.z, q.regime, self._memo[q]) for q in qs
+                                if self._memo[q].independent), None)
+            live = [i for i in step if hits[i] is None]
+        return hits
 
 
 def _record(certs, x, y, z, regime, verdict):
@@ -155,7 +167,7 @@ def _pc_skeleton(nodes, tester, regime, certificates):
             searches.append((a, b, sets, (regime,)))
         if not searches:
             break
-        for (a, b, _, _), hit in zip(searches, lockstep_separators(tester, searches)):
+        for (a, b, _, _), hit in zip(searches, tester.first_separators(searches)):
             if hit is not None:
                 adj[a].discard(b)
                 adj[b].discard(a)
@@ -233,7 +245,7 @@ def detect_graph(
     searches = [(x, y, subsets([v for v in others if v not in (x, y)]), regimes)
                 for x, y, regimes in queries]
     pairs = []
-    for (x, y, _, _), hit in zip(searches, lockstep_separators(tester, searches)):
+    for (x, y, _, _), hit in zip(searches, tester.first_separators(searches)):
         if hit is None:
             pairs.append((x, y))
         else:
@@ -297,17 +309,11 @@ def markov_check(solved: SolvedModel) -> MarkovReport:
         return MarkovReport(applicable=False, passed=False)
     union = union_graph(solved)
     anc_r = union.ancestors([ctx])
-    test = ExactTester(solved).test
     names = sorted(v for v in solved.scm.variable_names if v != ctx)
-    obligations: list[MarkovObligation] = []
+    pending: list[tuple] = []
 
     def run(x, y, regime, clause, candidates):
-        candidates = tuple(dict.fromkeys(candidates))
-        hit = first_separator(test, x, y, candidates, (regime,))
-        separator = None if hit is None else hit[0]
-        obligations.append(
-            MarkovObligation(x, y, regime, clause, candidates, separator, hit is not None)
-        )
+        pending.append((x, y, regime, clause, tuple(dict.fromkeys(candidates))))
 
     for r in solved.regimes:
         ident = ident_graph(solved, r)
@@ -336,6 +342,10 @@ def markov_check(solved: SolvedModel) -> MarkovReport:
             tuple(sorted(union.parents(y))),
         ])
 
+    hits = ExactTester(solved).first_separators(
+        [(x, y, candidates, (regime,)) for x, y, regime, _, candidates in pending])
+    obligations = [MarkovObligation(*o, None if hit is None else hit[0], hit is not None)
+                   for o, hit in zip(pending, hits)]
     return MarkovReport(
         applicable=True,
         passed=all(o.passed for o in obligations),

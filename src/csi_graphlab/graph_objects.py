@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .exact import JointPmf, SolvedModel, joint_pmf, noise_name
 from .graphs import DirectedGraph
-from .independence import ExactTester, first_separator, subsets
+from .independence import ExactTester, subsets
 from .scm import MechanismTable, Scm, ScmError, intervene
 
 __all__ = [
@@ -360,16 +360,16 @@ def check_R_faithfulness(solved: SolvedModel) -> FaithfulnessReport:
     """
     ctx = solved.scm.context_variable
     names = list(solved.joint.scope)
-    test = ExactTester(solved).test
+    tester = ExactTester(solved)
     report = FaithfulnessReport(holds=True)
     for r in solved.regimes:
         descr = descriptive_graph(solved, r)
         for x, y in descr.skeleton().sorted_pairs():
             pooled = subsets([v for v in names if v not in (x, y)])
-            hit = first_separator(test, x, y, pooled, (None,))
+            (hit,) = tester.first_separators([(x, y, pooled, (None,))])
             if hit is None and ctx not in (x, y):
                 masked = subsets([v for v in names if v not in (x, y, ctx)])
-                hit = first_separator(test, x, y, masked, (r,))
+                (hit,) = tester.first_separators([(x, y, masked, (r,))])
             if hit is not None:
                 z, regime, _ = hit
                 report.holds = False

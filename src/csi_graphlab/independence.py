@@ -13,29 +13,24 @@ returns K verdicts from array operations alone.  `g_test` passes one test
 (K = 1), the table `g_test_table` builds: its observed strata are numbered
 by `data._stratum_ids` and counted with a single `data._tally` of the
 dataset's `counts`.  So the count table (`Dataset.tabulate`) gives the same
-tables as the rows it compresses, at a fraction of the rows to scan; the
-sample tester (`discovery.SampleTester`) builds it once, keeps a memo on the
-exact query, and stacks the tables of many queries of one shape into one
-kernel call.  The transfer test passes its replicates in chunks of bounded
-size.
+tables as the rows it compresses, at a fraction of the rows to scan.  The
+transfer test passes its replicates in chunks of bounded size.
 
-Separating sets are searched for in one place, `first_separator`: given a
-test and an ordered sequence of conditioning sets (usually from `subsets`),
-it returns the first set and regime that make x and y independent, so the
+Separating sets are searched for by the testers alone: `first_separators`
+takes searches `(x, y, sets, regimes)`, sets in order (usually from
+`subsets`) and for each set the regimes in order (None means pooled), and
+returns each search's first independent (z, regime, verdict), or None.  The
 order in which sets are tried, on which certificates depend, is fixed
-there.  `lockstep_separators` runs many searches together, one set size at
-a time, and hands each level to the tester: `ExactTester` runs
-`first_separator` on each search in turn, `SampleTester` decides the whole
-level at once.  Each search still gets `first_separator`'s result.  The
-skeletons search that way; the Markov check and the R-faithfulness check
-call `first_separator` directly.
+there.  `ExactTester` scans the searches in turn; the sample tester
+(`discovery.SampleTester`) advances them together one set size at a time
+and decides each size in one stacked kernel call per table shape.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,10 +147,23 @@ class ExactTester:
             self._memo[q] = ci_exact(self._solved.joint, q, context=self.context)
         return self._memo[q]
 
-    def first_separators(self, step):
-        """One step of `lockstep_separators`: `first_separator` on each search in
-        turn, so no query past a search's first independent one is decided."""
-        return [first_separator(self.test, x, y, sets, regimes) for x, y, sets, regimes in step]
+    def first_separators(self, searches) -> list:
+        """First independent (z, regime, verdict) of each search
+        `(x, y, sets, regimes)`, or None.  The searches are scanned in turn,
+        so no query past a search's first independent one is decided."""
+        hits = []
+        for x, y, sets, regimes in searches:
+            hit = None
+            for z in sets:
+                for regime in regimes:
+                    verdict = self.test(x, y, z, regime)
+                    if verdict.independent:
+                        hit = z, regime, verdict
+                        break
+                if hit is not None:
+                    break
+            hits.append(hit)
+        return hits
 
 
 def conditional_mutual_information(
@@ -183,51 +191,6 @@ def subsets(pool: Sequence[str]) -> Iterable[tuple[str, ...]]:
     """Every subset of `pool`, by size, each size in `itertools.combinations` order."""
     for k in range(len(pool) + 1):
         yield from itertools.combinations(pool, k)
-
-
-def first_separator(
-    test: Callable[[str, str, tuple[str, ...], str | None], CiVerdict],
-    x: str,
-    y: str,
-    sets: Iterable[tuple[str, ...]],
-    regimes: Sequence[str | None],
-) -> tuple[tuple[str, ...], str | None, CiVerdict] | None:
-    """(z, regime, verdict) of the first independent `test(x, y, z, regime)`.
-
-    The sets are tried in order and, for each set, the regimes in order
-    (None means pooled); the search stops at the first independent verdict.
-    None if no verdict is independent.
-    """
-    for z in sets:
-        for regime in regimes:
-            verdict = test(x, y, z, regime)
-            if verdict.independent:
-                return z, regime, verdict
-    return None
-
-
-def lockstep_separators(tester, searches: Sequence[tuple]) -> list:
-    """`first_separator(tester.test, x, y, sets, regimes)` of every search
-    `(x, y, sets, regimes)`, the searches advanced together one level at a time.
-
-    Each search's sets are cut into runs of consecutive sets of one size, read
-    lazily.  Step s hands `tester.first_separators` run s of every search still
-    unresolved; the tester returns each one's first independent
-    (z, regime, verdict) in that run, or None, and may decide the whole step at
-    once.  The result of each search is the one it gives alone.
-    """
-    runs = [itertools.groupby(sets, key=len) for _, _, sets, _ in searches]
-    hits: list = [None] * len(searches)
-    live = range(len(searches))
-    while live:
-        step = [(i, run) for i in live for _, run in itertools.islice(runs[i], 1)]
-        found = tester.first_separators(
-            [(searches[i][0], searches[i][1], run, searches[i][3]) for i, run in step]
-        )
-        for (i, _), hit in zip(step, found):
-            hits[i] = hit
-        live = [i for (i, _), hit in zip(step, found) if hit is None]
-    return hits
 
 
 def g_test(

@@ -1,16 +1,18 @@
-"""Sequential references for the lockstep skeleton searches.
+"""Sequential references for the testers' separator searches.
 
-Verbatim copies of the PC skeleton and `detect_graph` loops that
-`independence.lockstep_separators` replaced: each pair is searched alone,
-in pair order, with `first_separator` over `tester.test`, and its edge is
-removed (and certificate recorded) as soon as its search ends.  Tests
-compare the package with them on skeletons, certificates and the queries
-each tester decides.
+Verbatim copies of `first_separator`, the one-search scan over a `test`
+callable that `first_separators` replaced, and of the PC skeleton and
+`detect_graph` loops built on it: each pair is searched alone, in pair
+order, over `tester.test`, and its edge is removed (and certificate
+recorded) as soon as its search ends.  Nothing here runs the package's
+searches.  Tests compare the package with them on hits, skeletons,
+certificates and the queries each tester decides.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable, Sequence
 
 from csi_graphlab import discovery
 from csi_graphlab.discovery import (
@@ -21,8 +23,29 @@ from csi_graphlab.discovery import (
 )
 from csi_graphlab.exact import draw_samples
 from csi_graphlab.graphs import UndirectedSkeleton
-from csi_graphlab.independence import first_separator, subsets
+from csi_graphlab.independence import CiVerdict, subsets
 from csi_graphlab.laws import RandomModelSpec, random_scm
+
+
+def first_separator(
+    test: Callable[[str, str, tuple[str, ...], str | None], CiVerdict],
+    x: str,
+    y: str,
+    sets: Iterable[tuple[str, ...]],
+    regimes: Sequence[str | None],
+) -> tuple[tuple[str, ...], str | None, CiVerdict] | None:
+    """(z, regime, verdict) of the first independent `test(x, y, z, regime)`.
+
+    The sets are tried in order and, for each set, the regimes in order
+    (None means pooled); the search stops at the first independent verdict.
+    None if no verdict is independent.
+    """
+    for z in sets:
+        for regime in regimes:
+            verdict = test(x, y, z, regime)
+            if verdict.independent:
+                return z, regime, verdict
+    return None
 
 
 def _pc_skeleton(nodes, query, regime, certificates):

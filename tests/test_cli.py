@@ -445,10 +445,12 @@ def _cli_stdout_under_hash_seed(hash_seed, *argv):
     ("verify", "--count", "20", "--seed", "1"),
     ("ground-truth", "--full", "MODEL"),
     ("discover", "--exact", "MODEL"),
+    ("discover", "--data", "CSV", "--alpha", "0.01"),
 ])
 def test_output_is_independent_of_hash_seed(tmp_path, argv):
-    model = write_model(tmp_path, "non-markov(1/3)")
-    argv = [model if a == "MODEL" else a for a in argv]
+    paths = {"MODEL": write_model(tmp_path, "non-markov(1/3)"), "CSV": tmp_path / "data.csv"}
+    paths["CSV"].write_text(draw_samples(get_example("intro-mediator"), 3000, 1).to_csv())
+    argv = [str(paths.get(a, a)) for a in argv]
     outs = {_cli_stdout_under_hash_seed(seed, *argv) for seed in (0, 12345)}
     assert len(outs) == 1
     assert outs.pop().startswith(b"{")

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import csv_reference
 from csi_graphlab.corpus import get_example
 from csi_graphlab.data import DataError, Dataset
 from csi_graphlab.exact import draw_samples
@@ -173,6 +174,31 @@ def test_errors_name_the_first_occurrence_of_a_repeated_bad_line():
         Dataset.from_csv("R,X\n0,a\n0,a\n1\n")
     with pytest.raises(DataError, match=r"^row 3: label '1' not among categories of column 'R'$"):
         Dataset.from_csv("R\n0\n0\n0\n1\n1\n", categories={"R": ("0",)})
+
+
+def test_from_rows_numbers_repeated_rows_like_the_row_by_row_reference():
+    rng = np.random.default_rng(8)
+    rows = [tuple(r) for r in rng.integers(0, 3, size=(300, 3)).astype(str).tolist()]
+    for cats in (None, {"A": ("2", "0", "1", "9"), "B": ("1", "0", "2"), "C": ("0", "1", "2")}):
+        new = Dataset.from_rows(("A", "B", "C"), rows, cats)
+        old = csv_reference.from_rows(("A", "B", "C"), rows, cats)
+        assert new.categories == old.categories
+        assert new.codes.dtype == old.codes.dtype and np.array_equal(new.codes, old.codes)
+    with pytest.raises(DataError, match=r"^row 2 has 1 fields, expected 2$"):
+        Dataset.from_rows(("R", "X"), [("0", "a"), ("0", "a"), ("1",), ("1",)])
+    with pytest.raises(DataError, match=r"^row 3: label '1' not among categories of column 'R'$"):
+        Dataset.from_rows(("R",), [("0",), ("0",), ("0",), ("1",), ("1",)], {"R": ("0",)})
+
+
+def test_repeated_category_labels_are_named():
+    match = r"^column 'R' repeats category '0'$"
+    with pytest.raises(DataError, match=match):
+        Dataset.from_rows(("R", "X", "Y"), [("0", "a", "c"), ("1", "b", "d")],
+                          {"R": ("0", "0", "1"), "X": ("a", "b"), "Y": ("c", "d")})
+    with pytest.raises(DataError, match=match):
+        Dataset(("R",), {"R": ("0", "0")}, [[0], [1]])
+    with pytest.raises(DataError, match=match):
+        Dataset.from_csv("R\n1\n", categories={"R": ("1", "0", "2", "0")})
 
 
 def test_categories_without_a_column_are_named():

@@ -110,7 +110,8 @@ def test_detect_graph_cap_and_unknown_regime():
 
 
 class CountingTester:
-    """Forwards to a tester and counts the queries it is asked, one by one or a lockstep step at a time."""
+    """Forwards to a tester and counts the queries it is asked: one by one, or
+    every query of the searches handed to `first_separators`."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -123,10 +124,10 @@ class CountingTester:
         self.queries += 1
         return self.inner.test(*args, **kwargs)
 
-    def first_separators(self, step):
-        step = [(x, y, list(sets), regimes) for x, y, sets, regimes in step]
-        self.queries += sum(len(sets) * len(regimes) for _, _, sets, regimes in step)
-        return self.inner.first_separators(step)
+    def first_separators(self, searches):
+        searches = [(x, y, list(sets), regimes) for x, y, sets, regimes in searches]
+        self.queries += sum(len(sets) * len(regimes) for _, _, sets, regimes in searches)
+        return self.inner.first_separators(searches)
 
 
 def test_detect_graph_checks_the_cap_before_the_first_query():
@@ -461,7 +462,8 @@ def test_lockstep_sample_discovery_matches_the_sequential_reference(alpha):
 
 def test_stacked_step_verdicts_equal_g_test_per_query():
     """A step of queries whose tables have many (S, nx, ny) shapes, on raw rows and
-    on a count table: each memoized verdict is `g_test`'s, bit for bit."""
+    on a count table: each memoized verdict is `g_test`'s, bit for bit.  Each
+    search holds one set, so every query falls in the first step."""
     rng = np.random.default_rng(5)
     n = 4000
     r = rng.integers(0, 2, n)
@@ -471,8 +473,8 @@ def test_stacked_step_verdicts_equal_g_test_per_query():
     d = (b * c + rng.integers(0, 2, n)) % 5
     columns = ("R", "A", "B", "C", "D")
     data = Dataset.from_rows(columns, np.stack([r, a, b, c, d], axis=1).astype(str).tolist())
-    step = [(x, y, list(independence.subsets([v for v in columns[1:] if v not in (x, y)])), (None, "1"))
-            for x, y in itertools.permutations(columns[1:], 2)]
+    step = [(x, y, [z], (None, "1")) for x, y in itertools.permutations(columns[1:], 2)
+            for z in independence.subsets([v for v in columns[1:] if v not in (x, y)])]
     queries = [independence.CiQuery(x, y, z, reg) for x, y, sets, regs in step
                for z in sets for reg in regs]
     shapes = {independence.g_test_table(data, q, "R").shape for q in queries}
@@ -484,5 +486,56 @@ def test_stacked_step_verdicts_equal_g_test_per_query():
         for q, verdict in tester._memo.items():
             assert _hex(verdict) == _hex(independence.g_test(data, q, 0.05, context="R"))
         fresh = SampleTester(source, 0.05, "R")
-        assert hits == [independence.first_separator(fresh.test, *search) for search in step]
+        assert hits == [ref.first_separator(fresh.test, *search) for search in step]
         assert any(hits) and not all(hits)
+
+
+def _detect_searches(tester, regime):
+    """`detect_graph`'s searches: every subset of the other non-context variables,
+    pooled before masked, and pooled only for the context pairs."""
+    ctx = tester.context
+    others = [v for v in tester.variables if v != ctx]
+    pairs = [(x, y, (None, regime)) for x, y in itertools.combinations(others, 2)]
+    pairs += [(ctx, y, (None,)) for y in others]
+    return [(x, y, independence.subsets([v for v in others if v not in (x, y)]), regimes)
+            for x, y, regimes in pairs]
+
+
+def test_exact_tester_answers_mixed_size_searches_like_the_reference():
+    """Whole searches of every set size: the hits of `first_separator` over a
+    fresh tester, and exactly the queries it decides."""
+    m = random_scm(RandomModelSpec(n_vars=6, max_domain=3, seed=2))
+    new, old = ExactTester(SolvedModel.of(m.scm)), ExactTester(SolvedModel.of(m.scm))
+    hits = new.first_separators(_detect_searches(new, new.regimes[0]))
+    assert hits == [ref.first_separator(old.test, *search)
+                    for search in _detect_searches(old, old.regimes[0])]
+    assert {0, 1, 2} <= {len(hit[0]) for hit in hits if hit is not None} and None in hits
+    assert set(new._memo) == set(old._memo)
+
+
+def test_sample_tester_decides_no_query_past_the_size_a_search_resolved_at(monkeypatch):
+    """Whole searches of every set size: the hits of `first_separator` over a
+    fresh tester, bit for bit, and no query of a search is decided at a set
+    size above the one its hit has."""
+    data = ref.random_samples(6, 2, 10**4)
+    new, old = SampleTester(data, 0.01, "R"), SampleTester(data, 0.01, "R")
+    decided = []
+    build = discovery.g_test_table
+
+    def recording_build(table, q, context=None):
+        decided.append(q)
+        return build(table, q, context)
+
+    monkeypatch.setattr(discovery, "g_test_table", recording_build)
+    regime = new.regimes[0]
+    hits = new.first_separators(_detect_searches(new, regime))
+    want = [ref.first_separator(old.test, *search) for search in _detect_searches(old, regime)]
+    assert [None if h is None else (h[0], h[1], _hex(h[2])) for h in hits] == \
+        [None if h is None else (h[0], h[1], _hex(h[2])) for h in want]
+    resolved_at = {(x, y): len(hit[0]) for (x, y, _, _), hit
+                   in zip(_detect_searches(new, regime), hits) if hit is not None}
+    assert {0, 1, 2} <= set(resolved_at.values()) and None in hits
+    assert all(len(q.z) <= resolved_at.get((q.x, q.y), len(q.z)) for q in decided)
+    assert set(decided) == set(new._memo) >= set(old._memo)
+    for q, verdict in old._memo.items():
+        assert _hex(new._memo[q]) == _hex(verdict), q

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 import csi_graphlab
+from csi_graphlab import discovery
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.data import Dataset
 from csi_graphlab.discovery import SampleTester, detect_graph, skeleton_masked, skeleton_pooled
@@ -401,26 +402,33 @@ def test_count_table_of_a_code_space_beyond_int64():
         assert g_test(table, q, alpha=0.05) == g_test(data, q, alpha=0.05)
 
 
-def test_sample_tester_verdicts_equal_fresh_g_tests():
+def test_sample_tester_verdicts_equal_fresh_g_tests(monkeypatch):
     m = random_scm(RandomModelSpec(n_vars=6, max_domain=3, seed=3))
     data = draw_samples(m.scm, 3000, 5, m.solved.table)
     tester = SampleTester(data, 0.01, "R")
-    asked = []
-    answer = tester.first_separators
+    decided, answered = [], []
+    build, answer = discovery.g_test_table, tester.first_separators
 
-    def recording(step):
-        step = [(x, y, list(sets), regimes) for x, y, sets, regimes in step]
-        asked.extend(CiQuery(x, y, z, r) for x, y, sets, regimes in step
-                     for z in sets for r in regimes)
-        return answer(step)
+    def recording_build(table, q, context=None):
+        decided.append(q)
+        return build(table, q, context)
 
+    def recording(searches):
+        searches = [(x, y, list(sets), regimes) for x, y, sets, regimes in searches]
+        # a search's first query is always read
+        firsts = [CiQuery(x, y, sets[0], regimes[0]) for x, y, sets, regimes in searches if sets]
+        answered.extend(q for q in firsts if q in tester._memo)
+        return answer(searches)
+
+    monkeypatch.setattr(discovery, "g_test_table", recording_build)
     tester.first_separators = recording
     skeleton_pooled(tester)
     for r in tester.regimes:
         skeleton_masked(tester, r)
         detect_graph(tester, r)
-    assert len(set(asked)) < len(asked)  # the memo answered some
-    assert set(asked) == set(tester._memo)
+    assert answered  # the memo answered some
+    assert len(decided) == len(set(decided))  # each query decided once
+    assert set(decided) == set(tester._memo)
     for q, verdict in tester._memo.items():
         assert verdict == g_test(data, q, 0.01, context="R")
 
