@@ -64,6 +64,17 @@ def _read_source(path: str, flag: str) -> str:
         raise CliError("cannot read %s file %r: %s" % (flag, path, e.strerror)) from None
 
 
+def _json_object(path: str, flag: str, where: str) -> dict:
+    """The JSON object in a positional input; errors name it as `where`."""
+    try:
+        doc = json.loads(_read_source(path, flag))
+    except json.JSONDecodeError as e:
+        raise CliError("%s is not valid JSON: %s" % (where, e)) from None
+    if not isinstance(doc, dict):
+        raise CliError("%s: top level must be an object" % where)
+    return doc
+
+
 def _json_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -269,12 +280,7 @@ def _require_pairs(doc: dict, key: str, where: str) -> list[tuple[str, str]]:
 
 def _cmd_classify(args) -> int:
     where = "discovery report %r" % args.report
-    try:
-        doc = json.loads(_read_source(args.report, "report"))
-    except json.JSONDecodeError as e:
-        raise CliError("%s is not valid JSON: %s" % (where, e)) from None
-    if not isinstance(doc, dict):
-        raise CliError("%s: top level must be an object" % where)
+    doc = _json_object(args.report, "report", where)
 
     context = _require_key(doc, "context", where)
     nodes = _require_key(doc, "nodes", where)
@@ -409,12 +415,7 @@ def _cmd_sample(args) -> int:
 
 def _spec_from_file(path: str) -> RandomModelSpec:
     where = "spec file %r" % path
-    try:
-        doc = json.loads(_read_source(path, "--spec"))
-    except json.JSONDecodeError as e:
-        raise CliError("%s is not valid JSON: %s" % (where, e)) from None
-    if not isinstance(doc, dict):
-        raise CliError("%s: top level must be an object" % where)
+    doc = _json_object(path, "--spec", where)
     known = {"n_vars", "max_domain", "max_parents", "seed", "require"}
     unknown = sorted(set(doc) - known)
     if unknown:

@@ -72,6 +72,26 @@ def _tally(ids: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _numbered(records: list) -> tuple[list, list[int]]:
+    """The header and the distinct records after it, in order of first
+    appearance, and each record's number among those."""
+    if not records:
+        raise DataError("empty CSV: missing header row")
+    number: dict = {}
+    ids = [number.setdefault(r, len(number)) for r in records[1:]]
+    return [records[0], *number], ids
+
+
+def _one_record_per_line(lines: list[str]) -> list[tuple[str, ...]] | None:
+    """Each line parsed strictly as one record; None when that raises or
+    returns fewer records than lines."""
+    try:
+        records = list(map(tuple, csv.reader(lines, strict=True)))
+    except csv.Error:
+        return None
+    return records if len(records) == len(lines) else None
+
+
 class Dataset:
     """Rows of category labels stored as integer codes.
 
@@ -204,27 +224,22 @@ class Dataset:
     ) -> "Dataset":
         """Parse CSV with a header row of column names; labels taken verbatim.
 
-        Without `"` in the text each record is one line, whether it ends in
-        `\\n` or `\\r\\n`, and only the distinct lines go through
-        `csv.reader`; otherwise `csv.reader` cuts the records, which may hold
-        quoted newlines.
+        Each record is one line, whether it ends in `\\n` or `\\r\\n`, and
+        only the distinct lines go through `csv.reader`.  When the text holds
+        a `"`, they go through a strict one first; if that raises or joins
+        lines, as it does wherever a quoted field spans a line break,
+        `csv.reader` cuts the whole text into records instead.
         """
-        by_line = '"' not in text
         try:
-            if by_line:
-                # not splitlines(): csv.reader keeps \v, \f, \x1c and the like in a field
-                records = text.split("\n")
-                if records[-1] == "":
-                    records.pop()
-            else:
-                records = list(map(tuple, csv.reader(io.StringIO(text))))
-            if not records:
-                raise DataError("empty CSV: missing header row")
-            number: dict = {}
-            ids = [number.setdefault(r, len(number)) for r in records[1:]]
-            distinct = [records[0], *number]
-            if by_line:
+            # not splitlines(): csv.reader keeps \v, \f, \x1c and the like in a field
+            lines = text.split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            distinct, ids = _numbered(lines)
+            if '"' not in text:
                 distinct = list(map(tuple, csv.reader(distinct)))
+            elif (distinct := _one_record_per_line(distinct)) is None:
+                distinct, ids = _numbered(list(map(tuple, csv.reader(io.StringIO(text)))))
         except csv.Error as e:
             raise DataError("malformed CSV: %s" % (e,)) from None
         return cls._from_records(distinct[0], distinct[1:], ids, categories)

@@ -11,9 +11,9 @@ variable are carried over from the pooled visible graph by convention; in
 the counterfactual graph they are annotations, not claims.
 
 Every graph of one solve is derived from a `SolvedModel` and computed at
-most once per instance: the union graph, the four per-regime families and
-the weak and strong regime-acyclicity flags are kept by
-`SolvedModel.derive`, next to its regimes.
+most once per instance: the union graph and the four per-regime families
+are kept by `SolvedModel.derive`, and the regime-acyclicity flags read the
+cycles each of those graphs finds once.
 """
 
 from __future__ import annotations
@@ -135,10 +135,8 @@ def descriptive_graph(solved: SolvedModel, r: str) -> DirectedGraph:
 def _build_descriptive(solved: SolvedModel, r: str) -> DirectedGraph:
     s = solved.scm
     ctx = s.context_variable
-    cut = intervene(s, ctx, r)
-    cond = solved.joint.conditional({ctx: r})
-    barred = observable_graph(cut, cond)
-    return _with_context_edges(barred, union_graph(solved), ctx)
+    within = observable_graph(s, solved.joint.conditional({ctx: r}))
+    return _with_context_edges(within, union_graph(solved), ctx)
 
 
 def physical_graph(solved: SolvedModel, r: str) -> DirectedGraph:
@@ -232,22 +230,15 @@ def _require_regime(solved: SolvedModel, r: str) -> None:
 
 def is_weakly_regime_acyclic(solved: SolvedModel) -> bool:
     """Every per-context descriptive graph is acyclic."""
-    return solved.derive("weakly_acyclic", lambda: all(
-        descriptive_graph(solved, r).is_acyclic() for r in solved.regimes
-    ))
+    return all(descriptive_graph(solved, r).is_acyclic() for r in solved.regimes)
 
 
 def is_strongly_regime_acyclic(solved: SolvedModel) -> bool:
     """Weakly regime-acyclic and no pooled cycle touches an ancestor of the context."""
-    return solved.derive("strongly_acyclic", lambda: _strong(solved))
-
-
-def _strong(solved: SolvedModel) -> bool:
     if not is_weakly_regime_acyclic(solved):
         return False
     union = union_graph(solved)
-    anc = union.ancestors({solved.scm.context_variable})
-    return union.cyclic_nodes().isdisjoint(anc)
+    return union.cyclic_nodes().isdisjoint(union.ancestors({solved.scm.context_variable}))
 
 
 def support_reduction_witnesses(solved: SolvedModel) -> list[dict]:

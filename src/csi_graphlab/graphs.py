@@ -3,8 +3,8 @@
 Small immutable graph objects plus the handful of structural operations the
 rest of the package leans on: reflexive ancestry (one closure walk over
 parents or children), strongly connected components (each one the set of
-nodes both reachable from and reaching its first member), acyclification,
-d-separation and DOT rendering.
+nodes both reachable from and reaching its first member, found once per
+graph), acyclification, d-separation and DOT rendering.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _check_nodes(nodes: Iterable[str]) -> tuple[str, ...]:
 class DirectedGraph:
     """Immutable directed graph; no self-loops, at most one edge per ordered pair."""
 
-    __slots__ = ("_nodes", "_edges", "_parents", "_children")
+    __slots__ = ("_nodes", "_edges", "_parents", "_children", "_sccs")
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         self._nodes = _check_nodes(nodes)
@@ -63,6 +63,7 @@ class DirectedGraph:
         self._edges = frozenset(edge_set)
         self._parents = {n: frozenset(ps) for n, ps in parents.items()}
         self._children = {n: frozenset(cs) for n, cs in children.items()}
+        self._sccs: list[frozenset[str]] | None = None
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -110,15 +111,17 @@ class DirectedGraph:
         return self._closure(seeds, self._children)
 
     def strongly_connected_components(self) -> list[frozenset[str]]:
-        """Mutually reachable node sets, in node-list order of their first member."""
-        comps: list[frozenset[str]] = []
-        placed: set[str] = set()
-        for v in self._nodes:
-            if v not in placed:
-                comp = self._closure([v], self._parents) & self._closure([v], self._children)
-                placed |= comp
-                comps.append(comp)
-        return comps
+        """Mutually reachable node sets, in node-list order of their first member.
+        Computed on the first call only, since the graph never changes."""
+        if self._sccs is None:
+            self._sccs = []
+            placed: set[str] = set()
+            for v in self._nodes:
+                if v not in placed:
+                    comp = self._closure([v], self._parents) & self._closure([v], self._children)
+                    placed |= comp
+                    self._sccs.append(comp)
+        return list(self._sccs)
 
     def scc_of(self) -> dict[str, frozenset[str]]:
         return {n: comp for comp in self.strongly_connected_components() for n in comp}

@@ -616,11 +616,9 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
         barrier_test(y, union.parents(y), nj, "pooled")
     anc_ctx = union.ancestors([ctx])
     by_regime = nj.strata((ctx,), nj.scope)
-    weak = is_weakly_regime_acyclic(solved)
     for r in solved.regimes:
         descr = descriptive_graph(solved, r)
-        # weakly regime-acyclic: no descriptive graph has a cycle
-        d_cyclic = frozenset() if weak else descr.cyclic_nodes()
+        d_cyclic = descr.cyclic_nodes()
         nj_r = JointPmf(nj.scope, by_regime.get((r,), {}), nj.denominator)
         for y in names:
             if y == ctx or y in anc_ctx or y in d_cyclic:

@@ -408,6 +408,16 @@ def test_verify_spec_file(capsys, tmp_path):
     assert rc == EXIT_USAGE and "not valid JSON" in err
 
 
+def test_json_inputs_must_hold_an_object(capsys, tmp_path):
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    for args, where in [(("classify", str(array)), "discovery report %r"),
+                        (("verify", "--spec", str(array)), "spec file %r")]:
+        rc, out, err = invoke(capsys, *args)
+        assert (rc, out) == (EXIT_USAGE, "")
+        assert where % str(array) + ": top level must be an object" in err
+
+
 def test_verify_seed_precedence(capsys, tmp_path, monkeypatch):
     """--seed, then CSI_GRAPHLAB_SEED, then the spec's own seed."""
     spec = tmp_path / "spec.json"

@@ -173,3 +173,23 @@ def test_crlf_texts_take_the_line_path_and_match_the_reference(monkeypatch):
         assert_from_csv_matches(text)
         assert_from_csv_matches(text, {"R": ("1", "0"), "X": ("b", "a")})
     assert sources and all(isinstance(s, list) for s in sources)
+
+
+def test_quoted_fields_on_one_line_take_the_line_path_and_match_the_reference(monkeypatch):
+    sources = []
+
+    def reader(source, **kwargs):
+        sources.append(source)
+        return csv.reader(source, **kwargs)
+
+    monkeypatch.setattr(data_module, "csv",
+                        SimpleNamespace(reader=reader, writer=csv.writer, Error=csv.Error))
+    quoted_header = '"R",X\r\n0,"a,b"\r\n1,b\r\n0,"a,b"\r\n0,"a,b"\r\n1,b\r\n'
+    assert_from_csv_matches(quoted_header)
+    assert sources == [['"R",X\r', '0,"a,b"\r', '1,b\r']]
+    # a quoted field across a line break, or a line strict parsing rejects,
+    # sends the whole text through csv.reader
+    for text in ('R,X\n0,"a\nb"\n0,"a\nb"\n', 'R,X\n0,"a"b\n0,"a"b\n', '"\n\n\n"'):
+        sources.clear()
+        assert_from_csv_matches(text)
+        assert isinstance(sources[-1], io.StringIO)

@@ -113,6 +113,29 @@ def test_scc_partition():
     assert dag.cyclic_nodes() == frozenset() and dag.is_acyclic()
 
 
+def test_scc_pass_runs_once_per_graph(monkeypatch):
+    g = DirectedGraph(
+        ["A", "B", "C", "D"],
+        [("A", "B"), ("B", "A"), ("B", "C"), ("C", "D")],
+    )
+    walks = []
+    closure = DirectedGraph._closure
+    monkeypatch.setattr(DirectedGraph, "_closure", lambda self, seeds, step: (
+        walks.append(step) or closure(self, seeds, step)))
+    comps = g.strongly_connected_components()
+    first = len(walks)
+    assert first == 2 * len(comps) == 6
+    for _ in range(3):
+        assert g.cyclic_nodes() == {"A", "B"}
+        assert not g.is_acyclic()
+        assert g.scc_of()["B"] == {"A", "B"}
+        assert acyclify(g).parents("C") == {"B"}
+    assert len(walks) == first
+    # each call hands out its own list
+    g.strongly_connected_components().clear()
+    assert g.strongly_connected_components() == comps
+
+
 def test_topological_order_on_dag():
     g = DirectedGraph(["C", "A", "B"], [("A", "B"), ("B", "C")])
     order = g.topological_order()

@@ -500,11 +500,15 @@ def test_local_markov_skips_descriptive_components_only_when_weakly_acyclic(monk
     models = [m for m in verify_models() + [cyclic] if m.solved is not None]
     cases = [(m.scm, sm) for m in models for sm in (m.solved, tampered(m.solved))]
     fast = [laws.check_local_markov(s, sm) for s, sm in cases]
-    # with the flag forced off, every descriptive graph takes its SCC pass
+    # the weak flag does not reach the law: every descriptive graph's cycles are read
     monkeypatch.setattr(laws, "is_weakly_regime_acyclic", lambda solved: False)
     assert fast == [laws.check_local_markov(s, sm) for s, sm in cases]
     assert any(not r.passed and not r.skipped for r in fast)
-    monkeypatch.setattr(laws, "is_weakly_regime_acyclic", lambda solved: True)
+    # hiding the cyclic draw's descriptive cycles checks variables the law must skip
+    hidden = [descriptive_graph(cyclic.solved, r) for r in cyclic.solved.regimes]
+    cyclic_nodes = DirectedGraph.cyclic_nodes
+    monkeypatch.setattr(DirectedGraph, "cyclic_nodes", lambda g: (
+        frozenset() if any(g is h for h in hidden) else cyclic_nodes(g)))
     assert laws.check_local_markov(cyclic.scm, cyclic.solved) != fast[-2]
 
 
