@@ -88,10 +88,6 @@ class ChangeReport:
         return tally
 
 
-def _ordered_pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _classify_oriented(
     union: DirectedGraph, context: str, edge: tuple[str, str]
 ) -> tuple[str, str | None, str]:
@@ -162,12 +158,12 @@ def classify_changes(
     if mode == "oriented":
         if not isinstance(union, DirectedGraph):
             raise ClassifyError("oriented mode needs a directed pooled graph")
-        pooled_pairs = {_ordered_pair(*e) for e in union.edges}
+        pooled_pairs = union.skeleton().pairs
         candidates, verdict = union.sorted_edges(), _classify_oriented
     else:
         if isinstance(union, DirectedGraph):
             union = union.skeleton()
-        pooled_pairs = set(union.pairs)
+        pooled_pairs = union.pairs
         candidates, verdict = union.sorted_pairs(), _classify_skeleton
     if context not in union.nodes:
         raise ClassifyError("context %r is not a node of the pooled graph" % context)

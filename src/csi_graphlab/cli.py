@@ -20,6 +20,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .classify import classify_changes
@@ -315,18 +316,9 @@ def _cmd_classify(args) -> int:
         "mode": report.mode,
         "context": report.context,
         "counts": report.counts(),
+        # each change is filed under its regime, so the record leaves it out
         "changes": {
-            r: [
-                {
-                    "edge": list(c.edge),
-                    "in_union": c.in_union,
-                    "in_detect_r": c.in_detect_r,
-                    "classification": c.classification,
-                    "rule": c.rule,
-                    "justification": c.justification,
-                }
-                for c in items
-            ]
+            r: [{k: v for k, v in asdict(c).items() if k != "regime"} for c in items]
             for r, items in report.changes.items()
         },
         "violations": {
@@ -372,14 +364,7 @@ def _cmd_transfer_test(args) -> int:
         "z": list(z),
         "r0": args.r0,
         "context": args.context,
-        "config": {
-            "K": cfg.K,
-            "N": cfg.N,
-            "alpha": cfg.alpha,
-            "seed": cfg.seed,
-            "min_power": cfg.min_power,
-            "pooled_null": args.pooled_null,
-        },
+        "config": {**asdict(cfg), "pooled_null": args.pooled_null},
         "estimated_power_under_null": verdict.estimated_power_under_null,
         "observed_independent_in_r0": verdict.observed_independent_in_r0,
         "evidence_physical": verdict.evidence_physical,

@@ -1,14 +1,16 @@
 """Graph objects attached to a model and its distribution.
 
-A mechanism edge X -> Y exists when Y's mechanism is non-constant in X
-somewhere on the full input grid; the observable variants restrict the
-non-constancy search to the support of a given joint.  Per context value r
-the module builds four graphs: descriptive (support given R=r), physical
-(mechanisms pinned at R=r, pooled support), counterfactual (the intervened
-model's own visible graph), and an identification variant that re-adds
-pooled edges between ancestors of the context.  Edges touching the context
-variable are carried over from the pooled visible graph by convention; in
-the counterfactual graph they are annotations, not claims.
+Edge X -> Y exists when Y's mechanism gives two outputs under one noise
+label on two rows that differ only in X: rows of the full input grid for the
+mechanism graph, of a joint's support for the observable ones.  Per context
+value r the module builds four graphs: descriptive (support given R=r),
+physical (pooled support with R held at r, over the pooled-visible parents),
+counterfactual (the intervened model's own visible graph), and an
+identification variant that re-adds pooled edges between ancestors of the
+context.  All but the last are the one scan `_visible_edges`, handed their
+own rows and candidate parents.  Edges touching the context variable are
+carried over from the pooled visible graph by convention; in the
+counterfactual graph they are annotations, not claims.
 
 Every graph of one solve is derived from a `SolvedModel` and computed at
 most once per instance: the union graph and the four per-regime families
@@ -19,7 +21,7 @@ cycles each of those graphs finds once.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 
 from .exact import JointPmf, SolvedModel, joint_pmf, noise_name
@@ -58,20 +60,26 @@ def mechanism_graph(s: Scm) -> DirectedGraph:
 
 
 def _visible_edges(
-    s: Scm, rows_of: Callable[[MechanismTable], list[tuple[str, ...]]]
+    s: Scm,
+    rows_of: Callable[[MechanismTable], list[tuple[str, ...]]],
+    candidates: Callable[[MechanismTable], Collection[str]] = lambda mech: mech.parents,
 ) -> DirectedGraph:
     """Edge X -> Y iff f_Y gives two outputs under one noise label on two rows
-    of `rows_of(f_Y)` (assignments to Y's declared parents) that differ only in X."""
+    of `rows_of(f_Y)` (assignments to Y's declared parents) whose projections
+    onto the parents `candidates(f_Y)` (default: all declared) differ only in
+    X.  Every graph family that reads the mechanisms is this one scan."""
     edges = []
     for v in s.variables:
         mech = s.mechanisms[v.name]
-        if not mech.parents:
+        allowed = candidates(mech)
+        cand = [i for i, p in enumerate(mech.parents) if p in allowed]
+        if not cand:
             continue
         rows = rows_of(mech)
-        for i, x in enumerate(mech.parents):
-            others = [j for j in range(len(mech.parents)) if j != i]
-            if _varies_with(mech, rows, others, s.noises[v.name].support, None):
-                edges.append((x, v.name))
+        support = s.noises[v.name].support
+        for i in cand:
+            if _varies_with(mech, rows, [j for j in cand if j != i], support, i):
+                edges.append((mech.parents[i], v.name))
     return DirectedGraph(s.variable_names, edges)
 
 
@@ -142,14 +150,11 @@ def _build_descriptive(solved: SolvedModel, r: str) -> DirectedGraph:
 def physical_graph(solved: SolvedModel, r: str) -> DirectedGraph:
     """Edges the mechanisms can still exhibit with the context held at r.
 
-    Candidate parents of Y are its pooled-graph parents; declared arguments
-    outside that set are marginalized away rather than pinned.  Two
-    pooled-support rows over the declared parents witness X -> Y when their
-    candidate-parent projections differ only in X, the context coordinate
-    equals r whenever the context is itself a candidate, and a shared
-    positive-probability noise label maps the rows to different outputs.
-    Mechanism changes hidden by support gating leave no trace here, so the
-    per-regime graphs always union back to the pooled graph.
+    The visible-edge scan over the pooled support, with Y's pooled-graph
+    parents other than R as candidates (declared arguments outside them are
+    marginalized away, not pinned) and only rows with R = r when R is one of
+    them.  Mechanism changes hidden by support gating leave no trace here,
+    so the per-regime graphs always union back to the pooled graph.
     """
     _require_regime(solved, r)
     return solved.derive(("physical", r), lambda: _build_physical(solved, r))
@@ -159,27 +164,18 @@ def _build_physical(solved: SolvedModel, r: str) -> DirectedGraph:
     s = solved.scm
     ctx = s.context_variable
     union = union_graph(solved)
-    joint = solved.joint
-    edges = []
-    for v in s.variables:
-        y = v.name
-        if y == ctx:
-            continue
-        mech = s.mechanisms[y]
-        cand = [p for p in mech.parents if p in union.parents(y)]
-        if not cand:
-            continue
-        rows = joint.support(mech.parents)
-        if ctx in cand:
-            ci = mech.parents.index(ctx)
-            rows = [w for w in rows if w[ci] == r]
-        idx = [mech.parents.index(p) for p in cand]
-        noise_support = s.noises[y].support
-        for k, x in enumerate(cand):
-            if x != ctx and _varies_with(mech, rows, idx[:k] + idx[k + 1:], noise_support, idx[k]):
-                edges.append((x, y))
-    barred = DirectedGraph(s.variable_names, edges)
-    return _with_context_edges(barred, union, ctx)
+
+    def rows_of(mech: MechanismTable) -> list[tuple[str, ...]]:
+        rows = solved.joint.support(mech.parents)
+        if ctx not in union.parents(mech.variable):
+            return rows
+        ci = mech.parents.index(ctx)
+        return [w for w in rows if w[ci] == r]
+
+    def candidates(mech: MechanismTable) -> Collection[str]:
+        return () if mech.variable == ctx else union.parents(mech.variable) - {ctx}
+
+    return _with_context_edges(_visible_edges(s, rows_of, candidates), union, ctx)
 
 
 def counterfactual_graph(solved: SolvedModel, r: str) -> DirectedGraph:

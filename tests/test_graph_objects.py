@@ -27,8 +27,9 @@ from csi_graphlab.graph_objects import (
 from csi_graphlab.graphs import DirectedGraph, acyclify, union_graphs
 from csi_graphlab.laws import RandomModelSpec, _draw_model
 from csi_graphlab.rng import derive_seed
-from csi_graphlab.scm import ScmError, intervene
+from csi_graphlab.scm import ScmError
 from fraction_reference import pipeline_models, verify_models
+from graph_reference import assert_families_match
 
 
 def edges(g):
@@ -286,25 +287,11 @@ def test_each_family_is_built_at_most_once_per_regime(monkeypatch):
                 assert family(m, r) is family(m, r), (name, family.__name__, r)
 
 
-def intervened_descriptive(m, r):
-    """The descriptive graph read off the model intervened to R=r, the
-    construction `descriptive_graph` used before it read the model itself."""
-    ctx = m.scm.context_variable
-    within = observable_graph(intervene(m.scm, ctx, r), m.joint.conditional({ctx: r}))
-    pooled = {e for e in union_graph(m).edges if ctx in e}
-    return DirectedGraph(within.nodes, within.edges | pooled)
-
-
 def test_descriptive_graph_equals_the_intervened_construction():
+    # and the physical graph equals its own candidate loop (graph_reference.scanned_physical)
     models = [solved(name) for name in list_examples()]
     models += [m.solved for m in verify_models() + pipeline_models() if m.solved is not None]
-    graphs = 0
-    for m in models:
-        for r in m.regimes:
-            got, want = descriptive_graph(m, r), intervened_descriptive(m, r)
-            assert (got.nodes, got.edges) == (want.nodes, want.edges)
-            graphs += 1
-    assert graphs == 350
+    assert sum(assert_families_match(m) for m in models) == 2 * 350
 
 
 @pytest.mark.parametrize("name", list_examples())

@@ -494,14 +494,15 @@ def test_factorization_kernel_matches_reference_on_verify_models():
     assert failed == 189
 
 
-def test_local_markov_skips_descriptive_components_only_when_weakly_acyclic(monkeypatch):
+def test_local_markov_skips_descriptive_cyclic_variables_without_the_weak_flag(monkeypatch):
     # a draw whose descriptive cycles decide which variables are checked per context
     cyclic = laws.random_scm(laws.RandomModelSpec(n_vars=7, seed=4857737775391808504))
     models = [m for m in verify_models() + [cyclic] if m.solved is not None]
     cases = [(m.scm, sm) for m in models for sm in (m.solved, tampered(m.solved))]
     fast = [laws.check_local_markov(s, sm) for s, sm in cases]
-    # the weak flag does not reach the law: every descriptive graph's cycles are read
-    monkeypatch.setattr(laws, "is_weakly_regime_acyclic", lambda solved: False)
+    # a flag claiming every descriptive graph acyclic changes no verdict: a shortcut
+    # on it would hide the cyclic draw's cycles, which changes its verdict (below)
+    monkeypatch.setattr(laws, "is_weakly_regime_acyclic", lambda solved: True)
     assert fast == [laws.check_local_markov(s, sm) for s, sm in cases]
     assert any(not r.passed and not r.skipped for r in fast)
     # hiding the cyclic draw's descriptive cycles checks variables the law must skip
