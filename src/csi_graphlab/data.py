@@ -2,8 +2,9 @@
 
 Each row carries an integer multiplicity in `counts`: 1 for samples as
 drawn or read, more in the count table `Dataset.tabulate` builds.
-`_stratum_ids` is the one mixed-radix encoder of rows: the count table, the
-G-test, the transfer test and `to_csv` all number their cells with it.
+`_stratum_ids` numbers the rows by the value tuples of some columns: the
+count table, the transfer test and `to_csv` number their cells with it, and
+the G-test's table builder ranks many queries' strata by the same rule.
 
 CSV I/O does its per-record work once per distinct record: `from_csv`
 parses and codes each distinct line (or `csv.reader` record) once and
@@ -114,7 +115,7 @@ class Dataset:
         self.columns = tuple(columns)
         _require_unique(self.columns)
         self.categories = {c: tuple(_categories_of(categories, c)) for c in self.columns}
-        codes = np.asarray(codes, dtype=np.int64)
+        codes = np.ascontiguousarray(codes, dtype=np.int64)
         if codes.ndim != 2 or codes.shape[1] != len(self.columns):
             raise DataError("codes must be (n_rows, n_columns)")
         for j, c in enumerate(self.columns):

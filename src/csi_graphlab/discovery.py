@@ -42,7 +42,7 @@ from .independence import (
     ExactTester,
     g_test,
     g_test_from_tables,
-    g_test_table,
+    g_test_tables,
     subsets,
 )
 
@@ -114,10 +114,10 @@ class SampleTester:
 
         Each search's sets are cut lazily into runs of one size; step s takes
         run s of every search still unresolved, so a search resolved at one
-        size decides no query of a larger size.  Every query of the step not
-        in the memo is tabulated in order, and the tables of each (S, nx, ny)
-        shape go to one `g_test_from_tables` call, whose verdicts are
-        bit-identical to testing each table alone.
+        size decides no query of a larger size.  The tables of every query
+        of the step not in the memo come from one `g_test_tables` call, and
+        the tables of each (S, nx, ny) shape go to one `g_test_from_tables`
+        call, whose verdicts are bit-identical to testing each table alone.
         """
         runs = [itertools.groupby(sets, key=len) for _, _, sets, _ in searches]
         hits: list = [None] * len(searches)
@@ -128,11 +128,11 @@ class SampleTester:
                 x, y, _, regimes = searches[i]
                 for _, run in itertools.islice(runs[i], 1):
                     step[i] = [CiQuery(x, y, z, r) for z in run for r in regimes]
+            pending = [q for q in dict.fromkeys(itertools.chain.from_iterable(step.values()))
+                       if q not in self._memo]
             by_shape: dict[tuple, dict[CiQuery, np.ndarray]] = {}
-            for q in itertools.chain.from_iterable(step.values()):
-                if q not in self._memo:
-                    table = g_test_table(self._table, q, self.context)
-                    by_shape.setdefault(table.shape, {})[q] = table
+            for q, table in zip(pending, g_test_tables(self._table, pending, self.context)):
+                by_shape.setdefault(table.shape, {})[q] = table
             for tables in by_shape.values():
                 verdicts = g_test_from_tables(np.stack(list(tables.values())), self._alpha)
                 self._memo.update(zip(tables, verdicts))

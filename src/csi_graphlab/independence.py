@@ -9,12 +9,15 @@ search of one solve decide each query once.
 
 Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
 an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
-returns K verdicts from array operations alone.  `g_test` passes one test
-(K = 1), the table `g_test_table` builds: its observed strata are numbered
-by `data._stratum_ids` and counted with a single `data._tally` of the
-dataset's `counts`.  So the count table (`Dataset.tabulate`) gives the same
-tables as the rows it compresses, at a fraction of the rows to scan.  The
-transfer test passes its replicates in chunks of bounded size.
+returns K verdicts from array operations alone.  Its tables come from one
+builder, `g_test_tables`, which counts the tables of many queries together:
+it ranks the observed z value tuples of every query at once, in code order,
+and sums the dataset's `counts` per (stratum, x, y) cell with one
+`data._tally` per block of at most `_PAIR_BUDGET` (query, row) pairs.  So
+the count table (`Dataset.tabulate`) gives the same tables as the rows it
+compresses, at a fraction of the rows to scan.  `g_test` passes the one
+table of its query (K = 1); the transfer test passes its replicates in
+chunks of bounded size.
 
 Separating sets are searched for by the testers alone: `first_separators`
 takes searches `(x, y, sets, regimes)`, sets in order (usually from
@@ -22,8 +25,9 @@ takes searches `(x, y, sets, regimes)`, sets in order (usually from
 returns each search's first independent (z, regime, verdict), or None.  The
 order in which sets are tried, on which certificates depend, is fixed
 there.  `ExactTester` scans the searches in turn; the sample tester
-(`discovery.SampleTester`) advances them together one set size at a time
-and decides each size in one stacked kernel call per table shape.
+(`discovery.SampleTester`) advances them together one set size at a time,
+builds each size's tables in one `g_test_tables` call and decides them in
+one stacked kernel call per table shape.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .data import DataError, Dataset, _stratum_ids, _tally
+from .data import DataError, Dataset, _tally
 from .exact import JointPmf, SolvedModel, first_dependence
 
 __all__ = [
@@ -46,9 +50,14 @@ __all__ = [
     "ci_exact",
     "ExactTester",
     "g_test",
+    "g_test_tables",
     "g_test_from_tables",
     "conditional_mutual_information",
 ]
+
+
+# (query, row) pairs one block of `g_test_tables` counts together
+_PAIR_BUDGET = 1 << 18
 
 
 class IndependenceError(ValueError):
@@ -193,6 +202,15 @@ def subsets(pool: Sequence[str]) -> Iterable[tuple[str, ...]]:
         yield from itertools.combinations(pool, k)
 
 
+def _check_levels(alpha: float, min_expected: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise IndependenceError("alpha must be in (0, 1)")
+    # written so that NaN fails too: it would turn the low-count rule off
+    if not min_expected >= 0.0:
+        raise IndependenceError(
+            "min_expected must be a non-negative number, got %r" % (min_expected,))
+
+
 def g_test(
     data: Dataset,
     q: CiQuery,
@@ -214,42 +232,102 @@ def g_test(
 
     Each row counts `counts` times, so a count table gives the verdict of its rows.
     """
-    if not (0.0 < alpha < 1.0):
-        raise IndependenceError("alpha must be in (0, 1)")
-    return g_test_from_tables(g_test_table(data, q, context)[None], alpha, min_expected)[0]
+    _check_levels(alpha, min_expected)
+    table = g_test_tables(data, [q], context)[0]
+    return g_test_from_tables(table[None], alpha, min_expected)[0]
 
 
-def g_test_table(data: Dataset, q: CiQuery, context: str | None = None) -> np.ndarray:
-    """The (S, nx, ny) contingency tables `g_test` tests: one per z value tuple
-    the rows show (inside the query's regime, if set), weighted by `counts`."""
-    ctx = _query_context(q, context)
-    for col in (q.x, q.y, *q.z):
-        if col not in data.columns:
-            raise DataError("unknown column %r" % (col,))
-    if ctx is not None:
+def _regime_rows(data: Dataset, ctx: str | None, regime: str | None) -> np.ndarray:
+    """Indices of the rows a query reads: those with `ctx` = `regime`, or all if pooled."""
+    if ctx is None:
+        rows = np.arange(data.n_rows)
+    else:
         try:
-            rcode = data.code_of(ctx, q.regime)
+            rcode = data.code_of(ctx, regime)
         except DataError:
             raise IndependenceError(
-                "regime value %r is not a category of %r" % (q.regime, ctx)
+                "regime value %r is not a category of %r" % (regime, ctx)
             ) from None
-        mask = data.column(ctx) == rcode
-        if not mask.any():
-            raise IndependenceError(
-                "regime value %r has no rows in the dataset" % (q.regime,)
-            )
-    else:
-        mask = np.ones(data.n_rows, dtype=bool)
-    if not mask.any():
+        rows = np.flatnonzero(data.column(ctx) == rcode)
+        if not len(rows):
+            raise IndependenceError("regime value %r has no rows in the dataset" % (regime,))
+    if not len(rows):
         raise IndependenceError("no rows to test")
-    x = data.column(q.x)[mask]
-    y = data.column(q.y)[mask]
-    nx = len(data.labels(q.x))
-    ny = len(data.labels(q.y))
-    # one stratum per z value tuple the rows show: at most rows * nx * ny cells
-    ranks, n_strata = _stratum_ids(data, q.z, mask, observed=True)
-    counts = _tally((ranks * nx + x) * ny + y, data.counts[mask], n_strata * nx * ny)
-    return counts.reshape(n_strata, nx, ny)
+    return rows
+
+
+def g_test_tables(
+    data: Dataset, queries: Sequence[CiQuery], context: str | None = None
+) -> list[np.ndarray]:
+    """The (S, nx, ny) contingency tables `g_test` tests, one per query in
+    order: one stratum per z value tuple the rows show (inside the query's
+    regime, if set), strata in code order, weighted by `counts`.
+
+    The queries are counted together, in blocks of at most `_PAIR_BUDGET`
+    (query, row) pairs, or one query if it reads more rows.
+    """
+    index = {c: j for j, c in enumerate(data.columns)}
+    rows_of: dict[str | None, np.ndarray] = {}
+    tables: list[np.ndarray] = []
+    block: list[CiQuery] = []
+    pairs = 0
+    for q in queries:
+        ctx = _query_context(q, context)
+        for col in (q.x, q.y, *q.z):
+            if col not in index:
+                raise DataError("unknown column %r" % (col,))
+        if q.regime not in rows_of:
+            rows_of[q.regime] = _regime_rows(data, ctx, q.regime)
+        n = len(rows_of[q.regime])
+        if block and pairs + n > _PAIR_BUDGET:
+            tables += _block_tables(data, index, block, rows_of)
+            block, pairs = [], 0
+        block.append(q)
+        pairs += n
+    if block:
+        tables += _block_tables(data, index, block, rows_of)
+    return tables
+
+
+def _block_tables(data, index, block, rows_of) -> list[np.ndarray]:
+    """`g_test_tables` of one block, from one `_tally` over its (query, row) pairs.
+
+    Each pair carries the rank of its stratum among the block's strata,
+    which run query by query and, within a query, in code order: the ranks
+    are renumbered after each z column, as `data._stratum_ids` does for one
+    query, so no rank passes the block's pairs.
+    """
+    lengths = [len(rows_of[q.regime]) for q in block]
+    rows = np.concatenate([rows_of[q.regime] for q in block])
+    which = np.repeat(np.arange(len(block)), lengths)
+    # the codes are row-major: row i's code in column j sits at i * width + j
+    flat, at = data.codes.ravel(), rows * len(data.columns)
+
+    def codes(names):
+        return flat[at + np.array([index.get(c, 0) for c in names])[which]]
+
+    ranks = which
+    query_of = np.arange(len(block))  # the query of each stratum
+    for j in range(max(len(q.z) for q in block)):
+        names = [q.z[j] if j < len(q.z) else None for q in block]
+        radix = max(len(data.labels(c)) for c in names if c is not None)
+        code = codes(names)
+        if None in names:  # a query without a j-th z column reads code 0
+            code *= np.array([c is not None for c in names])[which]
+        key = ranks * radix + code
+        present = np.bincount(key) > 0
+        ranks = (np.cumsum(present) - 1)[key]
+        query_of = query_of[np.flatnonzero(present) // radix]
+    nx = np.array([len(data.labels(q.x)) for q in block])
+    ny = np.array([len(data.labels(q.y)) for q in block])
+    stride = (nx * ny)[query_of]
+    first = np.cumsum(stride) - stride  # each stratum's first cell
+    ids = first[ranks] + codes([q.x for q in block]) * ny[which] + codes([q.y for q in block])
+    counts = _tally(ids, data.counts[rows], int(first[-1] + stride[-1]))
+    n_strata = np.bincount(query_of, minlength=len(block))
+    tables = np.split(counts, np.cumsum(n_strata * nx * ny)[:-1])
+    return [t.reshape(s, a, b) for t, s, a, b
+            in zip(tables, n_strata.tolist(), nx.tolist(), ny.tolist())]
 
 
 def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -282,8 +360,7 @@ def g_test_from_tables(
     survival function `chdtrc`.  An all-zero stratum counts as one with a
     single observed category.
     """
-    if not (0.0 < alpha < 1.0):
-        raise IndependenceError("alpha must be in (0, 1)")
+    _check_levels(alpha, min_expected)
     counts = np.asarray(tables, dtype=np.int64)
     if counts.ndim != 4:
         raise IndependenceError("tables must have shape (K, S, nx, ny)")

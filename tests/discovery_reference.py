@@ -1,4 +1,4 @@
-"""Sequential references for the testers' separator searches.
+"""Sequential references for the testers' separator searches and tables.
 
 Verbatim copies of `first_separator`, the one-search scan over a `test`
 callable that `first_separators` replaced, and of the PC skeleton and
@@ -7,6 +7,9 @@ order, over `tester.test`, and its edge is removed (and certificate
 recorded) as soon as its search ends.  Nothing here runs the package's
 searches.  Tests compare the package with them on hits, skeletons,
 certificates and the queries each tester decides.
+
+`g_test_table` is the per-query table builder that `g_test_tables`
+replaced, kept verbatim: tests require equal tables from both.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Sequence
 
+import numpy as np
+
 from csi_graphlab import discovery
+from csi_graphlab.data import DataError, Dataset, _stratum_ids, _tally
 from csi_graphlab.discovery import (
     DEFAULT_MAX_SUBSETS,
     DiscoveryError,
@@ -23,7 +29,14 @@ from csi_graphlab.discovery import (
 )
 from csi_graphlab.exact import draw_samples
 from csi_graphlab.graphs import UndirectedSkeleton
-from csi_graphlab.independence import CiVerdict, subsets
+from csi_graphlab.independence import (
+    CiQuery,
+    CiVerdict,
+    IndependenceError,
+    _query_context,
+    g_test_tables,
+    subsets,
+)
 from csi_graphlab.laws import RandomModelSpec, random_scm
 
 
@@ -46,6 +59,66 @@ def first_separator(
             if verdict.independent:
                 return z, regime, verdict
     return None
+
+
+def g_test_table(data: Dataset, q: CiQuery, context: str | None = None) -> np.ndarray:
+    """The (S, nx, ny) contingency tables `g_test` tests: one per z value tuple
+    the rows show (inside the query's regime, if set), weighted by `counts`."""
+    ctx = _query_context(q, context)
+    for col in (q.x, q.y, *q.z):
+        if col not in data.columns:
+            raise DataError("unknown column %r" % (col,))
+    if ctx is not None:
+        try:
+            rcode = data.code_of(ctx, q.regime)
+        except DataError:
+            raise IndependenceError(
+                "regime value %r is not a category of %r" % (q.regime, ctx)
+            ) from None
+        mask = data.column(ctx) == rcode
+        if not mask.any():
+            raise IndependenceError(
+                "regime value %r has no rows in the dataset" % (q.regime,)
+            )
+    else:
+        mask = np.ones(data.n_rows, dtype=bool)
+    if not mask.any():
+        raise IndependenceError("no rows to test")
+    x = data.column(q.x)[mask]
+    y = data.column(q.y)[mask]
+    nx = len(data.labels(q.x))
+    ny = len(data.labels(q.y))
+    # one stratum per z value tuple the rows show: at most rows * nx * ny cells
+    ranks, n_strata = _stratum_ids(data, q.z, mask, observed=True)
+    counts = _tally((ranks * nx + x) * ny + y, data.counts[mask], n_strata * nx * ny)
+    return counts.reshape(n_strata, nx, ny)
+
+
+def every_query(data: Dataset, max_size: int, context: str = "R") -> list[CiQuery]:
+    """Each pair's queries over conditioning sets of up to `max_size` other
+    variables, pooled and in every regime with rows, set sizes mixed in one list."""
+    present = sorted(set(data.column(context).tolist()))
+    regimes = [None] + [data.labels(context)[c] for c in present]
+    queries = []
+    for x, y in itertools.combinations(data.columns, 2):
+        pool = [v for v in data.columns if v not in (x, y)]
+        for k in range(max_size + 1):
+            for z in itertools.combinations(pool, k):
+                pooled = context in (x, y, *z)
+                queries += [CiQuery(x, y, z, r) for r in regimes if r is None or not pooled]
+    return queries
+
+
+def assert_tables_match(data: Dataset, queries: Sequence[CiQuery], context: str = "R") -> int:
+    """Require `g_test_tables` to give each query `g_test_table`'s table: same
+    shape, dtype and counts.  Returns the number of tables compared."""
+    tables = g_test_tables(data, queries, context)
+    assert len(tables) == len(queries)
+    for q, got in zip(queries, tables):
+        want = g_test_table(data, q, context)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), q
+        assert np.array_equal(got, want), q
+    return len(tables)
 
 
 def _pc_skeleton(nodes, query, regime, certificates):

@@ -477,7 +477,7 @@ def test_stacked_step_verdicts_equal_g_test_per_query():
             for z in independence.subsets([v for v in columns[1:] if v not in (x, y)])]
     queries = [independence.CiQuery(x, y, z, reg) for x, y, sets, regs in step
                for z in sets for reg in regs]
-    shapes = {independence.g_test_table(data, q, "R").shape for q in queries}
+    shapes = {ref.g_test_table(data, q, "R").shape for q in queries}
     assert len(queries) == 96 and len(shapes) == 48
     for source in (data, data.tabulate()):
         tester = SampleTester(source, 0.05, "R")
@@ -520,13 +520,13 @@ def test_sample_tester_decides_no_query_past_the_size_a_search_resolved_at(monke
     data = ref.random_samples(6, 2, 10**4)
     new, old = SampleTester(data, 0.01, "R"), SampleTester(data, 0.01, "R")
     decided = []
-    build = discovery.g_test_table
+    build = discovery.g_test_tables
 
-    def recording_build(table, q, context=None):
-        decided.append(q)
-        return build(table, q, context)
+    def recording_build(table, queries, context=None):
+        decided.extend(queries)
+        return build(table, queries, context)
 
-    monkeypatch.setattr(discovery, "g_test_table", recording_build)
+    monkeypatch.setattr(discovery, "g_test_tables", recording_build)
     regime = new.regimes[0]
     hits = new.first_separators(_detect_searches(new, regime))
     want = [ref.first_separator(old.test, *search) for search in _detect_searches(old, regime)]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,19 +13,20 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 import csi_graphlab
-from csi_graphlab import discovery
+import discovery_reference as ref
+from csi_graphlab import discovery, independence
 from csi_graphlab.corpus import get_example, list_examples
-from csi_graphlab.data import Dataset
+from csi_graphlab.data import Dataset, _stratum_ids
 from csi_graphlab.discovery import SampleTester, detect_graph, skeleton_masked, skeleton_pooled
 from csi_graphlab.exact import SolvedModel, draw_samples, joint_pmf
 from csi_graphlab.independence import (
     CiQuery,
     IndependenceError,
-    _stratum_ids,
     ci_exact,
     conditional_mutual_information,
     g_test,
     g_test_from_tables,
+    g_test_tables,
     subsets,
 )
 from csi_graphlab.laws import RandomModelSpec, random_scm
@@ -175,6 +177,20 @@ def test_g_test_rejects_bad_alpha_and_empty_selection():
         g_test(d, CiQuery("T", "Y"), alpha=0.0)
     with pytest.raises(IndependenceError):
         g_test(d, CiQuery("T", "Y", regime="7"), alpha=0.05, context="R")
+
+
+@pytest.mark.parametrize("min_expected", [float("nan"), -1.0])
+def test_g_test_rejects_a_nan_or_negative_min_expected(min_expected):
+    # 7 rows: every stratum is below the floor of 5, so the rule decides the verdict
+    d = Dataset.from_rows(("X", "Y"), [("a", "a")] * 3 + [("b", "b")] * 3 + [("a", "b")])
+    q = CiQuery("X", "Y")
+    v = g_test(d, q, alpha=0.05)
+    assert v.independent and v.warning.endswith("no qualifying strata; defaulting to independence")
+    named = "got %s$" % re.escape(repr(min_expected))
+    with pytest.raises(IndependenceError, match=named):
+        g_test(d, q, alpha=0.05, min_expected=min_expected)
+    with pytest.raises(IndependenceError, match=named):
+        g_test_from_tables(g_test_tables(d, [q])[0][None], 0.05, min_expected)
 
 
 # --- the stacked G-test kernel against the one-table-at-a-time loop it replaced ---
@@ -402,16 +418,49 @@ def test_count_table_of_a_code_space_beyond_int64():
         assert g_test(table, q, alpha=0.05) == g_test(data, q, alpha=0.05)
 
 
+@pytest.mark.parametrize("budget", [independence._PAIR_BUDGET, 61, 1])
+def test_one_pass_tables_equal_the_per_query_reference(budget, monkeypatch):
+    """Every table `g_test_tables` builds is the per-query reference's, shape,
+    dtype and counts, on raw rows and on the count table, for budgets that
+    cut a call into blocks of one query or several; no block counts more
+    (query, row) pairs than the budget or the largest query's rows."""
+    blocks = []
+    tally = independence._tally
+
+    def recording_tally(ids, counts, n):
+        blocks.append(len(ids))
+        return tally(ids, counts, n)
+
+    monkeypatch.setattr(independence, "_PAIR_BUDGET", budget)
+    monkeypatch.setattr(independence, "_tally", recording_tally)
+    for n_vars, seed in ((6, 11), (7, 12), (8, 13)):
+        data = ref.random_samples(n_vars, seed, 2000)
+        for source in (data, data.tabulate()):
+            queries = ref.every_query(source, 3)
+            blocks.clear()
+            ref.assert_tables_match(source, queries)
+            rows = [source.n_rows if q.regime is None else
+                    int(np.count_nonzero(source.column("R") == source.code_of("R", q.regime)))
+                    for q in queries]
+            assert sum(blocks) == sum(rows)
+            assert max(blocks) <= max(budget, max(rows))
+            if budget == 1:
+                assert len(blocks) == len(queries)
+            elif source is not data:  # the count table's few rows: several queries a block
+                assert len(blocks) < len(queries)
+    assert g_test_tables(data, []) == []
+
+
 def test_sample_tester_verdicts_equal_fresh_g_tests(monkeypatch):
     m = random_scm(RandomModelSpec(n_vars=6, max_domain=3, seed=3))
     data = draw_samples(m.scm, 3000, 5, m.solved.table)
     tester = SampleTester(data, 0.01, "R")
     decided, answered = [], []
-    build, answer = discovery.g_test_table, tester.first_separators
+    build, answer = discovery.g_test_tables, tester.first_separators
 
-    def recording_build(table, q, context=None):
-        decided.append(q)
-        return build(table, q, context)
+    def recording_build(table, queries, context=None):
+        decided.extend(queries)
+        return build(table, queries, context)
 
     def recording(searches):
         searches = [(x, y, list(sets), regimes) for x, y, sets, regimes in searches]
@@ -420,7 +469,7 @@ def test_sample_tester_verdicts_equal_fresh_g_tests(monkeypatch):
         answered.extend(q for q in firsts if q in tester._memo)
         return answer(searches)
 
-    monkeypatch.setattr(discovery, "g_test_table", recording_build)
+    monkeypatch.setattr(discovery, "g_test_tables", recording_build)
     tester.first_separators = recording
     skeleton_pooled(tester)
     for r in tester.regimes:
