@@ -187,6 +187,9 @@ def _cmd_ground_truth(args) -> int:
 
 def _cmd_discover(args) -> int:
     if args.exact is not None:
+        for flag, value in (("--alpha", args.alpha), ("--context", args.context)):
+            if value is not None:
+                raise CliError("%s applies to --data mode only, not --exact" % flag)
         solved = _load_model(args.exact, "--exact")
         tester = ExactTester(solved)
         mode = "exact"
@@ -194,7 +197,8 @@ def _cmd_discover(args) -> int:
         if args.alpha is None:
             raise CliError("--alpha is required with --data")
         data = Dataset.from_csv(_read_source(args.data, "--data"))
-        tester = SampleTester(data, args.alpha, args.context)
+        context = "R" if args.context is None else args.context
+        tester = SampleTester(data, args.alpha, context)
         mode = "sample"
 
     regimes = list(tester.regimes)
@@ -513,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="dataset CSV for G-test discovery, or -")
     p.add_argument("--alpha", type=float, help="test level for --data mode")
     p.add_argument("--regime", help="restrict per-context output to one context value")
-    p.add_argument("--context", default="R",
+    p.add_argument("--context", default=None,
                    help="context column name for --data mode (default R)")
     p.set_defaults(handler=_cmd_discover)
 

@@ -16,7 +16,7 @@ reads the round-start adjacency), or all pairs of `detect_graph`, to the
 tester's `first_separators` as one list of searches, then remove edges and
 record certificates in pair order.  `SampleTester` advances those searches
 together one set size at a time, deciding each size in one stacked kernel
-call per table shape; `ExactTester` scans them in turn.
+call per block of `g_test_tables`; `ExactTester` scans them in turn.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .data import Dataset
 from .exact import SolvedModel
@@ -116,8 +114,8 @@ class SampleTester:
         run s of every search still unresolved, so a search resolved at one
         size decides no query of a larger size.  The tables of every query
         of the step not in the memo come from one `g_test_tables` call, and
-        the tables of each (S, nx, ny) shape go to one `g_test_from_tables`
-        call, whose verdicts are bit-identical to testing each table alone.
+        each of its zero-padded blocks goes to one `g_test_from_tables` call,
+        whose verdicts are bit-identical to testing each table alone.
         """
         runs = [itertools.groupby(sets, key=len) for _, _, sets, _ in searches]
         hits: list = [None] * len(searches)
@@ -130,12 +128,9 @@ class SampleTester:
                     step[i] = [CiQuery(x, y, z, r) for z in run for r in regimes]
             pending = [q for q in dict.fromkeys(itertools.chain.from_iterable(step.values()))
                        if q not in self._memo]
-            by_shape: dict[tuple, dict[CiQuery, np.ndarray]] = {}
-            for q, table in zip(pending, g_test_tables(self._table, pending, self.context)):
-                by_shape.setdefault(table.shape, {})[q] = table
-            for tables in by_shape.values():
-                verdicts = g_test_from_tables(np.stack(list(tables.values())), self._alpha)
-                self._memo.update(zip(tables, verdicts))
+            verdicts = [v for stack, strata in g_test_tables(self._table, pending, self.context)
+                        for v in g_test_from_tables(stack, self._alpha, strata=strata)]
+            self._memo.update(zip(pending, verdicts))
             for i, qs in step.items():
                 hits[i] = next(((q.z, q.regime, self._memo[q]) for q in qs
                                 if self._memo[q].independent), None)

@@ -8,16 +8,17 @@ the one path that asks it: its memo on the exact query is kept by the
 search of one solve decide each query once.
 
 Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
-an integer stack of shape (K, S, nx, ny), K tests of S strata each, and
-returns K verdicts from array operations alone.  Its tables come from one
-builder, `g_test_tables`, which counts the tables of many queries together:
-it ranks the observed z value tuples of every query at once, in code order,
-and sums the dataset's `counts` per (stratum, x, y) cell with one
-`data._tally` per block of at most `_PAIR_BUDGET` (query, row) pairs.  So
-the count table (`Dataset.tabulate`) gives the same tables as the rows it
-compresses, at a fraction of the rows to scan.  `g_test` passes the one
-table of its query (K = 1); the transfer test passes its replicates in
-chunks of bounded size.
+an integer stack of shape (K, S, nx, ny), K tests of S strata each, with
+each test's count of real strata (the rest zero padding), and returns K
+verdicts from array operations alone.  Its tables come from one builder,
+`g_test_tables`, which counts the tables of many queries together: it ranks
+the observed z value tuples of every query at once, in code order, and sums
+the dataset's `counts` per (query, stratum, x, y) cell of one zero-padded
+stack with one `data._tally` per block of at most `_PAIR_BUDGET` (query,
+row) pairs and stack cells.  So the count table (`Dataset.tabulate`) gives
+the same tables as the rows it compresses, at a fraction of the rows to
+scan.  `g_test` passes the one table of its query (K = 1); the transfer
+test passes its replicates in chunks of bounded size.
 
 Separating sets are searched for by the testers alone: `first_separators`
 takes searches `(x, y, sets, regimes)`, sets in order (usually from
@@ -27,7 +28,7 @@ order in which sets are tried, on which certificates depend, is fixed
 there.  `ExactTester` scans the searches in turn; the sample tester
 (`discovery.SampleTester`) advances them together one set size at a time,
 builds each size's tables in one `g_test_tables` call and decides them in
-one stacked kernel call per table shape.
+one stacked kernel call per block.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 
-# (query, row) pairs one block of `g_test_tables` counts together
+# (query, row) pairs one block of `g_test_tables` counts together, and cells its stack holds
 _PAIR_BUDGET = 1 << 18
 
 
@@ -233,8 +234,8 @@ def g_test(
     Each row counts `counts` times, so a count table gives the verdict of its rows.
     """
     _check_levels(alpha, min_expected)
-    table = g_test_tables(data, [q], context)[0]
-    return g_test_from_tables(table[None], alpha, min_expected)[0]
+    [(stack, _)] = g_test_tables(data, [q], context)
+    return g_test_from_tables(stack, alpha, min_expected)[0]
 
 
 def _regime_rows(data: Dataset, ctx: str | None, regime: str | None) -> np.ndarray:
@@ -258,19 +259,27 @@ def _regime_rows(data: Dataset, ctx: str | None, regime: str | None) -> np.ndarr
 
 def g_test_tables(
     data: Dataset, queries: Sequence[CiQuery], context: str | None = None
-) -> list[np.ndarray]:
-    """The (S, nx, ny) contingency tables `g_test` tests, one per query in
-    order: one stratum per z value tuple the rows show (inside the query's
-    regime, if set), strata in code order, weighted by `counts`.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The contingency tables `g_test` tests, as one `(stack, strata)` per
+    block of queries in order.  `stack` is a zero-padded int64 array of shape
+    (Q, S, nx, ny) over the block's Q queries, S, nx and ny the block's
+    maxima, and `strata[k]` the number of strata of query k, whose own table
+    is `stack[k, :strata[k], :|x_k|, :|y_k|]`: one stratum per z value tuple
+    the rows show (inside the query's regime, if set), strata in code order,
+    weighted by `counts`.  Every other cell of `stack[k]` is 0.
 
-    The queries are counted together, in blocks of at most `_PAIR_BUDGET`
-    (query, row) pairs, or one query if it reads more rows.
+    A block closes before it counts more than `_PAIR_BUDGET` (query, row)
+    pairs or its stack could hold more than `_PAIR_BUDGET` cells, taking
+    each query's S as at most min(rows, z value tuples); one query always
+    forms a block.
     """
     index = {c: j for j, c in enumerate(data.columns)}
+    size = {c: len(data.labels(c)) for c in data.columns}
     rows_of: dict[str | None, np.ndarray] = {}
-    tables: list[np.ndarray] = []
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
     block: list[CiQuery] = []
     pairs = 0
+    bound = (0, 0, 0)  # the block's largest S, nx and ny
     for q in queries:
         ctx = _query_context(q, context)
         for col in (q.x, q.y, *q.z):
@@ -279,23 +288,29 @@ def g_test_tables(
         if q.regime not in rows_of:
             rows_of[q.regime] = _regime_rows(data, ctx, q.regime)
         n = len(rows_of[q.regime])
-        if block and pairs + n > _PAIR_BUDGET:
-            tables += _block_tables(data, index, block, rows_of)
-            block, pairs = [], 0
+        shape = (min(n, math.prod(size[c] for c in q.z)), size[q.x], size[q.y])
+        grown = tuple(map(max, bound, shape))
+        if block and (pairs + n > _PAIR_BUDGET
+                      or (len(block) + 1) * math.prod(grown) > _PAIR_BUDGET):
+            blocks.append(_block_tables(data, index, block, rows_of, *bound[1:]))
+            block, pairs, grown = [], 0, shape
         block.append(q)
         pairs += n
+        bound = grown
     if block:
-        tables += _block_tables(data, index, block, rows_of)
-    return tables
+        blocks.append(_block_tables(data, index, block, rows_of, *bound[1:]))
+    return blocks
 
 
-def _block_tables(data, index, block, rows_of) -> list[np.ndarray]:
+def _block_tables(data, index, block, rows_of, nx, ny) -> tuple[np.ndarray, np.ndarray]:
     """`g_test_tables` of one block, from one `_tally` over its (query, row) pairs.
 
     Each pair carries the rank of its stratum among the block's strata,
     which run query by query and, within a query, in code order: the ranks
     are renumbered after each z column, as `data._stratum_ids` does for one
-    query, so no rank passes the block's pairs.
+    query, so no rank passes the block's pairs.  A pair's cell in the stack
+    is ((k * S + local stratum) * nx + x) * ny + y, nx and ny the block's
+    largest label counts of x and y.
     """
     lengths = [len(rows_of[q.regime]) for q in block]
     rows = np.concatenate([rows_of[q.regime] for q in block])
@@ -318,16 +333,12 @@ def _block_tables(data, index, block, rows_of) -> list[np.ndarray]:
         present = np.bincount(key) > 0
         ranks = (np.cumsum(present) - 1)[key]
         query_of = query_of[np.flatnonzero(present) // radix]
-    nx = np.array([len(data.labels(q.x)) for q in block])
-    ny = np.array([len(data.labels(q.y)) for q in block])
-    stride = (nx * ny)[query_of]
-    first = np.cumsum(stride) - stride  # each stratum's first cell
-    ids = first[ranks] + codes([q.x for q in block]) * ny[which] + codes([q.y for q in block])
-    counts = _tally(ids, data.counts[rows], int(first[-1] + stride[-1]))
-    n_strata = np.bincount(query_of, minlength=len(block))
-    tables = np.split(counts, np.cumsum(n_strata * nx * ny)[:-1])
-    return [t.reshape(s, a, b) for t, s, a, b
-            in zip(tables, n_strata.tolist(), nx.tolist(), ny.tolist())]
+    strata = np.bincount(query_of, minlength=len(block))
+    local = ranks - (np.cumsum(strata) - strata)[which]
+    shape = (len(block), int(strata.max()), nx, ny)
+    ids = ((which * shape[1] + local) * shape[2]
+           + codes([q.x for q in block])) * shape[3] + codes([q.y for q in block])
+    return _tally(ids, data.counts[rows], math.prod(shape)).reshape(shape), strata
 
 
 def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -345,25 +356,47 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def g_test_from_tables(
-    tables: np.ndarray, alpha: float, min_expected: float = 5.0
+    tables: np.ndarray,
+    alpha: float,
+    min_expected: float = 5.0,
+    strata: np.ndarray | None = None,
 ) -> list[CiVerdict]:
     """Stacked G-test: one verdict per test k of an integer stack `tables`
     of shape (K, S, nx, ny), whose `tables[k, s]` is the contingency table
-    of stratum s of test k.
+    of stratum s of test k.  `strata[k]`, if given, is the number of real
+    strata of test k; the strata past it are padding, must be all zero and
+    are left out of the warning's count of single-category strata.  None
+    means all S strata are real.
 
     Applies the qualification rules of `g_test`, which calls it with K = 1;
-    the transfer test calls it once per chunk of replicates.  Its temporaries
-    are a few arrays of the stack's size.  Each verdict is
-    bit-identical to testing its S tables one at a time: a stratum's terms
-    are summed as one `np.sum` over its positive cells in row-major order,
-    the strata are added left to right, and the tail is the chi-squared
-    survival function `chdtrc`.  An all-zero stratum counts as one with a
-    single observed category.
+    sampled discovery calls it once per block of `g_test_tables` and the
+    transfer test once per chunk of replicates.  Its temporaries are a few
+    arrays of the stack's size.  Each verdict is bit-identical to testing
+    its S tables one at a time: a stratum's terms are summed as one `np.sum`
+    over its positive cells in row-major order, the strata are added left
+    to right, and the tail is the chi-squared survival function `chdtrc`.
+    So zero rows, columns and strata padded on add nothing.  An all-zero
+    stratum counts as one with a single observed category.
     """
     _check_levels(alpha, min_expected)
-    counts = np.asarray(tables, dtype=np.int64)
+    counts = np.asarray(tables)
     if counts.ndim != 4:
         raise IndependenceError("tables must have shape (K, S, nx, ny)")
+    if counts.dtype.kind not in "iu":
+        raise IndependenceError("tables must hold integer counts, got dtype %s" % counts.dtype)
+    counts = counts.astype(np.int64, copy=False)
+    if (counts < 0).any():
+        raise IndependenceError("tables must hold non-negative counts")
+    padded = np.zeros(counts.shape[:2], dtype=bool)
+    if strata is not None:
+        strata = np.asarray(strata)
+        if strata.shape != (len(counts),) or strata.dtype.kind not in "iu":
+            raise IndependenceError("strata must hold one integer per test")
+        if ((strata < 0) | (strata > counts.shape[1])).any():
+            raise IndependenceError("strata must lie in 0..%d" % counts.shape[1])
+        padded = np.arange(counts.shape[1]) >= strata[:, None]
+        if counts[padded].any():
+            raise IndependenceError("strata past strata[k] must be all zero")
     rows = counts.sum(axis=3)
     cols = counts.sum(axis=2)
     n = rows.sum(axis=2)
@@ -391,7 +424,7 @@ def g_test_from_tables(
 
     verdicts = []
     for n_low, n_degenerate, ok, p_value, g_stat in zip(
-        low.sum(axis=1).tolist(), degenerate.sum(axis=1).tolist(),
+        low.sum(axis=1).tolist(), (degenerate & ~padded).sum(axis=1).tolist(),
         tested.tolist(), p.tolist(), g.tolist(),
     ):
         notes = []

@@ -9,7 +9,8 @@ searches.  Tests compare the package with them on hits, skeletons,
 certificates and the queries each tester decides.
 
 `g_test_table` is the per-query table builder that `g_test_tables`
-replaced, kept verbatim: tests require equal tables from both.
+replaced, kept verbatim: tests require its table to be the unpadded slice
+of the query's zero-padded block.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
-from csi_graphlab import discovery
+from csi_graphlab import discovery, independence
 from csi_graphlab.data import DataError, Dataset, _stratum_ids, _tally
 from csi_graphlab.discovery import (
     DEFAULT_MAX_SUBSETS,
@@ -110,15 +111,26 @@ def every_query(data: Dataset, max_size: int, context: str = "R") -> list[CiQuer
 
 
 def assert_tables_match(data: Dataset, queries: Sequence[CiQuery], context: str = "R") -> int:
-    """Require `g_test_tables` to give each query `g_test_table`'s table: same
-    shape, dtype and counts.  Returns the number of tables compared."""
-    tables = g_test_tables(data, queries, context)
-    assert len(tables) == len(queries)
-    for q, got in zip(queries, tables):
-        want = g_test_table(data, q, context)
-        assert (got.shape, got.dtype) == (want.shape, want.dtype), q
-        assert np.array_equal(got, want), q
-    return len(tables)
+    """Require `g_test_tables` to give each query `g_test_table`'s table: the
+    slice `stack[k, :strata[k], :|x|, :|y|]` of its block has the same shape,
+    dtype and counts, every other cell of `stack[k]` is 0, and a block of
+    more than one query holds at most `_PAIR_BUDGET` cells.  Returns the
+    number of tables compared."""
+    blocks = g_test_tables(data, queries, context)
+    assert sum(len(stack) for stack, _ in blocks) == len(queries)
+    queries = iter(queries)
+    for stack, strata in blocks:
+        assert stack.dtype == np.int64 and strata.shape == (len(stack),)
+        assert len(stack) == 1 or stack.size <= independence._PAIR_BUDGET
+        for padded, s, q in zip(stack, strata.tolist(), queries):
+            want = g_test_table(data, q, context)
+            got = padded[:s, :want.shape[1], :want.shape[2]]
+            assert got.shape == want.shape, q
+            assert np.array_equal(got, want), q
+            padded = padded.copy()
+            padded[:s, :want.shape[1], :want.shape[2]] = 0
+            assert not padded.any(), q
+    return sum(len(stack) for stack, _ in blocks)
 
 
 def _pc_skeleton(nodes, query, regime, certificates):

@@ -119,6 +119,16 @@ def test_discover_single_regime_flag(capsys, tmp_path):
     assert "--regime" in err and "'9'" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha", "0.05"), ("--context", "Q"),
+                                         ("--context", "R")])
+def test_discover_exact_rejects_the_data_mode_flags(capsys, tmp_path, flag, value):
+    # the exact oracle has no test level, and the model names its own context variable
+    scm = write_model(tmp_path, "intro-mediator")
+    rc, out, err = invoke(capsys, "discover", "--exact", scm, flag, value)
+    assert rc == EXIT_USAGE and out == ""
+    assert flag in err and "--exact" in err
+
+
 def test_discover_sample_mode_recovers_the_skeletons(capsys, tmp_path):
     data = draw_samples(get_example("intro"), 6000, 11)
     csv = tmp_path / "intro.csv"
@@ -126,7 +136,7 @@ def test_discover_sample_mode_recovers_the_skeletons(capsys, tmp_path):
     rc, out, _ = invoke(capsys, "discover", "--data", str(csv), "--alpha", "0.05")
     assert rc == EXIT_OK
     doc = json.loads(out)
-    assert doc["mode"] == "sample"
+    assert (doc["mode"], doc["context"]) == ("sample", "R")  # --context defaults to R
     assert doc["pooled_skeleton"] == [["R", "T"], ["T", "Y"]]
     assert doc["per_regime"]["0"]["detect"] == [["R", "T"]]
     assert "union_directed" not in doc

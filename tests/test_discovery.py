@@ -539,3 +539,56 @@ def test_sample_tester_decides_no_query_past_the_size_a_search_resolved_at(monke
     assert set(decided) == set(new._memo) >= set(old._memo)
     for q, verdict in old._memo.items():
         assert _hex(new._memo[q]) == _hex(verdict), q
+
+
+def test_each_step_makes_one_kernel_call_per_block(monkeypatch):
+    """A discovery pass on 10^4 rows: each `g_test_tables` call of a step is
+    followed by one kernel call per block it returned, on that block's stack
+    and strata.  Every `_tally` of the builder fills a stack of more than one
+    query only within the `_PAIR_BUDGET` cell bound, and a tiny budget, which
+    cuts every step into many blocks, leaves every verdict bit-identical."""
+    data = ref.random_samples(8, 3, 10**4)
+    events, tallied = [], []
+    build, kernel, tally = discovery.g_test_tables, discovery.g_test_from_tables, independence._tally
+
+    def recording_build(table, queries, context=None):
+        blocks = build(table, queries, context)
+        events.append(("build", blocks))
+        return blocks
+
+    def recording_kernel(tables, alpha, min_expected=5.0, strata=None):
+        events.append(("kernel", tables, strata))
+        return kernel(tables, alpha, min_expected, strata)
+
+    def recording_tally(ids, counts, n):
+        tallied.append(n)
+        return tally(ids, counts, n)
+
+    monkeypatch.setattr(discovery, "g_test_tables", recording_build)
+    monkeypatch.setattr(discovery, "g_test_from_tables", recording_kernel)
+    monkeypatch.setattr(independence, "_tally", recording_tally)
+    memos, default = {}, independence._PAIR_BUDGET
+    for budget in (default, 300, 1):
+        monkeypatch.setattr(independence, "_PAIR_BUDGET", budget)
+        events.clear()
+        tallied.clear()
+        tester = SampleTester(data, 0.01, "R")
+        ref.discover(tester, skeleton_pooled, skeleton_masked, detect_graph)
+        blocks = []
+        for event in events:
+            if event[0] == "build":
+                blocks += event[1]
+            else:  # the next block in order, stack and strata as built
+                stack, strata = blocks.pop(0)
+                assert event[1] is stack and event[2] is strata
+        assert not blocks
+        built = [stack for e in events if e[0] == "build" for stack, _ in e[1]]
+        assert tallied == [stack.size for stack in built]
+        assert all(len(stack) == 1 or stack.size <= budget for stack in built)
+        assert sum(map(len, built)) == len(tester._memo)
+        if budget == 1:
+            assert all(len(stack) == 1 for stack in built)
+        else:
+            assert len(built) < len(tester._memo)
+        memos[budget] = {q: _hex(v) for q, v in tester._memo.items()}
+    assert memos[default] == memos[300] == memos[1]

@@ -190,7 +190,7 @@ def test_g_test_rejects_a_nan_or_negative_min_expected(min_expected):
     with pytest.raises(IndependenceError, match=named):
         g_test(d, q, alpha=0.05, min_expected=min_expected)
     with pytest.raises(IndependenceError, match=named):
-        g_test_from_tables(g_test_tables(d, [q])[0][None], 0.05, min_expected)
+        g_test_from_tables(g_test_tables(d, [q])[0][0], 0.05, min_expected)
 
 
 # --- the stacked G-test kernel against the one-table-at-a-time loop it replaced ---
@@ -299,6 +299,73 @@ def table_stacks(draw):
        min_expected=st.sampled_from((0.0, 5.0, 20.0)))
 def test_stacked_kernel_matches_the_per_table_loop_on_random_stacks(stack, alpha, min_expected):
     assert_kernel_matches_reference(stack, alpha, min_expected)
+
+
+def _verdict_bits(verdicts):
+    return [_bits(v.independent, v.p_value, v.statistic, v.warning) for v in verdicts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=table_stacks(), pad=st.tuples(*[st.integers(0, 3)] * 3), data=st.data(),
+       alpha=st.sampled_from((0.01, 0.05, 0.5)), min_expected=st.sampled_from((0.0, 5.0, 20.0)))
+def test_zero_padding_leaves_each_verdict_bit_identical(stack, pad, data, alpha, min_expected):
+    """Test k keeps its first strata[k] strata, padded with zeros to a common
+    (S, nx, ny): its verdict is that of its unpadded stack alone, warning
+    included, so a real all-zero stratum is counted and a padded one is not."""
+    k, s, nx, ny = stack.shape
+    strata = data.draw(st.lists(st.integers(0, s), min_size=k, max_size=k))
+    padded = np.zeros((k, s + pad[0], nx + pad[1], ny + pad[2]), dtype=np.int64)
+    for i, n in enumerate(strata):
+        padded[i, :n, :nx, :ny] = stack[i, :n]
+    want = [g_test_from_tables(stack[i:i + 1, :n], alpha, min_expected)[0]
+            for i, n in enumerate(strata)]
+    got = g_test_from_tables(padded, alpha, min_expected, strata=np.array(strata))
+    assert _verdict_bits(got) == _verdict_bits(want)
+
+
+def test_padded_strata_are_left_out_of_the_single_category_count_only():
+    real = [[[20, 5], [6, 18]], [[0, 0], [0, 0]], [[9, 3], [4, 11]]]
+    stack = np.array([real + [[[0, 0], [0, 0]]]])
+    unpadded = g_test_from_tables([real], 0.05)
+    padded = g_test_from_tables(stack, 0.05, strata=[3])
+    assert _verdict_bits(padded) == _verdict_bits(unpadded)
+    assert padded[0].warning == "1 strata with a single observed category"
+    # counted as real, the padded stratum is one more single-category stratum,
+    # and still adds nothing to G or to the degrees of freedom
+    full = g_test_from_tables(stack, 0.05)[0]
+    assert full.warning == "2 strata with a single observed category"
+    assert (full.p_value.hex(), full.statistic.hex()) == \
+        (padded[0].p_value.hex(), padded[0].statistic.hex())
+    nothing = g_test_from_tables(np.zeros_like(stack), 0.05, strata=[0])[0]
+    assert (nothing.independent, nothing.p_value, nothing.statistic, nothing.warning) == \
+        (True, 1.0, 0.0, "no qualifying strata; defaulting to independence")
+
+
+@pytest.mark.parametrize("tables, named", [
+    ([[[[-10, 50], [30, 40]]]], "non-negative counts"),
+    ([[[[10.7, 50], [30, 40]]]], "integer counts"),
+    (np.full((1, 1, 2, 2), 10.0), "integer counts"),
+    ([[[[True, False], [False, True]]]], "integer counts"),
+])
+def test_stacked_kernel_rejects_negative_or_fractional_counts(tables, named):
+    with pytest.raises(IndependenceError, match=named):
+        g_test_from_tables(tables, 0.05)
+
+
+@pytest.mark.parametrize("strata, named", [
+    ([2], "one integer per test"),
+    ([[1, 1]], "one integer per test"),
+    ([1.0, 1.0], "one integer per test"),
+    ([1, 3], r"0\.\.2"),
+    ([-1, 1], r"0\.\.2"),
+    ([1, 1], "all zero"),
+])
+def test_stacked_kernel_validates_strata(strata, named):
+    stack = np.array([[[[30, 2], [3, 40]], [[0, 0], [0, 0]]],
+                      [[[25, 9], [8, 31]], [[1, 0], [0, 1]]]])
+    with pytest.raises(IndependenceError, match=named):
+        g_test_from_tables(stack, 0.05, strata=strata)
+    assert len(g_test_from_tables(stack, 0.05, strata=[1, 2])) == 2
 
 
 @st.composite
