@@ -56,13 +56,19 @@ class CliError(ValueError):
 # --- shared plumbing -----------------------------------------------------------------
 
 def _read_source(path: str, flag: str) -> str:
-    """Read a positional input; '-' means stdin."""
+    """Read an input; '-' means stdin.  The bytes of either source decode as
+    strict UTF-8 with universal newlines, as `Path.read_text` reads a file."""
     if path == "-":
-        return sys.stdin.read()
+        raw, where = sys.stdin.buffer.read(), "stdin"
+    else:
+        try:
+            raw, where = Path(path).read_bytes(), "file %r" % (path,)
+        except OSError as e:
+            raise CliError("cannot read %s file %r: %s" % (flag, path, e.strerror)) from None
     try:
-        return Path(path).read_text()
-    except OSError as e:
-        raise CliError("cannot read %s file %r: %s" % (flag, path, e.strerror)) from None
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    except UnicodeDecodeError as e:
+        raise CliError("%s %s is not UTF-8: %s" % (flag, where, e)) from None
 
 
 def _json_object(path: str, flag: str, where: str) -> dict:
@@ -196,7 +202,7 @@ def _cmd_discover(args) -> int:
     else:
         if args.alpha is None:
             raise CliError("--alpha is required with --data")
-        data = Dataset.from_csv(_read_source(args.data, "--data"))
+        data = Dataset.tabulate_csv(_read_source(args.data, "--data"))
         context = "R" if args.context is None else args.context
         tester = SampleTester(data, args.alpha, context)
         mode = "sample"
@@ -343,7 +349,7 @@ def _cmd_classify(args) -> int:
 # --- transfer-test -------------------------------------------------------------------
 
 def _cmd_transfer_test(args) -> int:
-    data = Dataset.from_csv(_read_source(args.csv, "data"))
+    data = Dataset.tabulate_csv(_read_source(args.csv, "data"))
     z = tuple(t for t in (args.z or "").split(",") if t)
     cfg = TransferConfig(
         K=args.K,

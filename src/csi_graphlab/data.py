@@ -4,20 +4,27 @@ Each row carries an integer multiplicity in `counts`: 1 for samples as
 drawn or read, more in the count table `Dataset.tabulate` builds.
 `_stratum_ids` numbers the rows by the value tuples of some columns: the
 count table, the transfer test and `to_csv` number their cells with it, and
-the G-test's table builder ranks many queries' strata by the same rule.
+the G-test's table builder ranks many queries' strata by the same rule.  It
+reads runs of adjacent columns in one pass and renumbers codes to ranks
+only when the code space would pass the row count, and once at the end.
 
 CSV I/O does its per-record work once per distinct record: `from_csv`
 parses and codes each distinct line (or `csv.reader` record) once and
-indexes the codes by row, and `to_csv` writes each distinct row once and
-repeats its line.  Sampled data has few distinct rows, so both cost little
-more than cutting and joining the text.
+indexes the codes by row, `tabulate_csv` codes them once and keeps their
+counts, so sampled data reaches the G-test as a count table without a
+per-row array, and `to_csv` writes each distinct row once and repeats its
+line.  Sampled data has few distinct rows, so all three cost little more
+than cutting, counting and joining the text.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable, Mapping, Sequence
+import itertools
+import math
+from collections import Counter
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,22 +55,51 @@ def _stratum_ids(
     """Mixed-radix code of the `cols` values of each masked row, and the
     number of codes (all codes 0 and one code if no cols).
 
-    With `observed`, the codes are renumbered after each column to their
-    ranks among the codes the masked rows show, which keeps the code order,
-    counts only the value tuples that occur (none over no rows) and keeps
-    every code below rows * labels.
+    With `observed`, the codes are renumbered to their ranks among the codes
+    the masked rows show, which keeps the code order and counts only the
+    value tuples that occur (none over no rows).  The renumbering runs once
+    at the end, and before any column that would take the code space past
+    max(rows, 1), so no `bincount` spans more than max(rows, 1) times a
+    column's label count.  Adjacent columns keyed between renumberings are
+    read in one product with their radix weights.
     """
     ids = np.zeros(int(mask.sum()), dtype=np.int64)
+    rows = slice(None) if mask.all() else mask
+    bound = max(len(ids), 1)
     n = min(1, len(ids)) if observed else 1
+    run: list[int] = []  # adjacent column positions not yet keyed into ids
     for c in cols:
         size = len(data.labels(c))
-        ids = ids * size + data.column(c)[mask]
+        j = data.columns.index(c)
+        if observed and n * size > bound:
+            ids, n = _ranked(_keyed(ids, data, rows, run), n)
+            run = []
+        elif run and j != run[-1] + 1:
+            ids = _keyed(ids, data, rows, run)
+            run = []
+        run.append(j)
         n *= size
-        if observed:
-            present = np.bincount(ids, minlength=n) > 0
-            ids = (np.cumsum(present) - 1)[ids]
-            n = int(np.count_nonzero(present))
-    return ids, n
+    ids = _keyed(ids, data, rows, run)
+    return _ranked(ids, n) if observed else (ids, n)
+
+
+def _keyed(ids: np.ndarray, data: "Dataset", rows, run: list[int]) -> np.ndarray:
+    """`ids` extended by the mixed-radix code of the adjacent columns at
+    positions `run` in the `rows` (a mask or every row)."""
+    if not run:
+        return ids
+    sizes = [len(data.categories[data.columns[j]]) for j in run]
+    if len(run) == 1:  # an int64 product's fixed cost is not repaid by one column
+        return ids * sizes[0] + data.codes[rows, run[0]]
+    radix = np.cumprod([1, *sizes[:0:-1]], dtype=np.int64)[::-1]
+    return ids * math.prod(sizes) + data.codes[rows, run[0]:run[-1] + 1] @ radix
+
+
+def _ranked(ids: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """Each of `ids` (codes in range(n)) renumbered to its rank among them,
+    and the number of ranks."""
+    present = np.bincount(ids, minlength=n) > 0
+    return (np.cumsum(present) - 1)[ids], int(np.count_nonzero(present))
 
 
 def _tally(ids: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
@@ -73,14 +109,11 @@ def _tally(ids: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _numbered(records: list) -> tuple[list, list[int]]:
-    """The header and the distinct records after it, in order of first
-    appearance, and each record's number among those."""
-    if not records:
+def _counted(items: list) -> Counter:
+    """How often each item after the header occurs, in order of first appearance."""
+    if not items:
         raise DataError("empty CSV: missing header row")
-    number: dict = {}
-    ids = [number.setdefault(r, len(number)) for r in records[1:]]
-    return [records[0], *number], ids
+    return Counter(itertools.islice(items, 1, None))
 
 
 def _one_record_per_line(lines: list[str]) -> list[tuple[str, ...]] | None:
@@ -91,6 +124,87 @@ def _one_record_per_line(lines: list[str]) -> list[tuple[str, ...]] | None:
     except csv.Error:
         return None
     return records if len(records) == len(lines) else None
+
+
+def _read_csv(text: str) -> tuple[list, Counter, list[tuple[str, ...]]]:
+    """`(items, tally, records)` of a CSV text: the header's and each row's
+    item (its line, or its `csv.reader` record where the whole text is cut
+    by `csv.reader`), how often each distinct row item occurs, in order of
+    first appearance, and the record of the header and of each distinct item.
+
+    Each record is one line, whether it ends in `\\n` or `\\r\\n`, and
+    only the distinct lines go through `csv.reader`.  When the text holds a
+    `"`, they go through a strict one first; if that raises or joins lines,
+    as it does wherever a quoted field spans a line break, `csv.reader` cuts
+    the whole text into records instead.
+    """
+    try:
+        # not splitlines(): csv.reader keeps \v, \f, \x1c and the like in a field
+        items = text.split("\n")
+        if items[-1] == "":
+            items.pop()
+        tally = _counted(items)
+        distinct = [items[0], *tally]
+        if '"' not in text:
+            records = list(map(tuple, csv.reader(distinct)))
+        elif (records := _one_record_per_line(distinct)) is None:
+            items = list(map(tuple, csv.reader(io.StringIO(text))))
+            tally = _counted(items)
+            records = [items[0], *tally]
+    except csv.Error as e:
+        raise DataError("malformed CSV: %s" % (e,)) from None
+    return items, tally, records
+
+
+def _first_row(items: list, distinct: Iterable) -> Callable[[int], int]:
+    """The row (counted after the header) where distinct item k first occurs."""
+    return lambda k: items.index(next(itertools.islice(distinct, k, None)), 1) - 1
+
+
+def _coded(
+    columns: Sequence[str],
+    records: list[tuple[str, ...]],
+    first_row: Callable[[int], int],
+    categories: Mapping[str, Sequence[str]] | None,
+) -> tuple[tuple[str, ...], Mapping[str, Sequence[str]], np.ndarray]:
+    """The columns, the categories and one code row per distinct record.
+
+    Records are numbered in order of first appearance, so the first bad
+    record first appears in the first bad row; errors name that row,
+    `first_row(k)` of record k, found only when they are raised.
+    """
+    columns = tuple(columns)
+    _require_unique(columns)
+    for k, r in enumerate(records):
+        if len(r) != len(columns):
+            raise DataError("row %d has %d fields, expected %d"
+                            % (first_row(k), len(r), len(columns)))
+    if categories is None:
+        categories = {
+            c: tuple(sorted({r[j] for r in records}))
+            for j, c in enumerate(columns)
+        }
+        # an all-empty dataset still needs nonempty category sets
+        categories = {c: (cats if cats else ("",)) for c, cats in categories.items()}
+    index = {
+        c: {lbl: i for i, lbl in enumerate(_categories_of(categories, c))}
+        for c in columns
+    }
+    codes = np.empty((len(records), len(columns)), dtype=np.int64)
+    try:
+        for j, (c, values) in enumerate(zip(columns, zip(*records))):
+            codes[:, j] = np.fromiter(map(index[c].__getitem__, values), np.int64,
+                                      len(records))
+    except KeyError:
+        # name the first unknown label in row-major order
+        for k, r in enumerate(records):
+            for j, c in enumerate(columns):
+                if r[j] not in index[c]:
+                    raise DataError(
+                        "row %d: label %r not among categories of column %r"
+                        % (first_row(k), r[j], c)
+                    ) from None
+    return columns, categories, codes
 
 
 class Dataset:
@@ -170,51 +284,7 @@ class Dataset:
     ) -> "Dataset":
         number: dict = {}
         ids = [number.setdefault(tuple(r), len(number)) for r in rows]
-        return cls._from_records(columns, list(number), ids, categories)
-
-    @classmethod
-    def _from_records(
-        cls,
-        columns: Sequence[str],
-        records: list[tuple[str, ...]],
-        ids: list[int],
-        categories: Mapping[str, Sequence[str]] | None,
-    ) -> "Dataset":
-        """Code the distinct `records` once; row i is record `ids[i]`.  Records
-        are numbered in order of first appearance, so the first bad record
-        first appears in the first bad row, which errors name.
-        """
-        columns = tuple(columns)
-        _require_unique(columns)
-        for k, r in enumerate(records):
-            if len(r) != len(columns):
-                raise DataError("row %d has %d fields, expected %d"
-                                % (ids.index(k), len(r), len(columns)))
-        if categories is None:
-            categories = {
-                c: tuple(sorted({r[j] for r in records}))
-                for j, c in enumerate(columns)
-            }
-            # an all-empty dataset still needs nonempty category sets
-            categories = {c: (cats if cats else ("",)) for c, cats in categories.items()}
-        index = {
-            c: {lbl: i for i, lbl in enumerate(_categories_of(categories, c))}
-            for c in columns
-        }
-        codes = np.empty((len(records), len(columns)), dtype=np.int64)
-        try:
-            for j, (c, values) in enumerate(zip(columns, zip(*records))):
-                codes[:, j] = np.fromiter(map(index[c].__getitem__, values), np.int64,
-                                          len(records))
-        except KeyError:
-            # name the first unknown label in row-major order
-            for k, r in enumerate(records):
-                for j, c in enumerate(columns):
-                    if r[j] not in index[c]:
-                        raise DataError(
-                            "row %d: label %r not among categories of column %r"
-                            % (ids.index(k), r[j], c)
-                        ) from None
+        columns, categories, codes = _coded(columns, list(number), ids.index, categories)
         return cls(columns, categories, codes[np.array(ids, dtype=np.int64)])
 
     @classmethod
@@ -225,25 +295,32 @@ class Dataset:
     ) -> "Dataset":
         """Parse CSV with a header row of column names; labels taken verbatim.
 
-        Each record is one line, whether it ends in `\\n` or `\\r\\n`, and
-        only the distinct lines go through `csv.reader`.  When the text holds
-        a `"`, they go through a strict one first; if that raises or joins
-        lines, as it does wherever a quoted field spans a line break,
-        `csv.reader` cuts the whole text into records instead.
+        Each distinct line (or `csv.reader` record, see `_read_csv`) is
+        parsed and coded once, and its codes indexed by row.
         """
-        try:
-            # not splitlines(): csv.reader keeps \v, \f, \x1c and the like in a field
-            lines = text.split("\n")
-            if lines[-1] == "":
-                lines.pop()
-            distinct, ids = _numbered(lines)
-            if '"' not in text:
-                distinct = list(map(tuple, csv.reader(distinct)))
-            elif (distinct := _one_record_per_line(distinct)) is None:
-                distinct, ids = _numbered(list(map(tuple, csv.reader(io.StringIO(text)))))
-        except csv.Error as e:
-            raise DataError("malformed CSV: %s" % (e,)) from None
-        return cls._from_records(distinct[0], distinct[1:], ids, categories)
+        items, tally, records = _read_csv(text)
+        number = dict(zip(tally, itertools.count()))
+        columns, categories, codes = _coded(records[0], records[1:], _first_row(items, number),
+                                            categories)
+        ids = np.fromiter(map(number.__getitem__, itertools.islice(items, 1, None)), np.int64,
+                          len(items) - 1)
+        return cls(columns, categories, codes[ids])
+
+    @classmethod
+    def tabulate_csv(
+        cls,
+        text: str,
+        categories: Mapping[str, Sequence[str]] | None = None,
+    ) -> "Dataset":
+        """`from_csv(text, categories).tabulate()`, errors included, from the
+        count of each distinct line (or `csv.reader` record): only those are
+        coded, and no per-row array is built.
+        """
+        items, tally, records = _read_csv(text)
+        columns, categories, codes = _coded(records[0], records[1:],
+                                            _first_row(items, tally), categories)
+        counts = np.fromiter(tally.values(), np.int64, len(tally))
+        return cls(columns, categories, codes, counts).tabulate()
 
     def to_csv(self) -> str:
         """Header and rows through `csv.writer`, each distinct row written once
@@ -263,12 +340,12 @@ class Dataset:
 
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """Each stored row's observed rank over every column, and the distinct
-        rows in rank (= code) order."""
+        rows in rank (= code) order, read from one stored row of each rank."""
         ranks, n = _stratum_ids(self, self.columns, np.ones(self.n_rows, dtype=bool),
                                 observed=True)
-        codes = np.empty((n, len(self.columns)), dtype=np.int64)
-        codes[ranks] = self.codes
-        return ranks, codes
+        first = np.empty(n, dtype=np.int64)
+        first[ranks] = np.arange(self.n_rows)
+        return ranks, self.codes[first]
 
     def restrict(self, mask: np.ndarray) -> "Dataset":
         return Dataset(self.columns, self.categories, self.codes[mask], self.counts[mask])
@@ -276,8 +353,9 @@ class Dataset:
     def tabulate(self) -> "Dataset":
         """The count table: the distinct rows in code order, with `counts`.
 
-        Rows are numbered by their observed ranks over every column, which
-        stay below `n_rows` however wide the code space is.
+        Rows are numbered by their observed ranks over every column
+        (`_stratum_ids`), and the key never spans more than `n_rows` times a
+        column's label count, however wide the code space is.
         """
         ranks, codes = self._distinct()
         return Dataset(self.columns, self.categories, codes, _tally(ranks, self.counts, len(codes)))

@@ -89,7 +89,8 @@ class SampleTester:
 
     def __init__(self, data: Dataset, alpha: float, context: str):
         if context not in data.columns:
-            raise DiscoveryError("context column %r not in dataset" % (context,))
+            raise DiscoveryError("context column %r not in dataset; its columns are %s"
+                                 % (context, ", ".join(map(repr, data.columns))))
         if not (0.0 < alpha < 1.0):
             raise DiscoveryError("alpha must be in (0, 1)")
         self._table = data.tabulate()

@@ -64,10 +64,44 @@ def test_ground_truth_report(capsys, tmp_path):
 
 
 def test_ground_truth_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_scm(get_example("intro"))))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(
+        serialize_scm(get_example("intro")).encode())))
     rc, out, _ = invoke(capsys, "ground-truth", "-")
     assert rc == EXIT_OK
     assert json.loads(out)["command"] == "ground-truth"
+
+
+NOT_UTF8 = b"R,X,Y\n0,a\xff,b\n1,b,a\n"
+
+
+def test_a_file_that_is_not_utf8_exits_2_naming_the_flag_and_file(capsys, tmp_path):
+    csv = tmp_path / "latin.csv"
+    csv.write_bytes(NOT_UTF8)
+    rc, out, err = invoke(capsys, "discover", "--data", str(csv), "--alpha", "0.05")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "--data file %r is not UTF-8: " % (str(csv),) in err
+    assert "can't decode byte 0xff in position 9" in err
+
+
+def test_stdin_that_is_not_utf8_exits_2_as_the_file_does(capsys, monkeypatch):
+    # the C locale's UTF-8 mode reads stdin with surrogateescape; the bytes decode strictly
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8",
+                                                      errors="surrogateescape"))
+    rc, out, err = invoke(capsys, "discover", "--data", "-", "--alpha", "0.05")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "--data stdin is not UTF-8: " in err
+    assert "can't decode byte 0xff in position 9" in err
+
+
+def test_stdin_and_file_give_the_same_report(capsys, tmp_path, monkeypatch):
+    text = draw_samples(get_example("intro"), 500, 3).to_csv().replace("\n", "\r\n")
+    csv = tmp_path / "crlf.csv"
+    csv.write_bytes(text.encode())
+    rc, from_file, _ = invoke(capsys, "discover", "--data", str(csv), "--alpha", "0.05")
+    assert rc == EXIT_OK
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode()), newline="\n"))
+    rc, from_stdin, _ = invoke(capsys, "discover", "--data", "-", "--alpha", "0.05")
+    assert (rc, from_stdin) == (EXIT_OK, from_file)
 
 
 def test_out_dir_refuses_overwrite(capsys, tmp_path):
@@ -169,6 +203,14 @@ def test_an_overlong_csv_field_exits_2(capsys, tmp_path):
     assert (rc, out) == (EXIT_USAGE, "")
     assert "malformed CSV: field larger than field limit" in err
     assert "Traceback" not in err
+
+
+def test_a_bom_prefixed_header_names_the_columns_the_dataset_has(capsys, tmp_path):
+    csv = tmp_path / "bom.csv"
+    csv.write_bytes("\ufeffR,X,Y\n0,a,b\n1,b,a\n".encode())
+    rc, out, err = invoke(capsys, "discover", "--data", str(csv), "--alpha", "0.05")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "context column 'R' not in dataset; its columns are '\\ufeffR', 'X', 'Y'" in err
 
 
 def test_duplicate_csv_column_is_named(capsys, tmp_path):

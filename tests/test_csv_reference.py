@@ -1,7 +1,8 @@
 """Distinct-record CSV I/O against its row-by-row reference.
 
 `Dataset.from_csv` must give the reference's columns, categories and codes,
-or its error; `Dataset.to_csv` its bytes.  Two errors changed on purpose: a
+or its error; `Dataset.to_csv` its bytes; `Dataset.tabulate_csv` the count
+table of `from_csv`, or its error.  Two errors changed on purpose: a
 `csv.Error` becomes a `DataError` with the same text, and a `categories`
 mapping without a column raises a `DataError` naming it, not a `KeyError`.
 """
@@ -11,6 +12,7 @@ import io
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import csv_reference as ref
@@ -120,6 +122,40 @@ def categories_for(draw, text):
 def test_from_csv_matches_the_reference(data):
     text = data.draw(st.one_of(written_texts(), raw_texts()))
     assert_from_csv_matches(text, data.draw(categories_for(text)))
+
+
+def assert_tabulate_csv_matches(text, categories=None):
+    """`tabulate_csv` gives `from_csv(...).tabulate()`, or its exception."""
+    old, old_err = outcome(lambda: Dataset.from_csv(text, categories).tabulate())
+    new, new_err = outcome(Dataset.tabulate_csv, text, categories)
+    if old_err is not None:
+        assert new_err is not None, "from_csv raised %r" % (old_err,)
+        assert (type(new_err), str(new_err)) == (type(old_err), str(old_err))
+        return
+    assert new_err is None, "from_csv parsed, tabulate_csv raised %r" % (new_err,)
+    assert new.columns == old.columns
+    assert new.categories == old.categories
+    for a, b in ((new.codes, old.codes), (new.counts, old.counts)):
+        assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_tabulate_csv_is_from_csv_then_tabulate(data):
+    text = data.draw(st.one_of(written_texts(), raw_texts()))
+    assert_tabulate_csv_matches(text, data.draw(categories_for(text)))
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "R,X\n", "R,X", "R,X\r\n", '"R",X\n0,a\n', 'R,X\n0,"a\r\nb"\r\n0,a\r\n',
+    "R,X\n0,a\n1\n1\n", "R,X\n0,a\n0,a,b\n", 'R,X\n0,"a\nb"\n2,c\n1\n1\n',
+    "R,X\n0,a\n0,a\n1,b\n1\n", 'R,"X"\n0,a\n0,a\n1,b\n1\n', 'R,X\n0,"a\nb"\n0,a\n0,a\n1\n',
+])
+@pytest.mark.parametrize("categories", [None, {"R": ("0",), "X": ("a",)}, {"R": ("0", "1")}])
+def test_tabulate_csv_on_fixed_texts(text, categories):
+    assert_tabulate_csv_matches(text, categories)
+    assert_from_csv_matches(text, categories)
 
 
 @st.composite

@@ -2,10 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import csv_reference
+import data_reference as ref
 from csi_graphlab.corpus import get_example
-from csi_graphlab.data import DataError, Dataset
+from csi_graphlab.data import DataError, Dataset, _stratum_ids, _tally
 from csi_graphlab.exact import draw_samples
 
 
@@ -216,3 +218,100 @@ def test_categories_without_a_column_are_named():
 def test_a_csv_parse_error_is_a_data_error(field):
     with pytest.raises(DataError, match=r"^malformed CSV: field larger than field limit"):
         Dataset.from_csv("R,X\n0,%s\n" % field)
+
+
+# --- lazy ranking against the column-at-a-time reference ---
+
+
+def recorded_bincounts(fn, *args):
+    """`fn(*args)`, and the length of every `np.bincount` it returned."""
+    lengths = []
+    bincount = np.bincount
+
+    def recording(*a, **k):
+        out = bincount(*a, **k)
+        lengths.append(len(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "bincount", recording)
+        return fn(*args), lengths
+
+
+def assert_ranking_matches(data, cols, mask):
+    """`_stratum_ids` equals the reference, coded and observed, and no `bincount`
+    of the observed ranking spans more than max(rows, 1) times a label count."""
+    rows = int(mask.sum())
+    widest = max((len(data.labels(c)) for c in cols), default=1)
+    for observed in (False, True):
+        want = ref.stratum_ids(data, cols, mask, observed)
+        (ids, n), lengths = recorded_bincounts(_stratum_ids, data, cols, mask, observed)
+        assert n == want[1]
+        assert ids.dtype == want[0].dtype and np.array_equal(ids, want[0])
+        assert all(k <= max(rows, 1) * widest for k in lengths)
+        assert observed or not lengths
+
+
+def assert_table_matches(data):
+    want_ranks, want_rows = ref.distinct(data)
+    (ranks, rows), lengths = recorded_bincounts(data._distinct)
+    assert np.array_equal(ranks, want_ranks) and ranks.dtype == want_ranks.dtype
+    assert rows.shape == want_rows.shape and np.array_equal(rows, want_rows)
+    widest = max((len(data.labels(c)) for c in data.columns), default=1)
+    assert all(k <= max(data.n_rows, 1) * widest for k in lengths)
+    table = data.tabulate()
+    assert np.array_equal(table.codes, want_rows)
+    assert table.counts.dtype == np.int64
+    assert np.array_equal(table.counts, _tally(want_ranks, data.counts, len(want_rows)))
+
+
+def coded(rng, rows, sizes, counts=False):
+    columns = tuple("C%d" % j for j in range(len(sizes)))
+    cats = {c: tuple(map(str, range(k))) for c, k in zip(columns, sizes)}
+    codes = np.array([rng.integers(0, k, rows) for k in sizes], dtype=np.int64).T
+    weights = rng.integers(1, 5, rows) if counts else None
+    return Dataset(columns, cats, codes.reshape(rows, len(sizes)), weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40),
+       sizes=st.lists(st.sampled_from((1, 2, 3, 7, 50)), max_size=5),
+       picks=st.lists(st.integers(0, 4), max_size=5, unique=True),
+       masked=st.booleans(), counts=st.booleans())
+def test_ranking_matches_the_column_at_a_time_reference(seed, rows, sizes, picks, masked,
+                                                         counts):
+    rng = np.random.default_rng(seed)
+    data = coded(rng, rows, sizes, counts)
+    cols = tuple(data.columns[j] for j in picks if j < len(sizes))
+    mask = rng.random(rows) < 0.6 if masked else np.ones(rows, dtype=bool)
+    assert_ranking_matches(data, cols, mask)
+    assert_ranking_matches(data, data.columns, mask)
+    assert_table_matches(data)
+
+
+@pytest.mark.parametrize("rows, sizes", [
+    (0, (3, 4)),  # no rows
+    (0, ()),  # no rows and no columns
+    (5, ()),  # no columns
+    (20, (50, 50, 50)),  # every column takes the code space past the rows
+    (7, (2, 1, 5, 2)),
+])
+def test_ranking_matches_the_reference_on_edge_shapes(rows, sizes):
+    rng = np.random.default_rng(rows + len(sizes))
+    data = coded(rng, rows, sizes, counts=True)
+    for mask in (np.ones(rows, dtype=bool), np.arange(rows) % 3 == 1):
+        assert_ranking_matches(data, data.columns, mask)
+        assert_ranking_matches(data, data.columns[::-1], mask)
+    assert_table_matches(data)
+
+
+def test_ranking_stays_within_rows_times_labels_on_wide_columns():
+    # 2,000 rows over X, Y (2 labels each) and A, B (3,000 labels each)
+    rng = np.random.default_rng(51)
+    data = coded(rng, 2000, (2, 2, 3000, 3000))
+    assert_ranking_matches(data, ("C0", "C1", "C2", "C3"), np.ones(2000, bool))
+    assert_ranking_matches(data, ("C2", "C3"), data.column("C0") == 1)
+    assert_table_matches(data)
+    (_, n), lengths = recorded_bincounts(_stratum_ids, data, data.columns,
+                                         np.ones(2000, bool), True)
+    assert n == 2000 and max(lengths) <= 2000 * 3000
