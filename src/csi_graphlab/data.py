@@ -2,11 +2,13 @@
 
 Each row carries an integer multiplicity in `counts`: 1 for samples as
 drawn or read, more in the count table `Dataset.tabulate` builds.
-`_stratum_ids` numbers the rows by the value tuples of some columns: the
-count table, the transfer test and `to_csv` number their cells with it, and
-the G-test's table builder ranks many queries' strata by the same rule.  It
-reads runs of adjacent columns in one pass and renumbers codes to ranks
-only when the code space would pass the row count, and once at the end.
+`_ranks` is the one ranker of value tuples: it numbers rows by the ranks,
+in code order, of the tuples they show.  The count table and `to_csv` rank
+whole rows with it, and the G-test's table builder ranks many queries'
+strata.  It keys runs of adjacent columns with one product, renumbers to
+ranks only where the id space would pass the row count, and once at the
+end, and ranks by a sort where a `bincount` would outgrow the rows, so its
+memory stays O(rows).
 
 CSV I/O does its per-record work once per distinct record: `from_csv`
 parses and codes each distinct line (or `csv.reader` record) once and
@@ -49,55 +51,48 @@ def _categories_of(categories: Mapping[str, Sequence[str]], column: str) -> Sequ
         raise DataError("categories name no labels for column %r" % (column,)) from None
 
 
-def _stratum_ids(
-    data: "Dataset", cols: tuple[str, ...], mask: np.ndarray, observed: bool = False
-) -> tuple[np.ndarray, int]:
-    """Mixed-radix code of the `cols` values of each masked row, and the
-    number of codes (all codes 0 and one code if no cols).
+def _ranks(parts: Iterable[tuple[np.ndarray, Sequence[int]]], rows: int) -> tuple[np.ndarray, int]:
+    """The rank of each row's value tuple among the tuples the `rows` rows
+    show, in code order, and the number of ranks (none over no rows, one
+    over no columns).
 
-    With `observed`, the codes are renumbered to their ranks among the codes
-    the masked rows show, which keeps the code order and counts only the
-    value tuples that occur (none over no rows).  The renumbering runs once
-    at the end, and before any column that would take the code space past
-    max(rows, 1), so no `bincount` spans more than max(rows, 1) times a
-    column's label count.  Adjacent columns keyed between renumberings are
-    read in one product with their radix weights.
+    `parts` gives the tuple's positions most significant first, in groups of
+    adjacent columns: pairs of a (rows, k) code matrix and its k label counts,
+    read one at a time.  Each group is keyed with one matrix product, split
+    only before a position that would take the id space past max(rows, 1):
+    the ids are renumbered to their ranks there, and once at the end.
     """
-    ids = np.zeros(int(mask.sum()), dtype=np.int64)
-    rows = slice(None) if mask.all() else mask
-    bound = max(len(ids), 1)
-    n = min(1, len(ids)) if observed else 1
-    run: list[int] = []  # adjacent column positions not yet keyed into ids
-    for c in cols:
-        size = len(data.labels(c))
-        j = data.columns.index(c)
-        if observed and n * size > bound:
-            ids, n = _ranked(_keyed(ids, data, rows, run), n)
-            run = []
-        elif run and j != run[-1] + 1:
-            ids = _keyed(ids, data, rows, run)
-            run = []
-        run.append(j)
-        n *= size
-    ids = _keyed(ids, data, rows, run)
-    return _ranked(ids, n) if observed else (ids, n)
+    ids = np.zeros(rows, dtype=np.int64)
+    n, bound = min(1, rows), max(rows, 1)
+    for codes, sizes in parts:
+        start = 0  # the group's first column not yet keyed into ids
+        for j, size in enumerate(sizes):
+            if n * size > bound:
+                ids, n = _ranked(_keyed(ids, codes[:, start:j], sizes[start:j]), n)
+                start = j
+            n *= size
+        ids = _keyed(ids, codes[:, start:], sizes[start:])
+    return _ranked(ids, n)
 
 
-def _keyed(ids: np.ndarray, data: "Dataset", rows, run: list[int]) -> np.ndarray:
-    """`ids` extended by the mixed-radix code of the adjacent columns at
-    positions `run` in the `rows` (a mask or every row)."""
-    if not run:
+def _keyed(ids: np.ndarray, codes: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """`ids` extended by the mixed-radix code of the columns of `codes`,
+    whose label counts are `sizes`."""
+    if not sizes:
         return ids
-    sizes = [len(data.categories[data.columns[j]]) for j in run]
-    if len(run) == 1:  # an int64 product's fixed cost is not repaid by one column
-        return ids * sizes[0] + data.codes[rows, run[0]]
+    if len(sizes) == 1:  # an int64 product's fixed cost is not repaid by one column
+        return ids * sizes[0] + codes[:, 0]
     radix = np.cumprod([1, *sizes[:0:-1]], dtype=np.int64)[::-1]
-    return ids * math.prod(sizes) + data.codes[rows, run[0]:run[-1] + 1] @ radix
+    return ids * math.prod(sizes) + codes @ radix
 
 
 def _ranked(ids: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Each of `ids` (codes in range(n)) renumbered to its rank among them,
-    and the number of ranks."""
+    and the number of ranks: by a `bincount` over range(n), or by a sort once
+    n passes 16 codes per id, so memory stays O(len(ids))."""
+    if n > 16 * len(ids):
+        present, ranks = np.unique(ids, return_inverse=True)
+        return ranks, len(present)
     present = np.bincount(ids, minlength=n) > 0
     return (np.cumsum(present) - 1)[ids], int(np.count_nonzero(present))
 
@@ -339,10 +334,11 @@ class Dataset:
         return header + "".join(map(distinct_lines.__getitem__, ranks.tolist()))
 
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each stored row's observed rank over every column, and the distinct
-        rows in rank (= code) order, read from one stored row of each rank."""
-        ranks, n = _stratum_ids(self, self.columns, np.ones(self.n_rows, dtype=bool),
-                                observed=True)
+        """Each stored row's rank over every column (`_ranks` of the whole code
+        matrix as one group), and the distinct rows in rank (= code) order,
+        read from one stored row of each rank."""
+        ranks, n = _ranks([(self.codes, [len(self.categories[c]) for c in self.columns])],
+                          self.n_rows)
         first = np.empty(n, dtype=np.int64)
         first[ranks] = np.arange(self.n_rows)
         return ranks, self.codes[first]
@@ -353,9 +349,8 @@ class Dataset:
     def tabulate(self) -> "Dataset":
         """The count table: the distinct rows in code order, with `counts`.
 
-        Rows are numbered by their observed ranks over every column
-        (`_stratum_ids`), and the key never spans more than `n_rows` times a
-        column's label count, however wide the code space is.
+        Rows are numbered by their ranks over every column (`_ranks`), in
+        O(`n_rows`) memory however wide the code space is.
         """
         ranks, codes = self._distinct()
         return Dataset(self.columns, self.categories, codes, _tally(ranks, self.counts, len(codes)))

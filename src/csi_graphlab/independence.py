@@ -12,13 +12,14 @@ an integer stack of shape (K, S, nx, ny), K tests of S strata each, with
 each test's count of real strata (the rest zero padding), and returns K
 verdicts from array operations alone.  Its tables come from one builder,
 `g_test_tables`, which counts the tables of many queries together: it ranks
-the observed z value tuples of every query at once, in code order, and sums
-the dataset's `counts` per (query, stratum, x, y) cell of one zero-padded
-stack with one `data._tally` per block of at most `_PAIR_BUDGET` (query,
-row) pairs and stack cells.  So the count table (`Dataset.tabulate`) gives
-the same tables as the rows it compresses, at a fraction of the rows to
-scan.  `g_test` passes the one table of its query (K = 1); the transfer
-test passes its replicates in chunks of bounded size.
+the (query, z value tuple) of every (query, row) pair at once with
+`data._ranks`, the ranker the count table uses, so strata run in code order
+in O(pairs) memory, and sums the dataset's `counts` per (query, stratum, x,
+y) cell of one zero-padded stack with one `data._tally` per block of at
+most `_PAIR_BUDGET` (query, row) pairs and stack cells.  So the count table
+(`Dataset.tabulate`) gives the same tables as the rows it compresses, at a
+fraction of the rows to scan.  `g_test` passes the one table of its query
+(K = 1); the transfer test passes its replicates in chunks of bounded size.
 
 Separating sets are searched for by the testers alone: `first_separators`
 takes searches `(x, y, sets, regimes)`, sets in order (usually from
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .data import DataError, Dataset, _tally
+from .data import DataError, Dataset, _ranks, _tally
 from .exact import JointPmf, SolvedModel, first_dependence
 
 __all__ = [
@@ -305,12 +306,12 @@ def g_test_tables(
 def _block_tables(data, index, block, rows_of, nx, ny) -> tuple[np.ndarray, np.ndarray]:
     """`g_test_tables` of one block, from one `_tally` over its (query, row) pairs.
 
-    Each pair carries the rank of its stratum among the block's strata,
-    which run query by query and, within a query, in code order: the ranks
-    are renumbered after each z column, as `data._stratum_ids` does for one
-    query, so no rank passes the block's pairs.  A pair's cell in the stack
-    is ((k * S + local stratum) * nx + x) * ny + y, nx and ny the block's
-    largest label counts of x and y.
+    Each pair carries the rank of its stratum among the block's strata: the
+    `data._ranks` of its (query, z_1, z_2, ...) tuple, each column gathered
+    only when the ranker reads it, with code 0 where a query has no j-th z
+    column.  So strata run query by query and, within a query, in code
+    order.  A pair's cell in the stack is ((k * S + local stratum) * nx + x)
+    * ny + y, nx and ny the block's largest label counts of x and y.
     """
     lengths = [len(rows_of[q.regime]) for q in block]
     rows = np.concatenate([rows_of[q.regime] for q in block])
@@ -321,18 +322,18 @@ def _block_tables(data, index, block, rows_of, nx, ny) -> tuple[np.ndarray, np.n
     def codes(names):
         return flat[at + np.array([index.get(c, 0) for c in names])[which]]
 
-    ranks = which
-    query_of = np.arange(len(block))  # the query of each stratum
-    for j in range(max(len(q.z) for q in block)):
-        names = [q.z[j] if j < len(q.z) else None for q in block]
-        radix = max(len(data.labels(c)) for c in names if c is not None)
-        code = codes(names)
-        if None in names:  # a query without a j-th z column reads code 0
-            code *= np.array([c is not None for c in names])[which]
-        key = ranks * radix + code
-        present = np.bincount(key) > 0
-        ranks = (np.cumsum(present) - 1)[key]
-        query_of = query_of[np.flatnonzero(present) // radix]
+    def parts():
+        yield which[:, None], (len(block),)
+        for j in range(max(len(q.z) for q in block)):
+            names = [q.z[j] if j < len(q.z) else None for q in block]
+            code = codes(names)
+            if None in names:
+                code *= np.array([c is not None for c in names])[which]
+            yield code[:, None], (max(len(data.labels(c)) for c in names if c is not None),)
+
+    ranks, n = _ranks(parts(), len(which))
+    query_of = np.empty(n, dtype=np.int64)  # the query of each stratum
+    query_of[ranks] = which
     strata = np.bincount(query_of, minlength=len(block))
     local = ranks - (np.cumsum(strata) - strata)[which]
     shape = (len(block), int(strata.max()), nx, ny)

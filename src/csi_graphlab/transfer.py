@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Dataset, _stratum_ids, _tally
+from .data import DataError, Dataset, _tally
 from .independence import CiQuery, g_test, g_test_from_tables
 from .rng import replicate_generators
 
@@ -139,7 +139,10 @@ def transfer_evidence(
             "per replicate table" % (", ".join((*z, x, y)), table_cells, _TABLE_BUDGET)
         )
     # every (z, x) code, seen or not: the replicate draws depend on the layout
-    ids, n_cells = _stratum_ids(data, (*z, x), np.ones(data.n_rows, dtype=bool))
+    ids = np.zeros(data.n_rows, dtype=np.int64)
+    for c in (*z, x):
+        ids = ids * len(data.labels(c)) + data.column(c)
+    n_cells = table_cells // n_y
     n_strata = n_cells // n_x
 
     cell_counts = _tally(ids[in_r0], data.counts[in_r0], n_cells)

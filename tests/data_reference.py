@@ -1,9 +1,10 @@
-"""Column-at-a-time references for `data._stratum_ids` and `Dataset._distinct`.
+"""Column-at-a-time references for `data._ranks` and `Dataset._distinct`.
 
 Verbatim copies of the ranking that lazy renumbering replaced: with
 `observed`, the codes are renumbered to their ranks after every column, and
 `_distinct` scatters the whole code matrix into the distinct rows.  Tests
-compare the package with them on ranks, counts and distinct rows.
+compare the package with them on ranks, counts and distinct rows, and
+`discovery_reference.g_test_table` ranks its strata with `stratum_ids`.
 """
 
 from __future__ import annotations

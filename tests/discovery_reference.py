@@ -9,8 +9,10 @@ searches.  Tests compare the package with them on hits, skeletons,
 certificates and the queries each tester decides.
 
 `g_test_table` is the per-query table builder that `g_test_tables`
-replaced, kept verbatim: tests require its table to be the unpadded slice
-of the query's zero-padded block.
+replaced, kept verbatim but for its ranker: it ranks strata with the
+column-at-a-time `data_reference.stratum_ids`, not the package's `_ranks`.
+Tests require its table to be the unpadded slice of the query's
+zero-padded block.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
+import data_reference
 from csi_graphlab import discovery, independence
-from csi_graphlab.data import DataError, Dataset, _stratum_ids, _tally
+from csi_graphlab.data import DataError, Dataset, _tally
 from csi_graphlab.discovery import (
     DEFAULT_MAX_SUBSETS,
     DiscoveryError,
@@ -90,7 +93,7 @@ def g_test_table(data: Dataset, q: CiQuery, context: str | None = None) -> np.nd
     nx = len(data.labels(q.x))
     ny = len(data.labels(q.y))
     # one stratum per z value tuple the rows show: at most rows * nx * ny cells
-    ranks, n_strata = _stratum_ids(data, q.z, mask, observed=True)
+    ranks, n_strata = data_reference.stratum_ids(data, q.z, mask, observed=True)
     counts = _tally((ranks * nx + x) * ny + y, data.counts[mask], n_strata * nx * ny)
     return counts.reshape(n_strata, nx, ny)
 

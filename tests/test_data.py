@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import csv_reference
 import data_reference as ref
+import discovery_reference
 from csi_graphlab.corpus import get_example
-from csi_graphlab.data import DataError, Dataset, _stratum_ids, _tally
+from csi_graphlab.data import DataError, Dataset, _ranks, _tally
 from csi_graphlab.exact import draw_samples
+from csi_graphlab.independence import CiQuery, g_test, g_test_from_tables
 
 
 def small():
@@ -220,7 +223,7 @@ def test_a_csv_parse_error_is_a_data_error(field):
         Dataset.from_csv("R,X\n0,%s\n" % field)
 
 
-# --- lazy ranking against the column-at-a-time reference ---
+# --- the ranker against the column-at-a-time reference ---
 
 
 def recorded_bincounts(fn, *args):
@@ -238,18 +241,34 @@ def recorded_bincounts(fn, *args):
         return fn(*args), lengths
 
 
+def parts_of(data, cols, mask, grouped):
+    """The masked rows' `cols` as `_ranks` parts: runs of adjacent columns
+    if `grouped`, as `Dataset._distinct` passes them, else one column each,
+    as the G-test's table builder does."""
+    codes = data.codes[mask]
+    runs = []
+    for j in map(data.columns.index, cols):
+        if grouped and runs and j == runs[-1][-1] + 1:
+            runs[-1].append(j)
+        else:
+            runs.append([j])
+    return [(codes[:, r[0]:r[-1] + 1], [len(data.labels(data.columns[j])) for j in r])
+            for r in runs]
+
+
 def assert_ranking_matches(data, cols, mask):
-    """`_stratum_ids` equals the reference, coded and observed, and no `bincount`
-    of the observed ranking spans more than max(rows, 1) times a label count."""
+    """`_ranks` equals the reference's observed ranks, with `cols` in runs of
+    adjacent columns and one at a time, and no `bincount` spans more than
+    max(rows, 1) times a label count, or 16 times max(rows, 1)."""
     rows = int(mask.sum())
     widest = max((len(data.labels(c)) for c in cols), default=1)
-    for observed in (False, True):
-        want = ref.stratum_ids(data, cols, mask, observed)
-        (ids, n), lengths = recorded_bincounts(_stratum_ids, data, cols, mask, observed)
+    want = ref.stratum_ids(data, cols, mask, observed=True)
+    for grouped in (True, False):
+        (ids, n), lengths = recorded_bincounts(_ranks, parts_of(data, cols, mask, grouped), rows)
         assert n == want[1]
         assert ids.dtype == want[0].dtype and np.array_equal(ids, want[0])
         assert all(k <= max(rows, 1) * widest for k in lengths)
-        assert observed or not lengths
+        assert all(k <= 16 * max(rows, 1) for k in lengths)
 
 
 def assert_table_matches(data):
@@ -312,6 +331,31 @@ def test_ranking_stays_within_rows_times_labels_on_wide_columns():
     assert_ranking_matches(data, ("C0", "C1", "C2", "C3"), np.ones(2000, bool))
     assert_ranking_matches(data, ("C2", "C3"), data.column("C0") == 1)
     assert_table_matches(data)
-    (_, n), lengths = recorded_bincounts(_stratum_ids, data, data.columns,
-                                         np.ones(2000, bool), True)
+    parts = parts_of(data, data.columns, np.ones(2000, bool), grouped=True)
+    (_, n), lengths = recorded_bincounts(_ranks, parts, 2000)
     assert n == 2000 and max(lengths) <= 2000 * 3000
+
+
+def test_wide_labels_are_ranked_in_memory_bounded_by_the_rows():
+    # 2,000 rows over X, Y (2 labels each) and A, B (3,000 labels each): ranking by
+    # bincount over the key space peaked at 70.8 MiB in g_test and 90.0 MiB in tabulate
+    rng = np.random.default_rng(51)
+    sizes = {"X": 2, "Y": 2, "A": 3000, "B": 3000}
+    codes = np.array([rng.integers(0, k, 2000) for k in sizes.values()]).T
+    data = Dataset(tuple(sizes), {c: tuple(map(str, range(k))) for c, k in sizes.items()}, codes)
+    q = CiQuery("X", "Y", ("A", "B"))
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    verdict, g_peak = peak(lambda: g_test(data, q, 0.05))
+    table, table_peak = peak(data.tabulate)
+    assert g_peak < 4 << 20 and table_peak < 4 << 20, (g_peak, table_peak)
+    assert verdict == g_test_from_tables(discovery_reference.g_test_table(data, q)[None], 0.05)[0]
+    want_ranks, want_rows = ref.distinct(data)
+    assert np.array_equal(table.codes, want_rows)
+    assert np.array_equal(table.counts, _tally(want_ranks, data.counts, len(want_rows)))

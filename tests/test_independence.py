@@ -16,7 +16,7 @@ import csi_graphlab
 import discovery_reference as ref
 from csi_graphlab import discovery, independence
 from csi_graphlab.corpus import get_example, list_examples
-from csi_graphlab.data import Dataset, _stratum_ids
+from csi_graphlab.data import Dataset, _ranks
 from csi_graphlab.discovery import SampleTester, detect_graph, skeleton_masked, skeleton_pooled
 from csi_graphlab.exact import SolvedModel, draw_samples, joint_pmf
 from csi_graphlab.independence import (
@@ -405,16 +405,23 @@ def test_g_test_matches_the_per_table_loop_on_sampled_rows(data, z, pooled):
     assert _bits(got.independent, got.p_value, got.statistic, got.warning) == _bits(*want)
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=small_datasets(), z=st.sampled_from(((), ("Z1",), ("Z1", "Z2"), ("X", "Z2", "Z1"))))
-def test_observed_stratum_ids_are_ranks_of_the_codes(data, z):
-    mask = data.column("R") == 0
-    codes, n_codes = _stratum_ids(data, z, mask)
-    ranks, n_ranks = _stratum_ids(data, z, mask, observed=True)
-    assert n_codes == math.prod(len(data.labels(c)) for c in z)
-    present, want = np.unique(codes, return_inverse=True)
-    assert n_ranks == len(present)
-    assert np.array_equal(ranks, want)
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40),
+       sizes=st.lists(st.one_of(st.integers(1, 5), st.integers(1, 5000)), max_size=4),
+       split=st.integers(0, 4))
+def test_ranks_are_ranks_of_the_mixed_radix_codes(seed, rows, sizes, split):
+    # up to 5,000 labels over at most 40 rows: both the bincount and the sort ranking run
+    rng = np.random.default_rng(seed)
+    codes = np.array([rng.integers(0, k, rows) for k in sizes], dtype=np.int64)
+    codes = codes.T.reshape(rows, len(sizes))
+    ranks, n = _ranks([(codes[:, :split], sizes[:split]), (codes[:, split:], sizes[split:])],
+                      rows)
+    mixed = np.zeros(rows, dtype=np.int64)
+    for j, k in enumerate(sizes):
+        mixed = mixed * k + codes[:, j]
+    present, want = np.unique(mixed, return_inverse=True)
+    assert n == len(present)
+    assert ranks.dtype == np.int64 and np.array_equal(ranks, want)
 
 
 # --- the count table against the raw rows ---

@@ -276,15 +276,16 @@ def wide_data(z_labels):
 def test_code_space_over_the_table_budget_is_rejected_before_allocating(monkeypatch):
     data = wide_data(103)  # 103 * 103 * 10 * 10 = 1,060,900 cells
     cfg = TransferConfig(K=2, N=100, alpha=0.05, seed=1)
-    real = transfer._stratum_ids
+    real = transfer._tally
 
     def no_allocation(*args, **kwargs):
         raise AssertionError("arrays sized before the budget check")
 
-    monkeypatch.setattr(transfer, "_stratum_ids", no_allocation)
+    # _tally builds the first array sized by the code space
+    monkeypatch.setattr(transfer, "_tally", no_allocation)
     with pytest.raises(TransferError, match=r"Z0, Z1, X, Y has 1060900 cells.*_TABLE_BUDGET"):
         transfer_evidence(data, "X", "Y", ("Z0", "Z1"), "0", cfg, context="R")
-    monkeypatch.setattr(transfer, "_stratum_ids", real)
+    monkeypatch.setattr(transfer, "_tally", real)
     under = wide_data(102)  # 1,040,400 cells
     verdict = transfer_evidence(under, "X", "Y", ("Z0", "Z1"), "0", cfg, context="R")
     assert len(verdict.details["per_replicate_p_values"]) == 2
