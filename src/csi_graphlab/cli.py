@@ -2,10 +2,12 @@
 
 One executable, seven subcommands: exact ground-truth graphs, skeleton
 discovery (exact or sampled), edge-change classification, the bootstrap
-transfer test, dataset sampling, the law suite, and corpus access.  Every
-run emits a single structured JSON document (sorted keys, embedded DOT
-text) so scripts and tests share one parser; `--out DIR` additionally
-materializes the per-graph DOT files and CSV tables.  Outputs are
+transfer test, dataset sampling, the law suite, and corpus access.  Each
+subcommand returns its files in order, and `main` delivers them in one
+place: stdout prints the first (a JSON report with sorted keys and embedded
+DOT text, the samples CSV, the corpus list or a model), and `--out DIR`
+writes them all, the per-graph DOT files and CSV tables included.  Reports
+carry the library's tuples and dataclasses as they are.  Outputs are
 byte-stable for fixed inputs and seeds.
 
 Exit codes: 0 success, 2 validation error, 3 law-check failure.
@@ -35,7 +37,7 @@ from .discovery import (
     skeleton_pooled,
     union_from_contexts,
 )
-from .exact import SolvedModel, draw_samples, solve_all
+from .exact import SolvedModel, draw_samples
 from .graph_objects import ground_truth, union_graph
 from .graphs import DirectedGraph, UndirectedSkeleton, acyclify
 from .laws import DEFAULT_CHECKS, RandomModelSpec, Requirements, run_suite
@@ -86,15 +88,19 @@ def _json_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _deliver(args, files: dict[str, str], stdout_name: str) -> None:
-    """Print one file to stdout, or write all of them under --out.
+def _deliver(args, files: dict[str, str]) -> None:
+    """Print the first file to stdout, or write all of them under --out.
 
-    Existing files abort the whole run before anything is written unless
-    --force is set.
+    A name that is not a plain file name (a context label can put a '/'
+    into one), and existing files unless --force is set, abort the whole
+    run before anything is created or written.
     """
     if args.out is None:
-        sys.stdout.write(files[stdout_name])
+        sys.stdout.write(next(iter(files.values())))
         return
+    for name in files:
+        if name in (".", "..") or "\0" in name or Path(name).name != name:
+            raise CliError("cannot write %r under --out: not a plain file name" % (name,))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if not args.force:
@@ -127,11 +133,7 @@ def _load_model(path: str, flag: str) -> SolvedModel:
     return SolvedModel.of(load_scm(_read_source(path, flag)))
 
 
-def _pairs(skel: UndirectedSkeleton) -> list[list[str]]:
-    return [list(p) for p in skel.sorted_pairs()]
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
     """Header and rows in the dialect of `Dataset.to_csv`."""
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([header, *rows])
@@ -144,7 +146,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 _FAMILIES = ("descriptive", "physical", "counterfactual", "ident")
 
 
-def _cmd_ground_truth(args) -> int:
+def _cmd_ground_truth(args) -> tuple[dict[str, str], int]:
     gt = ground_truth(_load_model(args.scm, "model"))
 
     dots = {
@@ -163,7 +165,7 @@ def _cmd_ground_truth(args) -> int:
             all_edges |= getattr(rg, fam).edges
     table = [
         {
-            "edge": list(e),
+            "edge": e,
             "mechanism": e in gt.mechanism.edges,
             "union": e in gt.union.edges,
             **{
@@ -177,21 +179,18 @@ def _cmd_ground_truth(args) -> int:
     doc = {
         "command": "ground-truth",
         "context": gt.context,
-        "regimes": list(gt.regimes),
+        "regimes": gt.regimes,
         "weakly_regime_acyclic": gt.weakly_regime_acyclic,
         "strongly_regime_acyclic": gt.strongly_regime_acyclic,
         "edges": table,
         "dot": dots,
     }
-    files = {"report.json": _json_doc(doc)}
-    files.update(dots)
-    _deliver(args, files, "report.json")
-    return EXIT_OK
+    return {"report.json": _json_doc(doc), **dots}, EXIT_OK
 
 
 # --- discover ------------------------------------------------------------------------
 
-def _cmd_discover(args) -> int:
+def _cmd_discover(args) -> tuple[dict[str, str], int]:
     if args.exact is not None:
         for flag, value in (("--alpha", args.alpha), ("--context", args.context)):
             if value is not None:
@@ -207,14 +206,14 @@ def _cmd_discover(args) -> int:
         tester = SampleTester(data, args.alpha, context)
         mode = "sample"
 
-    regimes = list(tester.regimes)
+    regimes = tester.regimes
     if args.regime is not None:
         if args.regime not in tester.regimes:
             raise CliError(
                 "--regime %r is not an observed context value (have: %s)"
                 % (args.regime, ", ".join(tester.regimes))
             )
-        regimes = [args.regime]
+        regimes = (args.regime,)
 
     certs: list = []
     pooled = skeleton_pooled(tester, certificates=certs)
@@ -226,9 +225,9 @@ def _cmd_discover(args) -> int:
         inter = intersection_graph(pooled, masked, tester.context)
         detect_by_regime[r] = det
         per_regime[r] = {
-            "masked": _pairs(masked),
-            "detect": _pairs(det),
-            "intersection": _pairs(inter),
+            "masked": masked.sorted_pairs(),
+            "detect": det.sorted_pairs(),
+            "intersection": inter.sorted_pairs(),
         }
     reunion = union_from_contexts(detect_by_regime, pooled, tester.context)
 
@@ -241,33 +240,20 @@ def _cmd_discover(args) -> int:
         "command": "discover",
         "mode": mode,
         "context": tester.context,
-        "nodes": list(tester.variables),
+        "nodes": tester.variables,
         "regimes": regimes,
-        "observed_regimes": list(tester.regimes),
-        "pooled_skeleton": _pairs(pooled),
+        "observed_regimes": tester.regimes,
+        "pooled_skeleton": pooled.sorted_pairs(),
         "per_regime": per_regime,
-        "union_reconstruction": _pairs(reunion),
-        "certificates": [
-            {
-                "x": c.x,
-                "y": c.y,
-                "z": list(c.z),
-                "regime": c.regime,
-                "method": c.method,
-                "p_value": c.p_value,
-            }
-            for c in certs
-        ],
+        "union_reconstruction": reunion.sorted_pairs(),
+        # each certificate's own fields; asdict would deep-copy every record
+        "certificates": [vars(c) for c in certs],
         "dot": dots,
     }
     if mode == "exact":
         # oracle orientations, so classify --mode oriented has a pooled graph to work from
-        doc["union_directed"] = [list(e) for e in union_graph(solved).sorted_edges()]
-
-    files = {"report.json": _json_doc(doc)}
-    files.update(dots)
-    _deliver(args, files, "report.json")
-    return EXIT_OK
+        doc["union_directed"] = union_graph(solved).sorted_edges()
+    return {"report.json": _json_doc(doc), **dots}, EXIT_OK
 
 
 # --- classify ------------------------------------------------------------------------
@@ -289,7 +275,7 @@ def _require_pairs(doc: dict, key: str, where: str) -> list[tuple[str, str]]:
     return [tuple(p) for p in value]
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict[str, str], int]:
     where = "discovery report %r" % args.report
     doc = _json_object(args.report, "report", where)
 
@@ -320,7 +306,6 @@ def _cmd_classify(args) -> int:
     report = classify_changes(
         pooled, detect, mode=args.mode, context=context, regimes=sorted(detect)
     )
-    rows = report.rows()
     out_doc = {
         "command": "classify",
         "mode": report.mode,
@@ -331,24 +316,20 @@ def _cmd_classify(args) -> int:
             r: [{k: v for k, v in asdict(c).items() if k != "regime"} for c in items]
             for r, items in report.changes.items()
         },
-        "violations": {
-            r: [list(p) for p in pairs_] for r, pairs_ in report.violations.items()
-        },
+        "violations": report.violations,
     }
-    files = {
+    return {
         "report.json": _json_doc(out_doc),
         "changes.csv": _csv_text(
             ["regime", "tail", "head", "classification", "rule", "justification"],
-            [list(row) for row in rows],
+            report.rows(),
         ),
-    }
-    _deliver(args, files, "report.json")
-    return EXIT_OK
+    }, EXIT_OK
 
 
 # --- transfer-test -------------------------------------------------------------------
 
-def _cmd_transfer_test(args) -> int:
+def _cmd_transfer_test(args) -> tuple[dict[str, str], int]:
     data = Dataset.tabulate_csv(_read_source(args.csv, "data"))
     z = tuple(t for t in (args.z or "").split(",") if t)
     cfg = TransferConfig(
@@ -363,15 +344,12 @@ def _cmd_transfer_test(args) -> int:
         context=args.context, pooled_null=args.pooled_null,
     )
     details = dict(verdict.details)
-    p_values = list(details.pop("per_replicate_p_values"))
-    replicate_rows = [
-        [k, p, p < cfg.alpha] for k, p in enumerate(p_values)
-    ]
+    p_values = details.pop("per_replicate_p_values")
     doc = {
         "command": "transfer-test",
         "x": args.x,
         "y": args.y,
-        "z": list(z),
+        "z": z,
         "r0": args.r0,
         "context": args.context,
         "config": {**asdict(cfg), "pooled_null": args.pooled_null},
@@ -380,30 +358,24 @@ def _cmd_transfer_test(args) -> int:
         "evidence_physical": verdict.evidence_physical,
         "details": details,
         "replicates": [
-            {"index": k, "p_value": p, "rejects_null": bool(rej)}
-            for k, p, rej in replicate_rows
+            {"index": k, "p_value": p, "rejects_null": p < cfg.alpha}
+            for k, p in enumerate(p_values)
         ],
     }
-    files = {
+    return {
         "report.json": _json_doc(doc),
         "replicates.csv": _csv_text(
             ["replicate", "p_value", "rejects_null"],
-            [[k, p, str(bool(rej)).lower()] for k, p, rej in replicate_rows],
+            [(k, p, str(p < cfg.alpha).lower()) for k, p in enumerate(p_values)],
         ),
-    }
-    _deliver(args, files, "report.json")
-    return EXIT_OK
+    }, EXIT_OK
 
 
 # --- sample --------------------------------------------------------------------------
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> tuple[dict[str, str], int]:
     s = load_scm(_read_source(args.scm, "model"))
-    table = solve_all(s)
-    data = draw_samples(s, args.n, _resolve_seed(args.seed), table)
-    files = {"samples.csv": data.to_csv()}
-    _deliver(args, files, "samples.csv")
-    return EXIT_OK
+    return {"samples.csv": draw_samples(s, args.n, _resolve_seed(args.seed)).to_csv()}, EXIT_OK
 
 
 # --- verify --------------------------------------------------------------------------
@@ -436,7 +408,7 @@ def _spec_from_file(path: str) -> RandomModelSpec:
     return RandomModelSpec(**kwargs)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict[str, str], int]:
     spec = _spec_from_file(args.spec) if args.spec else RandomModelSpec()
     # no flag and no environment variable: the spec's own seed
     seed = _resolve_seed(args.seed, default=None)
@@ -454,7 +426,7 @@ def _cmd_verify(args) -> int:
                 fixture_failures.append({
                     "fixture": name,
                     "check": res.name,
-                    "witnesses": [dict(w) for w in res.witnesses],
+                    "witnesses": res.witnesses,
                 })
         fixture_results[name] = statuses
 
@@ -467,25 +439,21 @@ def _cmd_verify(args) -> int:
         "fixture_failures": fixture_failures,
         "suite": summary.to_dict(),
     }
-    _deliver(args, {"report.json": _json_doc(doc)}, "report.json")
-    return EXIT_OK if ok else EXIT_LAW_FAILURE
+    return {"report.json": _json_doc(doc)}, EXIT_OK if ok else EXIT_LAW_FAILURE
 
 
 # --- corpus --------------------------------------------------------------------------
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args) -> tuple[dict[str, str], int]:
     if args.action == "list":
-        _deliver(args, {"corpus-list.txt": "\n".join(list_examples()) + "\n"},
-                 "corpus-list.txt")
-        return EXIT_OK
+        return {"corpus-list.txt": "\n".join(list_examples()) + "\n"}, EXIT_OK
     if args.name is None:
         raise CliError("corpus export needs a fixture name (see 'corpus list')")
     try:
         s = get_example(args.name)
     except ValueError as e:
         raise CliError("corpus export: %s" % e) from None
-    _deliver(args, {"model.scm": serialize_scm(s)}, "model.scm")
-    return EXIT_OK
+    return {"model.scm": serialize_scm(s)}, EXIT_OK
 
 
 # --- parser --------------------------------------------------------------------------
@@ -587,10 +555,12 @@ def main(argv=None) -> int:
     except SystemExit as e:  # argparse already printed the usage message
         return int(e.code or 0)
     try:
-        return args.handler(args)
+        files, code = args.handler(args)
+        _deliver(args, files)
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -131,8 +131,8 @@ class JointPmf:
     """Exact pmf over a tuple of named coordinates: each stored row's mass is
     its integer weight over one common `denominator`.
 
-    Rows of mass zero are absent from a solved model's joints.  `from_table`
-    converts a caller's `Fraction` table; `table` and `mass` give them back.
+    Rows of mass zero are absent from a solved model's joints.  `table` and
+    `mass` give the masses back as `Fraction`s.
     """
 
     scope: tuple[str, ...]
@@ -142,16 +142,6 @@ class JointPmf:
     def __post_init__(self):
         if len(set(self.scope)) != len(self.scope):
             raise DistributionError("duplicate names in scope")
-
-    @classmethod
-    def from_table(
-        cls, scope: Sequence[str], table: Mapping[tuple[str, ...], Fraction]
-    ) -> "JointPmf":
-        """The pmf of a table of rational masses, over the lcm of their
-        reduced denominators."""
-        d = math.lcm(*(p.denominator for p in table.values()))
-        weights = {key: p.numerator * (d // p.denominator) for key, p in table.items()}
-        return cls(tuple(scope), weights, d)
 
     @property
     def table(self) -> dict[tuple[str, ...], Fraction]:

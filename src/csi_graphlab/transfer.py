@@ -114,6 +114,9 @@ def transfer_evidence(
             raise TransferError("unknown column %r" % (name,))
     if len({x, y, context}) != 3 or x in z or y in z or context in z:
         raise TransferError("x, y, the context, and z must not overlap")
+    for i, name in enumerate(z):
+        if name in z[:i]:
+            raise TransferError("z repeats column %r" % (name,))
     try:
         r0_code = data.code_of(context, r0)
     except DataError:

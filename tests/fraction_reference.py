@@ -7,7 +7,8 @@ joint (`FractionPmf`), the factorization test, the exact CI oracle, the
 conditional mutual information, and the local-Markov and
 noise-factorization laws.  Tests compare the package with them by `==`, on the suites at the end.
 A package joint enters through `fraction_pmf`, which reads its rational
-`table` view, so no integer weight is summed or compared here.
+`table` view, so no integer weight is summed or compared here; a test's own
+`Fraction` table enters the package through `from_table`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ from csi_graphlab.rng import derive_seed
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
 
 
+def from_table(scope: Sequence[str], table: Mapping[tuple[str, ...], Fraction]) -> JointPmf:
+    """The package pmf of a table of rational masses, over the lcm of their
+    reduced denominators."""
+    d = math.lcm(*(p.denominator for p in table.values()))
+    weights = {key: p.numerator * (d // p.denominator) for key, p in table.items()}
+    return JointPmf(tuple(scope), weights, d)
+
+
 def row_probabilities(s):
     """The solve's row probabilities, in `itertools.product` order over the
     positive noise supports, as `solve_all` built them in `Fraction`s."""
@@ -48,14 +57,14 @@ def row_probabilities(s):
 
 def assert_solve_matches(solved):
     """The solution table's probabilities are `row_probabilities`, and its
-    noise joint is `JointPmf.from_table` of them: the same weights, in
+    noise joint is `from_table` of them: the same weights, in
     order, over the same denominator."""
     table = solved.table
     probs = row_probabilities(solved.scm)
     assert table.probabilities == probs
     scope = tuple(noise_name(v) for v in table.variables) + table.variables
     rows = [noise + vals for noise, vals in zip(table.noise_assignments, table.values)]
-    expected = JointPmf.from_table(scope, dict(zip(rows, probs)))
+    expected = from_table(scope, dict(zip(rows, probs)))
     joint = noise_observable_joint(solved.scm, table)
     assert joint.scope == expected.scope
     assert list(joint.weights.items()) == list(expected.weights.items())
@@ -330,7 +339,7 @@ def moved_mass(solved, src, dst, share):
     amount = rows[src][1] * share
     table[rows[src][0]] -= amount
     table[rows[dst][0]] += amount
-    return replace(solved, noise_joint=JointPmf.from_table(nj.scope, table))
+    return replace(solved, noise_joint=from_table(nj.scope, table))
 
 
 def tampered(solved):

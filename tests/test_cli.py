@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import csi_graphlab
-from csi_graphlab.cli import EXIT_LAW_FAILURE, EXIT_OK, EXIT_USAGE, main
+from csi_graphlab.cli import EXIT_LAW_FAILURE, EXIT_OK, EXIT_USAGE, CliError, _deliver, main
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.data import Dataset
 from csi_graphlab.exact import draw_samples
@@ -120,6 +122,27 @@ def test_out_dir_refuses_overwrite(capsys, tmp_path):
     assert "--force" in err and "report.json" in err
     rc, _, _ = invoke(capsys, "ground-truth", scm, "--out", str(out_dir), "--force")
     assert rc == EXIT_OK
+
+
+def test_out_writes_nothing_when_a_file_name_is_not_plain(capsys, tmp_path):
+    # a context label becomes part of discover's per-context DOT file names
+    rows = [(r, x, str((int(x) + i) % 2)) for i in range(40) for r in ("a/b", "c") for x in "01"]
+    csv = tmp_path / "e.csv"
+    csv.write_text(Dataset.from_rows(["R", "X", "Y"], rows).to_csv())
+    out_dir = tmp_path / "out" / "y"
+    argv = ("discover", "--data", str(csv), "--alpha", "0.05")
+    rc, out, err = invoke(capsys, *argv, "--out", str(out_dir))
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "'detect-a/b.dot'" in err
+    assert not out_dir.exists()
+    rc, out, _ = invoke(capsys, *argv)
+    assert rc == EXIT_OK
+    assert "detect-a/b.dot" in json.loads(out)["dot"]
+    for name in ("..", ".", "a\0b", "sub/x.dot"):
+        args = argparse.Namespace(out=str(out_dir), force=False)
+        with pytest.raises(CliError, match=re.escape(repr(name))):
+            _deliver(args, {"report.json": "{}\n", name: ""})
+        assert not out_dir.exists()
 
 
 def test_missing_model_file_names_it(capsys, tmp_path):
@@ -353,6 +376,15 @@ def test_transfer_bad_column_names_it(capsys, tmp_path):
                         "--r0", "0", "--context", "C")
     assert rc == EXIT_USAGE
     assert "'Q'" in err
+
+
+def test_transfer_repeated_z_column_is_named(capsys, tmp_path):
+    csv = tmp_path / "data.csv"
+    csv.write_text(draw_samples(get_example("intro-mediator"), 400, 7).to_csv())
+    rc, out, err = invoke(capsys, "transfer-test", str(csv), "--x", "T", "--y", "Y",
+                          "--z", "M,M", "--r0", "1", "--K", "2")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert "z repeats column 'M'" in err
 
 
 def test_transfer_n_beyond_numpy_draws_exits_2(capsys, tmp_path):

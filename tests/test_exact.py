@@ -13,7 +13,6 @@ from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.exact import (
     ComplexityError,
     DistributionError,
-    JointPmf,
     NotUniquelySolvableError,
     SolvedModel,
     UnsolvableModelError,
@@ -30,7 +29,7 @@ from csi_graphlab.data import Dataset
 from csi_graphlab.laws import RandomModelSpec, _draw_model, random_scm
 from csi_graphlab.rng import derive_seed, uniform_thresholds_index
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
-from fraction_reference import FractionPmf, fraction_tables
+from fraction_reference import FractionPmf, fraction_tables, from_table
 
 H = Fraction(1, 2)
 
@@ -118,7 +117,7 @@ def test_first_dependence_returns_the_first_sorted_failure():
 @given(drawn=fraction_tables())
 def test_from_table_round_trips(drawn):
     scope, table = drawn
-    joint = JointPmf.from_table(scope, table)
+    joint = from_table(scope, table)
     assert joint.table == table
     assert list(joint.table) == list(table)
     assert joint.denominator == math.lcm(*(p.denominator for p in table.values()))
@@ -129,7 +128,7 @@ def test_from_table_round_trips(drawn):
 @given(drawn=fraction_tables(), data=st.data())
 def test_marginal_conditional_and_mass_match_the_fraction_reference(drawn, data):
     scope, table = drawn
-    joint = JointPmf.from_table(scope, table)
+    joint = from_table(scope, table)
     fractions = FractionPmf(scope, table)
     names = data.draw(st.lists(st.sampled_from(scope), min_size=1, unique=True))
     assert list(joint.marginal(names).table.items()) == list(fractions.marginal(names).table.items())
@@ -146,7 +145,7 @@ def test_marginal_conditional_and_mass_match_the_fraction_reference(drawn, data)
 
 
 def test_one_row_table():
-    joint = JointPmf.from_table(("A", "B"), {("0", "1"): Fraction(2, 3)})
+    joint = from_table(("A", "B"), {("0", "1"): Fraction(2, 3)})
     assert (joint.weights, joint.denominator) == ({("0", "1"): 2}, 3)
     assert joint.table == {("0", "1"): Fraction(2, 3)}
     assert joint.marginal(("B",)).table == {("1",): Fraction(2, 3)}
@@ -163,7 +162,7 @@ def test_empty_stratum():
     assert joint.mass({"R": "0", "T": "+1"}) == Fraction(0)
     with pytest.raises(DistributionError):
         joint.conditional({"R": "0", "T": "+1"})
-    empty = JointPmf.from_table(("A",), {})
+    empty = from_table(("A",), {})
     assert (empty.weights, empty.denominator, empty.table) == ({}, 1, {})
     assert empty.strata((), ("A",)) == {}
     assert empty.mass({}) == Fraction(0)

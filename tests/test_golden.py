@@ -16,8 +16,9 @@ import pytest
 from csi_graphlab import laws
 from csi_graphlab.cli import EXIT_OK, main
 from csi_graphlab.corpus import get_example, list_examples
-from csi_graphlab.exact import JointPmf, SolvedModel, draw_samples
+from csi_graphlab.exact import SolvedModel, draw_samples
 from csi_graphlab.scm import serialize_scm
+from fraction_reference import from_table
 
 VERIFY_20_SEED_1 = "edf7d8ac3c8a22b69744720bf65e2d0f59b80548001bacd363a79772bf3821b3"
 # the suite the benchmark's `verify` workload runs
@@ -157,6 +158,65 @@ SAMPLE_DIGESTS = {
     ),
 }
 
+# every subcommand with --out on intro-mediator: (argv, {file name: sha256}), the
+# file stdout prints first; {model} is the exported model, {data} its 4000 rows
+# drawn with seed 7, {exact} and {sampled} the discover --exact and --data reports
+_TRANSFER = ("--x", "T", "--y", "Y", "--z", "M", "--r0", "1", *_REPLICATES)
+OUT_DIGESTS = {
+    "corpus-list": (("corpus", "list"), {
+        "corpus-list.txt": "0731136901a6d764a59054e6775581c9ca67b0a4a4ac93f00c2c706a964384f7",
+    }),
+    "corpus-export": (("corpus", "export", "intro-mediator"), {
+        "model.scm": "b579e61e00fd7aaff3b9912007ccf3a3f081919456760838ecb01529523f79f1",
+    }),
+    "ground-truth": (("ground-truth", "--full", "{model}"), {
+        "report.json": "f0734c69fa17aa972bf65c7a4b649f45755c3a7e6c9c415859c1d8f4119ee6e8",
+        "acyclified-union.dot": "17f15b999c0b02fd84d9d30e2ea0f16e63fdf4ae9cc66299fd9fe3745dda0637",
+        "counterfactual-0.dot": "7abbf6dde07f0d8e012d367b6f4561770d7dc608d3c6519b1f068b03bebe6588",
+        "counterfactual-1.dot": "fd7e5dee8fffce390fd63b47e20f6744bae2a7c9dad482f02c81cbc2917ed719",
+        "descriptive-0.dot": "2a22e237f2ad1d18a78248e5c2a2921a0e369d843c7d3c4a47859ee580c2bb51",
+        "descriptive-1.dot": "791265e4aca32ce62bd9740de645e427b67b43c0f112894f4ecaa90f8bf0cf0b",
+        "ident-0.dot": "7aa3a835091841d3efa0ded882b38fb66857744a86f7e635d89435ec44d1c145",
+        "ident-1.dot": "14c46db60573f5a6bdd17ead5673259d307b7c146fedf7d9e7b7583923763556",
+        "mechanism.dot": "9306745b5f987b2c3374e19ab7992cfe7741e85f2465a347a44b4925547225fd",
+        "physical-0.dot": "4585ffff09f08770ae94e5730749c44adc45505d1a518c05bc89a07ad61b3450",
+        "physical-1.dot": "b943ee80cb9003c88f2445a4fe85f6c113b314a5152904aef5be7cbb5fa43f9b",
+        "union.dot": "c1064cabe5a5bd4710ed76f475ca6755ed6f58f43d710c0fa6072a47372544d5",
+    }),
+    "discover-exact": (("discover", "--exact", "{model}"), {
+        "report.json": "17a03aba7ac570f9005a47a4546317f63dad012dcaa41fabc3f88f071be11b70",
+        "detect-0.dot": "92e4864894cd0b47a269059ec1decf3cd221228e73eb0afcbcea593c6d29e2d2",
+        "detect-1.dot": "d834c896ff04ad074a24c8595c5bf9d26c5a027b021caa64d8eaa6a1e9df3e7c",
+        "pooled-skeleton.dot": "02c6f4e5b5f843115e10af439b095c3468e1c1c090464d4ec656ec0c4ec5f1e9",
+        "union-reconstruction.dot": "36eec9bbd81d8e1642d9a5e8c2de27dda2a6e67d6c3fb9b1382050622e214ddc",
+    }),
+    "discover-data": (("discover", "--alpha", "0.05", "--data", "{data}"), {
+        "report.json": "cf9dfecde65d213239877052b5544a4fabe58e8f936c0d12e49439428d28cafd",
+        "detect-0.dot": "92e4864894cd0b47a269059ec1decf3cd221228e73eb0afcbcea593c6d29e2d2",
+        "detect-1.dot": "d834c896ff04ad074a24c8595c5bf9d26c5a027b021caa64d8eaa6a1e9df3e7c",
+        "pooled-skeleton.dot": "02c6f4e5b5f843115e10af439b095c3468e1c1c090464d4ec656ec0c4ec5f1e9",
+        "union-reconstruction.dot": "36eec9bbd81d8e1642d9a5e8c2de27dda2a6e67d6c3fb9b1382050622e214ddc",
+    }),
+    "classify-skeleton": (("classify", "{sampled}"), {
+        "report.json": "c6fe5dd9b051573d51b9d92e853c7eecb97dff48664c8b9f50f199360141ff42",
+        "changes.csv": "24a9fba757f8e75f2d459e55aa3c5b6eacbca8a0d8481edd643642159b22e872",
+    }),
+    "classify-oriented": (("classify", "--mode", "oriented", "{exact}"), {
+        "report.json": "9a5329b93a27c8714fbef0e193f8943e77c30d59c287c9b9deecfcb583707671",
+        "changes.csv": "c3f9e38ee7bee0151dd6129fe6ed2960b9e5d7baa252778099ca33cf0e1a48b9",
+    }),
+    "sample": (("sample", "{model}", "--n", "200", "--seed", "3"), {
+        "samples.csv": "c29e453cbc0320563554965a4f51baa1f6a761ba361303a0a8d73e827f624376",
+    }),
+    "transfer-test": (("transfer-test", "{data}", *_TRANSFER), {
+        "report.json": "71f7802fd702d0ae842d2a90905d457b6a19829003dbb62ab4b000f527f81433",
+        "replicates.csv": "f1e6396202ac893ae937250867d52b68dcf7dafb8e823862bef036d729b82c7a",
+    }),
+    "verify": (("verify", "--count", "3", "--seed", "1"), {
+        "report.json": "2eba42a2c5bd0e1f0f02dad9fb71aa99669ac0512133657e077ba5f4f374d15a",
+    }),
+}
+
 
 def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
@@ -176,7 +236,7 @@ def _tampered(name):
     table = dict(nj.table)
     table[first] = p_first / 2
     table[last] = p_last + p_first / 2
-    return replace(solved, noise_joint=JointPmf.from_table(nj.scope, table))
+    return replace(solved, noise_joint=from_table(nj.scope, table))
 
 
 def test_pins_cover_the_corpus():
@@ -210,6 +270,29 @@ def test_sampled_data_reports_are_pinned(case, capsys, tmp_path):
     csv.write_text(draw_samples(get_example(name), 4000, 7).to_csv())
     command, *rest = argv
     assert _sha(_stdout(capsys, command, *rest, str(csv))) == want
+
+
+def _out_inputs(capsys, tmp_path):
+    paths = {k: tmp_path / k for k in ("model", "data", "exact", "sampled")}
+    paths["model"].write_text(serialize_scm(get_example("intro-mediator")))
+    paths["data"].write_text(draw_samples(get_example("intro-mediator"), 4000, 7).to_csv())
+    paths["exact"].write_text(_stdout(capsys, "discover", "--exact", str(paths["model"])))
+    paths["sampled"].write_text(
+        _stdout(capsys, "discover", "--alpha", "0.05", "--data", str(paths["data"]))
+    )
+    return {k: str(p) for k, p in paths.items()}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_DIGESTS))
+def test_out_files_are_pinned_and_the_first_is_stdout(case, capsys, tmp_path):
+    template, want = OUT_DIGESTS[case]
+    argv = [a.format(**_out_inputs(capsys, tmp_path)) for a in template]
+    printed = _stdout(capsys, *argv)
+    out = tmp_path / "out"
+    assert _stdout(capsys, *argv, "--out", str(out)) == ""
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == want
+    assert (out / next(iter(want))).read_bytes() == printed.encode()
 
 
 @pytest.mark.parametrize("name", sorted(WITNESS_DIGESTS))

@@ -291,6 +291,16 @@ def test_code_space_over_the_table_budget_is_rejected_before_allocating(monkeypa
     assert len(verdict.details["per_replicate_p_values"]) == 2
 
 
+def test_a_repeated_z_column_is_named_before_any_table(monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("tables built before z was checked")
+
+    monkeypatch.setattr(transfer, "_tally", no_table)
+    cfg = TransferConfig(K=2, N=100, alpha=0.05, seed=1)
+    with pytest.raises(TransferError, match="z repeats column 'Z0'"):
+        transfer_evidence(wide_data(3), "X", "Y", ("Z0", "Z1", "Z0"), "0", cfg, context="R")
+
+
 def permuted(data, seed):
     order = np.random.default_rng(seed).permutation(data.n_rows)
     return Dataset(data.columns, data.categories, data.codes[order])
