@@ -13,10 +13,9 @@ from csi_graphlab import (
     ExactTester,
     SampleTester,
     SolvedModel,
-    detect_graph,
+    discover,
     draw_samples,
     get_example,
-    skeleton_masked,
     skeleton_pooled,
     union_from_contexts,
     union_graph,
@@ -28,19 +27,17 @@ ctx = s.context_variable
 
 # --- exact oracle ------------------------------------------------------------
 oracle = ExactTester(solved)
-pooled = skeleton_pooled(oracle)
+# one pass: the pooled skeleton, and per context value the masked and detection skeletons
+pooled, masked, detect = discover(oracle, solved.regimes)
 print("pooled skeleton (exact):", pooled.sorted_pairs())
 
 for r in solved.regimes:
-    masked = skeleton_masked(oracle, r)
-    detect = detect_graph(oracle, r)
     print("context %s  masked: %-28s detect: %s"
-          % (r, str(masked.sorted_pairs()), detect.sorted_pairs()))
+          % (r, str(masked[r].sorted_pairs()), detect[r].sorted_pairs()))
 
 # detection skeletons from every context reconstruct the pooled structure
 # away from the context variable (here they also recover its edges)
-detect_by_r = {r: detect_graph(oracle, r) for r in solved.regimes}
-rebuilt = union_from_contexts(detect_by_r, pooled, ctx)
+rebuilt = union_from_contexts(detect, pooled, ctx)
 truth = union_graph(solved).skeleton()
 print("\nrebuilt union skeleton:", rebuilt.sorted_pairs())
 print("true union skeleton:   ", truth.sorted_pairs())
@@ -48,12 +45,11 @@ print("true union skeleton:   ", truth.sorted_pairs())
 # --- finite-sample backend ---------------------------------------------------
 data = draw_samples(s, 6000, seed=11, table=solved.table)
 tester = SampleTester(data, alpha=0.05, context=ctx)
-pooled_hat = skeleton_pooled(tester)
+certs = []
+pooled_hat = skeleton_pooled(tester, certificates=certs)
 print("\npooled skeleton from 6000 samples:", pooled_hat.sorted_pairs())
 
 # each answered query can be audited: certificates carry the separating
 # set and the p-value behind every removed edge
-certs = []
-skeleton_pooled(tester, certificates=certs)
 for c in certs[:3]:
     print("  removed %s - %s given %s  (p=%.3f)" % (c.x, c.y, c.z, c.p_value))

@@ -19,9 +19,8 @@ from csi_graphlab import (
     ExactTester,
     SolvedModel,
     classify_changes,
-    detect_graph,
+    discover,
     get_example,
-    skeleton_pooled,
     union_graph,
 )
 
@@ -30,7 +29,7 @@ solved = SolvedModel.of(s)
 ctx = s.context_variable
 
 oracle = ExactTester(solved)
-detect = {r: detect_graph(oracle, r) for r in solved.regimes}
+pooled, _, detect = discover(oracle, solved.regimes)
 
 # --- oriented mode: the pooled graph's directions are known -------------------
 union = union_graph(solved)
@@ -41,7 +40,6 @@ for regime, edge_a, edge_b, classification, rule, note in report.rows():
 print("counts:", dict(report.counts()))
 
 # --- skeleton mode: only adjacencies are known --------------------------------
-pooled = skeleton_pooled(oracle)
 report = classify_changes(pooled, detect, mode="skeleton", context=ctx)
 print("\nskeleton verdicts (same data, directions withheld):")
 for regime, edge_a, edge_b, classification, rule, note in report.rows():

@@ -21,6 +21,7 @@ from .discovery import (
     SampleTester,
     SeparationCertificate,
     detect_graph,
+    discover,
     intersection_graph,
     markov_check,
     skeleton_masked,
@@ -99,6 +100,7 @@ __all__ = [
     "SampleTester",
     "SeparationCertificate",
     "detect_graph",
+    "discover",
     "intersection_graph",
     "markov_check",
     "skeleton_masked",

@@ -28,15 +28,7 @@ from pathlib import Path
 from .classify import classify_changes
 from .corpus import get_example, list_examples
 from .data import Dataset
-from .discovery import (
-    ExactTester,
-    SampleTester,
-    detect_graph,
-    intersection_graph,
-    skeleton_masked,
-    skeleton_pooled,
-    union_from_contexts,
-)
+from .discovery import ExactTester, SampleTester, discover, intersection_graph, union_from_contexts
 from .exact import SolvedModel, draw_samples
 from .graph_objects import ground_truth, union_graph
 from .graphs import DirectedGraph, UndirectedSkeleton, acyclify
@@ -216,19 +208,12 @@ def _cmd_discover(args) -> tuple[dict[str, str], int]:
         regimes = (args.regime,)
 
     certs: list = []
-    pooled = skeleton_pooled(tester, certificates=certs)
-    per_regime: dict[str, dict] = {}
-    detect_by_regime: dict[str, UndirectedSkeleton] = {}
-    for r in regimes:
-        masked = skeleton_masked(tester, r, certificates=certs)
-        det = detect_graph(tester, r, certificates=certs)
-        inter = intersection_graph(pooled, masked, tester.context)
-        detect_by_regime[r] = det
-        per_regime[r] = {
-            "masked": masked.sorted_pairs(),
-            "detect": det.sorted_pairs(),
-            "intersection": inter.sorted_pairs(),
-        }
+    pooled, masked, detect_by_regime = discover(tester, regimes, certs)
+    per_regime = {r: {
+        "masked": masked[r].sorted_pairs(),
+        "detect": detect_by_regime[r].sorted_pairs(),
+        "intersection": intersection_graph(pooled, masked[r], tester.context).sorted_pairs(),
+    } for r in regimes}
     reunion = union_from_contexts(detect_by_regime, pooled, tester.context)
 
     dots = {"pooled-skeleton.dot": pooled.to_dot("pooled-skeleton")}

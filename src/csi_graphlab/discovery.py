@@ -1,22 +1,17 @@
 """Skeleton discovery from pooled and per-context independence tests.
 
-Two testers answer the same query surface, each memoizing verdicts on the
-exact query: `independence.ExactTester` against the exact joint, with the
-memo owned by the solve, and `SampleTester` against a dataset with a
-G-test, answered from the dataset's count table, built once.  On top of
-them sit a deterministic PC-style skeleton search (pooled or masked to one
-context value), the exhaustive per-context detection skeleton, and the
-executable Markov check that verifies each designated separating set on the
-exact distribution.  Each searches for separating sets over its own ordered
-sequence of candidate sets: the stable-PC neighbour subsets, every subset
-of the other non-context variables, or the designated parent sets.
+Two testers answer the same queries, memoizing verdicts on the exact query:
+`independence.ExactTester` on the exact joint, and `SampleTester` with a
+G-test on the dataset's count table.  On top of them sit a deterministic
+PC-style skeleton search (pooled or masked to one context value), the
+exhaustive per-context detection skeleton, and the Markov check of each
+designated separating set on the exact distribution.
 
-The skeletons hand the pairs of a PC round (independent, as stable PC
-reads the round-start adjacency), or all pairs of `detect_graph`, to the
-tester's `first_separators` as one list of searches, then remove edges and
-record certificates in pair order.  `SampleTester` advances those searches
-together one set size at a time, deciding each size in one stacked kernel
-call per block of `g_test_tables`; `ExactTester` scans them in turn.
+Each skeleton is a generator phase over one cutter, `separator_steps`: a PC
+round (independent pairs, as stable PC reads the round-start adjacency) or
+all pairs of `detect_graph` form one list of searches, pruned in pair order.
+One driver, `lockstep`, runs every phase of `discover` together, a step of
+all of them per tester call; each one-skeleton function is a one-phase run.
 """
 
 from __future__ import annotations
@@ -36,11 +31,13 @@ from .graph_objects import (
 )
 from .independence import (
     CiQuery,
+    CiTester,
     CiVerdict,
     ExactTester,
-    g_test,
     g_test_from_tables,
     g_test_tables,
+    lockstep,
+    separator_steps,
     subsets,
 )
 
@@ -53,6 +50,7 @@ __all__ = [
     "skeleton_masked",
     "intersection_graph",
     "detect_graph",
+    "discover",
     "union_from_contexts",
     "MarkovObligation",
     "MarkovReport",
@@ -78,7 +76,7 @@ class SeparationCertificate:
     p_value: float
 
 
-class SampleTester:
+class SampleTester(CiTester):
     """Answers independence queries from a dataset with the stratified G-test.
 
     The dataset is compressed once into its count table (`Dataset.tabulate`),
@@ -102,41 +100,22 @@ class SampleTester:
         self.regimes = tuple(data.labels(context)[c] for c in codes)
 
     def test(self, x: str, y: str, z: Sequence[str] = (), regime: str | None = None) -> CiVerdict:
-        q = CiQuery(x, y, tuple(z), regime)
-        if q not in self._memo:
-            self._memo[q] = g_test(self._table, q, self._alpha, context=self.context)
+        """The verdict of one query, decided as a step of its own."""
+        q = (x, y, tuple(z), regime)
+        self.step_hits([[q]])
         return self._memo[q]
 
-    def first_separators(self, searches) -> list:
-        """First independent (z, regime, verdict) of each search
-        `(x, y, sets, regimes)`, or None, the searches advanced together.
-
-        Each search's sets are cut lazily into runs of one size; step s takes
-        run s of every search still unresolved, so a search resolved at one
-        size decides no query of a larger size.  The tables of every query
-        of the step not in the memo come from one `g_test_tables` call, and
-        each of its zero-padded blocks goes to one `g_test_from_tables` call,
-        whose verdicts are bit-identical to testing each table alone.
-        """
-        runs = [itertools.groupby(sets, key=len) for _, _, sets, _ in searches]
-        hits: list = [None] * len(searches)
-        live = range(len(searches))
-        while live:
-            step = {}
-            for i in live:
-                x, y, _, regimes = searches[i]
-                for _, run in itertools.islice(runs[i], 1):
-                    step[i] = [CiQuery(x, y, z, r) for z in run for r in regimes]
-            pending = [q for q in dict.fromkeys(itertools.chain.from_iterable(step.values()))
-                       if q not in self._memo]
+    def step_hits(self, runs) -> list:
+        """Every query of the step decided at once: one `g_test_tables` call for
+        those not in the memo, if any, and one kernel call per block."""
+        pending = [CiQuery(*q) for q in dict.fromkeys(itertools.chain.from_iterable(runs))
+                   if q not in self._memo]
+        if pending:
             verdicts = [v for stack, strata in g_test_tables(self._table, pending, self.context)
                         for v in g_test_from_tables(stack, self._alpha, strata=strata)]
             self._memo.update(zip(pending, verdicts))
-            for i, qs in step.items():
-                hits[i] = next(((q.z, q.regime, self._memo[q]) for q in qs
-                                if self._memo[q].independent), None)
-            live = [i for i in step if hits[i] is None]
-        return hits
+        return [next(((q[2], q[3], self._memo[q]) for q in run if self._memo[q].independent), None)
+                for run in runs]
 
 
 def _record(certs, x, y, z, regime, verdict):
@@ -144,9 +123,9 @@ def _record(certs, x, y, z, regime, verdict):
         certs.append(SeparationCertificate(x, y, tuple(z), regime, verdict.method, verdict.p_value))
 
 
-def _pc_skeleton(nodes, tester, regime, certificates):
-    """Stable PC: per round, candidate sets come from the round-start adjacency,
-    so the pairs of a round are searched together and pruned afterwards in order."""
+def _pc_skeleton(nodes, regime, certificates):
+    """Stable PC as a phase: per round, candidate sets come from the round-start
+    adjacency, so the pairs of a round are searched together and pruned afterwards in order."""
     nodes = tuple(nodes)
     adj = {v: set(nodes) - {v} for v in nodes}
     k = 0
@@ -163,7 +142,7 @@ def _pc_skeleton(nodes, tester, regime, certificates):
             searches.append((a, b, sets, (regime,)))
         if not searches:
             break
-        for (a, b, _, _), hit in zip(searches, tester.first_separators(searches)):
+        for (a, b, _, _), hit in zip(searches, (yield from separator_steps(searches))):
             if hit is not None:
                 adj[a].discard(b)
                 adj[b].discard(a)
@@ -177,7 +156,7 @@ def skeleton_pooled(
     certificates: list[SeparationCertificate] | None = None,
 ) -> UndirectedSkeleton:
     """PC-style skeleton over the pooled distribution (context included)."""
-    return _pc_skeleton(tester.variables, tester, None, certificates)
+    return lockstep(tester, [_pc_skeleton(tester.variables, None, certificates)])[0]
 
 
 def _require_regime(tester, regime: str) -> None:
@@ -196,7 +175,7 @@ def skeleton_masked(
     """PC-style skeleton over the non-context variables, every query masked to one context value."""
     _require_regime(tester, regime)
     nodes = tuple(v for v in tester.variables if v != tester.context)
-    return _pc_skeleton(nodes, tester, regime, certificates)
+    return lockstep(tester, [_pc_skeleton(nodes, regime, certificates)])[0]
 
 
 def intersection_graph(
@@ -214,19 +193,8 @@ def intersection_graph(
     return UndirectedSkeleton(pooled.nodes, pairs)
 
 
-def detect_graph(
-    tester,
-    regime: str,
-    max_subsets: int = DEFAULT_MAX_SUBSETS,
-    certificates: list[SeparationCertificate] | None = None,
-) -> UndirectedSkeleton:
-    """Exhaustive per-context skeleton: an edge survives only if no conditioning
-    set separates the pair, neither pooled nor masked to the given context value.
-    Sets are tried smallest first, each pooled before masked.
-
-    Context edges use pooled queries only (no masked test involves the context
-    itself) and therefore come out identical for every regime.
-    """
+def _detect_skeleton(tester, regime, max_subsets, certificates):
+    """`detect_graph` as a phase, its regime and cap checked before its first step."""
     _require_regime(tester, regime)
     ctx = tester.context
     others = [v for v in tester.variables if v != ctx]
@@ -241,12 +209,49 @@ def detect_graph(
     searches = [(x, y, subsets([v for v in others if v not in (x, y)]), regimes)
                 for x, y, regimes in queries]
     pairs = []
-    for (x, y, _, _), hit in zip(searches, tester.first_separators(searches)):
+    for (x, y, _, _), hit in zip(searches, (yield from separator_steps(searches))):
         if hit is None:
             pairs.append((x, y))
         else:
             _record(certificates, x, y, *hit)
     return UndirectedSkeleton(tester.variables, pairs)
+
+
+def detect_graph(
+    tester,
+    regime: str,
+    max_subsets: int = DEFAULT_MAX_SUBSETS,
+    certificates: list[SeparationCertificate] | None = None,
+) -> UndirectedSkeleton:
+    """Exhaustive per-context skeleton: an edge survives only if no conditioning
+    set separates the pair, neither pooled nor masked to the given context value.
+    Sets are tried smallest first, each pooled before masked.
+
+    Context edges use pooled queries only (no masked test involves the context
+    itself) and therefore come out identical for every regime.
+    """
+    return lockstep(tester, [_detect_skeleton(tester, regime, max_subsets, certificates)])[0]
+
+
+def discover(
+    tester,
+    regimes: Sequence[str],
+    certificates: list[SeparationCertificate] | None = None,
+) -> tuple[UndirectedSkeleton, dict[str, UndirectedSkeleton], dict[str, UndirectedSkeleton]]:
+    """(pooled, {regime: masked}, {regime: detect}) as the one-skeleton functions
+    give them, every phase advanced together, so each step of the run is one
+    tester call; each regime and the detection cap are checked before it.
+    Certificates: pooled, then per regime masked and then detect."""
+    nodes = tuple(v for v in tester.variables if v != tester.context)
+    logs: list[list] = [[] for _ in range(1 + 2 * len(regimes))]
+    phases = [_pc_skeleton(tester.variables, None, logs[0])]
+    for i, r in enumerate(regimes):
+        phases += [_pc_skeleton(nodes, r, logs[2 * i + 1]),
+                   _detect_skeleton(tester, r, DEFAULT_MAX_SUBSETS, logs[2 * i + 2])]
+    pooled, *per_regime = lockstep(tester, phases)
+    if certificates is not None:
+        certificates.extend(itertools.chain.from_iterable(logs))
+    return pooled, dict(zip(regimes, per_regime[::2])), dict(zip(regimes, per_regime[1::2]))
 
 
 def union_from_contexts(

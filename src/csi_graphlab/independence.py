@@ -7,35 +7,30 @@ the one path that asks it: its memo on the exact query is kept by the
 `SolvedModel`, so exact discovery, the Markov check and the R-faithfulness
 search of one solve decide each query once.
 
-Sampled data is decided by one stacked kernel, `g_test_from_tables`: it takes
-an integer stack of shape (K, S, nx, ny), K tests of S strata each, with
-each test's count of real strata (the rest zero padding), and returns K
-verdicts from array operations alone.  Its tables come from one builder,
-`g_test_tables`, which counts the tables of many queries together: it ranks
-the (query, z value tuple) of every (query, row) pair at once with
-`data._ranks`, the ranker the count table uses, so strata run in code order
-in O(pairs) memory, and sums the dataset's `counts` per (query, stratum, x,
-y) cell of one zero-padded stack with one `data._tally` per block of at
-most `_PAIR_BUDGET` (query, row) pairs and stack cells.  So the count table
-(`Dataset.tabulate`) gives the same tables as the rows it compresses, at a
-fraction of the rows to scan.  `g_test` passes the one table of its query
-(K = 1); the transfer test passes its replicates in chunks of bounded size.
+Sampled data is decided by one stacked kernel, `g_test_from_tables`, on an
+integer stack of shape (K, S, nx, ny): K tests of S strata each, zero-padded.
+Its tables come from one builder, `g_test_tables`, which counts the tables
+of many queries in one pass per block, weighting rows by `counts`, so the
+count table (`Dataset.tabulate`) gives the tables of the rows it compresses.
+`g_test` passes the one table of its query (K = 1); the transfer test passes
+its replicates in chunks of bounded size.
 
-Separating sets are searched for by the testers alone: `first_separators`
-takes searches `(x, y, sets, regimes)`, sets in order (usually from
-`subsets`) and for each set the regimes in order (None means pooled), and
-returns each search's first independent (z, regime, verdict), or None.  The
-order in which sets are tried, on which certificates depend, is fixed
-there.  `ExactTester` scans the searches in turn; the sample tester
-(`discovery.SampleTester`) advances them together one set size at a time,
-builds each size's tables in one `g_test_tables` call and decides them in
-one stacked kernel call per block.
+A separator search `(x, y, sets, regimes)` tries its sets in order and for
+each set its regimes in order (None means pooled); its hit is the first
+independent (z, regime, verdict), or None.  One cutter, `separator_steps`,
+advances searches together one set size at a time; one driver, `lockstep`,
+advances such generators together and hands each step's runs to the
+tester's `step_hits` in one call.  Testers differ only there: `ExactTester`
+scans each run up to its first independent query, and the sample tester
+(`discovery.SampleTester`) builds the step's unmemoized tables in one
+`g_test_tables` call, one stacked kernel call per block.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -66,23 +61,21 @@ class IndependenceError(ValueError):
     """Invalid independence query."""
 
 
-@dataclass(frozen=True)
-class CiQuery:
-    """Is x independent of y given z (and, if `regime` is set, given R = regime)?"""
+class CiQuery(namedtuple("CiQuery", "x y z regime")):
+    """Is x independent of y given z (and, if `regime` is set, given R = regime)?
+    A validated tuple: a memo keyed on queries is read with plain tuples."""
 
-    x: str
-    y: str
-    z: tuple[str, ...] = ()
-    regime: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(self.z))
-        if self.x == self.y:
+    def __new__(cls, x: str, y: str, z: Sequence[str] = (), regime: str | None = None):
+        z = tuple(z)
+        if x == y:
             raise IndependenceError("query endpoints must differ")
-        if self.x in self.z or self.y in self.z:
+        if x in z or y in z:
             raise IndependenceError("conditioning set must not contain the endpoints")
-        if len(set(self.z)) != len(self.z):
+        if len(set(z)) != len(z):
             raise IndependenceError("conditioning set repeats a variable")
+        return super().__new__(cls, x, y, z, regime)
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,52 @@ def ci_exact(p: JointPmf, q: CiQuery, context: str | None = None) -> CiVerdict:
     return CiVerdict(True, 1.0, 0.0, "ci_exact")
 
 
-class ExactTester:
+def separator_steps(searches):
+    """Generator returning each search's hit: its sets are cut lazily into runs
+    of one size, and step s yields run s of every unresolved search, as
+    (x, y, z, regime) queries, and is sent their hits."""
+    runs = [itertools.groupby(sets, key=len) for _, _, sets, _ in searches]
+    hits = dict.fromkeys(range(len(searches)))
+    live = list(hits)
+    while True:
+        step = {}
+        for i in live:
+            x, y, _, regimes = searches[i]
+            for _, run in itertools.islice(runs[i], 1):
+                step[i] = [(x, y, z, r) for z in run for r in regimes]
+        if not step:
+            return list(hits.values())
+        hits.update(zip(step, (yield list(step.values()))))
+        live = [i for i in step if hits[i] is None]
+
+
+def lockstep(tester, phases) -> list:
+    """The values of generators like `separator_steps`, run together: all reach
+    their first step before the first call, and each step is one `step_hits` call."""
+    results: list = [None] * len(phases)
+    sent = dict.fromkeys(range(len(phases)))
+    while True:
+        runs = {}
+        for i, hits in sent.items():
+            try:
+                runs[i] = phases[i].send(hits)
+            except StopIteration as stop:
+                results[i] = stop.value
+        if not runs:
+            return results
+        hits = iter(tester.step_hits([run for step in runs.values() for run in step]))
+        sent = {i: list(itertools.islice(hits, len(step))) for i, step in runs.items()}
+
+
+class CiTester:
+    """Memoizes verdicts on the exact query and finds a step's hits in `step_hits`."""
+
+    def first_separators(self, searches) -> list:
+        """The hit of each search."""
+        return lockstep(self, [separator_steps(searches)])[0]
+
+
+class ExactTester(CiTester):
     """Answers independence queries from the exact joint of a solved model.
 
     Verdicts are memoized on the exact query in a memo the solve owns
@@ -153,27 +191,21 @@ class ExactTester:
         self.regimes = solved.regimes
 
     def test(self, x: str, y: str, z: Sequence[str] = (), regime: str | None = None) -> CiVerdict:
-        q = CiQuery(x, y, tuple(z), regime)
-        if q not in self._memo:
-            self._memo[q] = ci_exact(self._solved.joint, q, context=self.context)
-        return self._memo[q]
+        key = (x, y, tuple(z), regime)
+        if (verdict := self._memo.get(key)) is None:
+            q = CiQuery(*key)
+            verdict = self._memo[q] = ci_exact(self._solved.joint, q, context=self.context)
+        return verdict
 
-    def first_separators(self, searches) -> list:
-        """First independent (z, regime, verdict) of each search
-        `(x, y, sets, regimes)`, or None.  The searches are scanned in turn,
-        so no query past a search's first independent one is decided."""
+    def step_hits(self, runs) -> list:
+        """Each run scanned in order, deciding no query past its first independent one."""
         hits = []
-        for x, y, sets, regimes in searches:
-            hit = None
-            for z in sets:
-                for regime in regimes:
-                    verdict = self.test(x, y, z, regime)
-                    if verdict.independent:
-                        hit = z, regime, verdict
-                        break
-                if hit is not None:
+        for run in runs:
+            hits.append(None)
+            for x, y, z, regime in run:
+                if (verdict := self.test(x, y, z, regime)).independent:
+                    hits[-1] = z, regime, verdict
                     break
-            hits.append(hit)
         return hits
 
 

@@ -4,9 +4,10 @@ Verbatim copies of `first_separator`, the one-search scan over a `test`
 callable that `first_separators` replaced, and of the PC skeleton and
 `detect_graph` loops built on it: each pair is searched alone, in pair
 order, over `tester.test`, and its edge is removed (and certificate
-recorded) as soon as its search ends.  Nothing here runs the package's
-searches.  Tests compare the package with them on hits, skeletons,
-certificates and the queries each tester decides.
+recorded) as soon as its search ends.  `discover` runs them one after
+another, as `cli discover` did before `discovery.discover`.  Nothing here
+runs the package's searches.  Tests compare the package with them on hits,
+skeletons, certificates and the queries each tester decides.
 
 `g_test_table` is the per-query table builder that `g_test_tables`
 replaced, kept verbatim but for its ranker: it ranks strata with the
@@ -196,9 +197,20 @@ def detect_graph(tester, regime, max_subsets=DEFAULT_MAX_SUBSETS, certificates=N
     return UndirectedSkeleton(tester.variables, pairs)
 
 
-def discover(tester, pooled, masked, detect):
-    """Skeletons and certificates of one discovery pass: pooled, then masked
-    and detect per regime, as `cli discover` runs them."""
+def discover(tester, regimes, certificates=None):
+    """`discovery.discover` as the one-skeleton loops above run it: the pooled
+    skeleton, then per regime the masked and the detection skeleton."""
+    pooled = skeleton_pooled(tester, certificates)
+    masked, detect = {}, {}
+    for r in regimes:
+        masked[r] = skeleton_masked(tester, r, certificates)
+        detect[r] = detect_graph(tester, r, certificates=certificates)
+    return pooled, masked, detect
+
+
+def one_pass(tester, pooled, masked, detect):
+    """Skeletons and certificates of one discovery pass through one-skeleton
+    functions: pooled, then masked and detect per regime."""
     certs = []
     found = [pooled(tester, certificates=certs)]
     for r in tester.regimes:
@@ -206,15 +218,30 @@ def discover(tester, pooled, masked, detect):
     return [sk.to_dot() for sk in found], certs
 
 
+def whole_run(tester, discover):
+    """The same skeletons and certificates, from one call of a whole-run `discover`."""
+    certs = []
+    pooled, masked, detect = discover(tester, tester.regimes, certs)
+    found = [pooled] + [sk for r in tester.regimes for sk in (masked[r], detect[r])]
+    return [sk.to_dot() for sk in found], certs
+
+
 def assert_lockstep_matches(make_tester):
     """Run a discovery pass with the package and with the references, each on a
-    fresh tester from `make_tester()`, and require == skeletons and certificates.
-    Returns the two testers (package's first) for checks of what they decided."""
-    new, old = make_tester(), make_tester()
-    got = discover(new, discovery.skeleton_pooled, discovery.skeleton_masked,
-                   discovery.detect_graph)
-    assert got == discover(old, skeleton_pooled, skeleton_masked, detect_graph)
-    return new, old
+    fresh tester from `make_tester()`, and require == skeletons and certificates:
+    once through the one-skeleton functions, once through `discover`.  Returns
+    the two (package, reference) tester pairs for checks of what they decided."""
+    runs = [
+        (one_pass, (discovery.skeleton_pooled, discovery.skeleton_masked, discovery.detect_graph),
+         (skeleton_pooled, skeleton_masked, detect_graph)),
+        (whole_run, (discovery.discover,), (discover,)),
+    ]
+    testers = []
+    for run, package, reference in runs:
+        new, old = make_tester(), make_tester()
+        assert run(new, *package) == run(old, *reference)
+        testers.append((new, old))
+    return testers
 
 
 def random_samples(n_vars, seed, rows):

@@ -111,7 +111,7 @@ def test_detect_graph_cap_and_unknown_regime():
 
 class CountingTester:
     """Forwards to a tester and counts the queries it is asked: one by one, or
-    every query of the searches handed to `first_separators`."""
+    every query of the runs handed to `step_hits`."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -124,10 +124,9 @@ class CountingTester:
         self.queries += 1
         return self.inner.test(*args, **kwargs)
 
-    def first_separators(self, searches):
-        searches = [(x, y, list(sets), regimes) for x, y, sets, regimes in searches]
-        self.queries += sum(len(sets) * len(regimes) for _, _, sets, regimes in searches)
-        return self.inner.first_separators(searches)
+    def step_hits(self, runs):
+        self.queries += sum(map(len, runs))
+        return self.inner.step_hits(runs)
 
 
 def test_detect_graph_checks_the_cap_before_the_first_query():
@@ -140,6 +139,51 @@ def test_detect_graph_checks_the_cap_before_the_first_query():
     assert t.queries == 0
     assert certificates == []
     assert pairs(detect_graph(t, "0", max_subsets=2)) == [("R", "T")]
+
+
+def test_discover_checks_the_cap_before_the_first_query(monkeypatch, tmp_path, capsys):
+    # R and 14 binary columns: detect_graph's pools of 13 variables exceed the default cap
+    rng = np.random.default_rng(14)
+    columns = ("R",) + tuple("V%02d" % i for i in range(14))
+    data = Dataset.from_rows(columns, rng.integers(0, 2, (3000, 15)).astype(str).tolist())
+    t = CountingTester(SampleTester(data, 0.01, "R"))
+    certificates = []
+    message = "conditioning-set search over 13 variables exceeds max_subsets=4096"
+    with pytest.raises(DiscoveryError, match=message):
+        discovery.discover(t, t.regimes, certificates)
+    assert t.queries == 0
+    assert certificates == []
+
+    built = []
+    monkeypatch.setattr(discovery, "g_test_tables", lambda *args: built.append(args))
+    csv = tmp_path / "wide.csv"
+    csv.write_text(data.to_csv())
+    assert cli.main(["discover", "--data", str(csv), "--alpha", "0.01"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert built == []
+
+
+def test_cli_discovery_makes_one_builder_call_per_step(monkeypatch, tmp_path, capsys):
+    """`discover --data` on the 8-variable sample_discover model at 3x10^4 rows:
+    every phase's step shares one `g_test_tables` call, with one kernel call
+    per block."""
+    m = random_scm(RandomModelSpec(n_vars=8, max_domain=3, seed=3))
+    csv = tmp_path / "samples.csv"
+    csv.write_text(draw_samples(m.scm, 3 * 10**4, 4, m.solved.table).to_csv())
+    calls = {"build": 0, "kernel": 0}
+    build, kernel = discovery.g_test_tables, discovery.g_test_from_tables
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(discovery, "g_test_tables", counted("build", build))
+    monkeypatch.setattr(discovery, "g_test_from_tables", counted("kernel", kernel))
+    assert cli.main(["discover", "--data", str(csv), "--alpha", "0.01"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificates"]
+    assert 0 < calls["build"] <= 6 and calls["build"] <= calls["kernel"] <= 6, calls
 
 
 def test_union_from_contexts_recovers_union_when_faithful():
@@ -423,8 +467,8 @@ def test_lockstep_exact_discovery_matches_the_sequential_reference(case, monkeyp
     """Same report, certificates and decided queries as the one-pair-at-a-time loops:
     the exact step decides nothing past a search's first independent query."""
     s = exact_case(case)
-    new, old = ref.assert_lockstep_matches(lambda: ExactTester(SolvedModel.of(s)))
-    assert set(new._memo) == set(old._memo)
+    for new, old in ref.assert_lockstep_matches(lambda: ExactTester(SolvedModel.of(s))):
+        assert set(new._memo) == set(old._memo)
 
     model = tmp_path / "model.json"
     model.write_text(serialize_scm(s))
@@ -438,8 +482,7 @@ def test_lockstep_exact_discovery_matches_the_sequential_reference(case, monkeyp
     monkeypatch.setattr(cli, "ExactTester", Recording)
     reports = []
     for module in (discovery, ref):
-        for name in ("skeleton_pooled", "skeleton_masked", "detect_graph"):
-            monkeypatch.setattr(cli, name, getattr(module, name))
+        monkeypatch.setattr(cli, "discover", module.discover)
         assert cli.main(["discover", "--exact", str(model)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
@@ -452,12 +495,13 @@ def test_lockstep_sample_discovery_matches_the_sequential_reference(alpha):
     """Same skeletons and certificates; every verdict the loops read is in the
     lockstep memo, bit for bit, and every lockstep verdict is that of `g_test`."""
     for name, data in sampled_datasets():
-        new, old = ref.assert_lockstep_matches(lambda: SampleTester(data, alpha, "R"))
-        assert set(old._memo) <= set(new._memo), name
-        for q, verdict in old._memo.items():
-            assert _hex(new._memo[q]) == _hex(verdict), (name, q)
-        for q, verdict in new._memo.items():
-            assert _hex(verdict) == _hex(independence.g_test(data, q, alpha, context="R")), (name, q)
+        for new, old in ref.assert_lockstep_matches(lambda: SampleTester(data, alpha, "R")):
+            assert set(old._memo) <= set(new._memo), name
+            for q, verdict in old._memo.items():
+                assert _hex(new._memo[q]) == _hex(verdict), (name, q)
+            for q, verdict in new._memo.items():
+                assert _hex(verdict) == _hex(independence.g_test(data, q, alpha, context="R")), \
+                    (name, q)
 
 
 def test_stacked_step_verdicts_equal_g_test_per_query():
@@ -542,11 +586,12 @@ def test_sample_tester_decides_no_query_past_the_size_a_search_resolved_at(monke
 
 
 def test_each_step_makes_one_kernel_call_per_block(monkeypatch):
-    """A discovery pass on 10^4 rows: each `g_test_tables` call of a step is
-    followed by one kernel call per block it returned, on that block's stack
-    and strata.  Every `_tally` of the builder fills a stack of more than one
-    query only within the `_PAIR_BUDGET` cell bound, and a tiny budget, which
-    cuts every step into many blocks, leaves every verdict bit-identical."""
+    """A discovery pass on 10^4 rows, through the one-skeleton functions and
+    through `discover`: each `g_test_tables` call of a step is followed by
+    one kernel call per block it returned, on that block's stack and strata.
+    Every `_tally` of the builder fills a stack of more than one query only
+    within the `_PAIR_BUDGET` cell bound, and a tiny budget, which cuts every
+    step into many blocks, leaves every verdict bit-identical."""
     data = ref.random_samples(8, 3, 10**4)
     events, tallied = [], []
     build, kernel, tally = discovery.g_test_tables, discovery.g_test_from_tables, independence._tally
@@ -567,13 +612,17 @@ def test_each_step_makes_one_kernel_call_per_block(monkeypatch):
     monkeypatch.setattr(discovery, "g_test_tables", recording_build)
     monkeypatch.setattr(discovery, "g_test_from_tables", recording_kernel)
     monkeypatch.setattr(independence, "_tally", recording_tally)
+    runs = {
+        "one_pass": lambda t: ref.one_pass(t, skeleton_pooled, skeleton_masked, detect_graph),
+        "discover": lambda t: ref.whole_run(t, discovery.discover),
+    }
     memos, default = {}, independence._PAIR_BUDGET
-    for budget in (default, 300, 1):
+    for budget, (name, run) in itertools.product((default, 300, 1), runs.items()):
         monkeypatch.setattr(independence, "_PAIR_BUDGET", budget)
         events.clear()
         tallied.clear()
         tester = SampleTester(data, 0.01, "R")
-        ref.discover(tester, skeleton_pooled, skeleton_masked, detect_graph)
+        run(tester)
         blocks = []
         for event in events:
             if event[0] == "build":
@@ -590,5 +639,7 @@ def test_each_step_makes_one_kernel_call_per_block(monkeypatch):
             assert all(len(stack) == 1 for stack in built)
         else:
             assert len(built) < len(tester._memo)
-        memos[budget] = {q: _hex(v) for q, v in tester._memo.items()}
-    assert memos[default] == memos[300] == memos[1]
+        memos[budget, name] = {q: _hex(v) for q, v in tester._memo.items()}
+    for name in runs:
+        assert memos[default, name] == memos[300, name] == memos[1, name]
+    assert memos[default, "one_pass"] == memos[default, "discover"]

@@ -530,21 +530,19 @@ def test_sample_tester_verdicts_equal_fresh_g_tests(monkeypatch):
     data = draw_samples(m.scm, 3000, 5, m.solved.table)
     tester = SampleTester(data, 0.01, "R")
     decided, answered = [], []
-    build, answer = discovery.g_test_tables, tester.first_separators
+    build, answer = discovery.g_test_tables, tester.step_hits
 
     def recording_build(table, queries, context=None):
         decided.extend(queries)
         return build(table, queries, context)
 
-    def recording(searches):
-        searches = [(x, y, list(sets), regimes) for x, y, sets, regimes in searches]
-        # a search's first query is always read
-        firsts = [CiQuery(x, y, sets[0], regimes[0]) for x, y, sets, regimes in searches if sets]
-        answered.extend(q for q in firsts if q in tester._memo)
-        return answer(searches)
+    def recording(runs):
+        # a run's first query is always read
+        answered.extend(run[0] for run in runs if run[0] in tester._memo)
+        return answer(runs)
 
     monkeypatch.setattr(discovery, "g_test_tables", recording_build)
-    tester.first_separators = recording
+    tester.step_hits = recording
     skeleton_pooled(tester)
     for r in tester.regimes:
         skeleton_masked(tester, r)
