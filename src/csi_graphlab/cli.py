@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .classify import classify_changes
@@ -368,11 +368,11 @@ def _cmd_sample(args) -> tuple[dict[str, str], int]:
 def _spec_from_file(path: str) -> RandomModelSpec:
     where = "spec file %r" % path
     doc = _json_object(path, "--spec", where)
-    known = {"n_vars", "max_domain", "max_parents", "seed", "require"}
-    unknown = sorted(set(doc) - known)
+    known = [f.name for f in fields(RandomModelSpec)]
+    unknown = sorted(set(doc) - set(known))
     if unknown:
         raise CliError("%s: unknown key(s) %s" % (where, ", ".join(map(repr, unknown))))
-    kwargs = {k: doc[k] for k in ("n_vars", "max_domain", "max_parents", "seed") if k in doc}
+    kwargs = {k: doc[k] for k in known if k in doc and k != "require"}
     for k, v in kwargs.items():
         if not isinstance(v, int) or isinstance(v, bool):
             raise CliError("%s: key %r must be an integer" % (where, k))
@@ -380,8 +380,7 @@ def _spec_from_file(path: str) -> RandomModelSpec:
         req = doc["require"]
         if not isinstance(req, dict):
             raise CliError("%s: key 'require' must be an object" % where)
-        fields = {"solvable", "strongly_regime_acyclic", "R_faithful"}
-        bad = sorted(set(req) - fields)
+        bad = sorted(set(req) - {f.name for f in fields(Requirements)})
         if bad:
             raise CliError(
                 "%s: unknown require key(s) %s" % (where, ", ".join(map(repr, bad)))

@@ -1,8 +1,9 @@
 """Skeleton discovery from pooled and per-context independence tests.
 
-Two testers answer the same queries, memoizing verdicts on the exact query:
-`independence.ExactTester` on the exact joint, and `SampleTester` with a
-G-test on the dataset's count table.  On top of them sit a deterministic
+Two testers answer the same queries, memoizing verdicts on the exact query,
+and differ only in how they decide one: `independence.ExactTester` on the
+exact joint, and `SampleTester` with a G-test on the dataset's count table,
+a whole step of queries at once.  On top of them sit a deterministic
 PC-style skeleton search (pooled or masked to one context value), the
 exhaustive per-context detection skeleton, and the Markov check of each
 designated separating set on the exact distribution.
@@ -100,9 +101,10 @@ class SampleTester(CiTester):
         self.regimes = tuple(data.labels(context)[c] for c in codes)
 
     def test(self, x: str, y: str, z: Sequence[str] = (), regime: str | None = None) -> CiVerdict:
-        """The verdict of one query, decided as a step of its own."""
+        """The memoized verdict of one query, or else that of a step of its own."""
         q = (x, y, tuple(z), regime)
-        self.step_hits([[q]])
+        if q not in self._memo:
+            self.step_hits([[q]])
         return self._memo[q]
 
     def step_hits(self, runs) -> list:
@@ -114,8 +116,7 @@ class SampleTester(CiTester):
             verdicts = [v for stack, strata in g_test_tables(self._table, pending, self.context)
                         for v in g_test_from_tables(stack, self._alpha, strata=strata)]
             self._memo.update(zip(pending, verdicts))
-        return [next(((q[2], q[3], self._memo[q]) for q in run if self._memo[q].independent), None)
-                for run in runs]
+        return super().step_hits(runs)
 
 
 def _record(certs, x, y, z, regime, verdict):

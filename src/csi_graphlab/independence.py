@@ -20,10 +20,11 @@ each set its regimes in order (None means pooled); its hit is the first
 independent (z, regime, verdict), or None.  One cutter, `separator_steps`,
 advances searches together one set size at a time; one driver, `lockstep`,
 advances such generators together and hands each step's runs to the
-tester's `step_hits` in one call.  Testers differ only there: `ExactTester`
-scans each run up to its first independent query, and the sample tester
-(`discovery.SampleTester`) builds the step's unmemoized tables in one
-`g_test_tables` call, one stacked kernel call per block.
+tester's `step_hits` in one call, which reads each run through `test` up to
+its first independent query.  Testers differ only in how they decide a
+query: `ExactTester` when `test` first reads it, and the sample tester
+(`discovery.SampleTester`) every unmemoized query of a step at once, in one
+`g_test_tables` call and one stacked kernel call per block.
 """
 
 from __future__ import annotations
@@ -167,11 +168,17 @@ def lockstep(tester, phases) -> list:
 
 
 class CiTester:
-    """Memoizes verdicts on the exact query and finds a step's hits in `step_hits`."""
+    """Finds a step's hits through `test`, the memoized verdict of the exact
+    query: testers differ only in how they decide a query."""
 
     def first_separators(self, searches) -> list:
         """The hit of each search."""
         return lockstep(self, [separator_steps(searches)])[0]
+
+    def step_hits(self, runs) -> list:
+        """Each run read in order through `test`, up to its first independent query."""
+        return [next(((z, r, v) for x, y, z, r in run if (v := self.test(x, y, z, r)).independent),
+                     None) for run in runs]
 
 
 class ExactTester(CiTester):
@@ -196,17 +203,6 @@ class ExactTester(CiTester):
             q = CiQuery(*key)
             verdict = self._memo[q] = ci_exact(self._solved.joint, q, context=self.context)
         return verdict
-
-    def step_hits(self, runs) -> list:
-        """Each run scanned in order, deciding no query past its first independent one."""
-        hits = []
-        for run in runs:
-            hits.append(None)
-            for x, y, z, regime in run:
-                if (verdict := self.test(x, y, z, regime)).independent:
-                    hits[-1] = z, regime, verdict
-                    break
-        return hits
 
 
 def conditional_mutual_information(

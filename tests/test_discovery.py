@@ -504,6 +504,39 @@ def test_lockstep_sample_discovery_matches_the_sequential_reference(alpha):
                     (name, q)
 
 
+@pytest.mark.parametrize("tester_class", [SampleTester, ExactTester])
+def test_discover_reads_every_hit_through_test(tester_class, monkeypatch):
+    """`discover` on the 8-variable sample_discover model reads each search
+    through the tester's `test`: every certificate's query is one `test` read.
+    On 10^4 sampled rows each query read is memoized with `g_test`'s verdict,
+    bit for bit; on a fresh exact solve the queries read are the memo's keys."""
+    m = random_scm(RandomModelSpec(n_vars=8, max_domain=3, seed=3))
+    if tester_class is SampleTester:
+        data = ref.random_samples(8, 3, 10**4)
+        tester = SampleTester(data, 0.01, "R")
+    else:
+        tester = ExactTester(SolvedModel.of(m.scm))
+    read = set()
+    test = tester_class.test
+
+    def recording_test(self, x, y, z=(), regime=None):
+        read.add((x, y, tuple(z), regime))
+        return test(self, x, y, z, regime)
+
+    monkeypatch.setattr(tester_class, "test", recording_test)
+    certificates = []
+    discovery.discover(tester, tester.regimes, certificates)
+    assert certificates
+    assert {(c.x, c.y, c.z, c.regime) for c in certificates} <= read
+    if tester_class is ExactTester:
+        assert read == set(tester._memo)
+        return
+    assert read <= set(tester._memo)
+    for q in read:
+        want = independence.g_test(data, independence.CiQuery(*q), 0.01, context="R")
+        assert _hex(tester._memo[q]) == _hex(want), q
+
+
 def test_stacked_step_verdicts_equal_g_test_per_query():
     """A step of queries whose tables have many (S, nx, ny) shapes, on raw rows and
     on a count table: each memoized verdict is `g_test`'s, bit for bit.  Each
