@@ -7,13 +7,18 @@ the one path that asks it: its memo on the exact query is kept by the
 `SolvedModel`, so exact discovery, the Markov check and the R-faithfulness
 search of one solve decide each query once.
 
-Sampled data is decided by one stacked kernel, `g_test_from_tables`, on an
-integer stack of shape (K, S, nx, ny): K tests of S strata each, zero-padded.
-Its tables come from one builder, `g_test_tables`, which counts the tables
-of many queries in one pass per block, weighting rows by `counts`, so the
-count table (`Dataset.tabulate`) gives the tables of the rows it compresses.
-`g_test` passes the one table of its query (K = 1); the transfer test passes
-its replicates in chunks of bounded size.
+Sampled data is decided by one stacked kernel on an integer stack of shape
+(K, S, nx, ny): K tests of S strata each, zero-padded.  It has two stages:
+`g_test_stats`, the array stage, gives each test's p-value, statistic and
+counts of skipped strata, and `g_test_from_tables` wraps them in verdicts
+with their warnings.  The expected counts multiply row and column sums in
+float64, so a product past 2^63 rounds instead of wrapping.  Its tables
+come from one builder, `g_test_tables`, which counts the tables of many
+queries in one pass per block, weighting rows by `counts`, so the count
+table (`Dataset.tabulate`) gives the tables of the rows it compresses.
+`g_test` passes the one table of its query (K = 1) to the verdict stage;
+the transfer test passes its replicates, in chunks of bounded size, to the
+array stage and reads only the p-values.
 
 A separator search `(x, y, sets, regimes)` tries its sets in order and for
 each set its regimes in order (None means pooled); its hit is the first
@@ -50,6 +55,7 @@ __all__ = [
     "g_test",
     "g_test_tables",
     "g_test_from_tables",
+    "g_test_stats",
     "conditional_mutual_information",
 ]
 
@@ -232,9 +238,12 @@ def subsets(pool: Sequence[str]) -> Iterable[tuple[str, ...]]:
         yield from itertools.combinations(pool, k)
 
 
-def _check_levels(alpha: float, min_expected: float) -> None:
+def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise IndependenceError("alpha must be in (0, 1)")
+
+
+def _check_min_expected(min_expected: float) -> None:
     # written so that NaN fails too: it would turn the low-count rule off
     if not min_expected >= 0.0:
         raise IndependenceError(
@@ -262,7 +271,8 @@ def g_test(
 
     Each row counts `counts` times, so a count table gives the verdict of its rows.
     """
-    _check_levels(alpha, min_expected)
+    _check_alpha(alpha)
+    _check_min_expected(min_expected)
     [(stack, _)] = g_test_tables(data, [q], context)
     return g_test_from_tables(stack, alpha, min_expected)[0]
 
@@ -384,30 +394,32 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums
 
 
-def g_test_from_tables(
+def g_test_stats(
     tables: np.ndarray,
-    alpha: float,
     min_expected: float = 5.0,
     strata: np.ndarray | None = None,
-) -> list[CiVerdict]:
-    """Stacked G-test: one verdict per test k of an integer stack `tables`
-    of shape (K, S, nx, ny), whose `tables[k, s]` is the contingency table
-    of stratum s of test k.  `strata[k]`, if given, is the number of real
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Array stage of the stacked G-test: `(p, g, low, degenerate, tested)`,
+    each of length K, for an integer stack `tables` of shape (K, S, nx, ny)
+    whose `tables[k, s]` is the contingency table of stratum s of test k.
+    `p` and `g` are test k's p-value and statistic, `low` and `degenerate`
+    its numbers of strata skipped by the low-count rule and with a single
+    observed category, and `tested` whether any stratum qualified (if not,
+    p is 1.0 and g 0.0).  `strata[k]`, if given, is the number of real
     strata of test k; the strata past it are padding, must be all zero and
-    are left out of the warning's count of single-category strata.  None
-    means all S strata are real.
+    are left out of `degenerate`.  None means all S strata are real.
 
-    Applies the qualification rules of `g_test`, which calls it with K = 1;
-    sampled discovery calls it once per block of `g_test_tables` and the
-    transfer test once per chunk of replicates.  Its temporaries are a few
-    arrays of the stack's size.  Each verdict is bit-identical to testing
-    its S tables one at a time: a stratum's terms are summed as one `np.sum`
-    over its positive cells in row-major order, the strata are added left
-    to right, and the tail is the chi-squared survival function `chdtrc`.
-    So zero rows, columns and strata padded on add nothing.  An all-zero
-    stratum counts as one with a single observed category.
+    Applies the qualification rules of `g_test`.  Its temporaries are a few
+    arrays of the stack's size.  Each test's p and g are bit-identical to
+    testing its S tables one at a time: a stratum's terms are summed as one
+    `np.sum` over its positive cells in row-major order, the strata are
+    added left to right, and the tail is the chi-squared survival function
+    `chdtrc`.  So zero rows, columns and strata padded on add nothing.  An
+    all-zero stratum counts as one with a single observed category.  The
+    expected counts multiply the row and column sums in float64, so a
+    product past 2^63 is rounded, not wrapped.
     """
-    _check_levels(alpha, min_expected)
+    _check_min_expected(min_expected)
     counts = np.asarray(tables)
     if counts.ndim != 4:
         raise IndependenceError("tables must have shape (K, S, nx, ny)")
@@ -433,7 +445,7 @@ def g_test_from_tables(
     ly = np.count_nonzero(cols, axis=2)
     degenerate = (lx < 2) | (ly < 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        expected = rows[..., :, None] * cols[..., None, :] / n[..., None, None]
+        expected = rows[..., :, None] * cols[..., None, :].astype(np.float64) / n[..., None, None]
     kept = (rows[..., :, None] > 0) & (cols[..., None, :] > 0)
     floor = np.where(kept, expected, np.inf).min(axis=(2, 3), initial=np.inf)
     low = ~degenerate & (floor < min_expected)
@@ -450,11 +462,27 @@ def g_test_from_tables(
     p = np.ones(len(g))
     positive = tested & (g > 0)
     p[positive] = chdtrc(df[positive], g[positive])
+    return p, g, low.sum(axis=1), (degenerate & ~padded).sum(axis=1), tested
 
+
+def g_test_from_tables(
+    tables: np.ndarray,
+    alpha: float,
+    min_expected: float = 5.0,
+    strata: np.ndarray | None = None,
+) -> list[CiVerdict]:
+    """Stacked G-test: one verdict per test k of an integer stack `tables`
+    of shape (K, S, nx, ny), read off `g_test_stats(tables, min_expected,
+    strata)`, whose warning names the strata it skipped.
+
+    `g_test` calls it with K = 1, and sampled discovery once per block of
+    `g_test_tables`.
+    """
+    _check_alpha(alpha)
+    p, g, low, degenerate, tested = g_test_stats(tables, min_expected, strata)
     verdicts = []
     for n_low, n_degenerate, ok, p_value, g_stat in zip(
-        low.sum(axis=1).tolist(), (degenerate & ~padded).sum(axis=1).tolist(),
-        tested.tolist(), p.tolist(), g.tolist(),
+        low.tolist(), degenerate.tolist(), tested.tolist(), p.tolist(), g.tolist(),
     ):
         notes = []
         if n_low:

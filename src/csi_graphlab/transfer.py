@@ -12,10 +12,14 @@ the support, changed.
 
 Replicate k draws its counts from a generator in the state of
 `default_rng(derive_seed(seed, k))`, set without `SeedSequence` hashing by
-one `replicate_generators` call over all K, into a (replicates, strata, x, y)
-stack; one stacked G-test kernel call decides a chunk of replicates.  A
-chunk holds at most `_CELL_BUDGET` table cells (or one replicate, if a
-single table is larger), so memory does not grow with K.
+one `replicate_generators` call over all K: first N rows over the (z, x)
+cells, read as Python ints, then, for each cell that drew any (found by
+`nonzero`, so the Python loop visits only those), its y counts from the
+cell's null law, into its slice of a preallocated (replicates, strata, x, y)
+stack.  One call of the kernel's array stage, `g_test_stats`, gives a
+chunk's p-values, with no verdict built per replicate.  A chunk holds at
+most `_CELL_BUDGET` table cells (or one replicate, if a single table is
+larger), so memory does not grow with K.
 A replicate table spans every (z, x, y) code, seen or not, so a code space
 above `_TABLE_BUDGET` cells is rejected before any array is built.
 """
@@ -23,12 +27,13 @@ above `_TABLE_BUDGET` cells is rejected before any array is built.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataError, Dataset, _tally
-from .independence import CiQuery, g_test, g_test_from_tables
+from .independence import CiQuery, g_test, g_test_stats
 from .rng import replicate_generators
 
 __all__ = [
@@ -59,6 +64,12 @@ class TransferConfig:
     min_power: float = 0.8
 
     def __post_init__(self) -> None:
+        for name in ("K", "N", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TransferError("%s must be an integer, got %r" % (name, value)) from None
         if self.K < 1:
             raise TransferError("K must be at least 1")
         if not 1 <= self.N < 1 << 63:
@@ -168,18 +179,17 @@ def transfer_evidence(
     chunk = max(1, _CELL_BUDGET // (n_cells * n_y))
     p_values = []
     unseen_rows = 0
+    cell_laws = list(law)
     generators = replicate_generators(cfg.seed, range(cfg.K))
     for first in range(0, cfg.K, chunk):
         tables = np.zeros((min(chunk, cfg.K - first), n_cells, n_y), dtype=np.int64)
         for table, rng in zip(tables, generators):
             drawn = rng.multinomial(cfg.N, p_cells)
-            for cell in np.flatnonzero(drawn):
-                table[cell] = rng.multinomial(drawn[cell], law[cell])
+            counts = drawn.tolist()
+            for cell in drawn.nonzero()[0].tolist():
+                table[cell] = rng.multinomial(counts[cell], cell_laws[cell])
         unseen_rows += int(tables[:, fallback].sum())
-        verdicts = g_test_from_tables(
-            tables.reshape(len(tables), n_strata, n_x, n_y), cfg.alpha
-        )
-        p_values += [v.p_value for v in verdicts]
+        p_values += g_test_stats(tables.reshape(len(tables), n_strata, n_x, n_y))[0].tolist()
     rejecting = sum(1 for p in p_values if p < cfg.alpha)
     power = rejecting / cfg.K
 

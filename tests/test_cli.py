@@ -397,6 +397,20 @@ def test_transfer_n_beyond_numpy_draws_exits_2(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_transfer_evidence_holds_at_n_of_10_to_10(capsys, tmp_path):
+    # at N = 10^10 a stratum's row sum times column sum passes 2^63; the G-test
+    # used to wrap it in int64 and default every replicate to independence
+    path = tmp_path / "data.csv"
+    path.write_text(draw_samples(get_example("fig1-change-overlap"), 4000, 5).to_csv())
+    base = ("transfer-test", str(path), "--x", "X", "--y", "Y", "--r0", "0",
+            "--context", "C", "--K", "5")
+    for n in ("2000", "10000000000"):
+        rc, out, _ = invoke(capsys, *base, "--N", n)
+        assert rc == EXIT_OK
+        doc = json.loads(out)
+        assert (doc["estimated_power_under_null"], doc["evidence_physical"]) == (1.0, True), n
+
+
 def test_transfer_over_the_table_budget_exits_2(capsys, tmp_path):
     rows = [
         (str(i % 2), str(i % 10), str(i // 10 % 10), str(i % 103), str(7 * i % 103))

@@ -26,6 +26,7 @@ from csi_graphlab.independence import (
     conditional_mutual_information,
     g_test,
     g_test_from_tables,
+    g_test_stats,
     g_test_tables,
     subsets,
 )
@@ -566,12 +567,63 @@ def test_sample_tester_memo_keeps_pair_and_z_order():
     assert len({tester.test(*o).statistic for o in orders}) == 4
 
 
+def test_expected_counts_past_2_to_63_do_not_wrap():
+    # each stratum's row sum times column sum is 1600 * 2^64 at scale 2^32; in
+    # int64 it wrapped to 0, and the stratum fell below the expected-count floor
+    small = np.array([[[[30, 10], [10, 30]]]])
+    [want] = g_test_from_tables(small, 0.05)
+    [got] = g_test_from_tables(small * 2**32, 0.05)
+    assert not want.independent and not got.independent
+    assert got.warning is None
+    assert math.isclose(got.statistic, 2**32 * want.statistic, rel_tol=1e-9)
+
+
+@st.composite
+def large_count_stacks(draw):
+    """Stacks whose row and column sums stay below 2^31, so products stay below 2^62."""
+    k, s = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    nx, ny = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    cells = draw(st.lists(st.integers(0, 2**29), min_size=k * s * nx * ny,
+                          max_size=k * s * nx * ny))
+    return np.reshape(cells, (k, s, nx, ny))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=large_count_stacks())
+def test_float_expected_counts_match_the_integer_products_below_2_to_63(stack):
+    assert_kernel_matches_reference(stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=table_stacks(), data=st.data(), min_expected=st.sampled_from((0.0, 5.0, 20.0)))
+def test_the_array_stage_gives_the_numbers_of_the_verdicts(stack, data, min_expected):
+    strata = np.array(data.draw(st.lists(st.integers(0, stack.shape[1]),
+                                         min_size=len(stack), max_size=len(stack))))
+    stack = np.where(np.arange(stack.shape[1])[:, None, None] < strata[:, None, None, None],
+                     stack, 0)
+    p, g, low, degenerate, tested = g_test_stats(stack, min_expected, strata)
+    verdicts = g_test_from_tables(stack, 0.05, min_expected, strata)
+    assert [x.hex() for x in p] == [v.p_value.hex() for v in verdicts]
+    assert [x.hex() for x in g] == [v.statistic.hex() for v in verdicts]
+    for n_low, n_degenerate, ok, v in zip(low, degenerate, tested, verdicts):
+        warning = v.warning or ""
+        assert (n_low > 0) == ("%d strata below the expected-count floor" % n_low in warning)
+        assert (n_degenerate > 0) == (
+            "%d strata with a single observed category" % n_degenerate in warning)
+        assert ok == ("no qualifying strata" not in warning)
+
+
 def test_stacked_kernel_validates_its_input():
     with pytest.raises(IndependenceError):
         g_test_from_tables(np.zeros((1, 1, 2, 2), dtype=np.int64), alpha=1.0)
     with pytest.raises(IndependenceError):
         g_test_from_tables(np.zeros((1, 2, 2), dtype=np.int64), alpha=0.05)
+    with pytest.raises(IndependenceError):
+        g_test_stats(np.zeros((1, 2, 2), dtype=np.int64))
+    with pytest.raises(IndependenceError, match="min_expected"):
+        g_test_stats(np.zeros((1, 1, 2, 2), dtype=np.int64), float("nan"))
     assert g_test_from_tables(np.zeros((0, 1, 2, 2), dtype=np.int64), alpha=0.05) == []
+    assert all(len(a) == 0 for a in g_test_stats(np.zeros((0, 1, 2, 2), dtype=np.int64)))
 
 
 def test_package_import_leaves_scipy_stats_out():

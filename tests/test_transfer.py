@@ -13,6 +13,7 @@ from csi_graphlab.transfer import (
     TransferVerdict,
     transfer_evidence,
 )
+from transfer_reference import assert_replicates_match
 
 
 def fixture_samples(name, n=4000, seed=7):
@@ -170,6 +171,27 @@ def test_config_validation():
         TransferConfig(K=1, N=10, alpha=0.05, seed=1, min_power=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("K", 2.5), ("K", "3"), ("N", 100.7), ("N", float("nan")), ("N", 2000.0),
+    ("seed", 1.0), ("seed", None),
+])
+def test_config_rejects_a_non_integer_by_name(field, value):
+    kw = dict(K=2, N=50, alpha=0.05, seed=1)
+    kw[field] = value
+    with pytest.raises(TransferError, match="^%s must be an integer, got " % field):
+        TransferConfig(**kw)
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = TransferConfig(K=np.int64(3), N=np.uint32(50), alpha=0.05, seed=np.uint64(2**64 - 1))
+    assert cfg == TransferConfig(K=3, N=50, alpha=0.05, seed=2**64 - 1)
+    assert all(type(v) is int for v in (cfg.K, cfg.N, cfg.seed))
+    data = fixture_samples("fig1-change-overlap", n=300)
+    assert transfer_evidence(data, "X", "Y", (), "0", cfg, context="C") == \
+        transfer_evidence(data, "X", "Y", (), "0", TransferConfig(3, 50, 0.05, 2**64 - 1),
+                          context="C")
+
+
 def test_n_beyond_numpy_draws_is_rejected():
     # numpy's multinomial takes N as a C long: 2^63 would raise OverflowError in the draws
     with pytest.raises(TransferError, match="N must be .* got 9223372036854775808"):
@@ -226,13 +248,13 @@ def test_replicate_chunks_stay_under_the_cell_budget(monkeypatch):
     data = sixty_four_strata()
     cfg = TransferConfig(K=40, N=8000, alpha=0.05, seed=3)
     shapes = []
-    kernel = transfer.g_test_from_tables
+    kernel = transfer.g_test_stats
 
     def spy(tables, *args, **kwargs):
         shapes.append(tables.shape)
         return kernel(tables, *args, **kwargs)
 
-    monkeypatch.setattr(transfer, "g_test_from_tables", spy)
+    monkeypatch.setattr(transfer, "g_test_stats", spy)
     runs = {}
     for budget in (1 << 30, 3000, 0):
         monkeypatch.setattr(transfer, "_CELL_BUDGET", budget)
@@ -353,3 +375,54 @@ def test_replicate_generators_give_the_verdicts_of_fresh_generators(monkeypatch)
     data = fixture_samples("fig1-change-overlap")
     cfg = TransferConfig(K=200, N=2000, alpha=0.05, seed=7)
     assert both(data, "X", "Y", (), "0", cfg, context="C").evidence_physical
+
+
+# --- the replicate loop against the per-cell reference ---
+
+
+@pytest.mark.parametrize("name, draw_seed, seed", [
+    ("fig1-change-overlap", 7, 7),
+    ("fig1-nochange-overlap", derive_seed(31, 0), derive_seed(32, 0)),
+    ("fig1-nochange-overlap", derive_seed(31, 1), derive_seed(32, 1)),
+])
+def test_criterion_07_replicates_equal_the_per_cell_reference(name, draw_seed, seed):
+    data = fixture_samples(name, n=4000, seed=draw_seed)
+    cfg = TransferConfig(K=200, N=2000, alpha=0.05, seed=seed)
+    assert_replicates_match(data, "X", "Y", (), "0", cfg, context="C")
+
+
+@pytest.mark.parametrize("pooled_null", [False, True])
+def test_chunked_replicates_equal_the_per_cell_reference(monkeypatch, pooled_null):
+    data = sixty_four_strata()
+    cfg = TransferConfig(K=40, N=8000, alpha=0.05, seed=3)
+    for budget in (1 << 30, 3000, 0):
+        monkeypatch.setattr(transfer, "_CELL_BUDGET", budget)
+        verdict = assert_replicates_match(data, "X", "Y", ("A", "B", "D"), "0", cfg,
+                                          pooled_null=pooled_null)
+        assert verdict.details["unseen_cell_rows"] > 0 or pooled_null
+
+
+def random_layout(rng, n_y):
+    """Rows over R, X, Z and Y whose declared labels leave some (z, x) cells
+    without rows (probability zero in r0) and some seen in r0 only (fallback)."""
+    n_x, n_z = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    labels = {"R": 2, "X": n_x + 1, "Z": n_z + 1, "Y": n_y}
+    codes = np.column_stack([rng.integers(0, 2, 600), rng.integers(0, n_x, 600),
+                             rng.integers(0, n_z, 600), rng.integers(0, n_y, 600)])
+    # x = n_x occurs in r0 only: its cells fall back to the uniform law unless pooled
+    codes[:40, :2] = (0, n_x)
+    return Dataset(tuple(labels), {c: tuple(map(str, range(k))) for c, k in labels.items()},
+                   codes[rng.permutation(600)])
+
+
+@pytest.mark.parametrize("n_y", [2, 3, 4, 5])
+@pytest.mark.parametrize("pooled_null", [False, True])
+def test_sparse_layouts_equal_the_per_cell_reference(n_y, pooled_null):
+    rng = np.random.default_rng(n_y)
+    for k in range(4):
+        data = random_layout(rng, n_y)
+        cfg = TransferConfig(K=30, N=int(rng.integers(1, 400)), alpha=0.05, seed=k)
+        for z in ((), ("Z",)):
+            verdict = assert_replicates_match(data, "X", "Y", z, "0", cfg,
+                                              pooled_null=pooled_null)
+            assert (verdict.details["unseen_cell_rows"] > 0) != pooled_null
