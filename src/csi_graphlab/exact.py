@@ -357,8 +357,8 @@ def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointP
 class SolvedModel:
     """One solve of a model: the solution table, the two joints and, filled on
     first use through `derive`, everything derived from them (the regimes
-    here, the graph families in `graph_objects`, the locality scan in
-    `laws`).  Derived values are computed once per instance; they are
+    here, the graph families and the support-reduction witnesses in
+    `graph_objects`, the locality scan and the product-form gate in `laws`).  Derived values are computed once per instance; they are
     immutable, so sharing them is safe.
     """
 

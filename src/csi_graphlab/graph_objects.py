@@ -13,9 +13,9 @@ carried over from the pooled visible graph by convention; in the
 counterfactual graph they are annotations, not claims.
 
 Every graph of one solve is derived from a `SolvedModel` and computed at
-most once per instance: the union graph and the four per-regime families
-are kept by `SolvedModel.derive`, and the regime-acyclicity flags read the
-cycles each of those graphs finds once.
+most once per instance: the union graph, the four per-regime families and
+the support-reduction scan are kept by `SolvedModel.derive`, and the
+regime-acyclicity flags read the cycles each of those graphs finds once.
 """
 
 from __future__ import annotations
@@ -247,10 +247,29 @@ def support_reduction_witnesses(solved: SolvedModel) -> list[dict]:
     support that couples an invisible declared argument to the outcome; the
     solution-side laws are only meaningful without such coupling.  At most
     one witness per variable and clause.
+
+    The scan runs once per solve; each call returns new dicts and lists, so
+    a caller cannot change the kept value.
     """
+    hits = solved.derive("support_witnesses", lambda: tuple(_support_reductions(solved)))
+    return [
+        {
+            "variable": y,
+            "clause": clause,
+            "regime": regime,
+            "visible_parents": list(visible),
+            "rows": [list(a), list(b)],
+            "noise": n,
+        }
+        for y, clause, regime, visible, a, b, n in hits
+    ]
+
+
+def _support_reductions(solved: SolvedModel):
+    """`support_reduction_witnesses`' scan: each hit as (variable, clause,
+    regime, visible parents, row, row', noise label)."""
     s = solved.scm
     ctx = s.context_variable
-    out: list[dict] = []
 
     def scan(mech: MechanismTable, visible: DirectedGraph, q: JointPmf, clause, regime):
         y = mech.variable
@@ -258,28 +277,20 @@ def support_reduction_witnesses(solved: SolvedModel) -> list[dict]:
         hit = _varies_with(mech, q.support(mech.parents), keep, s.noises[y].support, None)
         if hit is not None:
             a, b, n = hit
-            out.append({
-                "variable": y,
-                "clause": clause,
-                "regime": regime,
-                "visible_parents": [mech.parents[j] for j in keep],
-                "rows": [list(a), list(b)],
-                "noise": n,
-            })
+            yield y, clause, regime, tuple(mech.parents[j] for j in keep), a, b, n
 
     union = union_graph(solved)
     for v in s.variables:
         mech = s.mechanisms[v.name]
         if mech.parents:
-            scan(mech, union, solved.joint, "pooled", None)
+            yield from scan(mech, union, solved.joint, "pooled", None)
     for r in solved.regimes:
         descr = descriptive_graph(solved, r)
         cond = solved.joint.conditional({ctx: r})
         for v in s.variables:
             mech = s.mechanisms[v.name]
             if v.name != ctx and mech.parents:
-                scan(mech, descr, cond, "per_context", r)
-    return out
+                yield from scan(mech, descr, cond, "per_context", r)
 
 
 @dataclass

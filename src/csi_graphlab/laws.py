@@ -6,16 +6,21 @@ witness.  Models that do not meet a law's hypotheses yield a skipped result,
 never a silent pass or a spurious failure.  `random_scm` draws small models
 by rejection so the relations get exercised far from the curated corpus.
 
-The noise-factorization law holds for every conditioning set at once when the
-noise joint spells the solution table in product form and the solved values
-are local, as the paper's solution-function argument shows; the locality
-scan is the one `check_solution_locality` reads, run once per solve.  Only a
-joint failing either property is walked over all 2^n - 1 conditioning sets
+The noise-factorization and local Markov laws are decided by the paper's
+solution-function argument from one gate derived once per solve: the noise
+joint spells the solution table in product form, the solved values are
+local (the locality scan is the one `check_solution_locality` reads) and
+the observable joint is the noise joint's marginal.  Noise factorization
+then holds for every conditioning set at once; local Markov holds when,
+besides, the support scan `random_scm` runs finds no witness and no
+variable is an ancestor of its barrier.  Only a joint failing those
+premises is walked: noise factorization over all 2^n - 1 conditioning sets
 in Python ints, comparing the noise joint's weights P = p * D (D its
 denominator) with the priors scaled to integers by `NoiseSpec.scaled`
-(a_i = prior_i * d_i): a noise tuple factors exactly when
-P * prod_out d_i == S * prod_out a_i, S being the weight of its cell.  Only
-witnesses go back to `Fraction`.
+(a_i = prior_i * d_i), where a noise tuple factors exactly when
+P * prod_out d_i == S * prod_out a_i, S being the weight of its cell; local
+Markov over every barrier group by `first_dependence`.  Only witnesses go
+back to `Fraction`.
 """
 
 from __future__ import annotations
@@ -415,6 +420,46 @@ def check_solution_locality(s: Scm, solved: SolvedModel) -> CheckResult:
     return _done("solution_locality", wit)
 
 
+def _product_form_gate(solved: SolvedModel) -> bool:
+    """The premises both noise-side laws are decided on, derived once per
+    solve: the noise joint is the solution table's rows in product form,
+    their solved values are local, and the observable joint is their
+    marginal.
+
+    - keys: the noise joint's keys are the table's (noise + values) rows,
+      in table order.
+    - product form: `_product_form` holds for them.
+    - locality: every row's context value is a regime, and the solve's
+      locality scan, the one `check_solution_locality` reads, found no
+      violation of either clause.
+    - support: `solved.joint` equals the noise joint's marginal over the
+      variables, so the supports the graphs and `support_reduction_witnesses`
+      read hold every row's parent values.
+    """
+
+    def holds() -> bool:
+        s = solved.scm
+        nj = solved.noise_joint
+        table = solved.table
+        names = table.variables
+        d, prior = zip(*(s.noises[v].scaled() for v in names))
+        ci = names.index(s.context_variable)
+        if not (
+            list(nj.weights) == [u + v for u, v in zip(table.noise_assignments, table.values)]
+            and _product_form(nj, table.noise_assignments, d, prior)
+            # every row lies in a per-context stratum of the scan
+            and {vals[ci] for vals in table.values} <= set(solved.regimes)
+            and not _solution_violations(solved)
+        ):
+            return False
+        joint, rows = solved.joint, nj.marginal(names)
+        return (joint.scope, joint.denominator, joint.weights) == (
+            rows.scope, rows.denominator, rows.weights
+        )
+
+    return solved.derive("product_form", holds)
+
+
 def check_noise_factorization(
     s: Scm, solved: SolvedModel, cap: int | None = None
 ) -> CheckResult:
@@ -433,17 +478,16 @@ def check_noise_factorization(
     (group, ancestral noise values), and the products run over the noises
     outside the block.
 
-    The paper's own argument settles every Z at once when the joint's keys
-    are the solution table's (noise + values) rows, in table order, and two
-    properties hold:
+    The paper's own argument settles every Z at once when the shared gate
+    `_product_form_gate` holds, which `check_local_markov` reads too.  Of
+    its premises this proof uses two:
 
     - product form: the noise tuples are distinct, use only labels of
       positive prior and number prod_i |positive support|; every weight w
       has w * prod_i d_i == D * prod_i a_i; each prior's positive labels
       sum to one.
     - locality: every row's context value is a regime, and the solve's
-      single locality scan, the one `check_solution_locality` reads, found
-      no violation of either clause.
+      single locality scan found no violation of either clause.
 
     Proof sketch.  Under product form every completion of the outside
     noises is a row of the joint.  Locality puts all those completions in
@@ -452,12 +496,10 @@ def check_noise_factorization(
     is fixed across the cell too.  The cell's weight S is then D times the
     prior product over the block, and the cell test holds as an identity.
 
-    When either property fails, `_factorization_kernel` walks every
-    conditioning set, group by group, in Python ints; it is the only source
-    of witnesses.
+    When the gate fails, `_factorization_kernel` walks every conditioning
+    set, group by group, in Python ints; it is the only source of witnesses.
     """
-    names = solved.table.variables
-    n = len(names)
+    n = len(solved.table.variables)
     cap = (n - 1) if cap is None else cap
     if cap < 0:
         raise LawsError("cap must be nonnegative")
@@ -466,19 +508,9 @@ def check_noise_factorization(
     notes = ()
     if cap < n:
         notes = ("conditioning sets of more than %d variables not checked" % cap,)
-    nj = solved.noise_joint
-    table = solved.table
-    d, prior = zip(*(s.noises[v].scaled() for v in names))
-    ci = names.index(s.context_variable)
-    if (
-        list(nj.weights) == [u + v for u, v in zip(table.noise_assignments, table.values)]
-        and _product_form(nj, table.noise_assignments, d, prior)
-        # every row lies in a per-context stratum of the scan
-        and {vals[ci] for vals in table.values} <= set(solved.regimes)
-        and not _solution_violations(solved)
-    ):
+    if _product_form_gate(solved):
         return _done("noise_factorization", [], notes)
-    return _factorization_kernel(s, solved, cap, notes, d, prior)
+    return _factorization_kernel(s, solved, cap, notes)
 
 
 def _product_form(nj: JointPmf, noises, d: Sequence[int], prior: Sequence[dict[str, int]]) -> bool:
@@ -504,12 +536,7 @@ def _product_form(nj: JointPmf, noises, d: Sequence[int], prior: Sequence[dict[s
 
 
 def _factorization_kernel(
-    s: Scm,
-    solved: SolvedModel,
-    cap: int,
-    notes: tuple[str, ...],
-    d: Sequence[int],
-    prior: Sequence[dict[str, int]],
+    s: Scm, solved: SolvedModel, cap: int, notes: tuple[str, ...]
 ) -> CheckResult:
     """The cell test for every conditioning set up to `cap` names, walked in
     Python ints over the groups of `JointPmf.strata`.
@@ -525,6 +552,7 @@ def _factorization_kernel(
     nj = solved.noise_joint
     denom = nj.denominator
     noises = tuple(noise_name(v) for v in names)
+    d, prior = zip(*(s.noises[v].scaled() for v in names))
     union = union_graph(solved)
     anc_ctx = union.ancestors([ctx])
     descr = {r: descriptive_graph(solved, r) for r in solved.regimes}
@@ -573,6 +601,30 @@ def _factorization_kernel(
     return _done("noise_factorization", wit, notes)
 
 
+def _barrier_obligations(s: Scm, solved: SolvedModel) -> list[tuple]:
+    """The local Markov law's barrier tests, in walk order, as (clause,
+    variable, regime, barrier, graph): the pooled clause for every variable
+    off the pooled cycles, then per regime the per-context clause for every
+    variable off the descriptive cycles that is no pooled ancestor of the
+    context.  The barrier is the variable's parents in the clause's graph,
+    the context left out per context."""
+    names = solved.table.variables
+    union = union_graph(solved)
+    ctx = s.context_variable
+    cyclic = union.cyclic_nodes()
+    out = [("pooled", y, None, union.parents(y), union) for y in names if y not in cyclic]
+    anc_ctx = union.ancestors([ctx])
+    for r in solved.regimes:
+        descr = descriptive_graph(solved, r)
+        d_cyclic = descr.cyclic_nodes()
+        out += [
+            ("per_context", y, r, descr.parents(y) - {ctx}, descr)
+            for y in names
+            if not (y == ctx or y in anc_ctx or y in d_cyclic)
+        ]
+    return out
+
+
 def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     """Parent sets act as barriers against all other noise terms.
 
@@ -580,17 +632,58 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     other noises given its pooled parents.  Per-context clause: a variable
     off every descriptive cycle that is no pooled ancestor of the context is
     independent of the other noises given its descriptive parents, within
-    the stratum.  Decided by `first_dependence` on the noise joint's weights.
+    the stratum.
+
+    The paper's argument decides the law without a pass over the noise
+    joint when three facts hold: the shared gate `_product_form_gate`, no
+    `support_reduction_witnesses`, and, for every barrier test, y outside
+    the ancestors of its barrier B in that clause's graph.
+
+    Proof sketch, pooled clause.  Product form makes N_y independent of the
+    other noises N_-y.  Pooled locality makes B a function of the noises of
+    B's pooled ancestors, none of which is N_y, so B is a function of N_-y.
+    The pooled support scan keeps y's pooled parents, which are B, on the
+    support of y's declared parents, which holds every row's parent values
+    since `solved.joint` is the rows' marginal: so y = g(B, N_y) on every
+    row.  Given B = b, an event on N_-y, y = g(b, N_y) stays independent
+    of N_-y, and every barrier group factors exactly.
+
+    Per-context clause, within R = r.  R is a function of the noises of its
+    pooled ancestors, y not among them, so R = r is an event on N_-y.
+    Per-context locality makes B a function of the noises of B's
+    descriptive ancestors on those rows, N_y not among them.  The
+    per-context scan keeps y's descriptive parents; R is constant within
+    R = r, so keeping it changes no group, and y = g(B, N_y) on those rows.
+    The pooled argument then runs within R = r.  A parentless y is f(N_y)
+    in both clauses.
+
+    Otherwise `_local_markov_walk` tests every barrier group on the noise
+    joint's weights; it is the only source of witnesses.
     """
+    obligations = _barrier_obligations(s, solved)
+    if not obligations:
+        return _skip("local_markov", "no variable meets the barrier hypotheses")
+    if (
+        all(y not in g.ancestors(barrier) for _, y, _, barrier, g in obligations)
+        and not support_reduction_witnesses(solved)
+        and _product_form_gate(solved)
+    ):
+        return _done("local_markov", [])
+    return _local_markov_walk(s, solved, obligations)
+
+
+def _local_markov_walk(s: Scm, solved: SolvedModel, obligations: list[tuple]) -> CheckResult:
+    """Each barrier test by `first_dependence` on the noise joint's weights,
+    pooled or within the test's context stratum; the first dependent group
+    of a test, in sorted barrier-value order, gives its witness."""
     nj = solved.noise_joint
     names = solved.table.variables
-    union = union_graph(solved)
-    ctx = s.context_variable
-    cyclic = union.cyclic_nodes()
+    by_regime = nj.strata((s.context_variable,), nj.scope)
     wit: list[dict] = []
-    obligations = 0
-
-    def barrier_test(y, b_vars, pmf, clause, regime=None):
+    for clause, y, regime, b_vars, _ in obligations:
+        pmf = nj
+        if regime is not None:
+            pmf = JointPmf(nj.scope, by_regime.get((regime,), {}), nj.denominator)
         barrier = sorted(b_vars)
         others = [noise_name(v) for v in names if v != y]
         groups = pmf.strata(barrier, (y, *others))
@@ -607,26 +700,7 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
                     "value": yv,
                     "other_noises": list(ev),
                 })
-                return
-
-    for y in names:
-        if y in cyclic:
-            continue
-        obligations += 1
-        barrier_test(y, union.parents(y), nj, "pooled")
-    anc_ctx = union.ancestors([ctx])
-    by_regime = nj.strata((ctx,), nj.scope)
-    for r in solved.regimes:
-        descr = descriptive_graph(solved, r)
-        d_cyclic = descr.cyclic_nodes()
-        nj_r = JointPmf(nj.scope, by_regime.get((r,), {}), nj.denominator)
-        for y in names:
-            if y == ctx or y in anc_ctx or y in d_cyclic:
-                continue
-            obligations += 1
-            barrier_test(y, set(descr.parents(y)) - {ctx}, nj_r, "per_context", r)
-    if obligations == 0:
-        return _skip("local_markov", "no variable meets the barrier hypotheses")
+                break
     return _done("local_markov", wit)
 
 

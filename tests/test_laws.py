@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -7,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csi_graphlab import laws
+from csi_graphlab import graph_objects, laws
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.exact import JointPmf, SolvedModel
 from csi_graphlab.discovery import ExactTester, detect_graph, skeleton_masked, skeleton_pooled
@@ -131,6 +133,24 @@ def test_entangled_support_is_detected_and_breaks_locality():
     assert not res.passed
     assert res.witnesses[0]["variable"] == "Y"
     assert res.witnesses[0]["clause"] == "pooled"
+
+
+def test_support_witnesses_are_scanned_once_and_handed_out_as_copies():
+    sm = SolvedModel.of(diagonal_model())
+    got = support_reduction_witnesses(sm)
+    want = copy.deepcopy(got)
+    got[0]["rows"][0].append("2")
+    got[0]["visible_parents"].append("R")
+    got[0]["noise"] = "u1"
+    got.append({})
+    assert support_reduction_witnesses(sm) == want
+    # random_scm scanned its accepted model; the laws read that scan back
+    m = laws.random_scm(SPEC)
+    with mock.patch.object(graph_objects, "_varies_with", wraps=graph_objects._varies_with) as scan:
+        assert support_reduction_witnesses(m.solved) == []
+        assert scan.call_count == 0
+        assert support_reduction_witnesses(SolvedModel.of(m.scm)) == []
+        assert scan.call_count > 0
 
 
 def test_sampler_rejects_entangled_draws():
@@ -350,10 +370,24 @@ def test_family_laws_report_each_broken_relation(law, family, edit, witnesses, m
 # --- noise factorization: the structural decision, the integer walk and the ---------
 # --- Fraction reference side by side -------------------------------------------------
 
+def forced(law, walk, sm, **kwargs):
+    """`law` on `sm` with the shared gate reading False, whatever the solve
+    has cached; the walk that then decides it must run, on `sm`."""
+    with mock.patch.object(laws, "_product_form_gate", lambda solved: False), \
+            mock.patch.object(laws, walk, wraps=getattr(laws, walk)) as ran:
+        got = law(sm.scm, sm, **kwargs)
+    assert [c.args[1] for c in ran.call_args_list] == ([] if got.skipped else [sm])
+    return got
+
+
 def kernel_only(sm, cap=None):
     """The law as the integer walk alone decides it."""
-    with mock.patch.object(laws, "_product_form", lambda *args: False):
-        return laws.check_noise_factorization(sm.scm, sm, cap=cap)
+    return forced(laws.check_noise_factorization, "_factorization_kernel", sm, cap=cap)
+
+
+def walk_only(sm):
+    """`check_local_markov` as the barrier walk alone decides it."""
+    return forced(laws.check_local_markov, "_local_markov_walk", sm)
 
 
 def assert_matches_reference(sm, caps=(None,)):
@@ -375,12 +409,17 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_untampered_models_never_reach_the_kernel(solved_examples):
+@pytest.fixture(scope="module")
+def untampered(solved_examples):
+    """The corpus, `verify --count 200 --seed 1` and exact_pipeline solves."""
     models = [sm for _, sm in solved_examples.values()]
-    models += [m.solved for m in verify_models() + pipeline_models()]
-    assert len(models) == 216
+    return models + [m.solved for m in verify_models() + pipeline_models()]
+
+
+def test_untampered_models_never_reach_the_kernel(untampered):
+    assert len(untampered) == 216
     caps = (None, 1)
-    for sm in models:
+    for sm in untampered:
         with mock.patch.object(
             laws, "_factorization_kernel", side_effect=AssertionError("kernel reached")
         ):
@@ -397,6 +436,24 @@ def test_tampered_corpus_joints_reach_the_kernel(solved_examples, monkeypatch):
         assert not laws.check_noise_factorization(s, t).passed
         assert calls[-1] is t
     assert len(calls) == len(solved_examples)
+
+
+def test_untampered_models_never_reach_the_walk(untampered):
+    for sm in untampered:
+        with mock.patch.object(
+            laws, "_local_markov_walk", side_effect=AssertionError("walk reached")
+        ):
+            got = laws.check_local_markov(sm.scm, sm)
+        assert got.passed and not got.skipped
+        assert got == walk_only(sm)
+
+
+def test_tampered_corpus_joints_reach_the_walk(solved_examples):
+    for s, sm in solved_examples.values():
+        t = tampered(sm)
+        with mock.patch.object(laws, "_local_markov_walk", wraps=laws._local_markov_walk) as walk:
+            assert not laws.check_local_markov(s, t).passed
+        assert [c.args[1] for c in walk.call_args_list] == [t]
 
 
 def with_weights(sm, weights):
@@ -469,6 +526,46 @@ def test_adversarial_joints_fall_through_to_the_kernel(solved_examples, monkeypa
             got = laws.check_noise_factorization(t.scm, t)
             assert calls == [t]
             assert got == reference_noise_factorization(t.scm, t)
+
+
+def lost_support_row(sm, i):
+    """The solve with row i of its observable joint, in joint order, dropped;
+    the noise joint keeps every row."""
+    joint = sm.joint
+    key = list(joint.weights)[i]
+    weights = {k: w for k, w in joint.weights.items() if k != key}
+    return replace(sm, joint=JointPmf(joint.scope, weights, joint.denominator))
+
+
+def entangled_draw(n_vars, seed):
+    """`random_scm`'s first draw at this size and seed, solved."""
+    spec = laws.RandomModelSpec(n_vars=n_vars, seed=seed)
+    return SolvedModel.of(laws._draw_model(random.Random(derive_seed(seed, 0)), spec))
+
+
+def test_local_markov_rule_matches_the_walk(solved_examples):
+    corpus = [sm for _, sm in solved_examples.values()]
+    pipeline = [m.solved for m in pipeline_models()]
+    verify = {seed: [m.solved for m in verify_models(200, seed)] for seed in (1, 2, 3)}
+    models = corpus + pipeline + [sm for suite in verify.values() for sm in suite]
+    cases = models + [tampered(sm) for sm in models]
+    for sm in corpus:
+        cases += [swapped_values(sm), duplicated_noise(sm), zero_prior_row(sm), reversed_rows(sm)]
+    # joints that lost a row which showed a pooled edge: every other premise of the
+    # rule holds, and only the joint's tie to the noise joint keeps the rule from
+    # passing a law the walk fails
+    lost = [lost_support_row(verify[1][55], 3), lost_support_row(pipeline[0], 0)]
+    for t in lost:
+        assert not support_reduction_witnesses(t) and not laws._solution_violations(t)
+        assert not walk_only(t).passed
+    # first draws that random_scm rejects as support-entangled: the gate holds, and
+    # only their support witnesses keep the rule from passing a law the walk fails
+    entangled = [entangled_draw(5, 295), entangled_draw(4, 486)]
+    for sm in entangled:
+        assert support_reduction_witnesses(sm) and laws._product_form_gate(sm)
+        assert not walk_only(sm).passed
+    for sm in cases + lost + entangled:
+        assert laws.check_local_markov(sm.scm, sm) == walk_only(sm)
 
 
 @pytest.mark.parametrize("name", list_examples())
