@@ -8,6 +8,10 @@ supported: `oriented` mode consumes a directed pooled graph and applies the
 parent- and ancestry-based rules; `skeleton` mode consumes an undirected
 pooled skeleton and only uses inferences that hold under every orientation
 of it, which leaves non-adjacency as the single usable fact.
+
+R1 needs nothing beyond its graphs; R2 (disjoint ancestry: physical) assumes
+R-faithfulness (`graph_objects.check_R_faithfulness`), without which an edge
+of the physical graph can vanish from the detection skeleton all the same.
 """
 
 from __future__ import annotations
@@ -91,7 +95,9 @@ class ChangeReport:
 def _classify_oriented(
     union: DirectedGraph, context: str, edge: tuple[str, str]
 ) -> tuple[str, str | None, str]:
-    """(classification, rule, justification) of one vanished directed edge."""
+    """(classification, rule, justification) of one vanished directed edge.
+    R2 assumes R-faithfulness: without it, an edge still in physical(r) can
+    be missing from detect(r), and R2 then calls its vanishing physical."""
     x, y = edge
     if y == context:
         return UNDETERMINED, None, "edges into the context are outside the rules"

@@ -113,8 +113,8 @@ class SampleTester(CiTester):
         pending = [CiQuery(*q) for q in dict.fromkeys(itertools.chain.from_iterable(runs))
                    if q not in self._memo]
         if pending:
-            verdicts = [v for stack, strata in g_test_tables(self._table, pending, self.context)
-                        for v in g_test_from_tables(stack, self._alpha, strata=strata)]
+            verdicts = [v for tables in g_test_tables(self._table, pending, self.context)
+                        for v in g_test_from_tables(*tables, self._alpha)]
             self._memo.update(zip(pending, verdicts))
         return super().step_hits(runs)
 

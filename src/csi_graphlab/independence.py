@@ -7,18 +7,15 @@ the one path that asks it: its memo on the exact query is kept by the
 `SolvedModel`, so exact discovery, the Markov check and the R-faithfulness
 search of one solve decide each query once.
 
-Sampled data is decided by one stacked kernel on an integer stack of shape
-(K, S, nx, ny): K tests of S strata each, zero-padded.  It has two stages:
-`g_test_stats`, the array stage, gives each test's p-value, statistic and
-counts of skipped strata, and `g_test_from_tables` wraps them in verdicts
-with their warnings.  The expected counts multiply row and column sums in
-float64, so a product past 2^63 rounds instead of wrapping.  Its tables
-come from one builder, `g_test_tables`, which counts the tables of many
-queries in one pass per block, weighting rows by `counts`, so the count
-table (`Dataset.tabulate`) gives the tables of the rows it compresses.
-`g_test` passes the one table of its query (K = 1) to the verdict stage;
-the transfer test passes its replicates, in chunks of bounded size, to the
-array stage and reads only the p-values.
+Sampled data is decided by one G-test kernel on the tables of K tests as
+sorted nonzero cells, (stratum, x, y, count) rows in code order, and the
+test of each stratum.  `g_test_stats`, the array stage, gives each test's
+p-value, statistic and counts of skipped strata, and `g_test_from_tables`
+wraps them in verdicts.  One builder, `g_test_tables`, counts the cells of
+many queries in one pass per block of bounded (query, row) pairs, weighting
+rows by `counts`, so the count table (`Dataset.tabulate`) gives the tables
+of the rows it compresses; memory grows with rows, not with labels.  The
+transfer test hands its replicates' nonzero cells to the array stage.
 
 A separator search `(x, y, sets, regimes)` tries its sets in order and for
 each set its regimes in order (None means pooled); its hit is the first
@@ -60,7 +57,7 @@ __all__ = [
 ]
 
 
-# (query, row) pairs one block of `g_test_tables` counts together, and cells its stack holds
+# (query, row) pairs one block of `g_test_tables` counts together
 _PAIR_BUDGET = 1 << 18
 
 
@@ -273,8 +270,8 @@ def g_test(
     """
     _check_alpha(alpha)
     _check_min_expected(min_expected)
-    [(stack, _)] = g_test_tables(data, [q], context)
-    return g_test_from_tables(stack, alpha, min_expected)[0]
+    [tables] = g_test_tables(data, [q], context)
+    return g_test_from_tables(*tables, alpha, min_expected)[0]
 
 
 def _regime_rows(data: Dataset, ctx: str | None, regime: str | None) -> np.ndarray:
@@ -299,26 +296,20 @@ def _regime_rows(data: Dataset, ctx: str | None, regime: str | None) -> np.ndarr
 def g_test_tables(
     data: Dataset, queries: Sequence[CiQuery], context: str | None = None
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The contingency tables `g_test` tests, as one `(stack, strata)` per
-    block of queries in order.  `stack` is a zero-padded int64 array of shape
-    (Q, S, nx, ny) over the block's Q queries, S, nx and ny the block's
-    maxima, and `strata[k]` the number of strata of query k, whose own table
-    is `stack[k, :strata[k], :|x_k|, :|y_k|]`: one stratum per z value tuple
-    the rows show (inside the query's regime, if set), strata in code order,
-    weighted by `counts`.  Every other cell of `stack[k]` is 0.
+    """The contingency tables `g_test` tests, as the `(cells, tests)` of
+    `g_test_stats` per block of queries in order.  A block's strata run query
+    by query and, within a query, in code order: one per z value tuple its
+    rows show (inside its regime, if set).  `tests[s]` is the position in
+    the block of stratum s's query; counts are weighted by `counts`.
 
     A block closes before it counts more than `_PAIR_BUDGET` (query, row)
-    pairs or its stack could hold more than `_PAIR_BUDGET` cells, taking
-    each query's S as at most min(rows, z value tuples); one query always
-    forms a block.
+    pairs (one query always forms a block), and its arrays are O(pairs).
     """
     index = {c: j for j, c in enumerate(data.columns)}
-    size = {c: len(data.labels(c)) for c in data.columns}
     rows_of: dict[str | None, np.ndarray] = {}
     blocks: list[tuple[np.ndarray, np.ndarray]] = []
     block: list[CiQuery] = []
     pairs = 0
-    bound = (0, 0, 0)  # the block's largest S, nx and ny
     for q in queries:
         ctx = _query_context(q, context)
         for col in (q.x, q.y, *q.z):
@@ -327,29 +318,24 @@ def g_test_tables(
         if q.regime not in rows_of:
             rows_of[q.regime] = _regime_rows(data, ctx, q.regime)
         n = len(rows_of[q.regime])
-        shape = (min(n, math.prod(size[c] for c in q.z)), size[q.x], size[q.y])
-        grown = tuple(map(max, bound, shape))
-        if block and (pairs + n > _PAIR_BUDGET
-                      or (len(block) + 1) * math.prod(grown) > _PAIR_BUDGET):
-            blocks.append(_block_tables(data, index, block, rows_of, *bound[1:]))
-            block, pairs, grown = [], 0, shape
+        if block and pairs + n > _PAIR_BUDGET:
+            blocks.append(_block_tables(data, index, block, rows_of))
+            block, pairs = [], 0
         block.append(q)
         pairs += n
-        bound = grown
     if block:
-        blocks.append(_block_tables(data, index, block, rows_of, *bound[1:]))
+        blocks.append(_block_tables(data, index, block, rows_of))
     return blocks
 
 
-def _block_tables(data, index, block, rows_of, nx, ny) -> tuple[np.ndarray, np.ndarray]:
-    """`g_test_tables` of one block, from one `_tally` over its (query, row) pairs.
+def _block_tables(data, index, block, rows_of) -> tuple[np.ndarray, np.ndarray]:
+    """`g_test_tables` of one block, from two `data._ranks` passes and one
+    `_tally` over its (query, row) pairs.
 
-    Each pair carries the rank of its stratum among the block's strata: the
-    `data._ranks` of its (query, z_1, z_2, ...) tuple, each column gathered
-    only when the ranker reads it, with code 0 where a query has no j-th z
-    column.  So strata run query by query and, within a query, in code
-    order.  A pair's cell in the stack is ((k * S + local stratum) * nx + x)
-    * ny + y, nx and ny the block's largest label counts of x and y.
+    A pair's stratum is the rank of its (query, z_1, z_2, ...) tuple among
+    the block's, each column gathered only when the ranker reads it, with
+    code 0 where a query has no j-th z column.  Its cell is the rank of its
+    (stratum, x, y) tuple, and each cell's codes are read off one of its pairs.
     """
     lengths = [len(rows_of[q.regime]) for q in block]
     rows = np.concatenate([rows_of[q.regime] for q in block])
@@ -360,6 +346,9 @@ def _block_tables(data, index, block, rows_of, nx, ny) -> tuple[np.ndarray, np.n
     def codes(names):
         return flat[at + np.array([index.get(c, 0) for c in names])[which]]
 
+    def widest(names):
+        return max(len(data.labels(c)) for c in names if c is not None)
+
     def parts():
         yield which[:, None], (len(block),)
         for j in range(max(len(q.z) for q in block)):
@@ -367,17 +356,19 @@ def _block_tables(data, index, block, rows_of, nx, ny) -> tuple[np.ndarray, np.n
             code = codes(names)
             if None in names:
                 code *= np.array([c is not None for c in names])[which]
-            yield code[:, None], (max(len(data.labels(c)) for c in names if c is not None),)
+            yield code[:, None], (widest(names),)
 
-    ranks, n = _ranks(parts(), len(which))
-    query_of = np.empty(n, dtype=np.int64)  # the query of each stratum
-    query_of[ranks] = which
-    strata = np.bincount(query_of, minlength=len(block))
-    local = ranks - (np.cumsum(strata) - strata)[which]
-    shape = (len(block), int(strata.max()), nx, ny)
-    ids = ((which * shape[1] + local) * shape[2]
-           + codes([q.x for q in block])) * shape[3] + codes([q.y for q in block])
-    return _tally(ids, data.counts[rows], math.prod(shape)).reshape(shape), strata
+    strata, n_strata = _ranks(parts(), len(which))
+    tests = np.empty(n_strata, dtype=np.int64)
+    tests[strata] = which
+    xs, ys = [q.x for q in block], [q.y for q in block]
+    key = (strata, codes(xs), codes(ys))
+    ranks, n_cells = _ranks(zip((k[:, None] for k in key), ((n_strata,), (widest(xs),),
+                                                             (widest(ys),))), len(which))
+    first = np.empty(n_cells, dtype=np.int64)
+    first[ranks] = np.arange(len(ranks))
+    counts = _tally(ranks, data.counts[rows], n_cells)
+    return np.column_stack([*(k[first] for k in key), counts]), tests
 
 
 def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -394,92 +385,94 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums
 
 
-def g_test_stats(
-    tables: np.ndarray,
-    min_expected: float = 5.0,
-    strata: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array stage of the stacked G-test: `(p, g, low, degenerate, tested)`,
-    each of length K, for an integer stack `tables` of shape (K, S, nx, ny)
-    whose `tables[k, s]` is the contingency table of stratum s of test k.
-    `p` and `g` are test k's p-value and statistic, `low` and `degenerate`
-    its numbers of strata skipped by the low-count rule and with a single
-    observed category, and `tested` whether any stratum qualified (if not,
-    p is 1.0 and g 0.0).  `strata[k]`, if given, is the number of real
-    strata of test k; the strata past it are padding, must be all zero and
-    are left out of `degenerate`.  None means all S strata are real.
+def _groups(count: np.ndarray, *keys: np.ndarray):
+    """Each position's run of equal `keys` tuples, each run's first position and its `count` sum."""
+    starts = np.r_[True, (np.diff(np.column_stack(keys), axis=0) != 0).any(axis=1)][:len(count)]
+    first = np.flatnonzero(starts)
+    return np.cumsum(starts) - 1, first, np.add.reduceat(count, first)
 
-    Applies the qualification rules of `g_test`.  Its temporaries are a few
-    arrays of the stack's size.  Each test's p and g are bit-identical to
-    testing its S tables one at a time: a stratum's terms are summed as one
-    `np.sum` over its positive cells in row-major order, the strata are
-    added left to right, and the tail is the chi-squared survival function
-    `chdtrc`.  So zero rows, columns and strata padded on add nothing.  An
-    all-zero stratum counts as one with a single observed category.  The
-    expected counts multiply the row and column sums in float64, so a
-    product past 2^63 is rounded, not wrapped.
+
+def g_test_stats(
+    cells: np.ndarray, tests: np.ndarray, min_expected: float = 5.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Array stage of the G-test: `(p, g, low, degenerate, tested)` of each
+    test k < K = max(tests) + 1, for tables as `g_test_tables` gives them:
+    `cells` the nonzero cells as integer rows (stratum, x, y, count) in code
+    order, `tests[s]` the test of stratum s.  `p` and `g` are the p-value and
+    statistic, `low` and `degenerate` the numbers of strata skipped by the
+    low-count rule and with a single observed category, and `tested` whether
+    any stratum qualified (if not, p is 1.0 and g 0.0).  A stratum is one
+    with a cell: cells of count 0 are dropped.
+
+    Applies the rules of `g_test`, reading n, the row sums (runs of (stratum,
+    x)), the column sums (groups of (stratum, y)) and the observed labels off
+    the cells, in O(cells) memory.  p and g are bit-identical to testing the
+    dense tables one at a time: a stratum's terms are one `np.sum` over its
+    cells in code order, strata are added left to right from 0.0, and the
+    tail is `chdtrc`.  The least expected count is fl(fl(r_min * c_min) / n),
+    rounding being monotone; the products are float64, so past 2^63 they
+    round, not wrap.
     """
     _check_min_expected(min_expected)
-    counts = np.asarray(tables)
-    if counts.ndim != 4:
-        raise IndependenceError("tables must have shape (K, S, nx, ny)")
-    if counts.dtype.kind not in "iu":
-        raise IndependenceError("tables must hold integer counts, got dtype %s" % counts.dtype)
-    counts = counts.astype(np.int64, copy=False)
-    if (counts < 0).any():
+    cells, tests = np.asarray(cells), np.asarray(tests)
+    if cells.ndim != 2 or cells.shape[1] != 4 or tests.ndim != 1:
+        raise IndependenceError("cells must have shape (C, 4) and tests shape (S,)")
+    if cells.dtype.kind not in "iu":
+        raise IndependenceError("tables must hold integer counts, got dtype %s" % cells.dtype)
+    if tests.dtype.kind not in "iu" or len(tests) and tests.min() < 0:
+        raise IndependenceError("tests must be non-negative integers")
+    cells = cells.astype(np.int64, copy=False)
+    if (cells[:, 3] < 0).any():
         raise IndependenceError("tables must hold non-negative counts")
-    padded = np.zeros(counts.shape[:2], dtype=bool)
-    if strata is not None:
-        strata = np.asarray(strata)
-        if strata.shape != (len(counts),) or strata.dtype.kind not in "iu":
-            raise IndependenceError("strata must hold one integer per test")
-        if ((strata < 0) | (strata > counts.shape[1])).any():
-            raise IndependenceError("strata must lie in 0..%d" % counts.shape[1])
-        padded = np.arange(counts.shape[1]) >= strata[:, None]
-        if counts[padded].any():
-            raise IndependenceError("strata past strata[k] must be all zero")
-    rows = counts.sum(axis=3)
-    cols = counts.sum(axis=2)
-    n = rows.sum(axis=2)
-    lx = np.count_nonzero(rows, axis=2)
-    ly = np.count_nonzero(cols, axis=2)
+    cells = cells[cells[:, 3] > 0]
+    s, x, y, count = cells.T
+    # a row's first nonzero step is positive iff its signs weigh 4, 2, 1 to more than 0
+    ordered = np.sign(np.diff(cells[:, :3], axis=0)) @ [4, 2, 1] > 0
+    if not ordered.all() or len(s) and (s[0] < 0 or s[-1] >= len(tests)):
+        raise IndependenceError("cells must be distinct (stratum, x, y) rows in code order, "
+                                "strata in 0..%d" % (len(tests) - 1))
+    k = int(tests.max()) + 1 if len(tests) else 0
+    # each cell's stratum, (stratum, x) row and (stratum, y) column; a stratum's
+    # cells, rows and columns are consecutive, from those of its first cell
+    stratum, first, n = _groups(count, s)
+    row_of, row_first, rows = _groups(count, s, x)
+    order = np.lexsort((y, s))
+    col_sorted, col_first, cols = _groups(count[order], s[order], y[order])
+    col_of = np.empty_like(col_sorted)
+    col_of[order] = col_sorted
+    lx = np.bincount(stratum[row_first], minlength=len(first))
+    ly = np.bincount(stratum[col_first], minlength=len(first))
     degenerate = (lx < 2) | (ly < 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        expected = rows[..., :, None] * cols[..., None, :].astype(np.float64) / n[..., None, None]
-    kept = (rows[..., :, None] > 0) & (cols[..., None, :] > 0)
-    floor = np.where(kept, expected, np.inf).min(axis=(2, 3), initial=np.inf)
-    low = ~degenerate & (floor < min_expected)
+    r_min = np.minimum.reduceat(rows, row_of[first])
+    c_min = np.minimum.reduceat(cols, col_sorted[first])
+    low = ~degenerate & (r_min * c_min.astype(np.float64) / n < min_expected)
     used = ~(degenerate | low)
 
-    cells = used[..., None, None] & (counts > 0)
-    obs = counts[cells]
-    terms = obs * np.log(obs / expected[cells])
-    stat = np.zeros(used.shape)
-    stat[used] = 2.0 * _run_sums(terms, np.count_nonzero(cells, axis=(2, 3))[used])
-    g = np.add.accumulate(np.hstack([np.zeros((len(stat), 1)), stat]), axis=1)[:, -1]
-    df = ((lx - 1) * (ly - 1) * used).sum(axis=1)
-    tested = used.any(axis=1)
-    p = np.ones(len(g))
+    kept = used[stratum]
+    obs = count[kept]
+    expected = rows[row_of[kept]] * cols[col_of[kept]].astype(np.float64) / n[stratum[kept]]
+    terms = obs * np.log(obs / expected)
+    owner = tests[s[first]]
+    g = np.zeros(k)
+    # unbuffered, in order: each test's strata are added left to right from 0.0
+    np.add.at(g, owner[used], 2.0 * _run_sums(terms, np.diff(first, append=len(s))[used]))
+    df = np.bincount(owner[used], ((lx - 1) * (ly - 1))[used], minlength=k)
+    tested = np.bincount(owner[used], minlength=k) > 0
+    p = np.ones(k)
     positive = tested & (g > 0)
     p[positive] = chdtrc(df[positive], g[positive])
-    return p, g, low.sum(axis=1), (degenerate & ~padded).sum(axis=1), tested
+    return (p, g, np.bincount(owner[low], minlength=k), np.bincount(owner[degenerate], minlength=k),
+            tested)
 
 
-def g_test_from_tables(
-    tables: np.ndarray,
-    alpha: float,
-    min_expected: float = 5.0,
-    strata: np.ndarray | None = None,
-) -> list[CiVerdict]:
-    """Stacked G-test: one verdict per test k of an integer stack `tables`
-    of shape (K, S, nx, ny), read off `g_test_stats(tables, min_expected,
-    strata)`, whose warning names the strata it skipped.
-
-    `g_test` calls it with K = 1, and sampled discovery once per block of
-    `g_test_tables`.
-    """
+def g_test_from_tables(cells: np.ndarray, tests: np.ndarray, alpha: float,
+                       min_expected: float = 5.0) -> list[CiVerdict]:
+    """One G-test verdict per test of the tables `(cells, tests)`, read off
+    `g_test_stats(cells, tests, min_expected)`, its warning naming the strata
+    it skipped: for `g_test`, each block of sampled discovery and the
+    transfer test's observed tables."""
     _check_alpha(alpha)
-    p, g, low, degenerate, tested = g_test_stats(tables, min_expected, strata)
+    p, g, low, degenerate, tested = g_test_stats(cells, tests, min_expected)
     verdicts = []
     for n_low, n_degenerate, ok, p_value, g_stat in zip(
         low.tolist(), degenerate.tolist(), tested.tolist(), p.tolist(), g.tolist(),

@@ -13,15 +13,13 @@ the support, changed.
 Replicate k draws its counts from a generator in the state of
 `default_rng(derive_seed(seed, k))`, set without `SeedSequence` hashing by
 one `replicate_generators` call over all K: first N rows over the (z, x)
-cells, read as Python ints, then, for each cell that drew any (found by
-`nonzero`, so the Python loop visits only those), its y counts from the
-cell's null law, into its slice of a preallocated (replicates, strata, x, y)
-stack.  One call of the kernel's array stage, `g_test_stats`, gives a
-chunk's p-values, with no verdict built per replicate.  A chunk holds at
-most `_CELL_BUDGET` table cells (or one replicate, if a single table is
-larger), so memory does not grow with K.
-A replicate table spans every (z, x, y) code, seen or not, so a code space
-above `_TABLE_BUDGET` cells is rejected before any array is built.
+cells, then, for each cell that drew any, its y counts from the cell's null
+law, into a dense table over every (z, x, y) code, since the draws depend
+on that layout.  A code space above `_TABLE_BUDGET` cells is rejected
+before any array is built.  Chunks of at most `_CELL_BUDGET` table cells
+(or one replicate) hand their nonzero cells to the G-test's array stage,
+`g_test_stats`, so memory does not grow with K; the observed verdict reads
+the r0 rows' table the same way.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, Dataset, _tally
-from .independence import CiQuery, g_test, g_test_stats
+from .independence import g_test_from_tables, g_test_stats
 from .rng import replicate_generators
 
 __all__ = [
@@ -98,6 +96,15 @@ class TransferVerdict:
             raise TransferError("verdict flags are inconsistent")
 
 
+def _nonzero_cells(tables: np.ndarray, n_strata: int, n_x: int, n_y: int):
+    """The kernel's `(cells, tests)` of dense replicate tables of `n_strata`
+    (x, y) tables each: replicate k's stratum s is stratum k * n_strata + s."""
+    flat = tables.ravel()
+    at = np.flatnonzero(flat)
+    cells = np.column_stack([at // (n_x * n_y), at // n_y % n_x, at % n_y, flat[at]])
+    return cells, np.arange(len(tables) * n_strata) // n_strata
+
+
 def transfer_evidence(
     data: Dataset,
     x: str,
@@ -131,21 +138,16 @@ def transfer_evidence(
     try:
         r0_code = data.code_of(context, r0)
     except DataError:
-        raise TransferError(
-            "r0 value %r is not a category of %r" % (r0, context)
-        ) from None
+        raise TransferError("r0 value %r is not a category of %r" % (r0, context)) from None
 
     in_r0 = data.column(context) == r0_code
     if not in_r0.any():
         raise TransferError("no rows with %s=%s" % (context, r0))
     null_rows = np.ones(data.n_rows, dtype=bool) if pooled_null else ~in_r0
     if not null_rows.any():
-        raise TransferError(
-            "no rows outside %s=%s to estimate the null from" % (context, r0)
-        )
+        raise TransferError("no rows outside %s=%s to estimate the null from" % (context, r0))
 
-    n_x = len(data.labels(x))
-    n_y = len(data.labels(y))
+    n_x, n_y = len(data.labels(x)), len(data.labels(y))
     table_cells = math.prod(len(data.labels(c)) for c in (*z, x, y))
     if table_cells > _TABLE_BUDGET:
         raise TransferError(
@@ -159,22 +161,20 @@ def transfer_evidence(
     n_cells = table_cells // n_y
     n_strata = n_cells // n_x
 
-    cell_counts = _tally(ids[in_r0], data.counts[in_r0], n_cells)
+    y_codes = ids * n_y + data.column(y)
+    # the r0 rows' (z, x, y) table: the observed test's, and its row sums the (z, x) law
+    observed_table = _tally(y_codes[in_r0], data.counts[in_r0], table_cells)
+    cell_counts = observed_table.reshape(n_cells, n_y).sum(axis=1)
     p_cells = cell_counts / cell_counts.sum()
-    y_codes = ids[null_rows] * n_y + data.column(y)[null_rows]
-    y_counts = _tally(y_codes, data.counts[null_rows], n_cells * n_y).reshape(n_cells, n_y)
+    y_counts = _tally(y_codes[null_rows], data.counts[null_rows], table_cells).reshape(n_cells, n_y)
     totals = y_counts.sum(axis=1)
     law = np.full((n_cells, n_y), 1.0 / n_y)
     seen = totals > 0
     law[seen] = y_counts[seen] / totals[seen, None]
     fallback = (cell_counts > 0) & ~seen
 
-    observed = g_test(
-        data,
-        CiQuery(x=x, y=y, z=z, regime=r0),
-        alpha=cfg.alpha,
-        context=context,
-    )
+    [observed] = g_test_from_tables(*_nonzero_cells(observed_table[None], n_strata, n_x, n_y),
+                                    cfg.alpha)
 
     chunk = max(1, _CELL_BUDGET // (n_cells * n_y))
     p_values = []
@@ -189,7 +189,7 @@ def transfer_evidence(
             for cell in drawn.nonzero()[0].tolist():
                 table[cell] = rng.multinomial(counts[cell], cell_laws[cell])
         unseen_rows += int(tables[:, fallback].sum())
-        p_values += g_test_stats(tables.reshape(len(tables), n_strata, n_x, n_y))[0].tolist()
+        p_values += g_test_stats(*_nonzero_cells(tables, n_strata, n_x, n_y))[0].tolist()
     rejecting = sum(1 for p in p_values if p < cfg.alpha)
     power = rejecting / cfg.K
 

@@ -343,8 +343,22 @@ def moved_mass(solved, src, dst, share):
 
 
 def tampered(solved):
-    # as in test_golden: half the first sorted row's mass moves to the last row
+    """As in test_golden: half the first sorted noise-joint row's mass moves to
+    the last row.  A one-row noise joint would come back untouched, so it is
+    refused by name."""
+    if len(solved.noise_joint.weights) < 2:
+        raise ValueError("tampered needs a noise joint of two rows or more; %s has one"
+                         % (solved.scm.variable_names,))
     return moved_mass(solved, 0, -1, Fraction(1, 2))
+
+
+def tamperable(models):
+    """The solves `tampered` changes: those whose noise joint has two rows or
+    more.  Prints how many one-row solves it skipped."""
+    kept = [sm for sm in models if len(sm.noise_joint.weights) > 1]
+    print("tampered: %d of %d solves skipped, their noise joint has one row"
+          % (len(models) - len(kept), len(models)))
+    return kept
 
 
 BIG_PRIMES = (2147483647, 2147483629, 2147483587)

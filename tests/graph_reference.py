@@ -6,10 +6,16 @@ read the model itself.  `scanned_physical` is the physical graph's own
 candidate loop, as it stood before `physical_graph` went through the shared
 visible-edge scan.  Tests and CI compare the package with both on every
 regime of a model.
+
+`unsound_changes` checks `classify_changes` against the graph it is meant
+to recover: the verdicts on a model's exact pooled graph and detection
+skeletons that `physical_graph` contradicts.
 """
 
 from __future__ import annotations
 
+from csi_graphlab.classify import NON_PHYSICAL, UNDETERMINED, classify_changes
+from csi_graphlab.discovery import ExactTester, detect_graph
 from csi_graphlab.exact import SolvedModel
 from csi_graphlab.graph_objects import (
     _varies_with,
@@ -69,3 +75,24 @@ def assert_families_match(m: SolvedModel) -> int:
             assert (got.nodes, got.edges) == (want.nodes, want.edges), (family.__name__, r)
             graphs += 1
     return graphs
+
+
+def unsound_changes(m: SolvedModel) -> list[tuple[str, str, tuple[str, str], str]]:
+    """(mode, regime, edge, rule) of each determined `classify_changes` verdict,
+    in either mode, on `m`'s union graph and exact detection skeletons that
+    `physical_graph` contradicts: a non-physical edge missing from physical(r)
+    (from its skeleton, in skeleton mode), or a physical one present in it."""
+    ctx = m.scm.context_variable
+    tester = ExactTester(m)
+    union = union_graph(m)
+    detect = {r: detect_graph(tester, r) for r in m.regimes}
+    unsound = []
+    for mode in ("oriented", "skeleton"):
+        report = classify_changes(union, detect, mode=mode, context=ctx)
+        for r, items in report.changes.items():
+            physical = physical_graph(m, r)
+            shown = physical.edges if mode == "oriented" else physical.skeleton().pairs
+            unsound += [(mode, r, c.edge, c.rule) for c in items
+                        if c.classification != UNDETERMINED
+                        and (c.classification == NON_PHYSICAL) != (c.edge in shown)]
+    return unsound

@@ -16,7 +16,10 @@ from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.discovery import ExactTester, detect_graph
 from csi_graphlab.exact import SolvedModel
 from csi_graphlab.graphs import DirectedGraph, UndirectedSkeleton
-from csi_graphlab.graph_objects import physical_graph, union_graph
+from csi_graphlab.graph_objects import check_R_faithfulness, physical_graph, union_graph
+from csi_graphlab.laws import RandomModelSpec, random_scm
+from csi_graphlab.rng import derive_seed
+from graph_reference import unsound_changes
 
 
 def solved(name):
@@ -107,6 +110,50 @@ def test_skeleton_verdicts_sound_against_ground_truth(name):
         for c in items:
             if c.classification == NON_PHYSICAL:
                 assert c.edge in phys_sk.pairs, (name, r, c)
+
+
+def soundness_model(n_vars, k):
+    """Model k of `n_vars` variables of the random soundness check."""
+    spec = RandomModelSpec(n_vars=n_vars, max_domain=3, seed=derive_seed(7, 1000 * n_vars + k))
+    return random_scm(spec).solved
+
+
+# (n_vars, k, regime, edge) of every R2 verdict that physical_graph contradicts among
+# the 600 models with n_vars = 3-6 and k = 1-150; no R1 verdict is contradicted there.
+# Each edge is in physical(r) but missing from the exact detection skeleton of r, on
+# a model that fails check_R_faithfulness: R2 is sound only under R-faithfulness
+R2_COUNTEREXAMPLES = (
+    (5, 60, "2", ("V4", "V1")),
+    (5, 93, "0", ("V1", "V4")),
+    (5, 132, "0", ("V2", "V1")),
+    (5, 132, "1", ("V2", "V1")),
+    (5, 136, "0", ("V1", "V4")),
+    (6, 132, "0", ("V4", "V5")),
+)
+
+
+def test_rule_verdicts_are_sound_on_r_faithful_random_models():
+    faithful = 0
+    for n_vars in (3, 4, 5, 6):
+        for k in range(1, 61):
+            m = soundness_model(n_vars, k)
+            if check_R_faithfulness(m).holds:
+                faithful += 1
+                assert unsound_changes(m) == [], (n_vars, k)
+    assert faithful == 195
+
+
+def test_r2_is_unsound_without_r_faithfulness():
+    wanted = {}
+    for n_vars, k, r, edge in R2_COUNTEREXAMPLES:
+        wanted.setdefault((n_vars, k), []).append(("oriented", r, edge, RULE_R2))
+    for (n_vars, k), want in wanted.items():
+        m = soundness_model(n_vars, k)
+        assert not check_R_faithfulness(m).holds, (n_vars, k)
+        assert unsound_changes(m) == want, (n_vars, k)
+        for _, r, edge, _ in want:
+            assert edge in physical_graph(m, r).edges
+            assert not detect_graph(ExactTester(m), r).adjacent(*edge)
 
 
 @pytest.mark.parametrize("mode", ["oriented", "skeleton"])

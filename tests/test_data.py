@@ -12,6 +12,7 @@ from csi_graphlab.corpus import get_example
 from csi_graphlab.data import DataError, Dataset, _ranks, _tally
 from csi_graphlab.exact import draw_samples
 from csi_graphlab.independence import CiQuery, g_test, g_test_from_tables
+from independence_reference import stack_cells
 
 
 def small():
@@ -355,7 +356,8 @@ def test_wide_labels_are_ranked_in_memory_bounded_by_the_rows():
     verdict, g_peak = peak(lambda: g_test(data, q, 0.05))
     table, table_peak = peak(data.tabulate)
     assert g_peak < 4 << 20 and table_peak < 4 << 20, (g_peak, table_peak)
-    assert verdict == g_test_from_tables(discovery_reference.g_test_table(data, q)[None], 0.05)[0]
+    assert verdict == g_test_from_tables(
+        *stack_cells(discovery_reference.g_test_table(data, q)[None]), 0.05)[0]
     want_ranks, want_rows = ref.distinct(data)
     assert np.array_equal(table.codes, want_rows)
     assert np.array_equal(table.counts, _tally(want_ranks, data.counts, len(want_rows)))

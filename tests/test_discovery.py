@@ -621,10 +621,10 @@ def test_sample_tester_decides_no_query_past_the_size_a_search_resolved_at(monke
 def test_each_step_makes_one_kernel_call_per_block(monkeypatch):
     """A discovery pass on 10^4 rows, through the one-skeleton functions and
     through `discover`: each `g_test_tables` call of a step is followed by
-    one kernel call per block it returned, on that block's stack and strata.
-    Every `_tally` of the builder fills a stack of more than one query only
-    within the `_PAIR_BUDGET` cell bound, and a tiny budget, which cuts every
-    step into many blocks, leaves every verdict bit-identical."""
+    one kernel call per block it returned, on that block's cells and tests.
+    Each `_tally` counts one block's cells, over at most `_PAIR_BUDGET`
+    (query, row) pairs unless the block holds one query, and a tiny budget,
+    which cuts every step into many blocks, leaves every verdict bit-identical."""
     data = ref.random_samples(8, 3, 10**4)
     events, tallied = [], []
     build, kernel, tally = discovery.g_test_tables, discovery.g_test_from_tables, independence._tally
@@ -634,12 +634,12 @@ def test_each_step_makes_one_kernel_call_per_block(monkeypatch):
         events.append(("build", blocks))
         return blocks
 
-    def recording_kernel(tables, alpha, min_expected=5.0, strata=None):
-        events.append(("kernel", tables, strata))
-        return kernel(tables, alpha, min_expected, strata)
+    def recording_kernel(cells, tests, alpha, min_expected=5.0):
+        events.append(("kernel", cells, tests))
+        return kernel(cells, tests, alpha, min_expected)
 
     def recording_tally(ids, counts, n):
-        tallied.append(n)
+        tallied.append((len(ids), n))
         return tally(ids, counts, n)
 
     monkeypatch.setattr(discovery, "g_test_tables", recording_build)
@@ -660,19 +660,54 @@ def test_each_step_makes_one_kernel_call_per_block(monkeypatch):
         for event in events:
             if event[0] == "build":
                 blocks += event[1]
-            else:  # the next block in order, stack and strata as built
-                stack, strata = blocks.pop(0)
-                assert event[1] is stack and event[2] is strata
+            else:  # the next block in order, cells and tests as built
+                cells, tests = blocks.pop(0)
+                assert event[1] is cells and event[2] is tests
         assert not blocks
-        built = [stack for e in events if e[0] == "build" for stack, _ in e[1]]
-        assert tallied == [stack.size for stack in built]
-        assert all(len(stack) == 1 or stack.size <= budget for stack in built)
-        assert sum(map(len, built)) == len(tester._memo)
+        built = [(len(cells), int(tests.max()) + 1)
+                 for e in events if e[0] == "build" for cells, tests in e[1]]
+        assert [n for _, n in tallied] == [n_cells for n_cells, _ in built]
+        assert all(k == 1 or pairs <= budget for (pairs, _), (_, k) in zip(tallied, built))
+        assert sum(k for _, k in built) == len(tester._memo)
         if budget == 1:
-            assert all(len(stack) == 1 for stack in built)
+            assert all(k == 1 for _, k in built)
         else:
             assert len(built) < len(tester._memo)
         memos[budget, name] = {q: _hex(v) for q, v in tester._memo.items()}
     for name in runs:
         assert memos[default, name] == memos[300, name] == memos[1, name]
     assert memos[default, "one_pass"] == memos[default, "discover"]
+
+
+# --- sampled discovery at population scale ---
+
+
+def test_sampled_discovery_at_population_scale_equals_exact_discovery():
+    """Each corpus model's exact joint, and each of 60 random 5- to 7-variable
+    models', read as a count table of about 2^POPULATION_BITS samples: the
+    G-test's skeletons and certificate queries are the exact oracle's."""
+    models = {name: solved(name) for name in list_examples()}
+    models.update({(n, k): random_scm(RandomModelSpec(n_vars=n, max_domain=3, seed=k)).solved
+                   for n in (5, 6, 7) for k in range(1, 21)})
+    results = {key: ref.population_matches(sm) for key, sm in models.items()}
+    skipped = [key for key, r in results.items() if r is None]
+    print("%d of %d models match at 2^%d samples; %d skipped past 2^62"
+          % (sum(r is True for r in results.values()), len(models), ref.POPULATION_BITS,
+             len(skipped)))
+    assert [key for key, r in results.items() if r is False] == []
+    assert skipped == []
+
+
+def test_population_scale_is_a_parameter_of_the_check():
+    # at 2^16 samples these three models' sampled discovery still differs from the
+    # exact one: the detect skeletons and certificates for (7, 6) and (7, 10), only
+    # the certificates for (7, 12)
+    for n, k in ((7, 6), (7, 10), (7, 12)):
+        sm = random_scm(RandomModelSpec(n_vars=n, max_domain=3, seed=k)).solved
+        assert ref.population_matches(sm, bits=16) is False, (n, k)
+        assert ref.population_matches(sm) is True, (n, k)
+        data = ref.population_table(sm)
+        assert data.counts.sum() <= 1 << ref.POPULATION_BITS
+        assert sorted(map(tuple, data.codes.tolist())) == sorted(
+            tuple(data.code_of(c, v) for c, v in zip(data.columns, key))
+            for key in sm.joint.weights)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from csi_graphlab.independence import (
 from csi_graphlab.laws import RandomModelSpec, random_scm
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
 from fraction_reference import conditional_mutual_information as reference_mi, fraction_pmf
+from independence_reference import dense_g_test_stats, stack_cells
 
 
 def intro_joint():
@@ -191,7 +193,7 @@ def test_g_test_rejects_a_nan_or_negative_min_expected(min_expected):
     with pytest.raises(IndependenceError, match=named):
         g_test(d, q, alpha=0.05, min_expected=min_expected)
     with pytest.raises(IndependenceError, match=named):
-        g_test_from_tables(g_test_tables(d, [q])[0][0], 0.05, min_expected)
+        g_test_from_tables(*g_test_tables(d, [q])[0], 0.05, min_expected)
 
 
 # --- the stacked G-test kernel against the one-table-at-a-time loop it replaced ---
@@ -237,12 +239,14 @@ def _bits(independent, p_value, statistic, warning):
 
 
 def assert_kernel_matches_reference(stack, alpha=0.05, min_expected=5.0):
+    """The kernel, handed the stack's nonzero cells, against the loop over each
+    test's strata that hold a cell: an all-zero stratum is no stratum."""
     stack = np.asarray(stack, dtype=np.int64)
-    got = g_test_from_tables(stack, alpha, min_expected)
+    got = g_test_from_tables(*stack_cells(stack), alpha, min_expected)
     assert len(got) == len(stack)
     for verdict, tables in zip(got, stack):
         assert verdict.method == "g_test"
-        want = reference_g_test(tables, alpha, min_expected)
+        want = reference_g_test(tables[tables.any(axis=(1, 2))], alpha, min_expected)
         assert _bits(verdict.independent, verdict.p_value, verdict.statistic,
                      verdict.warning) == _bits(*want)
 
@@ -306,42 +310,6 @@ def _verdict_bits(verdicts):
     return [_bits(v.independent, v.p_value, v.statistic, v.warning) for v in verdicts]
 
 
-@settings(max_examples=300, deadline=None)
-@given(stack=table_stacks(), pad=st.tuples(*[st.integers(0, 3)] * 3), data=st.data(),
-       alpha=st.sampled_from((0.01, 0.05, 0.5)), min_expected=st.sampled_from((0.0, 5.0, 20.0)))
-def test_zero_padding_leaves_each_verdict_bit_identical(stack, pad, data, alpha, min_expected):
-    """Test k keeps its first strata[k] strata, padded with zeros to a common
-    (S, nx, ny): its verdict is that of its unpadded stack alone, warning
-    included, so a real all-zero stratum is counted and a padded one is not."""
-    k, s, nx, ny = stack.shape
-    strata = data.draw(st.lists(st.integers(0, s), min_size=k, max_size=k))
-    padded = np.zeros((k, s + pad[0], nx + pad[1], ny + pad[2]), dtype=np.int64)
-    for i, n in enumerate(strata):
-        padded[i, :n, :nx, :ny] = stack[i, :n]
-    want = [g_test_from_tables(stack[i:i + 1, :n], alpha, min_expected)[0]
-            for i, n in enumerate(strata)]
-    got = g_test_from_tables(padded, alpha, min_expected, strata=np.array(strata))
-    assert _verdict_bits(got) == _verdict_bits(want)
-
-
-def test_padded_strata_are_left_out_of_the_single_category_count_only():
-    real = [[[20, 5], [6, 18]], [[0, 0], [0, 0]], [[9, 3], [4, 11]]]
-    stack = np.array([real + [[[0, 0], [0, 0]]]])
-    unpadded = g_test_from_tables([real], 0.05)
-    padded = g_test_from_tables(stack, 0.05, strata=[3])
-    assert _verdict_bits(padded) == _verdict_bits(unpadded)
-    assert padded[0].warning == "1 strata with a single observed category"
-    # counted as real, the padded stratum is one more single-category stratum,
-    # and still adds nothing to G or to the degrees of freedom
-    full = g_test_from_tables(stack, 0.05)[0]
-    assert full.warning == "2 strata with a single observed category"
-    assert (full.p_value.hex(), full.statistic.hex()) == \
-        (padded[0].p_value.hex(), padded[0].statistic.hex())
-    nothing = g_test_from_tables(np.zeros_like(stack), 0.05, strata=[0])[0]
-    assert (nothing.independent, nothing.p_value, nothing.statistic, nothing.warning) == \
-        (True, 1.0, 0.0, "no qualifying strata; defaulting to independence")
-
-
 @pytest.mark.parametrize("tables, named", [
     ([[[[-10, 50], [30, 40]]]], "non-negative counts"),
     ([[[[10.7, 50], [30, 40]]]], "integer counts"),
@@ -350,23 +318,7 @@ def test_padded_strata_are_left_out_of_the_single_category_count_only():
 ])
 def test_stacked_kernel_rejects_negative_or_fractional_counts(tables, named):
     with pytest.raises(IndependenceError, match=named):
-        g_test_from_tables(tables, 0.05)
-
-
-@pytest.mark.parametrize("strata, named", [
-    ([2], "one integer per test"),
-    ([[1, 1]], "one integer per test"),
-    ([1.0, 1.0], "one integer per test"),
-    ([1, 3], r"0\.\.2"),
-    ([-1, 1], r"0\.\.2"),
-    ([1, 1], "all zero"),
-])
-def test_stacked_kernel_validates_strata(strata, named):
-    stack = np.array([[[[30, 2], [3, 40]], [[0, 0], [0, 0]]],
-                      [[[25, 9], [8, 31]], [[1, 0], [0, 1]]]])
-    with pytest.raises(IndependenceError, match=named):
-        g_test_from_tables(stack, 0.05, strata=strata)
-    assert len(g_test_from_tables(stack, 0.05, strata=[1, 2])) == 2
+        g_test_from_tables(*stack_cells(tables), 0.05)
 
 
 @st.composite
@@ -493,10 +445,33 @@ def test_count_table_of_a_code_space_beyond_int64():
         assert g_test(table, q, alpha=0.05) == g_test(data, q, alpha=0.05)
 
 
+def test_wide_endpoints_are_tested_in_memory_bounded_by_the_rows():
+    # 2,000 rows over X, Y (2 labels each) and A, B (3,000 labels each): tables dense
+    # over the endpoints' labels took (1, 1474, 2, 3000) and (1, 2, 3000, 3000) cells
+    # for these queries, and g_test peaked at 245 and 429 MiB
+    rng = np.random.default_rng(51)
+    sizes = {"X": 2, "Y": 2, "A": 3000, "B": 3000}
+    codes = np.array([rng.integers(0, k, 2000) for k in sizes.values()]).T
+    data = Dataset(tuple(sizes), {c: tuple(map(str, range(k))) for c, k in sizes.items()}, codes)
+    table = data.tabulate()
+    for q in (CiQuery("X", "A", ("B",)), CiQuery("A", "B", ("X",))):
+        verdicts = []
+        for source in (data, table):
+            tracemalloc.start()
+            try:
+                verdicts.append(g_test(source, q, 0.05))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, (q, source.n_rows, peak)
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0].warning.endswith("no qualifying strata; defaulting to independence")
+
+
 @pytest.mark.parametrize("budget", [independence._PAIR_BUDGET, 61, 1])
 def test_one_pass_tables_equal_the_per_query_reference(budget, monkeypatch):
-    """Every table `g_test_tables` builds is the per-query reference's, shape,
-    dtype and counts, on raw rows and on the count table, for budgets that
+    """Every table `g_test_tables` builds holds the nonzero cells of the
+    per-query reference's, on raw rows and on the count table, for budgets that
     cut a call into blocks of one query or several; no block counts more
     (query, row) pairs than the budget or the largest query's rows."""
     blocks = []
@@ -571,8 +546,8 @@ def test_expected_counts_past_2_to_63_do_not_wrap():
     # each stratum's row sum times column sum is 1600 * 2^64 at scale 2^32; in
     # int64 it wrapped to 0, and the stratum fell below the expected-count floor
     small = np.array([[[[30, 10], [10, 30]]]])
-    [want] = g_test_from_tables(small, 0.05)
-    [got] = g_test_from_tables(small * 2**32, 0.05)
+    [want] = g_test_from_tables(*stack_cells(small), 0.05)
+    [got] = g_test_from_tables(*stack_cells(small * 2**32), 0.05)
     assert not want.independent and not got.independent
     assert got.warning is None
     assert math.isclose(got.statistic, 2**32 * want.statistic, rel_tol=1e-9)
@@ -595,14 +570,10 @@ def test_float_expected_counts_match_the_integer_products_below_2_to_63(stack):
 
 
 @settings(max_examples=200, deadline=None)
-@given(stack=table_stacks(), data=st.data(), min_expected=st.sampled_from((0.0, 5.0, 20.0)))
-def test_the_array_stage_gives_the_numbers_of_the_verdicts(stack, data, min_expected):
-    strata = np.array(data.draw(st.lists(st.integers(0, stack.shape[1]),
-                                         min_size=len(stack), max_size=len(stack))))
-    stack = np.where(np.arange(stack.shape[1])[:, None, None] < strata[:, None, None, None],
-                     stack, 0)
-    p, g, low, degenerate, tested = g_test_stats(stack, min_expected, strata)
-    verdicts = g_test_from_tables(stack, 0.05, min_expected, strata)
+@given(stack=table_stacks(), min_expected=st.sampled_from((0.0, 5.0, 20.0)))
+def test_the_array_stage_gives_the_numbers_of_the_verdicts(stack, min_expected):
+    p, g, low, degenerate, tested = g_test_stats(*stack_cells(stack), min_expected)
+    verdicts = g_test_from_tables(*stack_cells(stack), 0.05, min_expected)
     assert [x.hex() for x in p] == [v.p_value.hex() for v in verdicts]
     assert [x.hex() for x in g] == [v.statistic.hex() for v in verdicts]
     for n_low, n_degenerate, ok, v in zip(low, degenerate, tested, verdicts):
@@ -613,17 +584,75 @@ def test_the_array_stage_gives_the_numbers_of_the_verdicts(stack, data, min_expe
         assert ok == ("no qualifying strata" not in warning)
 
 
+@st.composite
+def wide_count_stacks(draw):
+    """Stacks of up to 5 tests of up to 5 strata, some all zero, over up to
+    6x6 labels, with counts up to 10^6."""
+    k, s = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    top = draw(st.sampled_from((3, 50, 10**6)))
+    cells = draw(st.lists(st.integers(0, top), min_size=k * s * nx * ny,
+                          max_size=k * s * nx * ny))
+    stack = np.reshape(np.array(cells, dtype=np.int64), (k, s, nx, ny))
+    zero = draw(st.lists(st.booleans(), min_size=k * s, max_size=k * s))
+    stack[np.array(zero, dtype=bool).reshape(k, s)] = 0
+    return stack
+
+
+@settings(max_examples=400, deadline=None)
+@given(stack=wide_count_stacks(), min_expected=st.sampled_from((0.0, 5.0, 20.0)))
+def test_the_cell_kernel_equals_the_dense_reference(stack, min_expected):
+    p, g, low, degenerate, tested = g_test_stats(*stack_cells(stack), min_expected)
+    want = dense_g_test_stats(stack, min_expected)
+    assert [x.hex() for x in p] == [x.hex() for x in want[0]]
+    assert [x.hex() for x in g] == [x.hex() for x in want[1]]
+    # the dense kernel counts an all-zero stratum as one with a single observed category
+    empty = (~stack.any(axis=(2, 3))).sum(axis=1)
+    assert low.tolist() == want[2].tolist()
+    assert degenerate.tolist() == (want[3] - empty).tolist()
+    assert tested.tolist() == want[4].tolist()
+
+
 def test_stacked_kernel_validates_its_input():
+    one = stack_cells(np.ones((1, 1, 2, 2), dtype=np.int64))
     with pytest.raises(IndependenceError):
-        g_test_from_tables(np.zeros((1, 1, 2, 2), dtype=np.int64), alpha=1.0)
+        g_test_from_tables(*one, alpha=1.0)
     with pytest.raises(IndependenceError):
-        g_test_from_tables(np.zeros((1, 2, 2), dtype=np.int64), alpha=0.05)
+        g_test_from_tables(one[0][:, :3], one[1], alpha=0.05)
     with pytest.raises(IndependenceError):
-        g_test_stats(np.zeros((1, 2, 2), dtype=np.int64))
+        g_test_stats(one[0], one[1][:, None])
     with pytest.raises(IndependenceError, match="min_expected"):
-        g_test_stats(np.zeros((1, 1, 2, 2), dtype=np.int64), float("nan"))
-    assert g_test_from_tables(np.zeros((0, 1, 2, 2), dtype=np.int64), alpha=0.05) == []
-    assert all(len(a) == 0 for a in g_test_stats(np.zeros((0, 1, 2, 2), dtype=np.int64)))
+        g_test_stats(*one, float("nan"))
+    assert g_test_from_tables(*stack_cells(np.zeros((0, 1, 2, 2), dtype=np.int64)),
+                              alpha=0.05) == []
+    assert all(len(a) == 0 for a in g_test_stats(*stack_cells(np.zeros((0, 1, 2, 2),
+                                                                        dtype=np.int64))))
+
+
+@pytest.mark.parametrize("cells, tests, named", [
+    ([[0, 1, 0, 5], [0, 0, 1, 5]], [0], "code order"),  # x runs backwards
+    ([[0, 0, 1, 5], [0, 0, 1, 5]], [0], "code order"),  # a cell twice
+    ([[1, 0, 0, 5], [0, 1, 1, 5]], [0, 0], "code order"),  # strata out of order
+    ([[0, 0, 0, 5], [2, 1, 1, 5]], [0, 0], r"strata in 0\.\.1"),  # a stratum without a test
+    ([[-1, 0, 0, 5]], [0], r"strata in 0\.\.0"),
+    ([[0, 0, 0, 5]], [-1], "tests must be non-negative integers"),
+    ([[0, 0, 0, 5]], [0.0], "tests must be non-negative integers"),
+])
+def test_the_cell_kernel_rejects_cells_out_of_code_order(cells, tests, named):
+    with pytest.raises(IndependenceError, match=named):
+        g_test_stats(np.array(cells), np.array(tests))
+
+
+def test_the_cell_kernel_drops_zero_cells_and_strata_without_cells():
+    stack = np.array([[[[20, 0], [6, 18]], [[0, 0], [0, 0]], [[9, 3], [4, 11]]]])
+    cells, tests = stack_cells(stack)
+    want = g_test_stats(cells, tests)
+    assert want[3].tolist() == [0]  # the all-zero stratum counts nowhere
+    # the zero cell (0, 0, 1) in its place, and a second test whose strata have no cells
+    zero = np.insert(cells, 1, [0, 0, 1, 0], axis=0)
+    got = g_test_stats(zero, np.append(tests, [1, 1]))
+    assert [a[:1].tolist() for a in got] == [a.tolist() for a in want]
+    assert [a[1:].tolist() for a in got] == [[1.0], [0.0], [0], [0], [False]]
 
 
 def test_package_import_leaves_scipy_stats_out():

@@ -247,12 +247,13 @@ def sixty_four_strata():
 def test_replicate_chunks_stay_under_the_cell_budget(monkeypatch):
     data = sixty_four_strata()
     cfg = TransferConfig(K=40, N=8000, alpha=0.05, seed=3)
+    # each kernel call's (replicates, strata, largest x code, largest y code)
     shapes = []
     kernel = transfer.g_test_stats
 
-    def spy(tables, *args, **kwargs):
-        shapes.append(tables.shape)
-        return kernel(tables, *args, **kwargs)
+    def spy(cells, tests, *args, **kwargs):
+        shapes.append((int(tests.max()) + 1, len(tests), *cells[:, 1:3].max(axis=0).tolist()))
+        return kernel(cells, tests, *args, **kwargs)
 
     monkeypatch.setattr(transfer, "g_test_stats", spy)
     runs = {}
@@ -261,7 +262,7 @@ def test_replicate_chunks_stay_under_the_cell_budget(monkeypatch):
         shapes.clear()
         runs[budget] = transfer_evidence(data, "X", "Y", ("A", "B", "D"), "0", cfg, context="R")
         assert sum(s[0] for s in shapes) == cfg.K
-        assert all(s[1:] == (64, 3, 3) for s in shapes)
+        assert all(s[1:] == (64 * s[0], 2, 2) for s in shapes)
         assert all(s[0] == 1 or s[0] * 64 * 9 <= budget for s in shapes)
         assert len(shapes) == {1 << 30: 1, 3000: 8, 0: 40}[budget]
     assert runs[1 << 30].details["unseen_cell_rows"] > 0

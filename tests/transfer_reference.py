@@ -1,11 +1,12 @@
 """Per-cell reference for the transfer test's replicate tables.
 
 `replicate_evidence` is the replicate loop of `transfer_evidence` as it
-stood before the loop read each first-stage draw as Python ints and read
-p-values off the kernel's array stage: the (z, x) layout, the null law and
-the fallback cells are built as there, each replicate's nonempty cells are
+stood before the loop read each first-stage draw as Python ints and handed
+the kernel sorted nonzero cells: the (z, x) layout, the null law and the
+fallback cells are built as there, each replicate's nonempty cells are
 found with `np.flatnonzero` and indexed as numpy scalars, and each chunk's
-p-values are read off `g_test_from_tables` verdicts.  It reads
+dense stack goes to the dense reference kernel
+(`independence_reference.dense_g_test_stats`).  It reads
 `transfer._CELL_BUDGET` when called, so a test that patches the budget
 patches both.  Tests and CI require `transfer_evidence` to give its
 p-values bit for bit, its unseen-cell rows and its power.
@@ -19,9 +20,9 @@ import numpy as np
 
 from csi_graphlab import transfer
 from csi_graphlab.data import Dataset, _tally
-from csi_graphlab.independence import g_test_from_tables
 from csi_graphlab.rng import replicate_generators
 from csi_graphlab.transfer import TransferConfig, TransferVerdict, transfer_evidence
+from independence_reference import dense_g_test_stats
 
 
 def replicate_evidence(
@@ -68,10 +69,7 @@ def replicate_evidence(
             for cell in np.flatnonzero(drawn):
                 table[cell] = rng.multinomial(drawn[cell], law[cell])
         unseen_rows += int(tables[:, fallback].sum())
-        verdicts = g_test_from_tables(
-            tables.reshape(len(tables), n_strata, n_x, n_y), cfg.alpha
-        )
-        p_values += [v.p_value for v in verdicts]
+        p_values += dense_g_test_stats(tables.reshape(len(tables), n_strata, n_x, n_y))[0].tolist()
     rejecting = sum(1 for p in p_values if p < cfg.alpha)
     return p_values, unseen_rows, rejecting / cfg.K
 
