@@ -14,8 +14,7 @@ p-value, statistic and counts of skipped strata, and `g_test_from_tables`
 wraps them in verdicts.  One builder, `g_test_tables`, counts the cells of
 many queries in one pass per block of bounded (query, row) pairs, weighting
 rows by `counts`, so the count table (`Dataset.tabulate`) gives the tables
-of the rows it compresses; memory grows with rows, not with labels.  The
-transfer test hands its replicates' nonzero cells to the array stage.
+of the rows it compresses; memory grows with rows, not with labels.
 
 A separator search `(x, y, sets, regimes)` tries its sets in order and for
 each set its regimes in order (None means pooled); its hit is the first
@@ -387,7 +386,9 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _groups(count: np.ndarray, *keys: np.ndarray):
     """Each position's run of equal `keys` tuples, each run's first position and its `count` sum."""
-    starts = np.r_[True, (np.diff(np.column_stack(keys), axis=0) != 0).any(axis=1)][:len(count)]
+    starts = np.arange(len(count)) == 0
+    for key in keys:
+        starts[1:] |= key[1:] != key[:-1]
     first = np.flatnonzero(starts)
     return np.cumsum(starts) - 1, first, np.add.reduceat(count, first)
 
@@ -427,7 +428,7 @@ def g_test_stats(
     cells = cells[cells[:, 3] > 0]
     s, x, y, count = cells.T
     # a row's first nonzero step is positive iff its signs weigh 4, 2, 1 to more than 0
-    ordered = np.sign(np.diff(cells[:, :3], axis=0)) @ [4, 2, 1] > 0
+    ordered = np.sign(cells[1:, :3] - cells[:-1, :3]) @ np.array([4, 2, 1]) > 0
     if not ordered.all() or len(s) and (s[0] < 0 or s[-1] >= len(tests)):
         raise IndependenceError("cells must be distinct (stratum, x, y) rows in code order, "
                                 "strata in 0..%d" % (len(tests) - 1))
@@ -455,7 +456,7 @@ def g_test_stats(
     owner = tests[s[first]]
     g = np.zeros(k)
     # unbuffered, in order: each test's strata are added left to right from 0.0
-    np.add.at(g, owner[used], 2.0 * _run_sums(terms, np.diff(first, append=len(s))[used]))
+    np.add.at(g, owner[used], 2.0 * _run_sums(terms, (np.append(first[1:], len(s)) - first)[used]))
     df = np.bincount(owner[used], ((lx - 1) * (ly - 1))[used], minlength=k)
     tested = np.bincount(owner[used], minlength=k) > 0
     p = np.ones(k)
