@@ -5,6 +5,7 @@ from csi_graphlab import transfer
 from csi_graphlab.corpus import get_example
 from csi_graphlab.data import Dataset
 from csi_graphlab.exact import draw_samples
+from csi_graphlab.independence import CiQuery, g_test
 from csi_graphlab.laws import RandomModelSpec, random_scm
 from csi_graphlab.rng import derive_seed
 from csi_graphlab.transfer import (
@@ -427,3 +428,24 @@ def test_sparse_layouts_equal_the_per_cell_reference(n_y, pooled_null):
             verdict = assert_replicates_match(data, "X", "Y", z, "0", cfg,
                                               pooled_null=pooled_null)
             assert (verdict.details["unseen_cell_rows"] > 0) != pooled_null
+
+
+def test_the_observed_verdict_is_the_g_test_of_the_r0_regime():
+    """Read off the r0 rows' (z, x, y) table, the observed verdict is `g_test`'s
+    on the regime query, raw rows and count tables alike."""
+    rng = np.random.default_rng(7)
+    for k in range(40):
+        m = random_scm(RandomModelSpec(n_vars=5, max_domain=3, seed=k))
+        data = draw_samples(m.scm, int(rng.integers(50, 3000)), k, m.solved.table)
+        data = data.tabulate() if k % 2 else data
+        ctx = m.scm.context_variable
+        x, y, *rest = rng.permutation([c for c in data.columns if c != ctx]).tolist()
+        z = tuple(rest[:rng.integers(0, len(rest) + 1)])
+        shown = np.bincount(data.column(ctx), minlength=len(data.labels(ctx)))
+        r0 = data.labels(ctx)[int(rng.choice(np.flatnonzero(shown)))]
+        cfg = TransferConfig(K=5, N=100, alpha=0.05, seed=k)
+        got = transfer_evidence(data, x, y, z, r0, cfg, context=ctx, pooled_null=True)
+        want = g_test(data, CiQuery(x, y, z, r0), 0.05, context=ctx)
+        assert (got.details["observed_p_value"].hex(), got.details["observed_warning"],
+                got.observed_independent_in_r0) == (want.p_value.hex(), want.warning,
+                                                     want.independent), k
