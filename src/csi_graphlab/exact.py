@@ -353,31 +353,24 @@ def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointP
     return JointPmf(scope, dict(zip(keys, table.weights)), table.denominator)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolvedModel:
-    """One solve of a model: the solution table, the two joints and, filled on
-    first use through `derive`, everything derived from them (the regimes
-    here, the graph families and the support-reduction witnesses in
-    `graph_objects`, the locality scan and the product-form gate in `laws`).  Derived values are computed once per instance; they are
-    immutable, so sharing them is safe.
+    """One solve of a model: its solution table and, filled on first use
+    through `derive`, everything derived from it (the two joints and the
+    regimes here, the graph families and the support-reduction witnesses in
+    `graph_objects`, the locality scan and the product-form gate in `laws`).
+    The solve is frozen, so derived values are computed once per instance
+    and always follow its table; they are immutable, so sharing them is
+    safe.  `dataclasses.replace` gives a fresh, empty cache.
     """
 
     scm: Scm
     table: SolutionTable
-    joint: JointPmf
-    noise_joint: JointPmf
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, s: Scm) -> "SolvedModel":
-        table = solve_all(s)
-        noise_joint = noise_observable_joint(s, table)
-        return cls(
-            scm=s,
-            table=table,
-            joint=noise_joint.marginal(table.variables),
-            noise_joint=noise_joint,
-        )
+        return cls(s, solve_all(s))
 
     def derive(self, key: Hashable, build: Callable[[], T]) -> T:
         """`build()`, computed once per instance under `key`; a raising build
@@ -392,6 +385,16 @@ class SolvedModel:
         """Context values with positive probability, sorted."""
         ctx = self.scm.context_variable
         return self.derive("regimes", lambda: tuple(v for (v,) in self.joint.support([ctx])))
+
+    @property
+    def noise_joint(self) -> JointPmf:
+        """Joint over noises and observables, one key per table row in order."""
+        return self.derive("noise_joint", lambda: noise_observable_joint(self.scm, self.table))
+
+    @property
+    def joint(self) -> JointPmf:
+        """Observable joint: the noise joint's marginal over the variables."""
+        return self.derive("joint", lambda: self.noise_joint.marginal(self.table.variables))
 
 
 # --- sampling ----------------------------------------------------------------------

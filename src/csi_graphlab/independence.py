@@ -193,7 +193,7 @@ class ExactTester(CiTester):
     """
 
     def __init__(self, solved: SolvedModel):
-        self._solved = solved
+        self._joint = solved.joint
         self._memo: dict[CiQuery, CiVerdict] = solved.derive("ci_memo", dict)
         self.variables = solved.scm.variable_names
         self.context = solved.scm.context_variable
@@ -203,7 +203,7 @@ class ExactTester(CiTester):
         key = (x, y, tuple(z), regime)
         if (verdict := self._memo.get(key)) is None:
             q = CiQuery(*key)
-            verdict = self._memo[q] = ci_exact(self._solved.joint, q, context=self.context)
+            verdict = self._memo[q] = ci_exact(self._joint, q, context=self.context)
         return verdict
 
 

@@ -7,14 +7,13 @@ never a silent pass or a spurious failure.  `random_scm` draws small models
 by rejection so the relations get exercised far from the curated corpus.
 
 The noise-factorization and local Markov laws are decided by the paper's
-solution-function argument from one gate derived once per solve: the noise
-joint spells the solution table in product form, the solved values are
-local (the locality scan is the one `check_solution_locality` reads) and
-the observable joint is the noise joint's marginal.  Noise factorization
-then holds for every conditioning set at once; local Markov holds when,
-besides, the support scan `random_scm` runs finds no witness and no
-variable is an ancestor of its barrier.  Only a joint failing those
-premises is walked: noise factorization over all 2^n - 1 conditioning sets
+solution-function argument from one gate derived once per solve: the
+solution table, from which both joints are derived, is in product form and
+its solved values are local (the locality scan is the one
+`check_solution_locality` reads).  Noise factorization then holds for every
+conditioning set at once; local Markov holds when, besides, the support
+scan `random_scm` runs finds no witness and no variable is an ancestor of
+its barrier.  Only a joint failing those premises is walked: noise factorization over all 2^n - 1 conditioning sets
 in Python ints, comparing the noise joint's weights P = p * D (D its
 denominator) with the priors scaled to integers by `NoiseSpec.scaled`
 (a_i = prior_i * d_i), where a noise tuple factors exactly when
@@ -36,6 +35,7 @@ from .discovery import markov_check
 from .exact import (
     ComplexityError,
     JointPmf,
+    SolutionTable,
     SolveError,
     SolvedModel,
     _getter,
@@ -422,40 +422,19 @@ def check_solution_locality(s: Scm, solved: SolvedModel) -> CheckResult:
 
 def _product_form_gate(solved: SolvedModel) -> bool:
     """The premises both noise-side laws are decided on, derived once per
-    solve: the noise joint is the solution table's rows in product form,
-    their solved values are local, and the observable joint is their
-    marginal.
-
-    - keys: the noise joint's keys are the table's (noise + values) rows,
-      in table order.
-    - product form: `_product_form` holds for them.
-    - locality: every row's context value is a regime, and the solve's
-      locality scan, the one `check_solution_locality` reads, found no
-      violation of either clause.
-    - support: `solved.joint` equals the noise joint's marginal over the
-      variables, so the supports the graphs and `support_reduction_witnesses`
-      read hold every row's parent values.
+    solve: the solution table's rows are in product form (`_product_form`),
+    and the solve's locality scan, the one `check_solution_locality` reads,
+    found no violation of either clause.  The joints and the regimes are
+    derived from the same rows, so every row is a key of the noise joint,
+    its context value is a regime and its parent values are on the supports
+    the graphs and `support_reduction_witnesses` read.
     """
 
     def holds() -> bool:
         s = solved.scm
-        nj = solved.noise_joint
         table = solved.table
-        names = table.variables
-        d, prior = zip(*(s.noises[v].scaled() for v in names))
-        ci = names.index(s.context_variable)
-        if not (
-            list(nj.weights) == [u + v for u, v in zip(table.noise_assignments, table.values)]
-            and _product_form(nj, table.noise_assignments, d, prior)
-            # every row lies in a per-context stratum of the scan
-            and {vals[ci] for vals in table.values} <= set(solved.regimes)
-            and not _solution_violations(solved)
-        ):
-            return False
-        joint, rows = solved.joint, nj.marginal(names)
-        return (joint.scope, joint.denominator, joint.weights) == (
-            rows.scope, rows.denominator, rows.weights
-        )
+        d, prior = zip(*(s.noises[v].scaled() for v in table.variables))
+        return _product_form(table, d, prior) and not _solution_violations(solved)
 
     return solved.derive("product_form", holds)
 
@@ -479,15 +458,16 @@ def check_noise_factorization(
     outside the block.
 
     The paper's own argument settles every Z at once when the shared gate
-    `_product_form_gate` holds, which `check_local_markov` reads too.  Of
-    its premises this proof uses two:
+    `_product_form_gate` holds, which `check_local_markov` reads too.  Its
+    two premises:
 
     - product form: the noise tuples are distinct, use only labels of
       positive prior and number prod_i |positive support|; every weight w
       has w * prod_i d_i == D * prod_i a_i; each prior's positive labels
       sum to one.
-    - locality: every row's context value is a regime, and the solve's
-      single locality scan found no violation of either clause.
+    - locality: the solve's single locality scan found no violation of
+      either clause; every row's context value is a regime, as the
+      regimes are read off those rows.
 
     Proof sketch.  Under product form every completion of the outside
     noises is a row of the joint.  Locality puts all those completions in
@@ -513,18 +493,18 @@ def check_noise_factorization(
     return _factorization_kernel(s, solved, cap, notes)
 
 
-def _product_form(nj: JointPmf, noises, d: Sequence[int], prior: Sequence[dict[str, int]]) -> bool:
-    """Whether `noises`, the joint's noise tuples in key order, are exactly
-    the product of the positive noise supports, each weighted by the product
-    of its priors."""
+def _product_form(table: SolutionTable, d: Sequence[int], prior: Sequence[dict[str, int]]) -> bool:
+    """Whether the table's noise tuples are exactly the product of the
+    positive noise supports, each weighted by the product of its priors."""
     positive = [{lbl: a for lbl, a in pr.items() if a > 0} for pr in prior]
     if any(sum(pos.values()) != dj for pos, dj in zip(positive, d)):
         return False
+    noises = table.noise_assignments
     if len(set(noises)) != len(noises) or len(noises) != math.prod(map(len, positive)):
         return False
     scale = math.prod(d)
-    denom = nj.denominator
-    for noise, w in zip(noises, nj.weights.values()):
+    denom = table.denominator
+    for noise, w in zip(noises, table.weights):
         a = 1
         for pos, lbl in zip(positive, noise):
             if lbl not in pos:
@@ -644,7 +624,7 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     B's pooled ancestors, none of which is N_y, so B is a function of N_-y.
     The pooled support scan keeps y's pooled parents, which are B, on the
     support of y's declared parents, which holds every row's parent values
-    since `solved.joint` is the rows' marginal: so y = g(B, N_y) on every
+    (`solved.joint` is derived from the rows): so y = g(B, N_y) on every
     row.  Given B = b, an event on N_-y, y = g(b, N_y) stays independent
     of N_-y, and every barrier group factors exactly.
 

@@ -14,6 +14,10 @@ replaced, kept verbatim but for its ranker: it ranks strata with the
 column-at-a-time `data_reference.stratum_ids`, not the package's `_ranks`.
 Its table is dense over the query's labels; tests require its nonzero
 cells to be the query's cells in its block.
+
+`population_matches` compares sampled discovery on a solve's exact joint,
+read as a count table, with exact discovery on the solve; `renamed_variables`
+relabels a model for that check and for the laws' invariance tests.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from csi_graphlab.independence import (
     subsets,
 )
 from csi_graphlab.laws import RandomModelSpec, random_scm
+from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
 
 
 def first_separator(
@@ -290,6 +295,21 @@ def population_matches(solved, bits=POPULATION_BITS) -> bool | None:
     sampled = discovery.SampleTester(data, 0.01, solved.scm.context_variable)
     exact = discovery.ExactTester(solved)
     return discovery_run(sampled, solved.regimes) == discovery_run(exact, solved.regimes)
+
+
+def renamed_variables(s):
+    """The model with its variables renamed so that their sort order reverses."""
+    order = sorted(s.variable_names)
+    new = {v: "V%03d" % (len(order) - 1 - k) for k, v in enumerate(order)}
+    return Scm(
+        variables=tuple(VariableSpec(new[v.name], v.domain) for v in s.variables),
+        context_variable=new[s.context_variable],
+        noises={new[v]: NoiseSpec(new[v], n.pmf) for v, n in s.noises.items()},
+        mechanisms={
+            new[v]: MechanismTable(new[v], tuple(new[p] for p in m.parents), dict(m.table))
+            for v, m in s.mechanisms.items()
+        },
+    )
 
 
 def random_samples(n_vars, seed, rows):

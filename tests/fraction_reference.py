@@ -25,6 +25,7 @@ from csi_graphlab import laws
 from csi_graphlab.exact import (
     DistributionError,
     JointPmf,
+    SolutionTable,
     _getter,
     noise_name,
     noise_observable_joint,
@@ -330,6 +331,21 @@ def pipeline_models():
     ]
 
 
+def with_noise_joint(solved, nj):
+    """The solve whose solution table spells `nj` row by row: each key's
+    noise and value halves, in key order, with its weight over the joint's
+    denominator.  Its joints, regimes and graphs are derived from that table."""
+    n = len(solved.table.variables)
+    table = SolutionTable(
+        variables=solved.table.variables,
+        noise_assignments=tuple(key[:n] for key in nj.weights),
+        weights=tuple(nj.weights.values()),
+        denominator=nj.denominator,
+        values=tuple(key[n:] for key in nj.weights),
+    )
+    return replace(solved, table=table)
+
+
 def moved_mass(solved, src, dst, share):
     """The solved model with `share` of the mass of noise-joint row `src`
     (in sorted row order) moved to row `dst`."""
@@ -339,7 +355,7 @@ def moved_mass(solved, src, dst, share):
     amount = rows[src][1] * share
     table[rows[src][0]] -= amount
     table[rows[dst][0]] += amount
-    return replace(solved, noise_joint=from_table(nj.scope, table))
+    return with_noise_joint(solved, from_table(nj.scope, table))
 
 
 def tampered(solved):

@@ -430,7 +430,7 @@ def test_exact_memo_verdicts_equal_fresh_ci_exact(case, monkeypatch, tmp_path, c
     assert cli.main(["discover", "--exact", str(model)]) == 0
     capsys.readouterr()
     (tester,) = testers
-    joint = tester._solved.joint
+    joint = tester._joint
     assert sorted(decided, key=repr) == sorted(tester._memo, key=repr)  # each query decided once
     for q, verdict in tester._memo.items():
         assert verdict == ci_exact(joint, q, context=tester.context)
@@ -696,6 +696,18 @@ def test_sampled_discovery_at_population_scale_equals_exact_discovery():
              len(skipped)))
     assert [key for key, r in results.items() if r is False] == []
     assert skipped == []
+
+
+def test_population_scale_check_survives_renaming():
+    """The population check on each corpus model and on 30 of the random models
+    above, with their variables renamed so that their sort order reverses:
+    sampled discovery still equals exact discovery."""
+    models = [get_example(name) for name in list_examples()]
+    models += [random_scm(RandomModelSpec(n_vars=n, max_domain=3, seed=k)).scm
+               for n in (5, 6, 7) for k in range(1, 11)]
+    renamed = [ref.renamed_variables(s) for s in models]
+    assert all(new.variable_names != s.variable_names for new, s in zip(renamed, models))
+    assert [ref.population_matches(SolvedModel.of(s)) for s in renamed] == [True] * 41
 
 
 def test_population_scale_is_a_parameter_of_the_check():

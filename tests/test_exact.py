@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -26,10 +27,11 @@ from csi_graphlab.exact import (
     solve_all,
 )
 from csi_graphlab.data import Dataset
+from csi_graphlab.graph_objects import union_graph
 from csi_graphlab.laws import RandomModelSpec, _draw_model, random_scm
 from csi_graphlab.rng import derive_seed, uniform_thresholds_index
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
-from fraction_reference import FractionPmf, fraction_tables, from_table
+from fraction_reference import FractionPmf, fraction_tables, from_table, moved_mass
 
 H = Fraction(1, 2)
 
@@ -365,6 +367,27 @@ def test_solved_model_regimes():
     assert SolvedModel.of(get_example("non-markov(1/3)")).regimes == (
         "a0", "a1", "b0", "b1",
     )
+
+
+def test_a_solve_is_its_table():
+    """A solve holds its table and derives the rest: the table cannot be
+    reassigned, and a solve with another table derives its joints, regimes
+    and graphs from that table, not from the first solve's cache."""
+    s = get_example("intro")
+    solved = SolvedModel.of(s)
+    assert SolvedModel.of(s) == solved
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        solved.table = solved.table
+    regimes, union = solved.regimes, union_graph(solved)
+    t = dataclasses.replace(solved, table=moved_mass(solved, 0, -1, H).table)
+    assert t._derived == {} and t.table != solved.table
+    for got, want in ((t.joint, joint_pmf(s, t.table)),
+                      (t.noise_joint, noise_observable_joint(s, t.table))):
+        assert (got.scope, got.weights, got.denominator) == (
+            want.scope, want.weights, want.denominator)
+    assert t.joint.weights != solved.joint.weights
+    assert t.regimes == regimes and t.regimes is not regimes
+    assert union_graph(t) is not union
 
 
 def test_draw_samples_deterministic_and_calibrated():

@@ -9,7 +9,6 @@ whose noise joint was tampered with: half the mass of the first noise row
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -18,7 +17,7 @@ from csi_graphlab.cli import EXIT_OK, main
 from csi_graphlab.corpus import get_example, list_examples
 from csi_graphlab.exact import SolvedModel, draw_samples
 from csi_graphlab.scm import serialize_scm
-from fraction_reference import from_table
+from fraction_reference import tampered
 
 VERIFY_20_SEED_1 = "edf7d8ac3c8a22b69744720bf65e2d0f59b80548001bacd363a79772bf3821b3"
 # the suite the benchmark's `verify` workload runs
@@ -230,13 +229,7 @@ def _stdout(capsys, *argv):
 
 
 def _tampered(name):
-    solved = SolvedModel.of(get_example(name))
-    nj = solved.noise_joint
-    (first, p_first), *_, (last, p_last) = sorted(nj.table.items())
-    table = dict(nj.table)
-    table[first] = p_first / 2
-    table[last] = p_last + p_first / 2
-    return replace(solved, noise_joint=from_table(nj.scope, table))
+    return tampered(SolvedModel.of(get_example(name)))
 
 
 def test_pins_cover_the_corpus():

@@ -26,6 +26,7 @@ from csi_graphlab.graph_objects import (
 from csi_graphlab.laws import _done
 from csi_graphlab.rng import derive_seed
 from csi_graphlab.scm import MechanismTable, NoiseSpec, Scm, VariableSpec
+from discovery_reference import renamed_variables
 from fraction_reference import (
     moved_mass,
     pipeline_models,
@@ -34,6 +35,7 @@ from fraction_reference import (
     tamperable,
     verify_models,
     wide_denominator_model,
+    with_noise_joint,
 )
 
 SPEC = laws.RandomModelSpec(n_vars=4, max_domain=3, max_parents=2, seed=5)
@@ -459,7 +461,7 @@ def test_tampered_corpus_joints_reach_the_walk(solved_examples):
 
 def with_weights(sm, weights):
     nj = sm.noise_joint
-    return replace(sm, noise_joint=JointPmf(nj.scope, weights, nj.denominator))
+    return with_noise_joint(sm, JointPmf(nj.scope, weights, nj.denominator))
 
 
 def joint_rows(sm):
@@ -520,22 +522,17 @@ def test_adversarial_joints_fall_through_to_the_kernel(solved_examples, monkeypa
     calls = kernel_calls(monkeypatch)
     for s, sm in solved_examples.values():
         swapped = swapped_values(sm)
-        # the table still spells out the untouched rows, and they are local
-        assert swapped is not None and laws.check_solution_locality(s, swapped).passed
-        for t in (swapped, duplicated_noise(sm), zero_prior_row(sm), reversed_rows(sm)):
+        # the swap is in the table, so the solve's own locality scan sees it
+        assert swapped is not None and not laws.check_solution_locality(s, swapped).passed
+        for t in (swapped, duplicated_noise(sm), zero_prior_row(sm)):
             calls.clear()
             got = laws.check_noise_factorization(t.scm, t)
             assert calls == [t]
             assert got == reference_noise_factorization(t.scm, t)
-
-
-def lost_support_row(sm, i):
-    """The solve with row i of its observable joint, in joint order, dropped;
-    the noise joint keeps every row."""
-    joint = sm.joint
-    key = list(joint.weights)[i]
-    weights = {k: w for k, w in joint.weights.items() if k != key}
-    return replace(sm, joint=JointPmf(joint.scope, weights, joint.denominator))
+        # the same product-form solve in another row order: the gate holds
+        t = reversed_rows(sm)
+        assert laws._product_form_gate(t)
+        assert laws.check_noise_factorization(t.scm, t) == reference_noise_factorization(t.scm, t)
 
 
 def entangled_draw(n_vars, seed):
@@ -555,20 +552,13 @@ def test_local_markov_rule_matches_the_walk(solved_examples):
     cases = models + [tampered(sm) for sm in kept]
     for sm in corpus:
         cases += [swapped_values(sm), duplicated_noise(sm), zero_prior_row(sm), reversed_rows(sm)]
-    # joints that lost a row which showed a pooled edge: every other premise of the
-    # rule holds, and only the joint's tie to the noise joint keeps the rule from
-    # passing a law the walk fails
-    lost = [lost_support_row(verify[1][55], 3), lost_support_row(pipeline[0], 0)]
-    for t in lost:
-        assert not support_reduction_witnesses(t) and not laws._solution_violations(t)
-        assert not walk_only(t).passed
     # first draws that random_scm rejects as support-entangled: the gate holds, and
     # only their support witnesses keep the rule from passing a law the walk fails
     entangled = [entangled_draw(5, 295), entangled_draw(4, 486)]
     for sm in entangled:
         assert support_reduction_witnesses(sm) and laws._product_form_gate(sm)
         assert not walk_only(sm).passed
-    for sm in cases + lost + entangled:
+    for sm in cases + entangled:
         assert laws.check_local_markov(sm.scm, sm) == walk_only(sm)
 
 
@@ -657,21 +647,6 @@ def test_factorization_kernel_falls_back_to_python_ints_exactly():
 
 
 # --- invariances ---------------------------------------------------------------------
-
-def renamed_variables(s):
-    """The model with its variables renamed so that their sort order reverses."""
-    order = sorted(s.variable_names)
-    new = {v: "V%03d" % (len(order) - 1 - k) for k, v in enumerate(order)}
-    return Scm(
-        variables=tuple(VariableSpec(new[v.name], v.domain) for v in s.variables),
-        context_variable=new[s.context_variable],
-        noises={new[v]: NoiseSpec(new[v], n.pmf) for v, n in s.noises.items()},
-        mechanisms={
-            new[v]: MechanismTable(new[v], tuple(new[p] for p in m.parents), dict(m.table))
-            for v, m in s.mechanisms.items()
-        },
-    )
-
 
 def permuted_noise_labels(s):
     """The model with each noise's labels permuted so that their sort order reverses."""
