@@ -291,7 +291,9 @@ class Dataset:
         """Parse CSV with a header row of column names; labels taken verbatim.
 
         Each distinct line (or `csv.reader` record, see `_read_csv`) is
-        parsed and coded once, and its codes indexed by row.
+        parsed and coded once, and its codes indexed by row.  The CLI reads
+        through `tabulate_csv`; this stays as the public per-row reader and the
+        reference `tabulate_csv` is tested against.
         """
         items, tally, records = _read_csv(text)
         number = dict(zip(tally, itertools.count()))

@@ -101,7 +101,8 @@ class SampleTester(CiTester):
         self.regimes = tuple(data.labels(context)[c] for c in codes)
 
     def test(self, x: str, y: str, z: Sequence[str] = (), regime: str | None = None) -> CiVerdict:
-        """The memoized verdict of one query, or else that of a step of its own."""
+        """The memoized verdict of one query, or else that of a step of its own.
+        `CiTester.step_hits` reads every run of every discovery step through it."""
         q = (x, y, tuple(z), regime)
         if q not in self._memo:
             self.step_hits([[q]])

@@ -216,6 +216,12 @@ class SolutionTable:
     denominator: int
     values: tuple[tuple[str, ...], ...]
 
+    def __post_init__(self):
+        rows = (len(self.noise_assignments), len(self.weights), len(self.values))
+        if len(set(rows)) > 1:
+            raise DistributionError("solution table has %d noise assignments, %d weights "
+                                    "and %d values" % rows)
+
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
         """Each row's weight over `denominator`, as a `Fraction`."""
@@ -346,11 +352,20 @@ def joint_pmf(s: Scm, table: SolutionTable | None = None) -> JointPmf:
 
 
 def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointPmf:
-    """Joint over noises (scope names ~X) and observables; noises pin the row."""
+    """Joint over noises (scope names ~X) and observables; noises pin the row.
+    A table that repeats a row raises `DistributionError`, not a joint
+    missing that row's mass."""
     table = table if table is not None else solve_all(s)
     scope = tuple(noise_name(v) for v in table.variables) + table.variables
     keys = [noise + vals for noise, vals in zip(table.noise_assignments, table.values)]
-    return JointPmf(scope, dict(zip(keys, table.weights)), table.denominator)
+    weights = dict(zip(keys, table.weights))
+    if len(weights) < len(keys):
+        seen: set = set()
+        repeated = next(n for n, k in zip(table.noise_assignments, keys)
+                        if k in seen or seen.add(k))
+        raise DistributionError("solution table repeats the row of noise assignment %s"
+                                % (repeated,))
+    return JointPmf(scope, weights, table.denominator)
 
 
 @dataclass(frozen=True)

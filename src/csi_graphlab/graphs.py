@@ -265,6 +265,7 @@ def d_separated(g: DirectedGraph, x: str, y: str, z: Iterable[str]) -> bool:
 
     Uses the ancestral moral graph: restrict to ancestors of {x, y} u z,
     marry co-parents, drop orientation, delete z, and test reachability.
+    No pipeline calls it; it stays a package export, checked against networkx.
     """
     z_set = frozenset(z)
     for node in (x, y, *z_set):

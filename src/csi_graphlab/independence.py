@@ -37,7 +37,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .data import DataError, Dataset, _ranks, _tally
 from .exact import JointPmf, SolvedModel, first_dependence
@@ -213,7 +212,9 @@ def conditional_mutual_information(
     """Exact conditional mutual information of the query, in nats (as float).
 
     Each ratio of weights is one correctly rounded int / int division, so the
-    floats are those of the same ratios of rational masses.
+    floats are those of the same ratios of rational masses.  No pipeline reads
+    it; it stays a package export because the acceptance suite's G-test
+    calibration picks its clearly dependent queries with it.
     """
     joint = _exact_strata(p, q, context, (q.x, q.y))
     px = _exact_strata(p, q, context, (q.x,))
@@ -412,7 +413,8 @@ def g_test_stats(
     cells in code order, strata are added left to right from 0.0, and the
     tail is `chdtrc`.  The least expected count is fl(fl(r_min * c_min) / n),
     rounding being monotone; the products are float64, so past 2^63 they
-    round, not wrap.
+    round, not wrap.  `chdtrc` is imported here, on the first call, so the
+    package import and the exact paths never load it.
     """
     _check_min_expected(min_expected)
     cells, tests = np.asarray(cells), np.asarray(tests)
@@ -461,6 +463,7 @@ def g_test_stats(
     tested = np.bincount(owner[used], minlength=k) > 0
     p = np.ones(k)
     positive = tested & (g > 0)
+    from scipy.special import chdtrc
     p[positive] = chdtrc(df[positive], g[positive])
     return (p, g, np.bincount(owner[low], minlength=k), np.bincount(owner[degenerate], minlength=k),
             tested)

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -388,6 +389,23 @@ def test_a_solve_is_its_table():
     assert t.joint.weights != solved.joint.weights
     assert t.regimes == regimes and t.regimes is not regimes
     assert union_graph(t) is not union
+
+
+def test_a_malformed_solution_table_is_a_named_error():
+    """A repeated row, or fields of different lengths, raise `DistributionError`
+    instead of giving a joint that has silently lost mass."""
+    solved = SolvedModel.of(get_example("intro-mediator"))
+    table = solved.table
+    repeated = dataclasses.replace(
+        table, noise_assignments=table.noise_assignments + table.noise_assignments[:1],
+        weights=table.weights + table.weights[:1], values=table.values + table.values[:1])
+    t = dataclasses.replace(solved, table=repeated)
+    for derived in ("noise_joint", "joint"):
+        with pytest.raises(DistributionError, match=r"repeats .* %s" % re.escape(
+                str(table.noise_assignments[0]))):
+            getattr(t, derived)
+    with pytest.raises(DistributionError, match="16 noise assignments, 15 weights and 16 values"):
+        dataclasses.replace(solved, table=dataclasses.replace(table, weights=table.weights[1:]))
 
 
 def test_draw_samples_deterministic_and_calibrated():

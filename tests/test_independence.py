@@ -665,3 +665,49 @@ def test_package_import_leaves_scipy_stats_out():
         env=env, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+_SCIPY_DEFERRED = r"""
+import contextlib, io, sys
+from pathlib import Path
+import csi_graphlab, csi_graphlab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert csi_graphlab.cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+print(scipy_modules())
+from csi_graphlab.corpus import get_example
+from csi_graphlab.scm import serialize_scm
+model, report = Path(sys.argv[1], "model.scm"), Path(sys.argv[1], "report.json")
+model.write_text(serialize_scm(get_example("intro-mediator")))
+run("verify", "--count", "3", "--seed", "1")
+run("ground-truth", "--full", str(model))
+report.write_text(run("discover", "--exact", str(model)))
+run("classify", "--mode", "oriented", str(report))
+run("sample", str(model), "--n", "10")
+print(scipy_modules())
+import numpy as np
+from csi_graphlab.data import Dataset
+from csi_graphlab.independence import CiQuery, g_test
+data = Dataset(("A", "B"), {"A": ("0", "1"), "B": ("0", "1")},
+               np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * 10))
+g_test(data, CiQuery("A", "B"), alpha=0.05)
+print("scipy.special" in sys.modules, "scipy.stats" in sys.modules)
+"""
+
+
+def test_scipy_loads_with_the_first_g_test(tmp_path):
+    # the exact paths and every exact CLI subcommand run without scipy; the
+    # G-test's chi-squared tail imports scipy.special, and never scipy.stats
+    package_root = str(Path(csi_graphlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_DEFERRED, str(tmp_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "[]", "True False"]
