@@ -208,7 +208,9 @@ class JointPmf:
 
 @dataclass(frozen=True)
 class SolutionTable:
-    """One row per positive-probability noise assignment, with its unique solution."""
+    """One row per positive-probability noise assignment, with its unique
+    solution; a repeated noise assignment, or fields of different lengths,
+    raise `DistributionError`."""
 
     variables: tuple[str, ...]
     noise_assignments: tuple[tuple[str, ...], ...]
@@ -221,6 +223,10 @@ class SolutionTable:
         if len(set(rows)) > 1:
             raise DistributionError("solution table has %d noise assignments, %d weights "
                                     "and %d values" % rows)
+        if len(set(self.noise_assignments)) < rows[0]:
+            seen: set = set()
+            repeated = next(n for n in self.noise_assignments if n in seen or seen.add(n))
+            raise DistributionError("solution table repeats noise assignment %s" % (repeated,))
 
     @property
     def probabilities(self) -> tuple[Fraction, ...]:
@@ -352,20 +358,11 @@ def joint_pmf(s: Scm, table: SolutionTable | None = None) -> JointPmf:
 
 
 def noise_observable_joint(s: Scm, table: SolutionTable | None = None) -> JointPmf:
-    """Joint over noises (scope names ~X) and observables; noises pin the row.
-    A table that repeats a row raises `DistributionError`, not a joint
-    missing that row's mass."""
+    """Joint over noises (scope names ~X) and observables; noises pin the row."""
     table = table if table is not None else solve_all(s)
     scope = tuple(noise_name(v) for v in table.variables) + table.variables
     keys = [noise + vals for noise, vals in zip(table.noise_assignments, table.values)]
-    weights = dict(zip(keys, table.weights))
-    if len(weights) < len(keys):
-        seen: set = set()
-        repeated = next(n for n, k in zip(table.noise_assignments, keys)
-                        if k in seen or seen.add(k))
-        raise DistributionError("solution table repeats the row of noise assignment %s"
-                                % (repeated,))
-    return JointPmf(scope, weights, table.denominator)
+    return JointPmf(scope, dict(zip(keys, table.weights)), table.denominator)
 
 
 @dataclass(frozen=True)

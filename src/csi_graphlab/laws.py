@@ -13,8 +13,8 @@ its solved values are local (the locality scan is the one
 `check_solution_locality` reads).  Noise factorization then holds for every
 conditioning set at once; local Markov holds when, besides, the support
 scan `random_scm` runs finds no witness and no variable is an ancestor of
-its barrier.  Only a joint failing those premises is walked: noise factorization over all 2^n - 1 conditioning sets
-in Python ints, comparing the noise joint's weights P = p * D (D its
+its barrier.  Only a joint failing those premises is walked: noise
+factorization over the 2^n - 2 proper conditioning sets in Python ints, comparing the noise joint's weights P = p * D (D its
 denominator) with the priors scaled to integers by `NoiseSpec.scaled`
 (a_i = prior_i * d_i), where a noise tuple factors exactly when
 P * prod_out d_i == S * prod_out a_i, S being the weight of its cell; local
@@ -307,11 +307,11 @@ def check_union_property(s: Scm, solved: SolvedModel) -> CheckResult:
 def check_regime_children(s: Scm, solved: SolvedModel) -> CheckResult:
     """No pooled context arrow into Y means Y keeps its pooled parents in
     every per-context physical graph."""
-    ctx = s.context_variable
+    ctx = solved.scm.context_variable
     union = union_graph(solved)
     phys = {r: physical_graph(solved, r) for r in solved.regimes}
     wit: list[dict] = []
-    for y in s.variable_names:
+    for y in solved.table.variables:
         if y == ctx or ctx in union.parents(y):
             continue
         want = set(union.parents(y))
@@ -368,13 +368,13 @@ def _first_violation(rows, cols, vi):
     return None
 
 
-def _locality_violations(s: Scm, solved: SolvedModel, rows):
+def _locality_violations(solved: SolvedModel, rows):
     """Each clause's first violation of solution locality on (noise, values)
     rows, noises and values in variable order: the pooled clause for every
     variable, then the per-context clause for every regime and variable."""
     names = solved.table.variables
     pos = {v: i for i, v in enumerate(names)}
-    ci = pos[s.context_variable]
+    ci = pos[solved.scm.context_variable]
     union = union_graph(solved)
     for vi, v in enumerate(names):
         hit = _first_violation(rows, [pos[a] for a in sorted(union.ancestors([v]))], vi)
@@ -393,7 +393,7 @@ def _solution_violations(solved: SolvedModel) -> tuple:
     """`_locality_violations` on the solution table, scanned once per solve."""
     table = solved.table
     return solved.derive("locality", lambda: tuple(_locality_violations(
-        solved.scm, solved, list(zip(table.noise_assignments, table.values))
+        solved, list(zip(table.noise_assignments, table.values))
     )))
 
 
@@ -431,24 +431,21 @@ def _product_form_gate(solved: SolvedModel) -> bool:
     """
 
     def holds() -> bool:
-        s = solved.scm
         table = solved.table
-        d, prior = zip(*(s.noises[v].scaled() for v in table.variables))
+        d, prior = zip(*(solved.scm.noises[v].scaled() for v in table.variables))
         return _product_form(table, d, prior) and not _solution_violations(solved)
 
     return solved.derive("product_form", holds)
 
 
-def check_noise_factorization(
-    s: Scm, solved: SolvedModel, cap: int | None = None
-) -> CheckResult:
+def check_noise_factorization(s: Scm, solved: SolvedModel) -> CheckResult:
     """Conditioning on observables only ties together ancestral noises.
 
     For observed Z the noise posterior factors into the block over the pooled
     ancestors of Z times untouched priors; with the context pinned to r (and
     outside Z) the block is over pooled ancestors of the context plus
-    descriptive ancestors of Z.  Exact equality, subsets up to `cap` names
-    (default: all but the full set).  Needs weak regime-acyclicity.
+    descriptive ancestors of Z.  Exact equality, on every proper subset of
+    the variables.  Needs weak regime-acyclicity.
 
     Decided in integers.  With D the noise joint's denominator and, for each
     noise i, (d_i, a_i) its prior scaled by `NoiseSpec.scaled`, a noise
@@ -461,10 +458,10 @@ def check_noise_factorization(
     `_product_form_gate` holds, which `check_local_markov` reads too.  Its
     two premises:
 
-    - product form: the noise tuples are distinct, use only labels of
-      positive prior and number prod_i |positive support|; every weight w
-      has w * prod_i d_i == D * prod_i a_i; each prior's positive labels
-      sum to one.
+    - product form: the noise tuples (distinct in every solution table)
+      use only labels of positive prior and number prod_i |positive
+      support|; every weight w has w * prod_i d_i == D * prod_i a_i; each
+      prior's positive labels sum to one.
     - locality: the solve's single locality scan found no violation of
       either clause; every row's context value is a regime, as the
       regimes are read off those rows.
@@ -479,18 +476,13 @@ def check_noise_factorization(
     When the gate fails, `_factorization_kernel` walks every conditioning
     set, group by group, in Python ints; it is the only source of witnesses.
     """
-    n = len(solved.table.variables)
-    cap = (n - 1) if cap is None else cap
-    if cap < 0:
-        raise LawsError("cap must be nonnegative")
     if not is_weakly_regime_acyclic(solved):
         return _skip("noise_factorization", "model is not weakly regime-acyclic")
-    notes = ()
-    if cap < n:
-        notes = ("conditioning sets of more than %d variables not checked" % cap,)
+    notes = ("conditioning sets of more than %d variables not checked"
+             % (len(solved.table.variables) - 1),)
     if _product_form_gate(solved):
         return _done("noise_factorization", [], notes)
-    return _factorization_kernel(s, solved, cap, notes)
+    return _factorization_kernel(solved, notes)
 
 
 def _product_form(table: SolutionTable, d: Sequence[int], prior: Sequence[dict[str, int]]) -> bool:
@@ -500,7 +492,7 @@ def _product_form(table: SolutionTable, d: Sequence[int], prior: Sequence[dict[s
     if any(sum(pos.values()) != dj for pos, dj in zip(positive, d)):
         return False
     noises = table.noise_assignments
-    if len(set(noises)) != len(noises) or len(noises) != math.prod(map(len, positive)):
+    if len(noises) != math.prod(map(len, positive)):
         return False
     scale = math.prod(d)
     denom = table.denominator
@@ -515,11 +507,10 @@ def _product_form(table: SolutionTable, d: Sequence[int], prior: Sequence[dict[s
     return True
 
 
-def _factorization_kernel(
-    s: Scm, solved: SolvedModel, cap: int, notes: tuple[str, ...]
-) -> CheckResult:
-    """The cell test for every conditioning set up to `cap` names, walked in
-    Python ints over the groups of `JointPmf.strata`.
+def _factorization_kernel(solved: SolvedModel, notes: tuple[str, ...]) -> CheckResult:
+    """The cell test for every proper subset of the variables as the
+    conditioning set, walked in Python ints over the groups of
+    `JointPmf.strata`.
 
     Each failing (conditioning set, clause, group) gives one witness, its
     first failing noise tuple in table order, with `Fraction` values; at most
@@ -528,11 +519,11 @@ def _factorization_kernel(
     """
     names = solved.table.variables
     n = len(names)
-    ctx = s.context_variable
+    ctx = solved.scm.context_variable
     nj = solved.noise_joint
     denom = nj.denominator
     noises = tuple(noise_name(v) for v in names)
-    d, prior = zip(*(s.noises[v].scaled() for v in names))
+    d, prior = zip(*(solved.scm.noises[v].scaled() for v in names))
     union = union_graph(solved)
     anc_ctx = union.ancestors([ctx])
     descr = {r: descriptive_graph(solved, r) for r in solved.regimes}
@@ -559,7 +550,7 @@ def _factorization_kernel(
                 })
                 return
 
-    for size in range(1, min(cap, n) + 1):
+    for size in range(1, n):
         for z_vars in itertools.combinations(names, size):
             if len(wit) >= _WITNESS_CAP:
                 # a full witness list ends the walk before the next set, and
@@ -581,7 +572,7 @@ def _factorization_kernel(
     return _done("noise_factorization", wit, notes)
 
 
-def _barrier_obligations(s: Scm, solved: SolvedModel) -> list[tuple]:
+def _barrier_obligations(solved: SolvedModel) -> list[tuple]:
     """The local Markov law's barrier tests, in walk order, as (clause,
     variable, regime, barrier, graph): the pooled clause for every variable
     off the pooled cycles, then per regime the per-context clause for every
@@ -590,7 +581,7 @@ def _barrier_obligations(s: Scm, solved: SolvedModel) -> list[tuple]:
     the context left out per context."""
     names = solved.table.variables
     union = union_graph(solved)
-    ctx = s.context_variable
+    ctx = solved.scm.context_variable
     cyclic = union.cyclic_nodes()
     out = [("pooled", y, None, union.parents(y), union) for y in names if y not in cyclic]
     anc_ctx = union.ancestors([ctx])
@@ -640,7 +631,7 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     Otherwise `_local_markov_walk` tests every barrier group on the noise
     joint's weights; it is the only source of witnesses.
     """
-    obligations = _barrier_obligations(s, solved)
+    obligations = _barrier_obligations(solved)
     if not obligations:
         return _skip("local_markov", "no variable meets the barrier hypotheses")
     if (
@@ -649,16 +640,16 @@ def check_local_markov(s: Scm, solved: SolvedModel) -> CheckResult:
         and _product_form_gate(solved)
     ):
         return _done("local_markov", [])
-    return _local_markov_walk(s, solved, obligations)
+    return _local_markov_walk(solved, obligations)
 
 
-def _local_markov_walk(s: Scm, solved: SolvedModel, obligations: list[tuple]) -> CheckResult:
+def _local_markov_walk(solved: SolvedModel, obligations: list[tuple]) -> CheckResult:
     """Each barrier test by `first_dependence` on the noise joint's weights,
     pooled or within the test's context stratum; the first dependent group
     of a test, in sorted barrier-value order, gives its witness."""
     nj = solved.noise_joint
     names = solved.table.variables
-    by_regime = nj.strata((s.context_variable,), nj.scope)
+    by_regime = nj.strata((solved.scm.context_variable,), nj.scope)
     wit: list[dict] = []
     for clause, y, regime, b_vars, _ in obligations:
         pmf = nj
@@ -703,6 +694,8 @@ def check_markov(s: Scm, solved: SolvedModel) -> CheckResult:
     return _done("markov", wit)
 
 
+# Every check is called as chk(s, solved) and reads the model, its priors and
+# its context from `solved` alone; `s` stays for that calling convention.
 DEFAULT_CHECKS: tuple[Callable[..., CheckResult], ...] = (
     check_edge_inclusions,
     check_union_property,

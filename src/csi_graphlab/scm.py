@@ -105,7 +105,7 @@ class MechanismTable:
     ) -> "MechanismTable":
         """Tabulate fn(*parent_values, noise_label) over the full input grid."""
         table: dict[tuple[tuple[str, ...], str], str] = {}
-        for pa in itertools.product(*parent_domains) if parents else [()]:
+        for pa in itertools.product(*parent_domains):
             for n in noise_labels:
                 table[(tuple(pa), n)] = fn(*pa, n)
         return cls(variable=variable, parents=tuple(parents), table=table)
@@ -217,7 +217,7 @@ def validate_scm(s: Scm) -> list[str]:
         expected *= len(noise_labels)
         if len(mech.table) != expected or any(
             (tuple(pa), n) not in mech.table
-            for pa in (itertools.product(*pa_domains) if mech.parents else [()])
+            for pa in itertools.product(*pa_domains)
             for n in noise_labels
         ):
             problems.append(

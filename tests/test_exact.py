@@ -392,20 +392,22 @@ def test_a_solve_is_its_table():
 
 
 def test_a_malformed_solution_table_is_a_named_error():
-    """A repeated row, or fields of different lengths, raise `DistributionError`
-    instead of giving a joint that has silently lost mass."""
-    solved = SolvedModel.of(get_example("intro-mediator"))
-    table = solved.table
-    repeated = dataclasses.replace(
-        table, noise_assignments=table.noise_assignments + table.noise_assignments[:1],
-        weights=table.weights + table.weights[:1], values=table.values + table.values[:1])
-    t = dataclasses.replace(solved, table=repeated)
-    for derived in ("noise_joint", "joint"):
-        with pytest.raises(DistributionError, match=r"repeats .* %s" % re.escape(
-                str(table.noise_assignments[0]))):
-            getattr(t, derived)
+    """A repeated noise assignment, on the same values or on others, or fields
+    of different lengths, raise `DistributionError` where the table is built,
+    not a joint whose mass is wrong: the second row's values under the first
+    row's noise used to give a 17-row noise joint of mass 17/16."""
+    table = SolvedModel.of(get_example("intro-mediator")).table
+    noise = table.noise_assignments[0]
+    assert table.values[1] != table.values[0]
+    for row in (0, 1):
+        with pytest.raises(DistributionError, match="repeats noise assignment %s"
+                           % re.escape(str(noise))):
+            dataclasses.replace(
+                table, noise_assignments=table.noise_assignments + (noise,),
+                weights=table.weights + table.weights[row:row + 1],
+                values=table.values + table.values[row:row + 1])
     with pytest.raises(DistributionError, match="16 noise assignments, 15 weights and 16 values"):
-        dataclasses.replace(solved, table=dataclasses.replace(table, weights=table.weights[1:]))
+        dataclasses.replace(table, weights=table.weights[1:])
 
 
 def test_draw_samples_deterministic_and_calibrated():

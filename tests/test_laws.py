@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from csi_graphlab import graph_objects, laws
 from csi_graphlab.corpus import get_example, list_examples
-from csi_graphlab.exact import JointPmf, SolvedModel
+from csi_graphlab.exact import DistributionError, JointPmf, SolvedModel
 from csi_graphlab.discovery import ExactTester, detect_graph, skeleton_masked, skeleton_pooled
 from csi_graphlab.graphs import DirectedGraph
 from csi_graphlab.graph_objects import (
@@ -250,16 +251,11 @@ def test_checks_skip_hypotheses_they_cannot_assume():
 
 
 def test_factorization_cap_note(solved_examples):
+    # every proper subset is walked; the full variable set is not
     s, sm = solved_examples["intro"]
-    res = laws.check_noise_factorization(s, sm, cap=1)
+    res = laws.check_noise_factorization(s, sm)
     assert res.passed
-    assert res.notes == ("conditioning sets of more than 1 variables not checked",)
-    with pytest.raises(laws.LawsError, match="cap"):
-        laws.check_noise_factorization(s, sm, cap=-1)
-    # the cap is checked before the skip of a model that is not weakly regime-acyclic
-    m = laws.random_scm(replace(SPEC, max_parents=3, seed=369))
-    with pytest.raises(laws.LawsError, match="cap"):
-        laws.check_noise_factorization(m.scm, m.solved, cap=-1)
+    assert res.notes == ("conditioning sets of more than 2 variables not checked",)
 
 
 def test_empty_suite():
@@ -373,19 +369,19 @@ def test_family_laws_report_each_broken_relation(law, family, edit, witnesses, m
 # --- noise factorization: the structural decision, the integer walk and the ---------
 # --- Fraction reference side by side -------------------------------------------------
 
-def forced(law, walk, sm, **kwargs):
+def forced(law, walk, sm):
     """`law` on `sm` with the shared gate reading False, whatever the solve
     has cached; the walk that then decides it must run, on `sm`."""
     with mock.patch.object(laws, "_product_form_gate", lambda solved: False), \
             mock.patch.object(laws, walk, wraps=getattr(laws, walk)) as ran:
-        got = law(sm.scm, sm, **kwargs)
-    assert [c.args[1] for c in ran.call_args_list] == ([] if got.skipped else [sm])
+        got = law(sm.scm, sm)
+    assert [c.args[0] for c in ran.call_args_list] == ([] if got.skipped else [sm])
     return got
 
 
-def kernel_only(sm, cap=None):
+def kernel_only(sm):
     """The law as the integer walk alone decides it."""
-    return forced(laws.check_noise_factorization, "_factorization_kernel", sm, cap=cap)
+    return forced(laws.check_noise_factorization, "_factorization_kernel", sm)
 
 
 def walk_only(sm):
@@ -393,10 +389,9 @@ def walk_only(sm):
     return forced(laws.check_local_markov, "_local_markov_walk", sm)
 
 
-def assert_matches_reference(sm, caps=(None,)):
-    for cap in caps:
-        got = laws.check_noise_factorization(sm.scm, sm, cap=cap)
-        assert got == kernel_only(sm, cap) == reference_noise_factorization(sm.scm, sm, cap=cap), cap
+def assert_matches_reference(sm):
+    got = laws.check_noise_factorization(sm.scm, sm)
+    assert got == kernel_only(sm) == reference_noise_factorization(sm.scm, sm)
 
 
 def kernel_calls(monkeypatch):
@@ -404,9 +399,9 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = laws._factorization_kernel
 
-    def recording(s, solved, *args):
+    def recording(solved, *args):
         calls.append(solved)
-        return kernel(s, solved, *args)
+        return kernel(solved, *args)
 
     monkeypatch.setattr(laws, "_factorization_kernel", recording)
     return calls
@@ -421,15 +416,13 @@ def untampered(solved_examples):
 
 def test_untampered_models_never_reach_the_kernel(untampered):
     assert len(untampered) == 216
-    caps = (None, 1)
     for sm in untampered:
         with mock.patch.object(
             laws, "_factorization_kernel", side_effect=AssertionError("kernel reached")
         ):
-            got = [laws.check_noise_factorization(sm.scm, sm, cap=cap) for cap in caps]
-        assert got[0].passed
-        assert got == [kernel_only(sm, cap) for cap in caps]
-        assert got[1] == reference_noise_factorization(sm.scm, sm, cap=1)
+            got = laws.check_noise_factorization(sm.scm, sm)
+        assert got.passed
+        assert got == kernel_only(sm) == reference_noise_factorization(sm.scm, sm)
 
 
 def test_tampered_corpus_joints_reach_the_kernel(solved_examples, monkeypatch):
@@ -456,7 +449,7 @@ def test_tampered_corpus_joints_reach_the_walk(solved_examples):
         t = tampered(sm)
         with mock.patch.object(laws, "_local_markov_walk", wraps=laws._local_markov_walk) as walk:
             assert not laws.check_local_markov(s, t).passed
-        assert [c.args[1] for c in walk.call_args_list] == [t]
+        assert [c.args[0] for c in walk.call_args_list] == [t]
 
 
 def with_weights(sm, weights):
@@ -478,14 +471,15 @@ def swapped_values(sm):
         rows = joint_rows(sm)
         rows[i], rows[j] = (rows[i][0], rows[j][1]), (rows[j][0], rows[i][1])
         t = with_weights(sm, {u + v: w for (u, v), (_, w) in zip(rows, items)})
-        if next(laws._locality_violations(sm.scm, t, rows), None) is not None:
+        if next(laws._locality_violations(t, rows), None) is not None:
             return t
     return None
 
 
 def duplicated_noise(sm):
     """The last row dropped, and its mass and values moved onto a second row
-    with the first row's noise."""
+    with the first row's noise: a table no solve can hold, so building it
+    raises `DistributionError`."""
     (first, _), *_, (_, last) = joint_rows(sm)
     *items, (_, w) = sm.noise_joint.weights.items()
     weights = dict(items)
@@ -524,7 +518,11 @@ def test_adversarial_joints_fall_through_to_the_kernel(solved_examples, monkeypa
         swapped = swapped_values(sm)
         # the swap is in the table, so the solve's own locality scan sees it
         assert swapped is not None and not laws.check_solution_locality(s, swapped).passed
-        for t in (swapped, duplicated_noise(sm), zero_prior_row(sm)):
+        first_noise = sm.table.noise_assignments[0]
+        with pytest.raises(DistributionError, match="repeats noise assignment %s"
+                           % re.escape(str(first_noise))):
+            duplicated_noise(sm)
+        for t in (swapped, zero_prior_row(sm)):
             calls.clear()
             got = laws.check_noise_factorization(t.scm, t)
             assert calls == [t]
@@ -533,6 +531,20 @@ def test_adversarial_joints_fall_through_to_the_kernel(solved_examples, monkeypa
         t = reversed_rows(sm)
         assert laws._product_form_gate(t)
         assert laws.check_noise_factorization(t.scm, t) == reference_noise_factorization(t.scm, t)
+
+
+def test_every_law_reads_its_model_from_the_solve(solved_examples):
+    """The model passed beside the solve changes no result: each default
+    check reads the variables, priors and context from `solved.scm`, here
+    given another corpus model with its variables renamed."""
+    solves = tamperable([sm for _, sm in solved_examples.values()])
+    assert len(solves) == len(solved_examples)
+    for k, sm in enumerate(solves):
+        foreign = renamed_variables(solves[(k + 1) % len(solves)].scm)
+        assert not set(foreign.variable_names) & set(sm.table.variables)
+        for t in (sm, tampered(sm)):
+            for chk in laws.DEFAULT_CHECKS:
+                assert chk(foreign, t) == chk(t.scm, t), (chk.__name__, t.table.variables)
 
 
 def entangled_draw(n_vars, seed):
@@ -551,7 +563,7 @@ def test_local_markov_rule_matches_the_walk(solved_examples):
     assert len(models) - len(kept) == 27
     cases = models + [tampered(sm) for sm in kept]
     for sm in corpus:
-        cases += [swapped_values(sm), duplicated_noise(sm), zero_prior_row(sm), reversed_rows(sm)]
+        cases += [swapped_values(sm), zero_prior_row(sm), reversed_rows(sm)]
     # first draws that random_scm rejects as support-entangled: the gate holds, and
     # only their support witnesses keep the rule from passing a law the walk fails
     entangled = [entangled_draw(5, 295), entangled_draw(4, 486)]
@@ -565,14 +577,10 @@ def test_local_markov_rule_matches_the_walk(solved_examples):
 @pytest.mark.parametrize("name", list_examples())
 def test_factorization_kernel_matches_reference_on_the_corpus(name, solved_examples):
     s, sm = solved_examples[name]
-    # caps at or above n check the full variable set and leave no note
-    n = len(s.variables)
-    caps = (None, 0, 1, 2, n, n + 5)
-    assert_matches_reference(sm, caps=caps)
-    assert laws.check_noise_factorization(s, sm, cap=n).notes == ()
+    assert_matches_reference(sm)
     t = tampered(sm)
     assert not laws.check_noise_factorization(s, t).passed
-    assert_matches_reference(t, caps=caps)
+    assert_matches_reference(t)
 
 
 def test_factorization_kernel_matches_reference_on_verify_models():
@@ -630,7 +638,7 @@ def test_factorization_kernel_matches_reference_on_moved_mass(data, hypothesis_m
     src = data.draw(st.integers(0, rows - 1))
     dst = data.draw(st.integers(0, rows - 1))
     share = data.draw(st.fractions(0, 1, max_denominator=7))
-    assert_matches_reference(moved_mass(sm, src, dst, share), caps=(None, 1))
+    assert_matches_reference(moved_mass(sm, src, dst, share))
 
 
 def test_factorization_kernel_falls_back_to_python_ints_exactly():
@@ -640,10 +648,10 @@ def test_factorization_kernel_falls_back_to_python_ints_exactly():
     priors = math.prod(n.pmf[0][1].denominator for n in sm.scm.noises.values())
     assert denom * priors >= 1 << 62
     assert laws.check_noise_factorization(sm.scm, sm).passed
-    assert_matches_reference(sm, caps=(None, 1))
+    assert_matches_reference(sm)
     t = tampered(sm)
     assert not laws.check_noise_factorization(sm.scm, t).passed
-    assert_matches_reference(t, caps=(None, 1))
+    assert_matches_reference(t)
 
 
 # --- invariances ---------------------------------------------------------------------
